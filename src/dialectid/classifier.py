@@ -1,21 +1,33 @@
 """Multinomial logistic regression over sparse feature vectors.
 
-Plain mini-batch SGD from a zero initialization.  The adam_epsilon
-hyperparameter is carried in the schema for config compatibility but the
-update rule does not use it.  Shuffling is rebuilt per epoch from
-(rng_seed, epoch), so training is bit-reproducible for a fixed input
-order.
+Plain mini-batch SGD from a zero initialization.  Shuffling is rebuilt
+per epoch from (rng_seed, epoch), so training is bit-reproducible for a
+fixed input order.
+
+Training runs on the columns the corpus touches, not on the full
+num_classes x dim matrix.  That gives the same weights bit for bit as
+dense training: a column no example uses has a zero gradient on every
+batch, so it stays 0 * decay - lr * 0 = 0 as long as the decay factor
+1 - lr * l2 is not negative, which HyperParams enforces.  Every other
+weight sees the same operations in the same order as in a dense run.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassIndexOutOfRange, DimensionMismatch, EmptyTrainingSet
+from .binio import read_exact, read_f8, write_f8
+from .errors import (
+    ClassIndexOutOfRange,
+    CorruptArtifact,
+    DimensionMismatch,
+    EmptyTrainingSet,
+)
 from .features import SparseVector
 
 MODEL_MAGIC = b"NADIMDL1"
@@ -26,7 +38,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 @dataclass(frozen=True, slots=True)
 class HyperParams:
     lr: float = 0.1
-    adam_epsilon: float = 1e-8
     max_seq_len: int = 256
     batch_size: int = 40
     epochs: int = 5
@@ -44,6 +55,11 @@ class HyperParams:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if self.lr * self.l2 > 1:
+            raise ValueError(
+                f"lr * l2 must be <= 1 so the weight decay factor 1 - lr * l2 "
+                f"is not negative, got lr={self.lr}, l2={self.l2}"
+            )
 
 
 DEFAULT_HP = HyperParams()
@@ -145,6 +161,12 @@ def train(
     gradient plus l2 weight decay.  epochs=0 returns the zero model,
     which predicts uniformly.  The mean loss of every epoch is kept on
     the returned model.
+
+    The loop runs on a num_classes x K matrix over the K distinct
+    columns the examples use, and the result is scattered into the zero
+    num_classes x dim model at the end.  Columns outside the corpus
+    would only ever receive 0 * decay - lr * 0, so the weights equal
+    those of dense training bit for bit (see the module docstring).
     """
     if not examples:
         raise EmptyTrainingSet("no training examples")
@@ -160,7 +182,13 @@ def train(
             raise ValueError(f"{len(class_labels)} labels for {num_classes} classes")
         labels = list(class_labels)
 
-    weights = np.zeros((num_classes, dim), dtype=np.float64)
+    cols = np.unique(np.concatenate([vector.indices for vector, _ in examples]))
+    width = cols.size
+    local = [
+        (SparseVector(np.searchsorted(cols, vector.indices), vector.values, width), y)
+        for vector, y in examples
+    ]
+    weights = np.zeros((num_classes, width), dtype=np.float64)
     bias = np.zeros(num_classes, dtype=np.float64)
     n = len(examples)
     losses: list[float] = []
@@ -169,7 +197,7 @@ def train(
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
-            batch = [examples[i] for i in order[start : start + hp.batch_size]]
+            batch = [local[i] for i in order[start : start + hp.batch_size]]
             loss, grad_w, grad_b = batch_cross_entropy(weights, bias, batch)
             epoch_loss += loss * len(batch)
             weights *= 1.0 - hp.lr * hp.l2
@@ -178,8 +206,10 @@ def train(
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
+    dense = np.zeros((num_classes, dim), dtype=np.float64)
+    dense[:, cols] = weights
     return LinearModel(
-        weights=weights,
+        weights=dense,
         bias=bias,
         class_labels=labels,
         feature_fingerprint=feature_fingerprint,
@@ -198,32 +228,31 @@ def save_model(model: LinearModel, path: str) -> None:
             raw = label.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(model.weights.astype("<f8").tobytes(order="C"))
-        fh.write(model.bias.astype("<f8").tobytes())
+        write_f8(fh, model.weights)
+        write_f8(fh, model.bias)
 
 
 def load_model(path: str) -> LinearModel:
+    """Read a file written by save_model.  Raises CorruptArtifact on a
+    bad magic, a cut header, a label that is not UTF-8, or a size that
+    does not match the header."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    offset = len(MODEL_MAGIC)
-    num_classes, dim = struct.unpack_from("<II", blob, offset)
-    offset += struct.calcsize("<II")
-    labels: list[str] = []
-    for _ in range(num_classes):
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        labels.append(blob[offset : offset + length].decode("utf-8"))
-        offset += length
-    expected = offset + 8 * num_classes * dim + 8 * num_classes
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    weights = (
-        np.frombuffer(blob, dtype="<f8", count=num_classes * dim, offset=offset)
-        .reshape(num_classes, dim)
-        .copy()
-    )
-    offset += 8 * num_classes * dim
-    bias = np.frombuffer(blob, dtype="<f8", count=num_classes, offset=offset).copy()
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise CorruptArtifact(f"{path}: not a model file (bad magic)")
+        num_classes, dim = struct.unpack("<II", read_exact(fh, 8, path, "the header"))
+        labels: list[str] = []
+        for i in range(num_classes):
+            (length,) = struct.unpack("<I", read_exact(fh, 4, path, f"the length of label {i}"))
+            if length > size - fh.tell():
+                raise CorruptArtifact(f"{path}: file ends inside label {i}")
+            try:
+                labels.append(read_exact(fh, length, path, f"label {i}").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CorruptArtifact(f"{path}: label {i} is not UTF-8") from None
+        expected = fh.tell() + 8 * num_classes * dim + 8 * num_classes
+        if size != expected:
+            raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
+        weights = read_f8(fh, (num_classes, dim), path, "the weights")
+        bias = read_f8(fh, (num_classes,), path, "the biases")
     return LinearModel(weights=weights, bias=bias, class_labels=labels)

@@ -61,3 +61,7 @@ class SubtaskMismatch(DialectIdError):
 
 class ConfigError(DialectIdError):
     """An experiment or benchmark configuration file is invalid."""
+
+
+class CorruptArtifact(DialectIdError, ValueError):
+    """A model or idf file is truncated, oversized or otherwise malformed."""

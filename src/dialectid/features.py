@@ -8,6 +8,7 @@ accepted: colliding grams simply share a bucket and their counts add.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .binio import read_exact, read_f8, write_f8
+from .errors import CorruptArtifact, EmptyCorpus
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -174,19 +176,19 @@ def save_idf(table: IdfTable, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(IDF_MAGIC)
         fh.write(struct.pack("<IQ", table.dim, table.doc_count))
-        fh.write(table.weights.astype("<f8").tobytes())
+        write_f8(fh, table.weights)
 
 
 def load_idf(path: str) -> IdfTable:
+    """Read a file written by save_idf.  Raises CorruptArtifact on a bad
+    magic, a cut header, or a size that does not match the header."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(IDF_MAGIC)] != IDF_MAGIC:
-        raise ValueError(f"{path}: not an idf table (bad magic)")
-    offset = len(IDF_MAGIC)
-    dim, doc_count = struct.unpack_from("<IQ", blob, offset)
-    offset += struct.calcsize("<IQ")
-    expected = offset + 8 * dim
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    weights = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset).copy()
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
+            raise CorruptArtifact(f"{path}: not an idf table (bad magic)")
+        dim, doc_count = struct.unpack("<IQ", read_exact(fh, 12, path, "the header"))
+        expected = fh.tell() + 8 * dim
+        if size != expected:
+            raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
+        weights = read_f8(fh, (dim,), path, "the weights")
     return IdfTable(weights=weights, doc_count=doc_count)

@@ -299,8 +299,7 @@ _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 _NORM_KEYS = {"strip_markup", "replace_entities", "remove_noise", "insert_spacing",
               "segment", "max_repeat"}
 _FEATURE_KEYS = {"n_min", "n_max", "dim", "hash_seed", "pad_token"}
-_HP_KEYS = {"learning_rate", "adam_epsilon", "max_seq_len", "batch_size", "epochs",
-            "l2", "seed"}
+_HP_KEYS = {"learning_rate", "max_seq_len", "batch_size", "epochs", "l2", "seed"}
 
 
 def _parse_bool(key: str, value: str) -> bool:

@@ -1,8 +1,11 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialectid.classifier import (
     HyperParams,
@@ -17,10 +20,13 @@ from dialectid.classifier import (
 )
 from dialectid.errors import (
     ClassIndexOutOfRange,
+    CorruptArtifact,
     DimensionMismatch,
     EmptyTrainingSet,
 )
 from dialectid.features import SparseVector, empty_vector
+
+from dense_oracle import dense_train
 
 
 def sv(indices, values, dim):
@@ -41,7 +47,6 @@ def random_sv(rng, dim, max_nnz=4):
 def test_hyperparams_defaults():
     hp = HyperParams()
     assert hp.lr == 0.1
-    assert hp.adam_epsilon == 1e-8
     assert hp.max_seq_len == 256
     assert hp.batch_size == 40
     assert hp.epochs == 5
@@ -60,6 +65,13 @@ def test_hyperparams_validation():
         HyperParams(epochs=-1)
     with pytest.raises(ValueError):
         HyperParams(l2=-0.1)
+    # A decay factor 1 - lr * l2 below zero would flip every weight's
+    # sign on every batch.
+    with pytest.raises(ValueError, match="lr \\* l2"):
+        HyperParams(lr=30.0, l2=0.05)
+    with pytest.raises(ValueError, match="lr \\* l2"):
+        HyperParams(lr=2.0, l2=0.5000001)
+    assert HyperParams(lr=2.0, l2=0.5).l2 == 0.5
 
 
 def test_truncate():
@@ -277,6 +289,63 @@ class TestTrain:
             )
 
 
+@st.composite
+def training_problems(draw):
+    """Small corpora and accepted hyperparameters for the oracle test."""
+    dim = draw(st.integers(2, 1 << 12))
+    num_classes = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    max_nnz = 0 if draw(st.integers(0, 9)) == 0 else min(6, dim)
+    examples = []
+    for _ in range(n):
+        nnz = draw(st.integers(0, max_nnz))
+        indices = sorted(
+            draw(st.sets(st.integers(0, dim - 1), min_size=nnz, max_size=nnz))
+        )
+        values = draw(
+            st.lists(st.floats(-2.0, 2.0), min_size=nnz, max_size=nnz)
+        )
+        examples.append((sv(indices, values, dim), draw(st.integers(0, num_classes - 1))))
+    batch_size = draw(
+        st.one_of(st.just(1), st.integers(1, n), st.integers(n + 1, n + 4))
+    )
+    lr = draw(st.floats(1e-3, 30.0))
+    l2 = draw(st.one_of(st.just(0.0), st.just(1.0 / lr), st.floats(0.0, 1.0 / lr)))
+    if lr * l2 > 1:
+        l2 = 0.0
+    hp = HyperParams(
+        lr=lr,
+        l2=l2,
+        batch_size=batch_size,
+        epochs=draw(st.integers(0, 3)),
+        rng_seed=draw(st.integers(-5, 1 << 40)),
+    )
+    return examples, hp, num_classes, dim
+
+
+class TestDenseOracle:
+    # lr * l2 == 1 is the largest accepted decay: weights are wiped
+    # before each update.
+    @example(
+        (
+            separable_examples(per_class=4, dim=64),
+            HyperParams(lr=2.0, l2=0.5, epochs=2, batch_size=3),
+            3,
+            64,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(training_problems())
+    def test_train_equals_dense_sgd_bit_for_bit(self, problem):
+        examples, hp, num_classes, dim = problem
+        model = train(examples, hp, num_classes=num_classes, dim=dim)
+        weights, bias, losses = dense_train(examples, hp, num_classes, dim)
+        assert model.weights.shape == (num_classes, dim)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert model.epoch_losses == losses
+
+
 class TestModelIo:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -306,4 +375,64 @@ class TestModelIo:
         save_model(model, str(path))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("layout", ["fortran", "float32", "big-endian"])
+    def test_save_writes_the_row_major_float64_layout(self, tmp_path, layout):
+        rng = np.random.default_rng(3)
+        weights = rng.normal(size=(3, 10))
+        bias = rng.normal(size=3)
+        if layout == "fortran":
+            weights = np.asfortranarray(weights)
+        elif layout == "float32":
+            weights, bias = weights.astype(np.float32), bias.astype(np.float32)
+        else:
+            weights, bias = weights.astype(">f8"), bias.astype(">f8")
+        labels = ["a", "بب", ""]
+        path = tmp_path / "m.bin"
+        save_model(LinearModel(weights, bias, labels), str(path))
+        header = b"NADIMDL1" + struct.pack("<II", 3, 10)
+        for label in labels:
+            raw = label.encode("utf-8")
+            header += struct.pack("<I", len(raw)) + raw
+        expected = (
+            header
+            + weights.astype("<f8").tobytes(order="C")
+            + bias.astype("<f8").tobytes()
+        )
+        assert path.read_bytes() == expected
+        loaded = load_model(str(path))
+        assert loaded.weights.flags.c_contiguous
+        assert loaded.weights.tobytes() == weights.astype(np.float64).tobytes(order="C")
+        assert loaded.bias.tobytes() == bias.astype(np.float64).tobytes()
+        assert loaded.class_labels == labels
+
+    def test_every_cut_is_corrupt(self, tmp_path):
+        model = LinearModel(np.ones((2, 3)), np.zeros(2), ["ab", "c"])
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptArtifact):
+                load_model(str(path))
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CorruptArtifact, match="expected"):
+            load_model(str(path))
+
+    def test_label_longer_than_the_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(
+            b"NADIMDL1" + struct.pack("<II", 1, 2) + struct.pack("<I", 0xFFFFFFFF) + b"x"
+        )
+        with pytest.raises(CorruptArtifact, match="label 0"):
+            load_model(str(path))
+
+    def test_label_not_utf8(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(
+            b"NADIMDL1" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"\xff"
+            + b"\x00" * 16
+        )
+        with pytest.raises(CorruptArtifact, match="UTF-8"):
             load_model(str(path))

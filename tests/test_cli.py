@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from dialectid import cli
+from dialectid.classifier import load_model
 from dialectid.corpus import read_submission
 from dialectid.evaluation import parse_report
 
@@ -229,6 +230,38 @@ class TestTrainPredictEvaluate:
         )
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
+
+
+class TestCorruptArtifacts:
+    """A cut model or idf file gives a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("which", ["model", "idf"])
+    def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
+        blob = open(trained[which], "rb").read()
+        if which == "model":
+            header = 16 + sum(
+                4 + len(label.encode("utf-8"))
+                for label in load_model(trained["model"]).class_labels
+            )
+        else:
+            header = 20
+        cut_path = tmp_path / f"cut.{which}"
+        paths = dict(trained, **{which: str(cut_path)})
+        for cut in range(header + 9):
+            cut_path.write_bytes(blob[:cut])
+            rc = cli.main(
+                [
+                    "predict",
+                    "--model", paths["model"],
+                    "--idf", paths["idf"],
+                    "--in", corpus_dir["paths"]["test"],
+                    "--out", str(tmp_path / "s.csv"),
+                ]
+            )
+            err = capsys.readouterr().err
+            assert rc == 1, cut
+            assert err.startswith("error:"), (cut, err)
+            assert "Traceback" not in err
 
 
 class TestEvaluateAlignment:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialectid.errors import EmptyCorpus
+from dialectid.errors import CorruptArtifact, EmptyCorpus
 from dialectid.features import (
     DEFAULT_FEATURES,
     FeatureConfig,
@@ -270,4 +270,17 @@ class TestIdfIo:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(ValueError):
+            load_idf(str(path))
+
+    def test_every_cut_is_corrupt(self, tmp_path):
+        table = IdfTable(weights=np.ones(4), doc_count=3)
+        path = tmp_path / "cut.idf"
+        save_idf(table, str(path))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptArtifact):
+                load_idf(str(path))
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CorruptArtifact, match="expected"):
             load_idf(str(path))

@@ -366,6 +366,16 @@ class TestBenchmarkParsing:
             ),
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nadam_epsilon=1e-8\n",
+                "unknown experiment key",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nlearning_rate=30\nl2=0.05\n",
+                "lr \\* l2 must be <= 1",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
                 "[experiment e]\nepochs=abc\n",
                 "integer",
             ),
