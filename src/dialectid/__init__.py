@@ -5,7 +5,7 @@ classifier, evaluation metrics over a fixed label inventory, and an
 experiment harness with a command line front end.
 """
 
-from .classifier import HyperParams, LinearModel, predict, train, truncate
+from .classifier import HyperParams, LinearModel, predict, train
 from .corpus import (
     ColumnSchema,
     LabelVocab,
@@ -57,7 +57,6 @@ __all__ = [
     "run_grid",
     "segment",
     "train",
-    "truncate",
     "vectorize",
     "write_submission",
 ]

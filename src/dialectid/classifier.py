@@ -14,6 +14,7 @@ weight sees the same operations in the same order as in a dense run.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .features import SparseVector
 
-MODEL_MAGIC = b"NADIMDL1"
+MODEL_MAGIC = b"NADIMDL2"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -45,16 +46,16 @@ class HyperParams:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.max_seq_len < 1:
             raise ValueError(f"max_seq_len must be >= 1, got {self.max_seq_len}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.lr * self.l2 > 1:
             raise ValueError(
                 f"lr * l2 must be <= 1 so the weight decay factor 1 - lr * l2 "
@@ -67,13 +68,17 @@ DEFAULT_HP = HyperParams()
 
 @dataclass
 class LinearModel:
-    """Weights (num_classes x dim), biases, and the label order."""
+    """Weights (num_classes x dim), biases, and the label order.
+
+    fallback_class is the class index given to a text with no features:
+    the majority class of the training data."""
 
     weights: np.ndarray
     bias: np.ndarray
     class_labels: list[str]
     feature_fingerprint: str = ""
     epoch_losses: list[float] = field(default_factory=list)
+    fallback_class: int = 0
 
     @property
     def num_classes(self) -> int:
@@ -82,13 +87,6 @@ class LinearModel:
     @property
     def dim(self) -> int:
         return int(self.weights.shape[1])
-
-
-def truncate(text: str, max_seq_len: int) -> str:
-    """Cap text at max_seq_len Unicode scalar values."""
-    if max_seq_len < 1:
-        raise ValueError(f"max_seq_len must be >= 1, got {max_seq_len}")
-    return text[:max_seq_len]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -160,7 +158,8 @@ def train(
     batch may be short).  Each batch applies the averaged cross-entropy
     gradient plus l2 weight decay.  epochs=0 returns the zero model,
     which predicts uniformly.  The mean loss of every epoch is kept on
-    the returned model.
+    the returned model, and so is the most frequent class of the
+    examples as its fallback_class (ties go to the lowest index).
 
     The loop runs on a num_classes x K matrix over the K distinct
     columns the examples use, and the result is scattered into the zero
@@ -182,6 +181,7 @@ def train(
             raise ValueError(f"{len(class_labels)} labels for {num_classes} classes")
         labels = list(class_labels)
 
+    counts = np.bincount([y for _, y in examples], minlength=num_classes)
     cols = np.unique(np.concatenate([vector.indices for vector, _ in examples]))
     width = cols.size
     local = [
@@ -214,16 +214,17 @@ def train(
         class_labels=labels,
         feature_fingerprint=feature_fingerprint,
         epoch_losses=losses,
+        fallback_class=int(counts.argmax()),
     )
 
 
 def save_model(model: LinearModel, path: str) -> None:
-    """Binary layout: magic, u32 num_classes, u32 dim, per label a u32
-    byte length plus UTF-8 bytes, then row-major little-endian float64
-    weights followed by the biases."""
+    """Binary layout: magic, u32 num_classes, u32 dim, u32 fallback
+    class, per label a u32 byte length plus UTF-8 bytes, then row-major
+    little-endian float64 weights followed by the biases."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", model.num_classes, model.dim))
+        fh.write(struct.pack("<III", model.num_classes, model.dim, model.fallback_class))
         for label in model.class_labels:
             raw = label.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
@@ -234,13 +235,20 @@ def save_model(model: LinearModel, path: str) -> None:
 
 def load_model(path: str) -> LinearModel:
     """Read a file written by save_model.  Raises CorruptArtifact on a
-    bad magic, a cut header, a label that is not UTF-8, or a size that
-    does not match the header."""
+    bad magic, a cut header, a fallback class outside the classes, a
+    label that is not UTF-8, or a size that does not match the
+    header."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise CorruptArtifact(f"{path}: not a model file (bad magic)")
-        num_classes, dim = struct.unpack("<II", read_exact(fh, 8, path, "the header"))
+        num_classes, dim, fallback = struct.unpack(
+            "<III", read_exact(fh, 12, path, "the header")
+        )
+        if fallback >= num_classes:
+            raise CorruptArtifact(
+                f"{path}: fallback class {fallback} outside {num_classes} classes"
+            )
         labels: list[str] = []
         for i in range(num_classes):
             (length,) = struct.unpack("<I", read_exact(fh, 4, path, f"the length of label {i}"))
@@ -255,4 +263,6 @@ def load_model(path: str) -> LinearModel:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
         weights = read_f8(fh, (num_classes, dim), path, "the weights")
         bias = read_f8(fh, (num_classes,), path, "the biases")
-    return LinearModel(weights=weights, bias=bias, class_labels=labels)
+    return LinearModel(
+        weights=weights, bias=bias, class_labels=labels, fallback_class=fallback
+    )

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import classifier, corpus, evaluation, features, harness, normalizer
 from .corpus import ColumnSchema, LabelVocab, Level, Register, Subtask
 from .errors import DialectIdError, LengthMismatch
-from .harness import ExperimentConfig, SelectionMetric
+from .harness import ExperimentConfig
 
 
 def _norm_config_from_flags(args: argparse.Namespace) -> normalizer.NormConfig:
@@ -35,27 +36,14 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     config = _norm_config_from_flags(args)
     lexicon, overrides = _load_lexicon_flags(args)
     schema = ColumnSchema()
-    with open(args.infile, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    out_lines = []
-    text_col: int | None = None
-    for i, line in enumerate(lines):
-        if line.endswith("\r"):
-            line = line[:-1]
-        cells = line.split("\t")
-        if i == 0:
-            if len(cells) >= 2 and cells[0] == schema.id and cells[1] == schema.text:
-                text_col = 1
-                out_lines.append("\t".join(cells))
-                continue
-            text_col = 1 if len(cells) >= 2 else 0
+    rows = [cells for _, cells in corpus.read_rows(args.infile)]
+    text_col = 1 if rows and len(rows[0]) >= 2 else 0
+    has_header = text_col == 1 and rows[0][0] == schema.id and rows[0][1] == schema.text
+    for cells in rows[1 if has_header else 0 :]:
         cells[text_col] = normalizer.normalize(cells[text_col], config, lexicon, overrides)
-        out_lines.append("\t".join(cells))
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
-        for line in out_lines:
-            fh.write(line + "\n")
+        for cells in rows:
+            fh.write("\t".join(cells) + "\n")
     return 0
 
 
@@ -79,28 +67,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _experiment_from_args(args: argparse.Namespace, subtask: Subtask) -> ExperimentConfig:
-    if args.config:
-        spec = harness.parse_benchmark_file(args.config)
+    if not args.config:
+        config = ExperimentConfig(name="default", subtask=subtask)
         if args.seed is not None:
-            spec = harness.override_seed(spec, args.seed)
-        if args.experiment:
-            for exp in spec.experiments:
-                if exp.name == args.experiment:
-                    return ExperimentConfig(
-                        name=exp.name, subtask=subtask, norm=exp.norm,
-                        features=exp.features, hp=exp.hp,
-                    )
-            raise DialectIdError(f"no experiment named {args.experiment!r} in {args.config}")
-        exp = spec.experiments[0]
-        return ExperimentConfig(
-            name=exp.name, subtask=subtask, norm=exp.norm,
-            features=exp.features, hp=exp.hp,
-        )
-    config = ExperimentConfig(name="default", subtask=subtask)
+            config = replace(config, hp=replace(config.hp, rng_seed=args.seed))
+        return config
+    spec = harness.parse_benchmark_file(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, hp=replace(config.hp, rng_seed=args.seed))
-    return config
+        spec = harness.override_seed(spec, args.seed)
+    exp = spec.experiments[0]
+    if args.experiment:
+        exp = next((e for e in spec.experiments if e.name == args.experiment), None)
+        if exp is None:
+            raise DialectIdError(f"no experiment named {args.experiment!r} in {args.config}")
+    return replace(exp, subtask=subtask)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -111,7 +91,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _experiment_from_args(args, subtask)
     records = corpus.load_corpus(args.infile, register=register, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
-    model, idf, _ = harness.fit_pipeline(records, config, vocab, lexicon, overrides)
+    model, idf = harness.fit_pipeline(records, config, vocab, lexicon, overrides)
     classifier.save_model(model, args.out_model)
     features.save_idf(idf, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
@@ -150,26 +130,17 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     idf = features.load_idf(args.idf)
     subtask = Subtask(level=Level.COUNTRY, register=Register.DA)
     config = _experiment_from_args(args, subtask)
-    feat = config.features
-    if feat.dim != idf.dim:
-        from dataclasses import replace
+    if config.features.dim != idf.dim:
         if args.config:
             raise DialectIdError(
-                f"config dim {feat.dim} does not match idf table dim {idf.dim}"
+                f"config dim {config.features.dim} does not match idf table dim {idf.dim}"
             )
-        feat = replace(feat, dim=idf.dim)
+        config = replace(config, features=replace(config.features, dim=idf.dim))
     if model.dim != idf.dim:
         raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
     lexicon, overrides = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile, register=Register(args.register))
-    predictions = []
-    for record in records:
-        text = classifier.truncate(
-            normalizer.normalize(record.text, config.norm, lexicon, overrides),
-            config.hp.max_seq_len,
-        )
-        vector = features.vectorize(text, feat, idf)
-        predictions.append(classifier.predict(model, vector))
+    predictions = harness.predict_records(records, config, model, idf, lexicon, overrides)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
     return 0
@@ -184,8 +155,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     train = corpus.load_corpus(spec.train_path, register=register, vocab=vocab)
     dev = corpus.load_corpus(spec.dev_path, register=register, vocab=vocab)
     test = corpus.load_corpus(spec.test_path, register=register, vocab=vocab)
-    lexicon = normalizer.load_lexicon(args.lexicon) if args.lexicon else None
-    overrides = normalizer.load_presegmented(args.presegmented) if args.presegmented else None
+    lexicon, overrides = _load_lexicon_flags(args)
 
     grid = harness.run_grid(
         train, dev, list(spec.experiments), vocab, spec.selection, lexicon, overrides

@@ -156,7 +156,9 @@ class LabelVocab:
         return cls(countries=tuple(countries))
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+def read_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The (line number, tab-separated cells) of every line of a UTF-8
+    file, with a final newline and each line's carriage return dropped."""
     with open(path, encoding="utf-8", newline="") as fh:
         raw_lines = fh.read().split("\n")
     if raw_lines and raw_lines[-1] == "":
@@ -184,7 +186,7 @@ def load_corpus(
     Raises MalformedRow, DuplicateId, UnknownLabel, or
     HierarchyViolation with the offending line number.
     """
-    rows = _read_rows(path)
+    rows = read_rows(path)
     if not rows:
         return []
 

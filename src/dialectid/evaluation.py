@@ -97,12 +97,15 @@ def macro_f1(matrix: ConfusionMatrix) -> float:
     return sum(m.f1 for m in metrics) / len(metrics)
 
 
+def _support_weighted_f1(metrics: Sequence[ClassMetrics], total: int) -> float:
+    if total == 0:
+        raise EmptyMatrix("weighted F1 of an empty matrix")
+    return sum(m.f1 * m.support for m in metrics) / total
+
+
 def weighted_f1(matrix: ConfusionMatrix) -> float:
     """Support-weighted mean F1; raises EmptyMatrix on zero instances."""
-    if matrix.total == 0:
-        raise EmptyMatrix("weighted F1 of an empty matrix")
-    metrics = per_class_prf(matrix)
-    return sum(m.f1 * m.support for m in metrics) / matrix.total
+    return _support_weighted_f1(per_class_prf(matrix), matrix.total)
 
 
 def accuracy(matrix: ConfusionMatrix) -> float:
@@ -123,7 +126,7 @@ def report(
         macro_precision=sum(m.precision for m in metrics) / k,
         macro_recall=sum(m.recall for m in metrics) / k,
         macro_f1=sum(m.f1 for m in metrics) / k,
-        weighted_f1=weighted_f1(matrix),
+        weighted_f1=_support_weighted_f1(metrics, matrix.total),
         accuracy=accuracy(matrix),
         total=matrix.total,
     )

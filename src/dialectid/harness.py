@@ -84,17 +84,17 @@ def _require_labels(records: Sequence[TweetRecord], subtask: Subtask, split: str
             )
 
 
-def _prepare_texts(
+def prepare_texts(
     records: Sequence[TweetRecord],
     config: ExperimentConfig,
-    lexicon: SegmentLexicon | None,
-    overrides: Mapping[str, str] | None,
+    lexicon: SegmentLexicon | None = None,
+    overrides: Mapping[str, str] | None = None,
 ) -> list[str]:
+    """The text each record is featurized from, for training and serving
+    alike: normalized, then cut to max_seq_len Unicode scalar values."""
+    limit = config.hp.max_seq_len
     return [
-        classifier.truncate(
-            normalizer.normalize(r.text, config.norm, lexicon, overrides),
-            config.hp.max_seq_len,
-        )
+        normalizer.normalize(r.text, config.norm, lexicon, overrides)[:limit]
         for r in records
     ]
 
@@ -112,27 +112,16 @@ def _class_indices(
     return out
 
 
-def _majority_label(indices: Sequence[int], labels: Sequence[str]) -> str:
-    counts = [0] * len(labels)
-    for i in indices:
-        counts[i] += 1
-    best = max(range(len(labels)), key=lambda i: (counts[i], -i))
-    return labels[best]
-
-
 def fit_pipeline(
     train: Sequence[TweetRecord],
     config: ExperimentConfig,
     vocab: LabelVocab,
     lexicon: SegmentLexicon | None = None,
     overrides: Mapping[str, str] | None = None,
-) -> tuple[LinearModel, IdfTable, str]:
-    """Fit the idf table and the model on one split.
-
-    Returns (model, idf, majority label of the split).
-    """
+) -> tuple[LinearModel, IdfTable]:
+    """Fit the idf table and the model on one split."""
     labels = vocab.labels(config.subtask.level)
-    texts = _prepare_texts(train, config, lexicon, overrides)
+    texts = prepare_texts(train, config, lexicon, overrides)
     grams = [features.char_ngrams(t, config.features) for t in texts]
     idf = features.fit_idf(grams, config.features)
     vectors = [features.vectorize(t, config.features, idf) for t in texts]
@@ -145,27 +134,28 @@ def fit_pipeline(
         class_labels=labels,
         feature_fingerprint=features.config_fingerprint(config.features),
     )
-    return model, idf, _majority_label(y, labels)
+    return model, idf
 
 
-def _predict_records(
+def predict_records(
     records: Sequence[TweetRecord],
     config: ExperimentConfig,
     model: LinearModel,
     idf: IdfTable,
-    majority: str,
-    lexicon: SegmentLexicon | None,
-    overrides: Mapping[str, str] | None,
+    lexicon: SegmentLexicon | None = None,
+    overrides: Mapping[str, str] | None = None,
 ) -> list[str]:
-    # A text that normalizes to nothing has no features; fall back to the
-    # majority class of the data the model was fitted on.
+    """Label records in order.
+
+    A text that normalizes to nothing has no features and gets the
+    model's fallback class, the majority class of the data it was
+    fitted on.
+    """
+    fallback = model.class_labels[model.fallback_class]
     out = []
-    for text in _prepare_texts(records, config, lexicon, overrides):
+    for text in prepare_texts(records, config, lexicon, overrides):
         vector = features.vectorize(text, config.features, idf)
-        if vector.nnz == 0:
-            out.append(majority)
-        else:
-            out.append(classifier.predict(model, vector))
+        out.append(classifier.predict(model, vector) if vector.nnz else fallback)
     return out
 
 
@@ -201,8 +191,8 @@ def run_grid(
     gold = [r.label(subtask.level) for r in dev]
     rows: list[GridRow] = []
     for config in configs:
-        model, idf, majority = fit_pipeline(train, config, vocab, lexicon, overrides)
-        pred = _predict_records(dev, config, model, idf, majority, lexicon, overrides)
+        model, idf = fit_pipeline(train, config, vocab, lexicon, overrides)
+        pred = predict_records(dev, config, model, idf, lexicon, overrides)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
             GridRow(
@@ -238,8 +228,8 @@ def finalize(
     labels = vocab.labels(subtask.level)
     if subtask.level is Level.PROVINCE and not vocab.provinces:
         raise SubtaskMismatch("province subtask needs a vocab with provinces")
-    model, idf, majority = fit_pipeline(combined, config, vocab, lexicon, overrides)
-    predictions = _predict_records(test, config, model, idf, majority, lexicon, overrides)
+    model, idf = fit_pipeline(combined, config, vocab, lexicon, overrides)
+    predictions = predict_records(test, config, model, idf, lexicon, overrides)
     corpus.write_submission([r.id for r in test], predictions, submission_path)
     rep = None
     if test and all(r.label(subtask.level) is not None for r in test):

@@ -376,3 +376,54 @@ def test_fitting_sees_exactly_the_training_split(tmp_path, capsys, monkeypatch):
         f"no data leak: grid fits saw {len(train)} train docs only; "
         f"finalize refit on {len(train) + len(dev)} train+dev docs",
     )
+
+
+# 9. predict on saved artifacts reproduces the benchmark's submission
+
+
+def test_predict_on_benchmark_artifacts_matches_submission(tmp_path, capsys):
+    # Egypt is the majority of train plus dev, while the untrained model's
+    # argmax(bias) is class 0, Algeria.  The emoji-only row x0 normalizes
+    # to nothing, so only the stored fallback class can label it Egypt.
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    train = write(
+        "train.tsv",
+        "id\ttweet\tcountry\n"
+        "t0\tازيك يا باشا\tEgypt\nt1\tعامل ايه النهارده\tEgypt\n"
+        "t2\tمش عارف والله\tEgypt\nt3\tواش راك خويا\tAlgeria\n"
+        "t4\tشلونك عيني\tIraq\n",
+    )
+    dev = write("dev.tsv", "id\ttweet\tcountry\nd0\tايه ده\tEgypt\nd1\tشكو ماكو\tIraq\n")
+    test = write("test.tsv", "id\ttweet\nx0\t😂😂\nx1\tازيك عامل ايه\nx2\t🙂 @user\n")
+    config = write(
+        "bench.cfg",
+        f"format=1\n[data]\ntrain={train}\ndev={dev}\ntest={test}\n"
+        "level=country\nregister=da\n[experiment untrained]\ndim=4096\nepochs=0\n",
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["benchmark", config, "--out-dir", str(out_dir)]) == 0
+    served = tmp_path / "served.csv"
+    rc = cli.main(
+        [
+            "--config", config,
+            "predict",
+            "--model", str(out_dir / "model.bin"),
+            "--idf", str(out_dir / "idf.bin"),
+            "--in", test,
+            "--out", str(served),
+        ]
+    )
+    capsys.readouterr()
+    assert rc == 0
+    submission = (out_dir / "submission.csv").read_bytes()
+    assert submission.decode("utf-8").splitlines()[0] == "x0,Egypt"
+    assert served.read_bytes() == submission
+    announce(
+        capsys,
+        "train/serve parity: predict on model.bin/idf.bin equals submission.csv "
+        f"byte for byte ({len(submission)}B, emoji-only row -> Egypt)",
+    )

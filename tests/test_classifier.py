@@ -16,7 +16,6 @@ from dialectid.classifier import (
     predict,
     save_model,
     train,
-    truncate,
 )
 from dialectid.errors import (
     ClassIndexOutOfRange,
@@ -72,15 +71,12 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError, match="lr \\* l2"):
         HyperParams(lr=2.0, l2=0.5000001)
     assert HyperParams(lr=2.0, l2=0.5).l2 == 0.5
-
-
-def test_truncate():
-    assert truncate("abcdef", 3) == "abc"
-    assert truncate("اب", 5) == "اب"
-    assert truncate("", 4) == ""
-    assert len(truncate("😂" * 10, 3)) == 3
-    with pytest.raises(ValueError):
-        truncate("x", 0)
+    # Non-finite rates would only surface as a FloatingPointError after
+    # the first epoch.
+    for lr, l2 in [(math.nan, 1e-6), (math.inf, 0.0), (-math.inf, 0.0), (0.1, math.nan),
+                   (0.1, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            HyperParams(lr=lr, l2=l2)
 
 
 class TestForward:
@@ -272,6 +268,18 @@ class TestTrain:
         assert named.class_labels == ["a", "b", "c"]
         assert named.feature_fingerprint == "cafe"
 
+    def test_fallback_is_the_majority_class(self):
+        # Class 2 is the most frequent; class 0 wins argmax(bias) of the
+        # zero model, so only the counts can give 2.
+        examples = [(empty_vector(4), y) for y in (0, 1, 2, 2, 1, 2)]
+        model = train(examples, HyperParams(epochs=0), num_classes=3, dim=4)
+        assert model.fallback_class == 2
+
+    def test_fallback_tie_takes_the_lowest_index(self):
+        examples = [(empty_vector(4), y) for y in (3, 1, 3, 1)]
+        model = train(examples, HyperParams(epochs=1), num_classes=4, dim=4)
+        assert model.fallback_class == 1
+
     def test_validation_errors(self):
         with pytest.raises(EmptyTrainingSet):
             train([], HyperParams(), num_classes=2, dim=4)
@@ -353,6 +361,7 @@ class TestModelIo:
             weights=rng.normal(size=(3, 16)),
             bias=rng.normal(size=3),
             class_labels=["Egypt", "السودان", ""],
+            fallback_class=2,
         )
         path = tmp_path / "m.bin"
         save_model(model, str(path))
@@ -360,8 +369,9 @@ class TestModelIo:
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
         assert loaded.class_labels == model.class_labels
+        assert loaded.fallback_class == 2
         assert loaded.feature_fingerprint == ""
-        assert path.read_bytes()[:8] == b"NADIMDL1"
+        assert path.read_bytes()[:8] == b"NADIMDL2"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -390,8 +400,8 @@ class TestModelIo:
             weights, bias = weights.astype(">f8"), bias.astype(">f8")
         labels = ["a", "بب", ""]
         path = tmp_path / "m.bin"
-        save_model(LinearModel(weights, bias, labels), str(path))
-        header = b"NADIMDL1" + struct.pack("<II", 3, 10)
+        save_model(LinearModel(weights, bias, labels, fallback_class=1), str(path))
+        header = b"NADIMDL2" + struct.pack("<III", 3, 10, 1)
         for label in labels:
             raw = label.encode("utf-8")
             header += struct.pack("<I", len(raw)) + raw
@@ -406,6 +416,7 @@ class TestModelIo:
         assert loaded.weights.tobytes() == weights.astype(np.float64).tobytes(order="C")
         assert loaded.bias.tobytes() == bias.astype(np.float64).tobytes()
         assert loaded.class_labels == labels
+        assert loaded.fallback_class == 1
 
     def test_every_cut_is_corrupt(self, tmp_path):
         model = LinearModel(np.ones((2, 3)), np.zeros(2), ["ab", "c"])
@@ -423,7 +434,7 @@ class TestModelIo:
     def test_label_longer_than_the_file(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(
-            b"NADIMDL1" + struct.pack("<II", 1, 2) + struct.pack("<I", 0xFFFFFFFF) + b"x"
+            b"NADIMDL2" + struct.pack("<III", 1, 2, 0) + struct.pack("<I", 0xFFFFFFFF) + b"x"
         )
         with pytest.raises(CorruptArtifact, match="label 0"):
             load_model(str(path))
@@ -431,8 +442,25 @@ class TestModelIo:
     def test_label_not_utf8(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(
-            b"NADIMDL1" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"\xff"
+            b"NADIMDL2" + struct.pack("<III", 1, 1, 0) + struct.pack("<I", 1) + b"\xff"
             + b"\x00" * 16
         )
         with pytest.raises(CorruptArtifact, match="UTF-8"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("fallback", [2, 3, 0xFFFFFFFF])
+    def test_fallback_outside_the_classes(self, tmp_path, fallback):
+        path = tmp_path / "m.bin"
+        save_model(LinearModel(np.ones((2, 3)), np.zeros(2), ["a", "b"]), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", fallback)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptArtifact, match="fallback class"):
+            load_model(str(path))
+
+    def test_previous_format_is_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(LinearModel(np.ones((2, 3)), np.zeros(2), ["a", "b"]), str(path))
+        path.write_bytes(b"NADIMDL1" + path.read_bytes()[8:])
+        with pytest.raises(CorruptArtifact, match="magic"):
             load_model(str(path))

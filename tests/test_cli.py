@@ -1,8 +1,11 @@
+import os
+import struct
 import subprocess
 import sys
 
 import pytest
 
+import dialectid
 from dialectid import cli
 from dialectid.classifier import load_model
 from dialectid.corpus import read_submission
@@ -91,6 +94,13 @@ class TestNormalize:
         assert lines[1] == "a\t[مستخدم] هه [رابط]\tEgypt\t"
         capsys.readouterr()
 
+    def test_headerless_crlf_file_keeps_other_columns(self, tmp_path):
+        src = tmp_path / "in.tsv"
+        src.write_bytes("a\tههههه\tEgypt\r\nb\tعمري25سنة\t\r\n".encode("utf-8"))
+        dst = tmp_path / "out.tsv"
+        assert cli.main(["normalize", "--in", str(src), "--out", str(dst)]) == 0
+        assert dst.read_text(encoding="utf-8") == "a\tهه\tEgypt\nb\tعمري 25 سنة\t\n"
+
     def test_single_column_file(self, tmp_path):
         src = tmp_path / "raw.txt"
         src.write_text("عمري25سنة\nههههه\n", encoding="utf-8")
@@ -144,7 +154,7 @@ class TestStats:
 
 class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, trained, capsys):
-        assert open(trained["model"], "rb").read(8) == b"NADIMDL1"
+        assert open(trained["model"], "rb").read(8) == b"NADIMDL2"
         assert open(trained["idf"], "rb").read(8) == b"NADIIDF1"
 
     def test_predict_then_evaluate_round_trip(self, corpus_dir, trained, tmp_path, capsys):
@@ -239,7 +249,7 @@ class TestCorruptArtifacts:
     def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
         blob = open(trained[which], "rb").read()
         if which == "model":
-            header = 16 + sum(
+            header = 20 + sum(
                 4 + len(label.encode("utf-8"))
                 for label in load_model(trained["model"]).class_labels
             )
@@ -262,6 +272,28 @@ class TestCorruptArtifacts:
             assert rc == 1, cut
             assert err.startswith("error:"), (cut, err)
             assert "Traceback" not in err
+
+    def test_predict_on_fallback_outside_the_classes(
+        self, corpus_dir, trained, tmp_path, capsys
+    ):
+        blob = bytearray(open(trained["model"], "rb").read())
+        num_classes = struct.unpack("<I", blob[8:12])[0]
+        blob[16:20] = struct.pack("<I", num_classes)
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(bytes(blob))
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(bad),
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "fallback class" in err, err
+        assert "Traceback" not in err
 
 
 class TestEvaluateAlignment:
@@ -353,27 +385,27 @@ class TestBenchmark:
         assert (a / "model.bin").read_bytes() != (b / "model.bin").read_bytes()
 
 
-def test_module_entry_point_runs(corpus_dir):
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "dialectid",
-            "stats",
-            "--in", corpus_dir["paths"]["train"],
-            "--level", "country",
-        ],
+def run_module(*args):
+    """Run `python -m dialectid` on the package these tests import, also
+    when it is found through pytest's pythonpath rather than PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dialectid.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "dialectid", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_entry_point_runs(corpus_dir):
+    proc = run_module("stats", "--in", corpus_dir["paths"]["train"], "--level", "country")
     assert proc.returncode == 0
     assert proc.stdout.endswith("total\t100\n")
 
 
 def test_help_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dialectid", "--help"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "normalize" in proc.stdout
     assert "benchmark" in proc.stdout

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import dialectid.evaluation as evaluation
 from dialectid.errors import EmptyMatrix, LengthMismatch, UnknownLabel
 from dialectid.evaluation import (
     ConfusionMatrix,
@@ -148,6 +149,26 @@ def test_report_matches_brute_force_oracle():
         assert abs(rep.macro_f1 - agg["macro_f1"]) <= 1e-12
         assert abs(rep.weighted_f1 - agg["weighted_f1"]) <= 1e-12
         assert abs(rep.accuracy - agg["accuracy"]) <= 1e-12
+
+
+def test_report_computes_per_class_once_and_matches_the_public_functions(monkeypatch):
+    rng = random.Random(77)
+    cases = [random_instance(rng) for _ in range(40)]
+    expected = []
+    for gold, pred, labels in cases:
+        m = confusion(gold, pred, labels)
+        expected.append((macro_f1(m), weighted_f1(m), accuracy(m)))
+    calls = []
+    real = evaluation.per_class_prf
+    monkeypatch.setattr(
+        evaluation, "per_class_prf", lambda matrix: calls.append(matrix) or real(matrix)
+    )
+    reports = [report(gold, pred, labels) for gold, pred, labels in cases]
+    # == on floats: the aggregates are bit-identical, not just close.
+    assert [(r.macro_f1, r.weighted_f1, r.accuracy) for r in reports] == expected
+    assert len(calls) == len(cases)
+    with pytest.raises(EmptyMatrix):
+        report([], [], ["A", "B"])
 
 
 def test_instance_order_does_not_matter():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,8 @@ from dialectid.harness import (
     fit_pipeline,
     override_seed,
     parse_benchmark_file,
+    predict_records,
+    prepare_texts,
     render_grid,
     run_grid,
     write_grid_tsv,
@@ -160,17 +163,70 @@ class TestRunGrid:
         assert train_sizes == [len(TRAIN), len(TRAIN)]
 
 
+class TestPrepareTexts:
+    def texts(self, *texts, max_seq_len):
+        records = [TweetRecord(id=str(i), text=t) for i, t in enumerate(texts)]
+        return prepare_texts(records, config("p", max_seq_len=max_seq_len))
+
+    def test_cuts_to_max_seq_len(self):
+        assert self.texts("abcdef", max_seq_len=3) == ["abc"]
+        assert self.texts("اب", max_seq_len=5) == ["اب"]
+        assert self.texts("", max_seq_len=4) == [""]
+
+    def test_counts_unicode_scalar_values(self):
+        # The normalizer drops emoji as noise unless remove_noise is off.
+        # Each emoji is one scalar value, not two UTF-16 code units.
+        records = [TweetRecord(id="e", text="😂" * 10)]
+        cfg = replace(
+            config("p", max_seq_len=3), norm=NormConfig(remove_noise=False)
+        )
+        assert prepare_texts(records, cfg) == ["😂😂😂"]
+
+    def test_normalizes_before_cutting(self):
+        # "ههههه" shrinks to "هه" first, so the cut keeps the space and "ب".
+        assert self.texts("ههههه بب", max_seq_len=4) == ["هه ب"]
+
+
 class TestFitPipeline:
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
-        model, idf, majority = fit_pipeline(lopsided, config("m"), VOCAB)
-        assert majority == "Atlantis"
+        model, idf = fit_pipeline(lopsided, config("m"), VOCAB)
+        assert model.class_labels[model.fallback_class] == "Atlantis"
         assert idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
-        model, idf, majority = fit_pipeline(TRAIN, config("m"), VOCAB)
-        assert majority == VOCAB.countries[0]
+        model, idf = fit_pipeline(TRAIN, config("m"), VOCAB)
+        assert model.fallback_class == 0
+
+
+class TestPredictRecords:
+    def test_empty_text_gets_the_fallback_not_argmax_bias(self):
+        # Borealia is the majority but the zero model's argmax is class 0.
+        lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
+        assert [r.country for r in lopsided].count("Borealia") == 6
+        cfg = config("z", epochs=0)
+        model, idf = fit_pipeline(lopsided, cfg, VOCAB)
+        blank = TweetRecord(id="blank", text="😂😂")
+        word_only = TweetRecord(id="w", text="ابت")
+        assert predict_records([blank, word_only], cfg, model, idf) == [
+            "Borealia",
+            "Atlantis",
+        ]
+
+    def test_classifies_through_module_attributes(self, monkeypatch):
+        model, idf = fit_pipeline(TRAIN, config("m"), VOCAB)
+        calls = []
+        real_predict = dialectid.classifier.predict
+
+        def spy_predict(m, vector):
+            calls.append(vector.nnz)
+            return real_predict(m, vector)
+
+        monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
+        predictions = predict_records(TEST, config("m"), model, idf)
+        assert len(calls) == len(TEST) and all(calls)
+        assert predictions == [r.country for r in TEST]
 
 
 class TestFinalize:
@@ -373,6 +429,21 @@ class TestBenchmarkParsing:
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
                 "[experiment e]\nlearning_rate=30\nl2=0.05\n",
                 "lr \\* l2 must be <= 1",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nlearning_rate=nan\n",
+                "lr must be positive and finite",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nlearning_rate=inf\nl2=0\n",
+                "lr must be positive and finite",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nl2=nan\n",
+                "l2 must be finite",
             ),
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
