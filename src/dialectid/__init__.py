@@ -20,7 +20,15 @@ from .corpus import (
 )
 from .errors import DialectIdError
 from .evaluation import EvaluationReport, confusion, report
-from .features import FeatureConfig, IdfTable, SparseVector, char_ngrams, fit_idf, vectorize
+from .features import (
+    FeatureConfig,
+    IdfTable,
+    SparseVector,
+    bucket_counts,
+    char_ngrams,
+    fit_idf,
+    vectorize,
+)
 from .harness import ExperimentConfig, SelectionMetric, finalize, run_grid
 from .normalizer import NormConfig, SegmentLexicon, normalize, segment
 
@@ -44,6 +52,7 @@ __all__ = [
     "SparseVector",
     "Subtask",
     "TweetRecord",
+    "bucket_counts",
     "char_ngrams",
     "concat_splits",
     "confusion",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import classifier, corpus, evaluation, features, harness, normalizer
 from .corpus import ColumnSchema, LabelVocab, Level, Register, Subtask
-from .errors import DialectIdError, LengthMismatch
+from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
 
 
@@ -36,13 +36,18 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     config = _norm_config_from_flags(args)
     lexicon, overrides = _load_lexicon_flags(args)
     schema = ColumnSchema()
-    rows = [cells for _, cells in corpus.read_rows(args.infile)]
-    text_col = 1 if rows and len(rows[0]) >= 2 else 0
-    has_header = text_col == 1 and rows[0][0] == schema.id and rows[0][1] == schema.text
-    for cells in rows[1 if has_header else 0 :]:
+    rows = corpus.read_rows(args.infile)
+    text_col = 1 if rows and len(rows[0][1]) >= 2 else 0
+    has_header = text_col == 1 and rows[0][1][0] == schema.id and rows[0][1][1] == schema.text
+    for lineno, cells in rows[1 if has_header else 0 :]:
+        if len(cells) <= text_col:
+            raise MalformedRow(
+                f"{args.infile}:{lineno}: expected at least {text_col + 1} columns, "
+                f"got {len(cells)}"
+            )
         cells[text_col] = normalizer.normalize(cells[text_col], config, lexicon, overrides)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
-        for cells in rows:
+        for _, cells in rows:
             fh.write("\t".join(cells) + "\n")
     return 0
 

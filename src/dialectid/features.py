@@ -4,6 +4,13 @@ Grams are drawn from whitespace tokens padded with one boundary marker
 on each side, hashed with 64-bit FNV-1a into a power-of-two table, and
 weighted by a smoothed inverse document frequency.  Hash collisions are
 accepted: colliding grams simply share a bucket and their counts add.
+
+Each text is cut into grams once and becomes a bucket -> count map
+(bucket_counts); the idf table is the document frequency of those
+buckets (fit_idf), and a document's tf-idf vector is built from its map
+(vectorize).  A fit or a predict makes one bucket_counts call, which
+hashes each distinct gram once through a gram -> bucket memo that lives
+as long as the call.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,25 +78,44 @@ def char_ngrams(text: str, config: FeatureConfig = DEFAULT_FEATURES) -> Counter[
 
     Each whitespace token is padded with one pad_token on each side, and
     grams never cross token boundaries.  The empty string yields an
-    empty multiset.
+    empty multiset.  Items come in first-occurrence order: token by
+    token, shorter grams first, left to right.
     """
-    grams: Counter[str] = Counter()
     pad = config.pad_token
-    for token in text.split():
-        padded = pad + token + pad
-        length = len(padded)
-        for n in range(config.n_min, config.n_max + 1):
-            if n > length:
-                break
-            for i in range(length - n + 1):
-                grams[padded[i : i + n]] += 1
-    return grams
+    n_min, n_max = config.n_min, config.n_max
+    return Counter([
+        padded[i : i + n]
+        for padded in [pad + token + pad for token in text.split()]
+        for n in range(n_min, min(n_max, len(padded)) + 1)
+        for i in range(len(padded) - n + 1)
+    ])
 
 
 def hash_index(gram: str, config: FeatureConfig = DEFAULT_FEATURES) -> int:
     """Bucket index of a gram: FNV-1a of its UTF-8 bytes, xor-folded with
     the seed, masked to the table size."""
     return (fnv1a64(gram.encode("utf-8")) ^ (config.seed & _U64)) & (config.dim - 1)
+
+
+def bucket_counts(
+    texts: Iterable[str], config: FeatureConfig = DEFAULT_FEATURES
+) -> Iterator[dict[int, int]]:
+    """The bucket -> gram count map of each text, in order.
+
+    Colliding grams add their counts in the shared bucket.  Each
+    distinct gram is hashed once per call: the gram -> bucket memo lives
+    as long as the returned iterator, which yields one text's map at a
+    time.
+    """
+    memo: dict[str, int] = {}
+    for text in texts:
+        counts: dict[int, int] = {}
+        for gram, count in char_ngrams(text, config).items():
+            j = memo.get(gram)
+            if j is None:
+                j = memo[gram] = hash_index(gram, config)
+            counts[j] = counts.get(j, 0) + count
+        yield counts
 
 
 @dataclass(frozen=True)
@@ -103,19 +130,23 @@ class IdfTable:
         return int(self.weights.shape[0])
 
 
-def fit_idf(corpus: Sequence[Counter[str]], config: FeatureConfig = DEFAULT_FEATURES) -> IdfTable:
+def fit_idf(
+    corpus: Sequence[Mapping[int, int]], config: FeatureConfig = DEFAULT_FEATURES
+) -> IdfTable:
     """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1 per bucket.
 
-    df counts documents containing at least one gram hashing to the
-    bucket.  Raises EmptyCorpus on an empty corpus.
+    corpus holds one bucket -> count map per document (see
+    bucket_counts); df counts the documents whose map has the bucket.
+    Raises EmptyCorpus on an empty corpus.
     """
     if not corpus:
         raise EmptyCorpus("cannot fit idf on zero documents")
-    df = np.zeros(config.dim, dtype=np.int64)
-    for grams in corpus:
-        buckets = {hash_index(g, config) for g in grams}
-        if buckets:
-            df[list(buckets)] += 1
+    buckets = np.fromiter(
+        chain.from_iterable(corpus), dtype=np.int64, count=sum(map(len, corpus))
+    )
+    df = np.bincount(buckets, minlength=config.dim)
+    if df.shape[0] != config.dim:
+        raise ValueError(f"bucket {int(buckets.max())} is outside dim {config.dim}")
     n = len(corpus)
     weights = np.log((1.0 + n) / (1.0 + df)) + 1.0
     return IdfTable(weights=weights, doc_count=n)
@@ -145,24 +176,26 @@ def empty_vector(dim: int) -> SparseVector:
 
 
 def vectorize(
-    text: str, config: FeatureConfig = DEFAULT_FEATURES, idf: IdfTable | None = None
+    counts: Mapping[int, int],
+    config: FeatureConfig = DEFAULT_FEATURES,
+    idf: IdfTable | None = None,
 ) -> SparseVector:
-    """Hashed gram counts, IDF-weighted, L2 normalized.
+    """One document's bucket -> count map (see bucket_counts),
+    IDF-weighted, L2 normalized.
 
-    With no idf table the raw counts are normalized directly.  Text with
-    no grams yields the empty vector.
+    With no idf table the raw counts are normalized directly.  An empty
+    map yields the empty vector.
     """
     if idf is not None and idf.dim != config.dim:
         raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
-    grams = char_ngrams(text, config)
-    if not grams:
+    if not counts:
         return empty_vector(config.dim)
-    buckets: dict[int, float] = {}
-    for gram, count in grams.items():
-        j = hash_index(gram, config)
-        buckets[j] = buckets.get(j, 0.0) + float(count)
-    indices = np.array(sorted(buckets), dtype=np.int64)
-    values = np.array([buckets[int(j)] for j in indices], dtype=np.float64)
+    n = len(counts)
+    indices = np.fromiter(counts, dtype=np.int64, count=n)
+    values = np.fromiter(counts.values(), dtype=np.float64, count=n)
+    order = np.argsort(indices)
+    indices = indices[order]
+    values = values[order]
     if idf is not None:
         values = values * idf.weights[indices]
     norm = float(np.sqrt(np.dot(values, values)))

@@ -122,9 +122,9 @@ def fit_pipeline(
     """Fit the idf table and the model on one split."""
     labels = vocab.labels(config.subtask.level)
     texts = prepare_texts(train, config, lexicon, overrides)
-    grams = [features.char_ngrams(t, config.features) for t in texts]
-    idf = features.fit_idf(grams, config.features)
-    vectors = [features.vectorize(t, config.features, idf) for t in texts]
+    docs = list(features.bucket_counts(texts, config.features))
+    idf = features.fit_idf(docs, config.features)
+    vectors = [features.vectorize(d, config.features, idf) for d in docs]
     y = _class_indices(train, config.subtask.level, labels)
     model = classifier.train(
         list(zip(vectors, y)),
@@ -152,9 +152,10 @@ def predict_records(
     fitted on.
     """
     fallback = model.class_labels[model.fallback_class]
+    texts = prepare_texts(records, config, lexicon, overrides)
     out = []
-    for text in prepare_texts(records, config, lexicon, overrides):
-        vector = features.vectorize(text, config.features, idf)
+    for counts in features.bucket_counts(texts, config.features):
+        vector = features.vectorize(counts, config.features, idf)
         out.append(classifier.predict(model, vector) if vector.nnz else fallback)
     return out
 

@@ -1,0 +1,62 @@
+"""Per-text reference featurizer for the feature tests.
+
+The featurization as it ran before each text was cut into grams once:
+char_ngrams counts into a Counter one gram at a time, fit_idf hashes
+every gram of every document's Counter, and vectorize recounts and
+rehashes the grams of its text.  features.bucket_counts, fit_idf and
+vectorize must match it byte for byte.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from dialectid.errors import EmptyCorpus
+from dialectid.features import IdfTable, SparseVector, empty_vector, hash_index
+
+
+def char_ngrams(text, config):
+    grams = Counter()
+    pad = config.pad_token
+    for token in text.split():
+        padded = pad + token + pad
+        length = len(padded)
+        for n in range(config.n_min, config.n_max + 1):
+            if n > length:
+                break
+            for i in range(length - n + 1):
+                grams[padded[i : i + n]] += 1
+    return grams
+
+
+def fit_idf(corpus, config):
+    """corpus holds one gram Counter per document."""
+    if not corpus:
+        raise EmptyCorpus("cannot fit idf on zero documents")
+    df = np.zeros(config.dim, dtype=np.int64)
+    for grams in corpus:
+        buckets = {hash_index(g, config) for g in grams}
+        if buckets:
+            df[list(buckets)] += 1
+    n = len(corpus)
+    weights = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    return IdfTable(weights=weights, doc_count=n)
+
+
+def vectorize(text, config, idf=None):
+    if idf is not None and idf.dim != config.dim:
+        raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
+    grams = char_ngrams(text, config)
+    if not grams:
+        return empty_vector(config.dim)
+    buckets = {}
+    for gram, count in grams.items():
+        j = hash_index(gram, config)
+        buckets[j] = buckets.get(j, 0.0) + float(count)
+    indices = np.array(sorted(buckets), dtype=np.int64)
+    values = np.array([buckets[int(j)] for j in indices], dtype=np.float64)
+    if idf is not None:
+        values = values * idf.weights[indices]
+    norm = float(np.sqrt(np.dot(values, values)))
+    values = values / norm
+    return SparseVector(indices=indices, values=values, dim=config.dim)

@@ -124,6 +124,20 @@ class TestNormalize:
         ) == 0
         assert dst.read_text(encoding="utf-8") == "ه\n"
 
+    @pytest.mark.parametrize("content,lineno", [
+        ("a\tنص\nc\n", 2),
+        ("id\ttweet\na\tنص\nb\n", 3),
+    ])
+    def test_row_without_text_column_is_an_error(self, tmp_path, content, lineno):
+        src = tmp_path / "rows.tsv"
+        src.write_text(content, encoding="utf-8")
+        dst = tmp_path / "out.tsv"
+        proc = run_module("normalize", "--in", str(src), "--out", str(dst))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {src}:{lineno}: ")
+        assert "Traceback" not in proc.stderr
+        assert not dst.exists()
+
 
 class TestStats:
     def test_counts_without_vocab(self, tmp_path, capsys):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dialectid.features
 from dialectid.errors import CorruptArtifact, EmptyCorpus
 from dialectid.features import (
     DEFAULT_FEATURES,
     FeatureConfig,
     IdfTable,
+    bucket_counts,
     char_ngrams,
     config_fingerprint,
     empty_vector,
@@ -24,6 +26,7 @@ from dialectid.features import (
     vectorize,
 )
 
+import feature_oracle
 from conftest import data_path
 
 
@@ -136,13 +139,48 @@ def test_config_fingerprint_is_stable_and_distinct():
     assert a != config_fingerprint(FeatureConfig(dim=1 << 16))
 
 
+def counts_of(text, config=DEFAULT_FEATURES):
+    return next(bucket_counts([text], config))
+
+
+class TestBucketCounts:
+    def test_counts_grams_per_bucket(self):
+        config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
+        assert counts_of("اب", config) == {
+            hash_index("_", config): 2,
+            hash_index("ا", config): 1,
+            hash_index("ب", config): 1,
+        }
+
+    def test_colliding_grams_add(self):
+        config = FeatureConfig(dim=2)
+        grams = char_ngrams("كتاب مرحبا", config)
+        counts = counts_of("كتاب مرحبا", config)
+        assert set(counts) <= {0, 1}
+        assert sum(counts.values()) == sum(grams.values())
+
+    def test_empty_and_whitespace_only(self):
+        assert list(bucket_counts(["", "  \t "])) == [{}, {}]
+
+    def test_yields_one_text_at_a_time(self, monkeypatch):
+        seen = []
+        real_ngrams = dialectid.features.char_ngrams
+
+        def spy_ngrams(text, config):
+            seen.append(text)
+            return real_ngrams(text, config)
+
+        monkeypatch.setattr(dialectid.features, "char_ngrams", spy_ngrams)
+        maps = bucket_counts(["اب", "جد", "هه"])
+        next(maps)
+        assert seen == ["اب"]
+
+
 class TestFitIdf:
     def test_weight_formula(self):
-        g1, g2 = "اب", "جد"
         config = FeatureConfig()
-        b1, b2 = hash_index(g1, config), hash_index(g2, config)
-        assert b1 != b2
-        corpus = [Counter({g1: 1, g2: 1}), Counter({g1: 1}), Counter({g1: 5})]
+        b1, b2 = 17, 40000
+        corpus = [{b1: 1, b2: 1}, {b1: 1}, {b1: 5}]
         table = fit_idf(corpus, config)
         assert table.doc_count == 3
         assert table.weights[b1] == pytest.approx(math.log(4 / 4) + 1, abs=1e-15)
@@ -153,20 +191,22 @@ class TestFitIdf:
         assert table.weights[untouched] == pytest.approx(math.log(4 / 1) + 1, abs=1e-15)
 
     def test_df_counts_documents_not_occurrences(self):
-        g = "اب"
-        config = FeatureConfig()
-        b = hash_index(g, config)
-        table = fit_idf([Counter({g: 100})], config)
+        b = 12345
+        table = fit_idf([{b: 100}], FeatureConfig())
         assert table.weights[b] == pytest.approx(math.log(2 / 2) + 1, abs=1e-15)
 
     def test_empty_document_contributes_nothing(self):
-        table = fit_idf([Counter()], FeatureConfig())
+        table = fit_idf([{}], FeatureConfig())
         assert table.doc_count == 1
         assert np.all(table.weights == math.log(2 / 1) + 1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             fit_idf([], FeatureConfig())
+
+    def test_bucket_outside_dim_rejected(self):
+        with pytest.raises(ValueError, match="outside dim"):
+            fit_idf([{0: 1}, {16: 1}], FeatureConfig(dim=16))
 
 
 def oracle_vectorize(text, docs, config):
@@ -202,10 +242,10 @@ def test_vectorize_matches_dense_oracle(dim):
     config = FeatureConfig(dim=dim)
     rng = random.Random(97)
     docs = [random_text(rng) for _ in range(25)]
-    table = fit_idf([char_ngrams(d, config) for d in docs], config)
+    table = fit_idf(list(bucket_counts(docs, config)), config)
     for _ in range(30):
         text = random_text(rng)
-        vec = vectorize(text, config, table)
+        vec = vectorize(counts_of(text, config), config, table)
         expected = oracle_vectorize(text, docs, config)
         assert vec.nnz == len(expected)
         for idx, val in zip(vec.indices, vec.values):
@@ -214,7 +254,7 @@ def test_vectorize_matches_dense_oracle(dim):
 
 def test_vectorize_without_idf_normalizes_raw_counts():
     config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
-    vec = vectorize("اب", config)
+    vec = vectorize(counts_of("اب", config), config)
     # grams _, ا, ب, _ -> counts {_:2, ا:1, ب:1}, norm sqrt(6)
     by_bucket = dict(zip((int(i) for i in vec.indices), vec.values))
     assert by_bucket[hash_index("_", config)] == pytest.approx(2 / math.sqrt(6))
@@ -222,28 +262,80 @@ def test_vectorize_without_idf_normalizes_raw_counts():
 
 
 def test_vectorize_empty_text():
-    vec = vectorize("", DEFAULT_FEATURES)
+    vec = vectorize(counts_of(""), DEFAULT_FEATURES)
     assert vec.nnz == 0
     assert vec.dim == DEFAULT_FEATURES.dim
     assert empty_vector(8).dim == 8
 
 
 def test_vectorize_rejects_mismatched_idf():
-    table = fit_idf([Counter({"اب": 1})], FeatureConfig(dim=1 << 10))
+    table = fit_idf([{5: 1}], FeatureConfig(dim=1 << 10))
     with pytest.raises(ValueError):
-        vectorize("اب", FeatureConfig(dim=1 << 11), table)
+        vectorize({5: 1}, FeatureConfig(dim=1 << 11), table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=40))
 def test_vectorize_unit_norm_and_sorted_indices(text):
-    vec = vectorize(text)
+    vec = vectorize(counts_of(text))
     if vec.nnz:
         assert float(np.dot(vec.values, vec.values)) == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(vec.indices) > 0)
         assert int(vec.indices[-1]) < vec.dim
     else:
         assert vec.indices.shape == (0,)
+
+
+# Arabic letters and digits, Latin, emoji and whitespace, so that texts
+# include multi-byte grams, empty texts and whitespace-only texts.
+ORACLE_ALPHABET = "ابتجدهوي٣ abcXYZ09 \t\n😀🇪🇬👍🏽\u200d"
+oracle_texts = st.lists(st.text(alphabet=ORACLE_ALPHABET, max_size=30), max_size=8)
+
+
+@st.composite
+def oracle_configs(draw):
+    n_min = draw(st.integers(1, 8))
+    return FeatureConfig(
+        n_min=n_min,
+        n_max=draw(st.integers(n_min, 8)),
+        dim=1 << draw(st.integers(1, 18)),
+        seed=draw(st.one_of(
+            st.integers(0, (1 << 64) - 1),
+            st.sampled_from([0, 1 << 63, (1 << 63) + 12345, (1 << 64) - 1]),
+        )),
+        pad_token=draw(st.sampled_from("_#ا")),
+    )
+
+
+def assert_same_vector(vec, ref):
+    assert vec.dim == ref.dim
+    assert vec.indices.dtype == ref.indices.dtype
+    assert vec.indices.tobytes() == ref.indices.tobytes()
+    assert vec.values.tobytes() == ref.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_texts.filter(bool), oracle_texts, oracle_configs())
+def test_featurizer_matches_per_text_oracle(train, serve, config):
+    for text in train + serve:
+        assert list(char_ngrams(text, config).items()) == list(
+            feature_oracle.char_ngrams(text, config).items()
+        )
+
+    table = fit_idf(list(bucket_counts(train, config)), config)
+    ref_table = feature_oracle.fit_idf(
+        [feature_oracle.char_ngrams(t, config) for t in train], config
+    )
+    assert table.doc_count == ref_table.doc_count
+    assert table.weights.tobytes() == ref_table.weights.tobytes()
+
+    for idf, ref_idf in ((table, ref_table), (None, None)):
+        for texts in (train, serve):
+            for counts, text in zip(bucket_counts(texts, config), texts, strict=True):
+                assert_same_vector(
+                    vectorize(counts, config, idf),
+                    feature_oracle.vectorize(text, config, ref_idf),
+                )
 
 
 class TestIdfIo:

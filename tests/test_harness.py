@@ -229,6 +229,42 @@ class TestPredictRecords:
         assert predictions == [r.country for r in TEST]
 
 
+class TestFeaturizeOnce:
+    """One fit or one predict cuts each text into grams once and hashes
+    each distinct gram of its records once."""
+
+    def distinct_grams(self, records, cfg):
+        texts = prepare_texts(records, cfg)
+        return set().union(*(dialectid.features.char_ngrams(t, cfg.features) for t in texts))
+
+    def count_calls(self, monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(dialectid.features, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(dialectid.features, name, counted)
+        return calls
+
+    def test_fit_pipeline(self, monkeypatch):
+        cfg = config("once")
+        distinct = self.distinct_grams(TRAIN, cfg)
+        calls = self.count_calls(monkeypatch, "char_ngrams", "hash_index")
+        fit_pipeline(TRAIN, cfg, VOCAB)
+        assert calls == {"char_ngrams": len(TRAIN), "hash_index": len(distinct)}
+
+    def test_predict_records(self, monkeypatch):
+        cfg = config("once")
+        model, idf = fit_pipeline(TRAIN, cfg, VOCAB)
+        distinct = self.distinct_grams(TEST, cfg)
+        calls = self.count_calls(monkeypatch, "char_ngrams", "hash_index")
+        predict_records(TEST, cfg, model, idf)
+        assert calls == {"char_ngrams": len(TEST), "hash_index": len(distinct)}
+
+
 class TestFinalize:
     def test_refits_on_train_plus_dev(self, monkeypatch, tmp_path):
         idf_sizes = []

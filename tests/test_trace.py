@@ -1,0 +1,62 @@
+"""The benchmark's per-layer tracer, installed in-process, still sees
+the featurizer: one vectorize span per featurized document, one fit_idf
+span per fit, and the nnz of the vectors it returns."""
+
+import json
+import os
+import sys
+
+from dialectid import classifier, corpus, evaluation, features, harness, normalizer
+from dialectid.corpus import LabelVocab, Register, load_corpus
+
+import synthcorpus
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import tracer  # noqa: E402
+
+PACKAGE = {
+    "corpus": corpus, "normalizer": normalizer, "features": features,
+    "classifier": classifier, "evaluation": evaluation, "harness": harness,
+}
+
+
+def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
+    paths = synthcorpus.write_dialect_corpus(
+        str(tmp_path), seed=3, n_train=12, n_dev=4, n_test=4
+    )
+    spec = harness.parse_benchmark_file(
+        synthcorpus.write_benchmark_config(str(tmp_path), paths, dim=1 << 12)
+    )
+    vocab = LabelVocab.from_file(paths["vocab"])
+    train, dev, test = (
+        load_corpus(paths[split], Register.DA, vocab=vocab) for split in ("train", "dev", "test")
+    )
+    # monkeypatch puts back every attribute the tracer replaces.
+    for module_name, attr in tracer.SPANNED + (("features", "hash_index"),):
+        if module_name in PACKAGE:
+            module = PACKAGE[module_name]
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    trace = tracer.Tracer()
+    trace.install(PACKAGE)
+
+    experiments = list(spec.experiments)
+    grid = harness.run_grid(train, dev, experiments, vocab, spec.selection)
+    selected = next(c for c in experiments if c.name == grid.selected)
+    harness.finalize(train, dev, test, selected, vocab, str(tmp_path / "sub.csv"))
+
+    trace.dump(str(tmp_path / "trace.json"))
+    with open(tmp_path / "trace.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _, _, calls = tracer.self_times(doc["spans"])
+    featurized = len(experiments) * (len(train) + len(dev)) + len(train) + len(dev) + len(test)
+    assert calls["features.vectorize"] == featurized
+    assert calls["features.char_ngrams"] == featurized
+    assert calls["features.fit_idf"] == len(experiments) + 1
+    assert doc["counters"]["features.nnz"] > 0
+    layers = tracer.summarize(doc)
+    assert layers["features.vectorize_calls"] == featurized
+    assert layers["features.nnz_per_doc"] > 0
+    # One fit and one predict per fit_idf call, each hashing a gram at most once.
+    assert 0 < layers["features.hash_calls"] <= 2 * calls["features.fit_idf"] * len(trace.grams)
