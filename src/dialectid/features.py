@@ -5,12 +5,13 @@ on each side, hashed with 64-bit FNV-1a into a power-of-two table, and
 weighted by a smoothed inverse document frequency.  Hash collisions are
 accepted: colliding grams simply share a bucket and their counts add.
 
-Each text is cut into grams once and becomes a bucket -> count map
-(bucket_counts); the idf table is the document frequency of those
-buckets (fit_idf), and a document's tf-idf vector is built from its map
-(vectorize).  A fit or a predict makes one bucket_counts call, which
-hashes each distinct gram once through a gram -> bucket memo that lives
-as long as the call.
+Each text becomes a bucket -> count map (bucket_counts); the idf table
+is the document frequency of those buckets (fit_idf), and a document's
+tf-idf vector is built from its map (vectorize).  A fit or a predict
+makes one bucket_counts call.  It reads the texts in bounded chunks,
+cuts each distinct whitespace token of the call into grams once, and
+hashes the grams of a chunk's new tokens in one vectorized FNV-1a pass
+(hash_grams); a text's map is then the count of its tokens' buckets.
 """
 
 from __future__ import annotations
@@ -91,10 +92,43 @@ def char_ngrams(text: str, config: FeatureConfig = DEFAULT_FEATURES) -> Counter[
     ])
 
 
+def hash_grams(grams: Sequence[str], config: FeatureConfig = DEFAULT_FEATURES) -> np.ndarray:
+    """Bucket index of each gram, as a uint64 array: FNV-1a of its UTF-8
+    bytes, xor-folded with the seed, masked to the table size.
+
+    All grams are hashed together.  Their bytes are laid out as the
+    zero-padded rows of a uint8 matrix, and FNV-1a folds in one byte
+    column at a time, skipping rows that have ended; uint64 products
+    wrap mod 2**64, as the scalar fnv1a64 masks them.
+    """
+    encoded = [gram.encode("utf-8") for gram in grams]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    width = int(lengths.max(initial=0))
+    live = np.arange(width)[:, None] < lengths  # live[k, i]: gram i has a byte k
+    columns = np.zeros((width, len(encoded)), dtype=np.uint8)
+    # Boolean assignment fills the transposed view row by row, that is
+    # gram by gram, in the order the bytes were joined.
+    columns.T[live.T] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    h = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for k in range(width):
+        h = np.where(live[k], (h ^ columns[k]) * prime, h)
+    h ^= np.uint64(config.seed & _U64)
+    h &= np.uint64((config.dim - 1) & _U64)
+    return h
+
+
 def hash_index(gram: str, config: FeatureConfig = DEFAULT_FEATURES) -> int:
-    """Bucket index of a gram: FNV-1a of its UTF-8 bytes, xor-folded with
-    the seed, masked to the table size."""
-    return (fnv1a64(gram.encode("utf-8")) ^ (config.seed & _U64)) & (config.dim - 1)
+    """Bucket index of one gram (see hash_grams)."""
+    return int(hash_grams([gram], config)[0])
+
+
+# A chunk of texts ends after this many texts, or once the grams of the
+# tokens it saw first reach this many; those grams are hashed in one
+# hash_grams call.  The bounds cap the memory of one call's arrays and
+# of the maps a chunk holds before it yields them.
+_CHUNK_TEXTS = 64
+_CHUNK_GRAMS = 1 << 14
 
 
 def bucket_counts(
@@ -102,20 +136,50 @@ def bucket_counts(
 ) -> Iterator[dict[int, int]]:
     """The bucket -> gram count map of each text, in order.
 
-    Colliding grams add their counts in the shared bucket.  Each
-    distinct gram is hashed once per call: the gram -> bucket memo lives
-    as long as the returned iterator, which yields one text's map at a
-    time.
+    Colliding grams add their counts in the shared bucket.  Grams never
+    cross whitespace, so a text's map is the sum of its tokens' maps:
+    each distinct token of the call is cut into grams once, its grams
+    are hashed once, and the token -> buckets table lives as long as
+    the returned iterator.  The texts are read in bounded chunks; the
+    grams of a chunk's new tokens are hashed in one hash_grams call,
+    then the chunk's maps are yielded one at a time.
     """
-    memo: dict[str, int] = {}
+    table: dict[str, tuple[int, ...]] = {}  # token -> one bucket per gram occurrence
+    new: dict[str, list[str]] = {}  # this chunk's new tokens -> their grams
+    pending = 0
+    chunk: list[list[str]] = []
     for text in texts:
-        counts: dict[int, int] = {}
-        for gram, count in char_ngrams(text, config).items():
-            j = memo.get(gram)
-            if j is None:
-                j = memo[gram] = hash_index(gram, config)
-            counts[j] = counts.get(j, 0) + count
-        yield counts
+        tokens = text.split()
+        chunk.append(tokens)
+        for token in tokens:
+            if token not in table and token not in new:
+                grams = new[token] = list(char_ngrams(token, config).elements())
+                pending += len(grams)
+        if len(chunk) == _CHUNK_TEXTS or pending >= _CHUNK_GRAMS:
+            _hash_tokens(new, table, config)
+            yield from _chunk_maps(chunk, table)
+            chunk, pending = [], 0
+    _hash_tokens(new, table, config)
+    yield from _chunk_maps(chunk, table)
+
+
+def _hash_tokens(
+    new: dict[str, list[str]], table: dict[str, tuple[int, ...]], config: FeatureConfig
+) -> None:
+    """Move the new tokens into the table, hashing all their grams at once."""
+    buckets = hash_grams(list(chain.from_iterable(new.values())), config).tolist()
+    start = 0
+    for token, grams in new.items():
+        table[token] = tuple(buckets[start : start + len(grams)])
+        start += len(grams)
+    new.clear()
+
+
+def _chunk_maps(
+    chunk: list[list[str]], table: dict[str, tuple[int, ...]]
+) -> Iterator[dict[int, int]]:
+    for tokens in chunk:
+        yield Counter(chain.from_iterable(map(table.__getitem__, tokens)))
 
 
 @dataclass(frozen=True)

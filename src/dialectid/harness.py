@@ -120,8 +120,18 @@ def fit_pipeline(
     overrides: Mapping[str, str] | None = None,
 ) -> tuple[LinearModel, IdfTable]:
     """Fit the idf table and the model on one split."""
-    labels = vocab.labels(config.subtask.level)
     texts = prepare_texts(train, config, lexicon, overrides)
+    return _fit_texts(texts, train, config, vocab)
+
+
+def _fit_texts(
+    texts: Sequence[str],
+    train: Sequence[TweetRecord],
+    config: ExperimentConfig,
+    vocab: LabelVocab,
+) -> tuple[LinearModel, IdfTable]:
+    """fit_pipeline on the prepared texts of the train records."""
+    labels = vocab.labels(config.subtask.level)
     docs = list(features.bucket_counts(texts, config.features))
     idf = features.fit_idf(docs, config.features)
     vectors = [features.vectorize(d, config.features, idf) for d in docs]
@@ -151,8 +161,15 @@ def predict_records(
     model's fallback class, the majority class of the data it was
     fitted on.
     """
-    fallback = model.class_labels[model.fallback_class]
     texts = prepare_texts(records, config, lexicon, overrides)
+    return _predict_texts(texts, config, model, idf)
+
+
+def _predict_texts(
+    texts: Sequence[str], config: ExperimentConfig, model: LinearModel, idf: IdfTable
+) -> list[str]:
+    """predict_records on prepared texts."""
+    fallback = model.class_labels[model.fallback_class]
     out = []
     for counts in features.bucket_counts(texts, config.features):
         vector = features.vectorize(counts, config.features, idf)
@@ -174,6 +191,8 @@ def run_grid(
     All configurations must target the same subtask and carry unique
     names.  Ties on the selection metric go to the earliest row.  The
     idf table and the model of each row are fitted on train only.
+    Configurations with the same NormConfig and max_seq_len share one
+    text preparation of train and dev.
     """
     if not configs:
         raise ConfigError("grid needs at least one experiment")
@@ -191,9 +210,17 @@ def run_grid(
     labels = vocab.labels(subtask.level)
     gold = [r.label(subtask.level) for r in dev]
     rows: list[GridRow] = []
+    prepared: dict[tuple[NormConfig, int], tuple[list[str], list[str]]] = {}
     for config in configs:
-        model, idf = fit_pipeline(train, config, vocab, lexicon, overrides)
-        pred = predict_records(dev, config, model, idf, lexicon, overrides)
+        key = (config.norm, config.hp.max_seq_len)
+        if key not in prepared:
+            prepared[key] = (
+                prepare_texts(train, config, lexicon, overrides),
+                prepare_texts(dev, config, lexicon, overrides),
+            )
+        train_texts, dev_texts = prepared[key]
+        model, idf = _fit_texts(train_texts, train, config, vocab)
+        pred = _predict_texts(dev_texts, config, model, idf)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
             GridRow(

@@ -95,13 +95,14 @@ _ENTITY_RE = re.compile(
 
 _PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(re.escape(p.surface) for p in PLACEHOLDERS) + ")")
 
-_ARABIC_SET = frozenset(
-    [chr(c) for c in range(0x0621, 0x063B)]
-    + [chr(c) for c in range(0x0640, 0x0653)]
-    + ["ٰ"]
+# A space goes between Arabic and a digit or ASCII letter (either
+# order), and between a bracket and any non-space neighbour.
+_LETTER_OR_DIGIT = "0-9٠-٩A-Za-z"
+_SPACING_RE = re.compile(
+    f"(?<=[{_ARABIC_RANGES}])(?=[{_LETTER_OR_DIGIT}])"
+    f"|(?<=[{_LETTER_OR_DIGIT}])(?=[{_ARABIC_RANGES}])"
+    r"|(?<=\S)(?=[\[\]])|(?<=[\[\]])(?=\S)"
 )
-_DIGIT_SET = frozenset("0123456789٠١٢٣٤٥٦٧٨٩")
-_ASCII_ALPHA_SET = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 _ARABIC_TOKEN_RE = re.compile("[" + _ARABIC_RANGES + "]+\\Z")
 
@@ -181,29 +182,6 @@ def remove_noise(text: str, max_repeat: int = 2) -> str:
     return _WS_RE.sub(" ", cleaned).strip()
 
 
-def _boundary(a: str, b: str) -> bool:
-    if a.isspace() or b.isspace():
-        return False
-    if a in "[]" or b in "[]":
-        return True
-    if a in _ARABIC_SET:
-        return b in _DIGIT_SET or b in _ASCII_ALPHA_SET
-    if b in _ARABIC_SET:
-        return a in _DIGIT_SET or a in _ASCII_ALPHA_SET
-    return False
-
-
-def _space_segment(segment: str) -> str:
-    if len(segment) < 2:
-        return segment
-    out = [segment[0]]
-    for ch in segment[1:]:
-        if _boundary(out[-1], ch):
-            out.append(" ")
-        out.append(ch)
-    return "".join(out)
-
-
 def insert_spacing(text: str) -> str:
     """Insert one space at Arabic/digit and Arabic/ASCII-letter
     boundaries (both orders) and around stray square brackets.
@@ -211,7 +189,7 @@ def insert_spacing(text: str) -> str:
     Placeholders are opaque: nothing is inserted inside them or at
     their seams, and existing spaces are never doubled.
     """
-    return _map_outside_placeholders(text, _space_segment)
+    return _map_outside_placeholders(text, lambda part: _SPACING_RE.sub(" ", part))
 
 
 def collapse_whitespace(text: str) -> str:

@@ -1,10 +1,11 @@
 """Per-text reference featurizer for the feature tests.
 
 The featurization as it ran before each text was cut into grams once:
-char_ngrams counts into a Counter one gram at a time, fit_idf hashes
-every gram of every document's Counter, and vectorize recounts and
-rehashes the grams of its text.  features.bucket_counts, fit_idf and
-vectorize must match it byte for byte.
+char_ngrams counts into a Counter one gram at a time, hash_index runs
+the scalar fnv1a64 on one gram, fit_idf hashes every gram of every
+document's Counter, and vectorize recounts and rehashes the grams of
+its text.  features.hash_grams, bucket_counts, fit_idf and vectorize
+must match it byte for byte.
 """
 
 from collections import Counter
@@ -12,7 +13,13 @@ from collections import Counter
 import numpy as np
 
 from dialectid.errors import EmptyCorpus
-from dialectid.features import IdfTable, SparseVector, empty_vector, hash_index
+from dialectid.features import IdfTable, SparseVector, empty_vector, fnv1a64
+
+_U64 = (1 << 64) - 1
+
+
+def hash_index(gram, config):
+    return (fnv1a64(gram.encode("utf-8")) ^ (config.seed & _U64)) & (config.dim - 1)
 
 
 def char_ngrams(text, config):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dialectid.features
@@ -20,6 +20,7 @@ from dialectid.features import (
     empty_vector,
     fit_idf,
     fnv1a64,
+    hash_grams,
     hash_index,
     load_idf,
     save_idf,
@@ -67,6 +68,10 @@ def test_hash_index_golden_replay():
     assert len(rows) == 100
     for gram, index in rows:
         assert hash_index(gram, config) == int(index), repr(gram)
+    # All at once: one call with the file's mixed byte widths.
+    assert hash_grams([gram for gram, _ in rows], config).tolist() == [
+        int(index) for _, index in rows
+    ]
 
 
 def test_hash_index_definition_and_seed():
@@ -78,6 +83,37 @@ def test_hash_index_definition_and_seed():
     assert hash_index(gram, FeatureConfig(seed=0)) != hash_index(
         gram, FeatureConfig(seed=1)
     )
+
+
+# Grams of 1-8 characters of 1-4 UTF-8 bytes each: Arabic, Latin,
+# digits, emoji (with a joiner and a modifier) and the pad token.
+GRAM_ALPHABET = "ابتجدهوي" "abcXYZ" "0129٠٣" "😀🇪🇬👍🏽\u200d" "_"
+grams_lists = st.lists(st.text(alphabet=GRAM_ALPHABET, min_size=1, max_size=8), max_size=40)
+
+
+@st.composite
+def hash_configs(draw):
+    return FeatureConfig(
+        # Up to 2**64, so that every bit of the 64-bit hash is kept.
+        dim=1 << draw(st.one_of(st.integers(1, 18), st.integers(19, 64))),
+        seed=draw(st.one_of(
+            st.integers(0, (1 << 64) - 1),
+            st.sampled_from([0, 7, 1 << 63, (1 << 64) - 1]),
+        )),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grams_lists, hash_configs())
+@example([], FeatureConfig())
+@example(["اب"], FeatureConfig(seed=1 << 63))
+@example(["a", "اب", "😀", "_a😀ب_", "🇪🇬🇪🇬", "abcdefgh"], FeatureConfig(seed=(1 << 64) - 1))
+@example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 64))
+def test_hash_grams_matches_scalar_fnv1a(grams, config):
+    buckets = hash_grams(grams, config)
+    assert buckets.shape == (len(grams),)
+    assert buckets.tolist() == [feature_oracle.hash_index(g, config) for g in grams]
+    assert all(0 <= b < config.dim for b in buckets.tolist())
 
 
 class TestCharNgrams:
@@ -162,18 +198,53 @@ class TestBucketCounts:
     def test_empty_and_whitespace_only(self):
         assert list(bucket_counts(["", "  \t "])) == [{}, {}]
 
-    def test_yields_one_text_at_a_time(self, monkeypatch):
-        seen = []
+    def test_first_map_reads_one_chunk(self, monkeypatch):
+        chunk = dialectid.features._CHUNK_TEXTS
+        read, cut = [], []
         real_ngrams = dialectid.features.char_ngrams
 
         def spy_ngrams(text, config):
-            seen.append(text)
+            cut.append(text)
             return real_ngrams(text, config)
 
+        def texts():
+            for i in range(3 * chunk):
+                read.append(i)
+                yield "اب جد"
+
+        expected = counts_of("اب جد")
         monkeypatch.setattr(dialectid.features, "char_ngrams", spy_ngrams)
-        maps = bucket_counts(["اب", "جد", "هه"])
-        next(maps)
-        assert seen == ["اب"]
+        maps = bucket_counts(texts())
+        assert next(maps) == expected
+        assert len(read) == chunk
+        assert cut == ["اب", "جد"]
+
+    def test_chunk_ends_at_the_gram_bound(self, monkeypatch):
+        # Every text brings 20 new tokens of 26 grams each.
+        texts = [" ".join(f"w{i:03d}x{j:02d}" for j in range(20)) for i in range(200)]
+        per_text = sum(char_ngrams(texts[0]).values())
+        expected = [counts_of(t) for t in texts]
+        read, batches = [], []
+        real_hash = dialectid.features.hash_grams
+
+        def spy_hash(grams, config):
+            batches.append(len(grams))
+            return real_hash(grams, config)
+
+        def reading():
+            for text in texts:
+                read.append(text)
+                yield text
+
+        monkeypatch.setattr(dialectid.features, "hash_grams", spy_hash)
+        maps = bucket_counts(reading())
+        assert next(maps) == expected[0]
+        bound = dialectid.features._CHUNK_GRAMS
+        assert len(read) == -(-bound // per_text) < dialectid.features._CHUNK_TEXTS
+        assert batches == [len(read) * per_text]
+        assert list(maps) == expected[1:]
+        assert sum(batches) == len(texts) * per_text
+        assert max(batches) < bound + per_text
 
 
 class TestFitIdf:

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import dialectid.classifier
 import dialectid.features
+import dialectid.normalizer
 from dialectid.classifier import HyperParams
 from dialectid.corpus import (
     LabelVocab,
@@ -162,6 +164,35 @@ class TestRunGrid:
         assert idf_sizes == [len(TRAIN), len(TRAIN)]
         assert train_sizes == [len(TRAIN), len(TRAIN)]
 
+    @pytest.mark.parametrize(
+        "configs,preparations",
+        [
+            ([config("a"), config("b", epochs=1), config("c", l2=1e-3)], 1),
+            (
+                [
+                    config("a"),
+                    replace(config("b"), norm=NormConfig(max_repeat=1)),
+                    config("c", max_seq_len=8),
+                    config("d", epochs=1),
+                ],
+                3,
+            ),
+        ],
+    )
+    def test_texts_prepared_once_per_preparation(self, monkeypatch, configs, preparations):
+        separate = [run_grid(TRAIN, DEV, [c], VOCAB).rows[0] for c in configs]
+        inputs = []
+        real_normalize = dialectid.normalizer.normalize
+
+        def spy_normalize(text, *args, **kwargs):
+            inputs.append(text)
+            return real_normalize(text, *args, **kwargs)
+
+        monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
+        result = run_grid(TRAIN, DEV, configs, VOCAB)
+        assert len(inputs) == preparations * (len(TRAIN) + len(DEV))
+        assert list(result.rows) == separate
+
 
 class TestPrepareTexts:
     def texts(self, *texts, max_seq_len):
@@ -230,39 +261,55 @@ class TestPredictRecords:
 
 
 class TestFeaturizeOnce:
-    """One fit or one predict cuts each text into grams once and hashes
-    each distinct gram of its records once."""
+    """One fit or one predict cuts each distinct token of its records
+    into grams once, and hashes those grams once."""
 
-    def distinct_grams(self, records, cfg):
-        texts = prepare_texts(records, cfg)
-        return set().union(*(dialectid.features.char_ngrams(t, cfg.features) for t in texts))
+    def distinct_tokens(self, records, cfg):
+        return {token for text in prepare_texts(records, cfg) for token in text.split()}
 
-    def count_calls(self, monkeypatch, *names):
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            real = getattr(dialectid.features, name)
+    def spy(self, monkeypatch):
+        seen = {"char_ngrams": [], "hash_grams": [], "hash_index": []}
+        features = dialectid.features
+        real = {name: getattr(features, name) for name in seen}
 
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def cut(text, config):
+            seen["char_ngrams"].append(text)
+            return real["char_ngrams"](text, config)
 
-            monkeypatch.setattr(dialectid.features, name, counted)
-        return calls
+        def hash_many(grams, config):
+            seen["hash_grams"].extend(grams)
+            return real["hash_grams"](grams, config)
+
+        def hash_one(gram, config):
+            seen["hash_index"].append(gram)
+            return real["hash_index"](gram, config)
+
+        for name, fn in (("char_ngrams", cut), ("hash_grams", hash_many), ("hash_index", hash_one)):
+            monkeypatch.setattr(features, name, fn)
+        return seen
+
+    def check(self, seen, tokens, cfg):
+        assert sorted(seen["char_ngrams"]) == sorted(tokens)
+        grams = Counter()
+        for token in tokens:
+            grams.update(dialectid.features.char_ngrams(token, cfg.features))
+        assert Counter(seen["hash_grams"]) == grams
+        assert seen["hash_index"] == []
 
     def test_fit_pipeline(self, monkeypatch):
         cfg = config("once")
-        distinct = self.distinct_grams(TRAIN, cfg)
-        calls = self.count_calls(monkeypatch, "char_ngrams", "hash_index")
+        tokens = self.distinct_tokens(TRAIN, cfg)
+        seen = self.spy(monkeypatch)
         fit_pipeline(TRAIN, cfg, VOCAB)
-        assert calls == {"char_ngrams": len(TRAIN), "hash_index": len(distinct)}
+        self.check(seen, tokens, cfg)
 
     def test_predict_records(self, monkeypatch):
         cfg = config("once")
         model, idf = fit_pipeline(TRAIN, cfg, VOCAB)
-        distinct = self.distinct_grams(TEST, cfg)
-        calls = self.count_calls(monkeypatch, "char_ngrams", "hash_index")
+        tokens = self.distinct_tokens(TEST, cfg)
+        seen = self.spy(monkeypatch)
         predict_records(TEST, cfg, model, idf)
-        assert calls == {"char_ngrams": len(TEST), "hash_index": len(distinct)}
+        self.check(seen, tokens, cfg)
 
 
 class TestFinalize:

@@ -21,6 +21,7 @@ from dialectid.normalizer import (
     strip_markup,
 )
 
+import normalizer_oracle
 from conftest import data_path
 
 CONFIGS = {
@@ -254,6 +255,30 @@ def test_insert_spacing_against_oracle():
         if any(surface in s for surface in surfaces):
             continue
         assert insert_spacing(s) == spacing_oracle(s), repr(s)
+
+
+# Every class the spacing rule tells apart, and its edges: Arabic
+# letters (U+0620 and U+063B lie just outside, U+0653 just past the
+# diacritics, U+0670 the superscript alef), tatweel, both digit sets,
+# ASCII letters, brackets, punctuation, whitespace that str.isspace
+# knows (\x1c included), emoji, and the placeholder surfaces.
+SPACING_ALPHABET = (
+    "ءابغ\u0620\u063bـ\u0652\u0653\u0670" "09٠٩" "aZ" "[]" "+_.()"
+    " \t\n\x1c\u00a0" "😀🇪🇬"
+)
+spacing_texts = st.lists(
+    st.one_of(
+        st.text(alphabet=SPACING_ALPHABET, min_size=1, max_size=6),
+        st.sampled_from([p.surface for p in PLACEHOLDERS]),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spacing_texts)
+def test_insert_spacing_matches_pairwise_oracle(text):
+    assert insert_spacing(text) == normalizer_oracle.insert_spacing(text)
 
 
 # stage: segment

@@ -1,6 +1,7 @@
 """The benchmark's per-layer tracer, installed in-process, still sees
 the featurizer: one vectorize span per featurized document, one fit_idf
-span per fit, and the nnz of the vectors it returns."""
+span per fit, one char_ngrams span per distinct token of each fit or
+predict, and the nnz of the vectors it returns."""
 
 import json
 import os
@@ -33,6 +34,21 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     train, dev, test = (
         load_corpus(paths[split], Register.DA, vocab=vocab) for split in ("train", "dev", "test")
     )
+    experiments = list(spec.experiments)
+
+    def one_call(records, cfg):
+        """Distinct tokens and their grams in one bucket_counts call."""
+        tokens = {tok for text in harness.prepare_texts(records, cfg) for tok in text.split()}
+        grams = set().union(*(features.char_ngrams(tok, cfg.features) for tok in tokens))
+        return tokens, grams
+
+    # Each fit and each predict is one bucket_counts call, which cuts
+    # each distinct token of its texts into grams once.
+    grid_calls = [one_call(split, cfg) for cfg in experiments for split in (train, dev)]
+    final_calls = {
+        cfg.name: [one_call(split, cfg) for split in (train + dev, test)] for cfg in experiments
+    }
+
     # monkeypatch puts back every attribute the tracer replaces.
     for module_name, attr in tracer.SPANNED + (("features", "hash_index"),):
         if module_name in PACKAGE:
@@ -41,7 +57,6 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     trace = tracer.Tracer()
     trace.install(PACKAGE)
 
-    experiments = list(spec.experiments)
     grid = harness.run_grid(train, dev, experiments, vocab, spec.selection)
     selected = next(c for c in experiments if c.name == grid.selected)
     harness.finalize(train, dev, test, selected, vocab, str(tmp_path / "sub.csv"))
@@ -52,11 +67,15 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     _, _, calls = tracer.self_times(doc["spans"])
     featurized = len(experiments) * (len(train) + len(dev)) + len(train) + len(dev) + len(test)
     assert calls["features.vectorize"] == featurized
-    assert calls["features.char_ngrams"] == featurized
     assert calls["features.fit_idf"] == len(experiments) + 1
+    featurize_calls = grid_calls + final_calls[grid.selected]
+    assert calls["features.char_ngrams"] == sum(len(tokens) for tokens, _ in featurize_calls)
     assert doc["counters"]["features.nnz"] > 0
     layers = tracer.summarize(doc)
     assert layers["features.vectorize_calls"] == featurized
     assert layers["features.nnz_per_doc"] > 0
-    # One fit and one predict per fit_idf call, each hashing a gram at most once.
-    assert 0 < layers["features.hash_calls"] <= 2 * calls["features.fit_idf"] * len(trace.grams)
+    distinct_grams = set().union(*(grams for _, grams in featurize_calls))
+    assert layers["features.distinct_grams"] == len(distinct_grams) > 0
+    # The tracer counts per-gram hash_index calls; featurization hashes
+    # its grams in batches through hash_grams instead.
+    assert layers["features.hash_calls"] == 0
