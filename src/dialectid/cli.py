@@ -72,6 +72,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _experiment_from_args(args: argparse.Namespace, subtask: Subtask) -> ExperimentConfig:
+    if args.experiment and not args.config:
+        raise DialectIdError(f"--experiment {args.experiment!r} needs --config")
     if not args.config:
         config = ExperimentConfig(name="default", subtask=subtask)
         if args.seed is not None:

@@ -317,6 +317,8 @@ _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 _NORM_KEYS = {"strip_markup", "replace_entities", "remove_noise", "insert_spacing",
               "segment", "max_repeat"}
 _FEATURE_KEYS = {"n_min", "n_max", "dim", "hash_seed", "pad_token"}
+# save_model and save_idf write dim in 32 bits.
+_MAX_DIM = 1 << 31
 _HP_KEYS = {"learning_rate", "max_seq_len", "batch_size", "epochs", "l2", "seed"}
 
 
@@ -368,6 +370,11 @@ def _experiment_from_items(name: str, items: dict[str, str], subtask: Subtask) -
                 hp_kwargs[key] = _parse_float(key, value)
         else:
             raise ConfigError(f"unknown experiment key {key!r}")
+    if feat_kwargs.get("dim", 0) > _MAX_DIM:
+        raise ConfigError(
+            f"experiment {name!r}: dim {feat_kwargs['dim']} is above 2**31; "
+            f"the model and idf files store dim in 32 bits"
+        )
     try:
         return ExperimentConfig(
             name=name,

@@ -1,8 +1,12 @@
 """Dense reference trainer for the classifier tests.
 
 The mini-batch SGD loop as it ran before training was restricted to the
-corpus's columns: every batch builds, decays and updates the full
-num_classes x dim matrix.  classifier.train must match it bit for bit.
+corpus's columns and batched: every batch builds, decays and updates
+the full num_classes x dim matrix, one example at a time through
+batch_cross_entropy.  classifier.train sums each batch's gradient in
+another order, so it must match this to a stated tolerance, keep the
+columns no example uses exactly 0.0, and agree on every training
+document's argmax.
 """
 
 import numpy as np

@@ -332,6 +332,13 @@ def training_problems(draw):
 
 
 class TestDenseOracle:
+    # Batched SGD sums each batch's gradient in another order than the
+    # per-example oracle, so touched weights may differ in the last
+    # bits.  Over 3,000 drawn problems the largest differences
+    # were 3.6e-15 absolute and 1.4e-14 relative (|W| up to 58).
+    RTOL = 1e-9
+    ATOL = 1e-12
+
     # lr * l2 == 1 is the largest accepted decay: weights are wiped
     # before each update.
     @example(
@@ -344,14 +351,24 @@ class TestDenseOracle:
     )
     @settings(max_examples=150, deadline=None)
     @given(training_problems())
-    def test_train_equals_dense_sgd_bit_for_bit(self, problem):
+    def test_train_matches_dense_sgd_within_tolerance(self, problem):
         examples, hp, num_classes, dim = problem
         model = train(examples, hp, num_classes=num_classes, dim=dim)
         weights, bias, losses = dense_train(examples, hp, num_classes, dim)
         assert model.weights.shape == (num_classes, dim)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
-        assert model.epoch_losses == losses
+        np.testing.assert_allclose(model.weights, weights, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(model.bias, bias, rtol=self.RTOL, atol=self.ATOL)
+        assert len(model.epoch_losses) == len(losses)
+        for got, want in zip(model.epoch_losses, losses):
+            assert got == pytest.approx(want, rel=self.RTOL)
+        # Columns no example uses are exactly zero, not merely small.
+        used = np.zeros(dim, dtype=bool)
+        for vector, _ in examples:
+            used[vector.indices] = True
+        assert np.all(model.weights[:, ~used] == 0.0)
+        oracle = LinearModel(weights, bias, model.class_labels)
+        for vector, _ in examples:
+            assert np.argmax(forward(model, vector)) == np.argmax(forward(oracle, vector))
 
 
 class TestModelIo:

@@ -256,6 +256,35 @@ class TestTrainPredictEvaluate:
         assert "ghost" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_experiment_without_config_is_an_error(
+        self, corpus_dir, trained, tmp_path, capsys, command
+    ):
+        if command == "train":
+            argv = [
+                "train",
+                "--in", corpus_dir["paths"]["train"],
+                "--level", "country",
+                "--register", "da",
+                "--vocab", corpus_dir["paths"]["vocab"],
+                "--out-model", str(tmp_path / "m.bin"),
+                "--out-idf", str(tmp_path / "i.bin"),
+            ]
+        else:
+            argv = [
+                "predict",
+                "--model", trained["model"],
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        rc = cli.main(argv + ["--experiment", "nosuch"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "--config" in err
+        assert not os.listdir(tmp_path)
+
+
 class TestCorruptArtifacts:
     """A cut model or idf file gives a one-line error, never a traceback."""
 
@@ -378,6 +407,19 @@ class TestBenchmark:
         assert rc == 0
         assert (out_dir / "submission.csv").exists()
         capsys.readouterr()
+
+    def test_dim_the_artifacts_cannot_store(self, corpus_dir, tmp_path, capsys):
+        config = synthcorpus.write_benchmark_config(
+            str(tmp_path),
+            corpus_dir["paths"],
+            dim=1 << 12,
+            extra_experiments="\n[experiment huge]\ndim=4294967296\nepochs=1\n",
+        )
+        rc = cli.main(["benchmark", config, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "2**31" in err
+        assert "Traceback" not in err
 
     def test_reruns_are_byte_identical(self, corpus_dir, tmp_path, capsys):
         a = tmp_path / "a"

@@ -548,6 +548,11 @@ class TestBenchmarkParsing:
                 "[experiment e]\nepochs=1\n[experiment e]\nepochs=2\n",
                 "duplicate experiment",
             ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\ndim=4294967296\n",
+                "dim 4294967296 is above 2\\*\\*31",
+            ),
         ],
     )
     def test_rejects_malformed_configs(self, tmp_path, text, fragment):

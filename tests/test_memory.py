@@ -1,19 +1,21 @@
-"""Memory guard for the featurizer: one bucket_counts pass over the
-benchmark's served test split stays within a fixed allocation peak, so
-a table or memo that grows with the split fails here before it shows
-in the benchmark's peak RSS."""
+"""Memory guards for the featurizer and the trainer: one bucket_counts
+pass over the benchmark's served test split, and one classifier.train
+call on the fit-nadi finalize corpus, stay within fixed allocation
+peaks, so a table, memo or scratch block that outlives its use fails
+here before it shows in the benchmark's peak RSS."""
 
 import os
 import sys
 import tracemalloc
 
-from dialectid import features, harness
-from dialectid.corpus import Register, load_corpus
+from dialectid import classifier, features, harness
+from dialectid.corpus import LabelVocab, Register, concat_splits, load_corpus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 
 import fixtures  # noqa: E402
+import numpy.random  # noqa: E402,F401  (train's first call would import it inside the trace)
 
 # The per-token table, hashed in bounded chunks, peaks at about 2.8e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
@@ -34,3 +36,39 @@ def test_bucket_counts_peak_on_serve_split(tmp_path):
         tracemalloc.stop()
     assert maps == len(texts) == 1470
     assert peak <= PEAK_BYTES
+
+
+# The dense 21 x 2^18 model alone is 44.04e6 bytes.  With the batch
+# blocks freed before it is allocated, train peaks at 45.95e6; blocks
+# still alive at that point peak at 52.3e6, and the per-example loop
+# this replaced at 49.6e6.
+TRAIN_PEAK_BYTES = 47e6
+
+
+def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
+    fixture = fixtures.write_fixture("fit-nadi", 101, str(tmp_path))
+    spec = harness.parse_benchmark_file(fixture.config_path)
+    config = spec.experiments[0]
+    records = concat_splits(
+        load_corpus(fixture.paths["train"], Register.DA),
+        load_corpus(fixture.paths["dev"], Register.DA),
+    )
+    docs = list(features.bucket_counts(harness.prepare_texts(records, config), config.features))
+    idf = features.fit_idf(docs, config.features)
+    level = config.subtask.level
+    labels = LabelVocab.countries_only().labels(level)
+    examples = [
+        (features.vectorize(counts, config.features, idf), labels.index(r.label(level)))
+        for counts, r in zip(docs, records)
+    ]
+    tracemalloc.start()
+    try:
+        model = classifier.train(
+            examples, config.hp, num_classes=len(labels), dim=config.features.dim
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(examples) == 630
+    assert model.weights.nbytes == 44_040_192
+    assert peak <= TRAIN_PEAK_BYTES
