@@ -29,7 +29,7 @@ from .features import (
     fit_idf,
     vectorize,
 )
-from .harness import ExperimentConfig, SelectionMetric, finalize, run_grid
+from .harness import ExperimentConfig, SelectionMetric, Splits, finalize, run_grid
 from .normalizer import NormConfig, SegmentLexicon, normalize, segment
 
 __version__ = "0.1.0"
@@ -50,6 +50,7 @@ __all__ = [
     "SegmentLexicon",
     "SelectionMetric",
     "SparseVector",
+    "Splits",
     "Subtask",
     "TweetRecord",
     "bucket_counts",

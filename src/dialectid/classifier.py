@@ -37,6 +37,7 @@ from .features import SparseVector
 MODEL_MAGIC = b"NADIMDL2"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_BLOCK_ELEMENTS = 1 << 20  # float64s in one dense batch block: 8 MiB
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,9 +208,10 @@ def _sgd(
 
     The examples become one CSR matrix over their K distinct columns
     cols; weights is K x num_classes, so a batch's rows are contiguous.
-    Each batch fills a dense m x u block with its rows over its u
-    distinct columns; the logits are one product with weights[u] and
-    the gradient one product with the block's transpose.
+    Each batch fills a dense block with its rows over its u distinct
+    columns, in slices of rows that keep it within _BLOCK_ELEMENTS; the
+    logits are one product with weights[u] and the gradient the sum of
+    one product per slice with the block's transpose.
     """
     n = len(examples)
     nnz = np.fromiter((vector.nnz for vector, _ in examples), dtype=np.int64, count=n)
@@ -236,27 +238,42 @@ def _sgd(
             m = rows.size
             lengths = nnz[rows]
             ends = np.cumsum(lengths)
-            entries = np.arange(ends[-1]) + np.repeat(indptr[rows] - (ends - lengths), lengths)
+            starts = ends - lengths
+            entries = np.arange(ends[-1]) + np.repeat(indptr[rows] - starts, lengths)
             batch_cols = indices[entries]
             touched = np.zeros(width, dtype=bool)
             touched[batch_cols] = True
             u = np.flatnonzero(touched)
             slot[u] = np.arange(u.size)
-            block = np.zeros((m, u.size), dtype=np.float64)
-            flat = np.repeat(np.arange(m) * u.size, lengths) + slot[batch_cols]
-            block.ravel()[flat] = values[entries]
+            step = max(1, _BLOCK_ELEMENTS // max(1, u.size))
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                part = slice(starts[lo], ends[hi - 1])
+                block = np.zeros((hi - lo, u.size), dtype=np.float64)
+                flat = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
+                block.ravel()[flat + slot[batch_cols[part]]] = values[entries[part]]
 
-            logits = block @ weights[u] + bias
-            top = logits.max(axis=1)
-            logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
-            picked = (np.arange(m), targets[rows])
-            epoch_loss += float((logsumexp - logits[picked]).sum())
-            probs = np.exp(logits - logsumexp[:, None])
-            probs[picked] -= 1.0
+                logits = block @ weights[u] + bias
+                top = logits.max(axis=1)
+                logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
+                picked = (np.arange(hi - lo), targets[rows[lo:hi]])
+                epoch_loss += float((logsumexp - logits[picked]).sum())
+                probs = np.exp(logits - logsumexp[:, None])
+                probs[picked] -= 1.0
+                if lo == 0:
+                    grad_w = block.T @ probs
+                    grad_b = probs.sum(axis=0)
+                else:
+                    grad_w += block.T @ probs
+                    grad_b += probs.sum(axis=0)
             scale = 1.0 / m
             weights *= decay
-            weights[u] -= hp.lr * ((block.T @ probs) * scale)
-            bias -= hp.lr * (probs.sum(axis=0) * scale)
+            weights[u] -= hp.lr * (grad_w * scale)
+            bias -= hp.lr * (grad_b * scale)
+            # Freed before the next batch allocates its block: a gradient
+            # still alive then pins the heap under the freed blocks, which
+            # added up to 9.6 MB (glibc malloc) to fit-nadi's peak RSS.
+            del grad_w
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)

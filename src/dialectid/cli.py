@@ -98,7 +98,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _experiment_from_args(args, subtask)
     records = corpus.load_corpus(args.infile, register=register, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
-    model, idf = harness.fit_pipeline(records, config, vocab, lexicon, overrides)
+    texts = harness.prepare_texts(records, config, lexicon, overrides)
+    model, idf = harness.fit_pipeline(texts, records, config, vocab)
     classifier.save_model(model, args.out_model)
     features.save_idf(idf, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
@@ -147,14 +148,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
     lexicon, overrides = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile, register=Register(args.register))
-    predictions = harness.predict_records(records, config, model, idf, lexicon, overrides)
+    texts = harness.prepare_texts(records, config, lexicon, overrides)
+    predictions = harness.predict_texts(texts, config, model, idf)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
     return 0
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    spec = harness.parse_benchmark_file(args.config_file or args.config or "")
+    spec = harness.parse_benchmark_file(args.config_file)
     if args.seed is not None:
         spec = harness.override_seed(spec, args.seed)
     vocab = _default_vocab(spec.vocab_path, spec.subtask.level)
@@ -163,19 +165,16 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     dev = corpus.load_corpus(spec.dev_path, register=register, vocab=vocab)
     test = corpus.load_corpus(spec.test_path, register=register, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
+    splits = harness.Splits(train, dev, test, lexicon, overrides)
 
-    grid = harness.run_grid(
-        train, dev, list(spec.experiments), vocab, spec.selection, lexicon, overrides
-    )
+    grid = harness.run_grid(splits, list(spec.experiments), vocab, spec.selection)
     sys.stdout.write(harness.render_grid(grid))
 
     os.makedirs(args.out_dir, exist_ok=True)
     harness.write_grid_tsv(grid, os.path.join(args.out_dir, "grid.tsv"))
     selected = next(c for c in spec.experiments if c.name == grid.selected)
     submission_path = os.path.join(args.out_dir, "submission.csv")
-    result = harness.finalize(
-        train, dev, test, selected, vocab, submission_path, lexicon, overrides
-    )
+    result = harness.finalize(splits, selected, vocab, submission_path)
     classifier.save_model(result.model, os.path.join(args.out_dir, "model.bin"))
     features.save_idf(result.idf, os.path.join(args.out_dir, "idf.bin"))
     if result.report is not None:
@@ -196,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the training RNG seed everywhere")
     parser.add_argument("--config", default=None,
-                        help="benchmark config file supplying experiment settings")
+                        help="benchmark config holding the experiment of train and predict")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="clean the text column of a TSV file")
@@ -247,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("benchmark", help="run the grid and finalize the best row")
-    p.add_argument("config_file", nargs="?", default=None,
-                   help="benchmark config (or use the global --config)")
+    p.add_argument("config_file", help="benchmark config file")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--lexicon", default=None)
     p.add_argument("--presegmented", default=None)
@@ -262,11 +260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if getattr(args, "command", None) == "benchmark" and not (
-        args.config_file or args.config
-    ):
-        print("error: benchmark needs a config file", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except DialectIdError as exc:

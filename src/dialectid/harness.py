@@ -3,19 +3,21 @@
 run_grid trains one model per configuration on the train split, scores
 it on dev, and selects the best row; dev never reaches idf fitting or
 the gradient updates.  finalize refits the chosen configuration on
-train plus dev and writes the test submission.
+train plus dev and writes the test submission.  Both take a Splits,
+which prepares each split's texts once per text preparation, so the
+grid and finalize share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
 from . import classifier, corpus, evaluation, features, normalizer
 from .classifier import HyperParams, LinearModel
 from .corpus import LabelVocab, Level, Register, Subtask, TweetRecord
-from .errors import ConfigError, SubtaskMismatch, UnknownLabel
+from .errors import ConfigError, LengthMismatch, SubtaskMismatch, UnknownLabel
 from .evaluation import EvaluationReport
 from .features import FeatureConfig, IdfTable
 from .normalizer import NormConfig, SegmentLexicon
@@ -71,17 +73,21 @@ class FinalizeResult:
     report: EvaluationReport | None
 
 
-def _require_labels(records: Sequence[TweetRecord], subtask: Subtask, split: str) -> None:
-    for record in records:
-        if record.register is not subtask.register:
-            raise SubtaskMismatch(
-                f"{split} record {record.id!r} is {record.register.value}, "
-                f"subtask wants {subtask.register.value}"
-            )
-        if record.label(subtask.level) is None:
-            raise SubtaskMismatch(
-                f"{split} record {record.id!r} has no {subtask.level.value} label"
-            )
+def _require_labels(splits: Splits, subtask: Subtask, vocab: LabelVocab) -> None:
+    """The vocab and every train and dev record must fit the subtask."""
+    if subtask.level is Level.PROVINCE and not vocab.provinces:
+        raise SubtaskMismatch("province subtask needs a vocab with provinces")
+    for split in ("train", "dev"):
+        for record in getattr(splits, split):
+            if record.register is not subtask.register:
+                raise SubtaskMismatch(
+                    f"{split} record {record.id!r} is {record.register.value}, "
+                    f"subtask wants {subtask.register.value}"
+                )
+            if record.label(subtask.level) is None:
+                raise SubtaskMismatch(
+                    f"{split} record {record.id!r} has no {subtask.level.value} label"
+                )
 
 
 def prepare_texts(
@@ -113,29 +119,20 @@ def _class_indices(
 
 
 def fit_pipeline(
-    train: Sequence[TweetRecord],
-    config: ExperimentConfig,
-    vocab: LabelVocab,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
-) -> tuple[LinearModel, IdfTable]:
-    """Fit the idf table and the model on one split."""
-    texts = prepare_texts(train, config, lexicon, overrides)
-    return _fit_texts(texts, train, config, vocab)
-
-
-def _fit_texts(
     texts: Sequence[str],
-    train: Sequence[TweetRecord],
+    records: Sequence[TweetRecord],
     config: ExperimentConfig,
     vocab: LabelVocab,
 ) -> tuple[LinearModel, IdfTable]:
-    """fit_pipeline on the prepared texts of the train records."""
+    """Fit the idf table and the model on one split: texts are the
+    prepared texts of records, in the same order."""
+    if len(texts) != len(records):
+        raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
     labels = vocab.labels(config.subtask.level)
     docs = list(features.bucket_counts(texts, config.features))
     idf = features.fit_idf(docs, config.features)
     vectors = [features.vectorize(d, config.features, idf) for d in docs]
-    y = _class_indices(train, config.subtask.level, labels)
+    y = _class_indices(records, config.subtask.level, labels)
     model = classifier.train(
         list(zip(vectors, y)),
         config.hp,
@@ -147,28 +144,15 @@ def _fit_texts(
     return model, idf
 
 
-def predict_records(
-    records: Sequence[TweetRecord],
-    config: ExperimentConfig,
-    model: LinearModel,
-    idf: IdfTable,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
+def predict_texts(
+    texts: Sequence[str], config: ExperimentConfig, model: LinearModel, idf: IdfTable
 ) -> list[str]:
-    """Label records in order.
+    """Label prepared texts in order.
 
     A text that normalizes to nothing has no features and gets the
     model's fallback class, the majority class of the data it was
     fitted on.
     """
-    texts = prepare_texts(records, config, lexicon, overrides)
-    return _predict_texts(texts, config, model, idf)
-
-
-def _predict_texts(
-    texts: Sequence[str], config: ExperimentConfig, model: LinearModel, idf: IdfTable
-) -> list[str]:
-    """predict_records on prepared texts."""
     fallback = model.class_labels[model.fallback_class]
     out = []
     for counts in features.bucket_counts(texts, config.features):
@@ -177,22 +161,41 @@ def _predict_texts(
     return out
 
 
+@dataclass
+class Splits:
+    """A run's train, dev and test records, and the lexicon and overrides
+    their texts are normalized with."""
+
+    train: Sequence[TweetRecord]
+    dev: Sequence[TweetRecord]
+    test: Sequence[TweetRecord] = ()
+    lexicon: SegmentLexicon | None = None
+    overrides: Mapping[str, str] | None = None
+    _prepared: dict[tuple[str, NormConfig, int], list[str]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def texts(self, split: str, config: ExperimentConfig) -> list[str]:
+        """prepare_texts of the split named "train", "dev" or "test",
+        run once per (NormConfig, max_seq_len) and then shared."""
+        key = (split, config.norm, config.hp.max_seq_len)
+        if key not in self._prepared:
+            records = getattr(self, split)
+            self._prepared[key] = prepare_texts(records, config, self.lexicon, self.overrides)
+        return self._prepared[key]
+
+
 def run_grid(
-    train: Sequence[TweetRecord],
-    dev: Sequence[TweetRecord],
+    splits: Splits,
     configs: Sequence[ExperimentConfig],
     vocab: LabelVocab,
     selection: SelectionMetric = SelectionMetric.WEIGHTED_F1,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
 ) -> GridResult:
     """Score every configuration on dev and pick the best row.
 
     All configurations must target the same subtask and carry unique
     names.  Ties on the selection metric go to the earliest row.  The
     idf table and the model of each row are fitted on train only.
-    Configurations with the same NormConfig and max_seq_len share one
-    text preparation of train and dev.
     """
     if not configs:
         raise ConfigError("grid needs at least one experiment")
@@ -202,25 +205,13 @@ def run_grid(
     subtask = configs[0].subtask
     if any(c.subtask != subtask for c in configs):
         raise ConfigError("all experiments in a grid must share one subtask")
-    if subtask.level is Level.PROVINCE and not vocab.provinces:
-        raise SubtaskMismatch("province subtask needs a vocab with provinces")
-    _require_labels(train, subtask, "train")
-    _require_labels(dev, subtask, "dev")
-
+    _require_labels(splits, subtask, vocab)
     labels = vocab.labels(subtask.level)
-    gold = [r.label(subtask.level) for r in dev]
+    gold = [r.label(subtask.level) for r in splits.dev]
     rows: list[GridRow] = []
-    prepared: dict[tuple[NormConfig, int], tuple[list[str], list[str]]] = {}
     for config in configs:
-        key = (config.norm, config.hp.max_seq_len)
-        if key not in prepared:
-            prepared[key] = (
-                prepare_texts(train, config, lexicon, overrides),
-                prepare_texts(dev, config, lexicon, overrides),
-            )
-        train_texts, dev_texts = prepared[key]
-        model, idf = _fit_texts(train_texts, train, config, vocab)
-        pred = _predict_texts(dev_texts, config, model, idf)
+        model, idf = fit_pipeline(splits.texts("train", config), splits.train, config, vocab)
+        pred = predict_texts(splits.texts("dev", config), config, model, idf)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
             GridRow(
@@ -235,14 +226,10 @@ def run_grid(
 
 
 def finalize(
-    train: Sequence[TweetRecord],
-    dev: Sequence[TweetRecord],
-    test: Sequence[TweetRecord],
+    splits: Splits,
     config: ExperimentConfig,
     vocab: LabelVocab,
     submission_path: str,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
 ) -> FinalizeResult:
     """Refit on train plus dev, predict test in order, write submission.
 
@@ -250,14 +237,15 @@ def finalize(
     result also carries an evaluation report.
     """
     subtask = config.subtask
-    _require_labels(train, subtask, "train")
-    _require_labels(dev, subtask, "dev")
-    combined = corpus.concat_splits(train, dev)
+    _require_labels(splits, subtask, vocab)
+    combined = corpus.concat_splits(splits.train, splits.dev)
     labels = vocab.labels(subtask.level)
-    if subtask.level is Level.PROVINCE and not vocab.provinces:
-        raise SubtaskMismatch("province subtask needs a vocab with provinces")
-    model, idf = fit_pipeline(combined, config, vocab, lexicon, overrides)
-    predictions = predict_records(test, config, model, idf, lexicon, overrides)
+    # prepare_texts works record by record, so this is the preparation
+    # of combined.
+    texts = splits.texts("train", config) + splits.texts("dev", config)
+    model, idf = fit_pipeline(texts, combined, config, vocab)
+    test = splits.test
+    predictions = predict_texts(splits.texts("test", config), config, model, idf)
     corpus.write_submission([r.id for r in test], predictions, submission_path)
     rep = None
     if test and all(r.label(subtask.level) is not None for r in test):
@@ -314,12 +302,8 @@ class BenchmarkSpec:
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 
-_NORM_KEYS = {"strip_markup", "replace_entities", "remove_noise", "insert_spacing",
-              "segment", "max_repeat"}
-_FEATURE_KEYS = {"n_min", "n_max", "dim", "hash_seed", "pad_token"}
 # save_model and save_idf write dim in 32 bits.
 _MAX_DIM = 1 << 31
-_HP_KEYS = {"learning_rate", "max_seq_len", "batch_size", "epochs", "l2", "seed"}
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -342,46 +326,46 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
+_PARSERS = {
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_float,
+    str: lambda key, value: value,
+}
+# Config keys are the field names of the three configs, but for these.
+_KEY_NAMES = {
+    (FeatureConfig, "seed"): "hash_seed",
+    (HyperParams, "lr"): "learning_rate",
+    (HyperParams, "rng_seed"): "seed",
+}
+# config key -> (config class, field name, parser of the field's type)
+_EXPERIMENT_KEYS = {
+    _KEY_NAMES.get((cls, f.name), f.name): (cls, f.name, _PARSERS[type(f.default)])
+    for cls in (NormConfig, FeatureConfig, HyperParams)
+    for f in fields(cls)
+}
+
+
 def _experiment_from_items(name: str, items: dict[str, str], subtask: Subtask) -> ExperimentConfig:
-    norm_kwargs: dict = {}
-    feat_kwargs: dict = {}
-    hp_kwargs: dict = {}
+    kwargs: dict[type, dict] = {NormConfig: {}, FeatureConfig: {}, HyperParams: {}}
     for key, value in items.items():
-        if key in _NORM_KEYS:
-            if key == "max_repeat":
-                norm_kwargs[key] = _parse_int(key, value)
-            else:
-                norm_kwargs[key] = _parse_bool(key, value)
-        elif key in _FEATURE_KEYS:
-            if key == "pad_token":
-                feat_kwargs["pad_token"] = value
-            elif key == "hash_seed":
-                feat_kwargs["seed"] = _parse_int(key, value)
-            else:
-                feat_kwargs[key] = _parse_int(key, value)
-        elif key in _HP_KEYS:
-            if key == "learning_rate":
-                hp_kwargs["lr"] = _parse_float(key, value)
-            elif key == "seed":
-                hp_kwargs["rng_seed"] = _parse_int(key, value)
-            elif key in ("max_seq_len", "batch_size", "epochs"):
-                hp_kwargs[key] = _parse_int(key, value)
-            else:
-                hp_kwargs[key] = _parse_float(key, value)
-        else:
+        if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown experiment key {key!r}")
-    if feat_kwargs.get("dim", 0) > _MAX_DIM:
+        cls, attr, parse = _EXPERIMENT_KEYS[key]
+        kwargs[cls][attr] = parse(key, value)
+    dim = kwargs[FeatureConfig].get("dim", 0)
+    if dim > _MAX_DIM:
         raise ConfigError(
-            f"experiment {name!r}: dim {feat_kwargs['dim']} is above 2**31; "
+            f"experiment {name!r}: dim {dim} is above 2**31; "
             f"the model and idf files store dim in 32 bits"
         )
     try:
         return ExperimentConfig(
             name=name,
             subtask=subtask,
-            norm=NormConfig(**norm_kwargs),
-            features=FeatureConfig(**feat_kwargs),
-            hp=HyperParams(**hp_kwargs),
+            norm=NormConfig(**kwargs[NormConfig]),
+            features=FeatureConfig(**kwargs[FeatureConfig]),
+            hp=HyperParams(**kwargs[HyperParams]),
         )
     except ValueError as exc:
         raise ConfigError(f"experiment {name!r}: {exc}") from None

@@ -148,9 +148,12 @@ def replace_entities(text: str) -> str:
 
     A single left-to-right scan; at equal start positions URLs win over
     emails and emails over mentions, so an @ inside a URL never produces
-    a mention placeholder.
+    a mention placeholder.  No match runs into a placeholder already in
+    the text, so a later normalize pass keeps an earlier pass's ones.
     """
-    return _ENTITY_RE.sub(lambda m: _SURFACE_BY_GROUP[m.lastgroup], text)
+    return _map_outside_placeholders(
+        text, lambda part: _ENTITY_RE.sub(lambda m: _SURFACE_BY_GROUP[m.lastgroup], part)
+    )
 
 
 def _cap_runs(text: str, max_repeat: int) -> str:

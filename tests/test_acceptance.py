@@ -19,7 +19,7 @@ from dialectid.classifier import batch_cross_entropy
 from dialectid.corpus import LabelVocab, Register, load_corpus
 from dialectid.evaluation import read_report, report
 from dialectid.features import SparseVector
-from dialectid.harness import finalize, parse_benchmark_file, run_grid
+from dialectid.harness import Splits, finalize, parse_benchmark_file, run_grid
 from dialectid.normalizer import NormConfig, normalize
 
 import synthcorpus
@@ -361,14 +361,15 @@ def test_fitting_sees_exactly_the_training_split(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
     monkeypatch.setattr(dialectid.classifier, "train", spy_train)
 
-    run_grid(train, dev, list(spec.experiments), vocab, spec.selection)
+    splits = Splits(train, dev, test)
+    run_grid(splits, list(spec.experiments), vocab, spec.selection)
     n_experiments = len(spec.experiments)
     assert idf_sizes == [len(train)] * n_experiments, idf_sizes
     assert train_sizes == [len(train)] * n_experiments, train_sizes
 
     idf_sizes.clear()
     train_sizes.clear()
-    finalize(train, dev, test, spec.experiments[0], vocab, str(tmp_path / "s.csv"))
+    finalize(splits, spec.experiments[0], vocab, str(tmp_path / "s.csv"))
     assert idf_sizes == [len(train) + len(dev)], idf_sizes
     assert train_sizes == [len(train) + len(dev)], train_sizes
     announce(

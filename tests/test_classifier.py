@@ -1,12 +1,14 @@
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dialectid import classifier
 from dialectid.classifier import (
     HyperParams,
     LinearModel,
@@ -347,13 +349,30 @@ class TestDenseOracle:
             HyperParams(lr=2.0, l2=0.5, epochs=2, batch_size=3),
             3,
             64,
-        )
+        ),
+        None,
+    )
+    # One batch of 12 rows over 3 columns, walked one row at a time.
+    @example(
+        (
+            separable_examples(per_class=4, dim=64),
+            HyperParams(epochs=2, batch_size=12),
+            3,
+            64,
+        ),
+        1,
     )
     @settings(max_examples=150, deadline=None)
-    @given(training_problems())
-    def test_train_matches_dense_sgd_within_tolerance(self, problem):
+    @given(training_problems(), st.one_of(st.none(), st.integers(1, 40)))
+    def test_train_matches_dense_sgd_within_tolerance(self, problem, block_elements):
+        """block_elements, when drawn, shrinks the batch block bound so
+        that a batch's rows are walked in several slices."""
         examples, hp, num_classes, dim = problem
-        model = train(examples, hp, num_classes=num_classes, dim=dim)
+        if block_elements is None:
+            model = train(examples, hp, num_classes=num_classes, dim=dim)
+        else:
+            with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
+                model = train(examples, hp, num_classes=num_classes, dim=dim)
         weights, bias, losses = dense_train(examples, hp, num_classes, dim)
         assert model.weights.shape == (num_classes, dim)
         np.testing.assert_allclose(model.weights, weights, rtol=self.RTOL, atol=self.ATOL)

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import dialectid
-from dialectid import cli
+from dialectid import cli, normalizer
 from dialectid.classifier import load_model
-from dialectid.corpus import read_submission
+from dialectid.corpus import LabelVocab, Register, load_corpus, read_submission
 from dialectid.evaluation import parse_report
 
 import synthcorpus
@@ -399,14 +399,34 @@ class TestBenchmark:
         assert grid_lines[2].startswith("control\t")
         assert grid_lines[2].endswith("\t0")
 
-    def test_global_config_flag_also_works(self, corpus_dir, tmp_path, capsys):
-        out_dir = tmp_path / "run2"
-        rc = cli.main(
-            ["--config", corpus_dir["config"], "benchmark", "--out-dir", str(out_dir)]
+    def test_normalizes_each_record_once(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # Both experiments of the config share one text preparation, and
+        # finalize reuses the grid's texts of train and dev.
+        paths = corpus_dir["paths"]
+        vocab = LabelVocab.from_file(paths["vocab"])
+        records = sum(
+            len(load_corpus(paths[split], Register.DA, vocab=vocab))
+            for split in ("train", "dev", "test")
         )
-        assert rc == 0
-        assert (out_dir / "submission.csv").exists()
+        calls = []
+        real_normalize = normalizer.normalize
+
+        def spy_normalize(text, *args, **kwargs):
+            calls.append(text)
+            return real_normalize(text, *args, **kwargs)
+
+        monkeypatch.setattr(normalizer, "normalize", spy_normalize)
+        rc = cli.main(["benchmark", corpus_dir["config"], "--out-dir", str(tmp_path / "out")])
         capsys.readouterr()
+        assert rc == 0
+        assert len(calls) == records
+
+    def test_config_file_is_required(self, corpus_dir, tmp_path, capsys):
+        rc = cli.main(
+            ["--config", corpus_dir["config"], "benchmark", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "config_file" in capsys.readouterr().err
 
     def test_dim_the_artifacts_cannot_store(self, corpus_dir, tmp_path, capsys):
         config = synthcorpus.write_benchmark_config(

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import dialectid.classifier
@@ -14,19 +15,21 @@ from dialectid.corpus import (
     Register,
     Subtask,
     TweetRecord,
+    concat_splits,
     read_submission,
 )
-from dialectid.errors import ConfigError, SubtaskMismatch
+from dialectid.errors import ConfigError, DuplicateId, LengthMismatch, SubtaskMismatch
 from dialectid.features import FeatureConfig
 from dialectid.harness import (
     ExperimentConfig,
     GridRow,
     SelectionMetric,
+    Splits,
     finalize,
     fit_pipeline,
     override_seed,
     parse_benchmark_file,
-    predict_records,
+    predict_texts,
     prepare_texts,
     render_grid,
     run_grid,
@@ -86,18 +89,18 @@ def test_grid_row_metric_mapping():
 class TestRunGridValidation:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
-            run_grid(TRAIN, DEV, [], VOCAB)
+            run_grid(Splits(TRAIN, DEV), [], VOCAB)
 
     def test_duplicate_names(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            run_grid(TRAIN, DEV, [config("a"), config("a")], VOCAB)
+            run_grid(Splits(TRAIN, DEV), [config("a"), config("a")], VOCAB)
 
     def test_mixed_subtasks(self):
         other = ExperimentConfig(
             name="b", subtask=Subtask(Level.COUNTRY, Register.MSA)
         )
         with pytest.raises(ConfigError, match="subtask"):
-            run_grid(TRAIN, DEV, [config("a"), other], VOCAB)
+            run_grid(Splits(TRAIN, DEV), [config("a"), other], VOCAB)
 
     def test_province_needs_province_vocab(self):
         cfg = ExperimentConfig(
@@ -106,24 +109,24 @@ class TestRunGridValidation:
             features=SMALL_FEATURES,
         )
         with pytest.raises(SubtaskMismatch):
-            run_grid(TRAIN, DEV, [cfg], VOCAB)
+            run_grid(Splits(TRAIN, DEV), [cfg], VOCAB)
 
     def test_register_mismatch_rejected_before_training(self):
         msa = Subtask(Level.COUNTRY, Register.MSA)
         cfg = ExperimentConfig(name="m", subtask=msa, features=SMALL_FEATURES)
         with pytest.raises(SubtaskMismatch, match="tr"):
-            run_grid(TRAIN, DEV, [cfg], VOCAB)
+            run_grid(Splits(TRAIN, DEV), [cfg], VOCAB)
 
     def test_unlabeled_train_record_rejected(self):
         broken = TRAIN + [TweetRecord(id="naked", text="ابت")]
         with pytest.raises(SubtaskMismatch, match="naked"):
-            run_grid(broken, DEV, [config("a")], VOCAB)
+            run_grid(Splits(broken, DEV), [config("a")], VOCAB)
 
 
 class TestRunGrid:
     def test_trained_beats_untrained_and_is_selected(self):
         result = run_grid(
-            TRAIN, DEV, [config("zero", epochs=0), config("five", epochs=5)], VOCAB
+            Splits(TRAIN, DEV), [config("zero", epochs=0), config("five", epochs=5)], VOCAB
         )
         by_name = {row.name: row for row in result.rows}
         assert by_name["five"].weighted_f1 > by_name["zero"].weighted_f1
@@ -133,14 +136,14 @@ class TestRunGrid:
 
     def test_tie_goes_to_earliest_row(self):
         result = run_grid(
-            TRAIN, DEV, [config("first"), config("second")], VOCAB
+            Splits(TRAIN, DEV), [config("first"), config("second")], VOCAB
         )
         assert result.rows[0].weighted_f1 == result.rows[1].weighted_f1
         assert result.selected == "first"
 
     def test_selection_metric_recorded(self):
         result = run_grid(
-            TRAIN, DEV, [config("only")], VOCAB, selection=SelectionMetric.ACCURACY
+            Splits(TRAIN, DEV), [config("only")], VOCAB, selection=SelectionMetric.ACCURACY
         )
         assert result.selection_metric is SelectionMetric.ACCURACY
 
@@ -160,7 +163,7 @@ class TestRunGrid:
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         monkeypatch.setattr(dialectid.classifier, "train", spy_train)
-        run_grid(TRAIN, DEV, [config("a"), config("b", epochs=1)], VOCAB)
+        run_grid(Splits(TRAIN, DEV), [config("a"), config("b", epochs=1)], VOCAB)
         assert idf_sizes == [len(TRAIN), len(TRAIN)]
         assert train_sizes == [len(TRAIN), len(TRAIN)]
 
@@ -180,7 +183,7 @@ class TestRunGrid:
         ],
     )
     def test_texts_prepared_once_per_preparation(self, monkeypatch, configs, preparations):
-        separate = [run_grid(TRAIN, DEV, [c], VOCAB).rows[0] for c in configs]
+        separate = [run_grid(Splits(TRAIN, DEV), [c], VOCAB).rows[0] for c in configs]
         inputs = []
         real_normalize = dialectid.normalizer.normalize
 
@@ -189,7 +192,7 @@ class TestRunGrid:
             return real_normalize(text, *args, **kwargs)
 
         monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
-        result = run_grid(TRAIN, DEV, configs, VOCAB)
+        result = run_grid(Splits(TRAIN, DEV), configs, VOCAB)
         assert len(inputs) == preparations * (len(TRAIN) + len(DEV))
         assert list(result.rows) == separate
 
@@ -218,35 +221,82 @@ class TestPrepareTexts:
         assert self.texts("ههههه بب", max_seq_len=4) == ["هه ب"]
 
 
+class TestSplits:
+    def test_each_split_is_prepared_once_per_preparation(self, monkeypatch, tmp_path):
+        splits = Splits(TRAIN, DEV, TEST)
+        inputs = []
+        real_normalize = dialectid.normalizer.normalize
+
+        def spy_normalize(text, *args, **kwargs):
+            inputs.append(text)
+            return real_normalize(text, *args, **kwargs)
+
+        monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
+        run_grid(splits, [config("a"), config("b", epochs=1)], VOCAB)
+        finalize(splits, config("a"), VOCAB, str(tmp_path / "s.csv"))
+        assert len(inputs) == len(TRAIN) + len(DEV) + len(TEST)
+        assert splits.texts("train", config("c")) is splits.texts("train", config("d"))
+        other = replace(config("e"), norm=NormConfig(max_repeat=1))
+        texts = splits.texts("train", other)
+        assert len(inputs) == 2 * len(TRAIN) + len(DEV) + len(TEST)
+        assert texts == prepare_texts(TRAIN, other)
+
+    def test_finalize_fits_on_the_preparation_of_train_plus_dev(self, tmp_path):
+        cfg = config("f")
+        splits = Splits(TRAIN, DEV, TEST)
+        combined = concat_splits(TRAIN, DEV)
+        texts = prepare_texts(combined, cfg)
+        assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
+        model, idf = fit_pipeline(texts, combined, cfg, VOCAB)
+        result = finalize(splits, cfg, VOCAB, str(tmp_path / "s.csv"))
+        assert np.array_equal(result.model.weights, model.weights)
+        assert np.array_equal(result.idf.weights, idf.weights)
+
+    def test_finalize_rejects_ids_in_train_and_dev(self, tmp_path):
+        with pytest.raises(DuplicateId):
+            finalize(
+                Splits(TRAIN, DEV + TRAIN[:1], TEST), config("f"), VOCAB, str(tmp_path / "s.csv")
+            )
+
+
 class TestFitPipeline:
+    def test_texts_and_records_must_pair_up(self):
+        cfg = config("m")
+        with pytest.raises(LengthMismatch):
+            fit_pipeline(prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB)
+
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
-        model, idf = fit_pipeline(lopsided, config("m"), VOCAB)
+        cfg = config("m")
+        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB)
         assert model.class_labels[model.fallback_class] == "Atlantis"
         assert idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
-        model, idf = fit_pipeline(TRAIN, config("m"), VOCAB)
+        cfg = config("m")
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
         assert model.fallback_class == 0
 
 
-class TestPredictRecords:
+class TestPredictTexts:
     def test_empty_text_gets_the_fallback_not_argmax_bias(self):
         # Borealia is the majority but the zero model's argmax is class 0.
         lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
         assert [r.country for r in lopsided].count("Borealia") == 6
         cfg = config("z", epochs=0)
-        model, idf = fit_pipeline(lopsided, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB)
         blank = TweetRecord(id="blank", text="😂😂")
         word_only = TweetRecord(id="w", text="ابت")
-        assert predict_records([blank, word_only], cfg, model, idf) == [
+        texts = prepare_texts([blank, word_only], cfg)
+        assert predict_texts(texts, cfg, model, idf) == [
             "Borealia",
             "Atlantis",
         ]
 
     def test_classifies_through_module_attributes(self, monkeypatch):
-        model, idf = fit_pipeline(TRAIN, config("m"), VOCAB)
+        cfg = config("m")
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
         calls = []
         real_predict = dialectid.classifier.predict
 
@@ -255,13 +305,13 @@ class TestPredictRecords:
             return real_predict(m, vector)
 
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
-        predictions = predict_records(TEST, config("m"), model, idf)
+        predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model, idf)
         assert len(calls) == len(TEST) and all(calls)
         assert predictions == [r.country for r in TEST]
 
 
 class TestFeaturizeOnce:
-    """One fit or one predict cuts each distinct token of its records
+    """One fit or one predict cuts each distinct token of its texts
     into grams once, and hashes those grams once."""
 
     def distinct_tokens(self, records, cfg):
@@ -299,16 +349,18 @@ class TestFeaturizeOnce:
     def test_fit_pipeline(self, monkeypatch):
         cfg = config("once")
         tokens = self.distinct_tokens(TRAIN, cfg)
+        texts = prepare_texts(TRAIN, cfg)
         seen = self.spy(monkeypatch)
-        fit_pipeline(TRAIN, cfg, VOCAB)
+        fit_pipeline(texts, TRAIN, cfg, VOCAB)
         self.check(seen, tokens, cfg)
 
-    def test_predict_records(self, monkeypatch):
+    def test_predict_texts(self, monkeypatch):
         cfg = config("once")
-        model, idf = fit_pipeline(TRAIN, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
         tokens = self.distinct_tokens(TEST, cfg)
+        texts = prepare_texts(TEST, cfg)
         seen = self.spy(monkeypatch)
-        predict_records(TEST, cfg, model, idf)
+        predict_texts(texts, cfg, model, idf)
         self.check(seen, tokens, cfg)
 
 
@@ -323,13 +375,13 @@ class TestFinalize:
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         finalize(
-            TRAIN, DEV, TEST, config("f"), VOCAB, str(tmp_path / "sub.csv")
+            Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(tmp_path / "sub.csv")
         )
         assert idf_sizes == [len(TRAIN) + len(DEV)]
 
     def test_submission_and_report(self, tmp_path):
         path = tmp_path / "sub.csv"
-        result = finalize(TRAIN, DEV, TEST, config("f", epochs=10), VOCAB, str(path))
+        result = finalize(Splits(TRAIN, DEV, TEST), config("f", epochs=10), VOCAB, str(path))
         assert len(result.predictions) == len(TEST)
         pairs = read_submission(str(path))
         assert [rid for rid, _ in pairs] == [r.id for r in TEST]
@@ -341,7 +393,7 @@ class TestFinalize:
     def test_unlabeled_test_gets_no_report(self, tmp_path):
         blind = [TweetRecord(id=r.id, text=r.text) for r in TEST]
         result = finalize(
-            TRAIN, DEV, blind, config("f"), VOCAB, str(tmp_path / "s.csv")
+            Splits(TRAIN, DEV, blind), config("f"), VOCAB, str(tmp_path / "s.csv")
         )
         assert result.report is None
         assert len(result.predictions) == len(blind)
@@ -349,9 +401,7 @@ class TestFinalize:
     def test_empty_text_falls_back_to_majority(self, tmp_path):
         blank = TweetRecord(id="blank", text="😂😂")
         result = finalize(
-            TRAIN,
-            DEV,
-            [blank] + TEST,
+            Splits(TRAIN, DEV, [blank] + TEST),
             config("f"),
             VOCAB,
             str(tmp_path / "s.csv"),
@@ -363,15 +413,15 @@ class TestFinalize:
     def test_two_runs_are_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        first = finalize(TRAIN, DEV, TEST, config("f"), VOCAB, str(a))
-        second = finalize(TRAIN, DEV, TEST, config("f"), VOCAB, str(b))
+        first = finalize(Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(a))
+        second = finalize(Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(b))
         assert first.predictions == second.predictions
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestGridRendering:
     def result(self):
-        return run_grid(TRAIN, DEV, [config("zero", epochs=0), config("one")], VOCAB)
+        return run_grid(Splits(TRAIN, DEV), [config("zero", epochs=0), config("one")], VOCAB)
 
     def test_render_grid_marks_selected(self):
         text = render_grid(self.result())
@@ -552,6 +602,33 @@ class TestBenchmarkParsing:
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
                 "[experiment e]\ndim=4294967296\n",
                 "dim 4294967296 is above 2\\*\\*31",
+            ),
+            # Three fields go by other names in the file; their own
+            # names are not keys.
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nlr = 0.1\n",
+                "unknown experiment key 'lr'",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nrng_seed = 3\n",
+                "unknown experiment key 'rng_seed'",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nfeatures.seed = 3\n",
+                "unknown experiment key 'features.seed'",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nl2=small\n",
+                "l2: expected a number",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nhash_seed=x\n",
+                "hash_seed: expected an integer",
             ),
         ],
     )

@@ -1,12 +1,14 @@
 """Memory guards for the featurizer and the trainer: one bucket_counts
-pass over the benchmark's served test split, and one classifier.train
-call on the fit-nadi finalize corpus, stay within fixed allocation
-peaks, so a table, memo or scratch block that outlives its use fails
-here before it shows in the benchmark's peak RSS."""
+pass over the benchmark's served test split, and classifier.train on
+the fit-nadi finalize corpus, at the workload's batch size and in one
+full batch, stay within fixed allocation peaks, so a table, memo or
+scratch block that outlives or outgrows its use fails here before it
+shows in the benchmark's peak RSS."""
 
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 from dialectid import classifier, features, harness
 from dialectid.corpus import LabelVocab, Register, concat_splits, load_corpus
@@ -45,8 +47,9 @@ def test_bucket_counts_peak_on_serve_split(tmp_path):
 TRAIN_PEAK_BYTES = 47e6
 
 
-def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
-    fixture = fixtures.write_fixture("fit-nadi", 101, str(tmp_path))
+def fit_nadi_finalize_corpus(directory):
+    """The fit-nadi finalize run's tf-idf examples and its config."""
+    fixture = fixtures.write_fixture("fit-nadi", 101, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = spec.experiments[0]
     records = concat_splits(
@@ -61,14 +64,36 @@ def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
         (features.vectorize(counts, config.features, idf), labels.index(r.label(level)))
         for counts, r in zip(docs, records)
     ]
+    return examples, config, labels
+
+
+def train_peak(examples, hp, config, labels):
+    """classifier.train's model and its allocation peak."""
     tracemalloc.start()
     try:
         model = classifier.train(
-            examples, config.hp, num_classes=len(labels), dim=config.features.dim
+            examples, hp, num_classes=len(labels), dim=config.features.dim
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return model, peak
+
+
+def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
+    examples, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
+    model, peak = train_peak(examples, config.hp, config, labels)
     assert len(examples) == 630
+    assert model.weights.nbytes == 44_040_192
+    assert peak <= TRAIN_PEAK_BYTES
+
+
+def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
+    # One block over all 630 examples and their 10,804 columns is
+    # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
+    # Walked in row slices under a fixed bound, it peaks at 45.95e6.
+    examples, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
+    hp = replace(config.hp, batch_size=len(examples))
+    model, peak = train_peak(examples, hp, config, labels)
     assert model.weights.nbytes == 44_040_192
     assert peak <= TRAIN_PEAK_BYTES

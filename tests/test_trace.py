@@ -57,9 +57,10 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     trace = tracer.Tracer()
     trace.install(PACKAGE)
 
-    grid = harness.run_grid(train, dev, experiments, vocab, spec.selection)
+    splits = harness.Splits(train, dev, test)
+    grid = harness.run_grid(splits, experiments, vocab, spec.selection)
     selected = next(c for c in experiments if c.name == grid.selected)
-    harness.finalize(train, dev, test, selected, vocab, str(tmp_path / "sub.csv"))
+    harness.finalize(splits, selected, vocab, str(tmp_path / "sub.csv"))
 
     trace.dump(str(tmp_path / "trace.json"))
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
@@ -68,6 +69,8 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     featurized = len(experiments) * (len(train) + len(dev)) + len(train) + len(dev) + len(test)
     assert calls["features.vectorize"] == featurized
     assert calls["features.fit_idf"] == len(experiments) + 1
+    # Every fit, the grid's and finalize's, goes through fit_pipeline.
+    assert calls["harness.fit_pipeline"] == len(experiments) + 1
     featurize_calls = grid_calls + final_calls[grid.selected]
     assert calls["features.char_ngrams"] == sum(len(tokens) for tokens, _ in featurize_calls)
     assert doc["counters"]["features.nnz"] > 0
