@@ -23,10 +23,11 @@ from .evaluation import EvaluationReport, confusion, report
 from .features import (
     FeatureConfig,
     IdfTable,
-    SparseVector,
+    SparseRows,
     bucket_counts,
     char_ngrams,
     fit_idf,
+    join_rows,
     vectorize,
 )
 from .harness import ExperimentConfig, SelectionMetric, Splits, finalize, run_grid
@@ -49,7 +50,7 @@ __all__ = [
     "Register",
     "SegmentLexicon",
     "SelectionMetric",
-    "SparseVector",
+    "SparseRows",
     "Splits",
     "Subtask",
     "TweetRecord",
@@ -60,6 +61,7 @@ __all__ = [
     "corpus_stats",
     "finalize",
     "fit_idf",
+    "join_rows",
     "load_corpus",
     "normalize",
     "predict",

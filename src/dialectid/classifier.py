@@ -1,5 +1,6 @@
-"""Multinomial logistic regression over sparse feature vectors.
+"""Multinomial logistic regression over sparse feature rows.
 
+Training and prediction both take a corpus as one SparseRows matrix.
 Plain mini-batch SGD from a zero initialization.  Shuffling is rebuilt
 per epoch from (rng_seed, epoch), so training is bit-reproducible for a
 fixed input order.
@@ -31,8 +32,9 @@ from .errors import (
     CorruptArtifact,
     DimensionMismatch,
     EmptyTrainingSet,
+    LengthMismatch,
 )
-from .features import SparseVector
+from .features import SparseRows
 
 MODEL_MAGIC = b"NADIMDL2"
 
@@ -93,91 +95,85 @@ class LinearModel:
         return int(self.weights.shape[1])
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
+    """Class index of each row: the argmax of its logits, ties to the
+    lowest index, or the model's fallback_class for an empty row.
 
-
-def _logits(weights: np.ndarray, bias: np.ndarray, vector: SparseVector) -> np.ndarray:
-    if vector.nnz == 0:
-        return bias.copy()
-    return weights[:, vector.indices] @ vector.values + bias
-
-
-def forward(model: LinearModel, vector: SparseVector) -> np.ndarray:
-    """Class probabilities for one vector; sums to 1 within 1e-9."""
-    if vector.dim != model.dim:
-        raise DimensionMismatch(f"vector dim {vector.dim} != model dim {model.dim}")
-    return _softmax(_logits(model.weights, model.bias, vector))
-
-
-def predict(model: LinearModel, vector: SparseVector) -> str:
-    """Most probable label; ties resolve to the lowest class index."""
-    probs = forward(model, vector)
-    return model.class_labels[int(np.argmax(probs))]
+    Each class's logits are one np.bincount of that class's weights at
+    the rows' entries, so no scratch array is larger than nnz.
+    """
+    if rows.dim != model.dim:
+        raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
+    n = len(rows)
+    lengths = np.diff(rows.indptr)
+    owner = np.repeat(np.arange(n), lengths)
+    logits = np.empty((n, model.num_classes), dtype=np.float64)
+    for c in range(model.num_classes):
+        weighted = model.weights[c, rows.indices] * rows.values
+        logits[:, c] = np.bincount(owner, weights=weighted, minlength=n) + model.bias[c]
+    classes = logits.argmax(axis=1)
+    classes[lengths == 0] = model.fallback_class
+    return classes
 
 
 def batch_cross_entropy(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    batch: Sequence[tuple[SparseVector, int]],
+    weights: np.ndarray, bias: np.ndarray, rows: SparseRows, y: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch and its exact gradient.
+    """Mean cross-entropy over a batch of rows and its exact gradient.
 
     Loss per example uses logsumexp(logits) - logits[y], which is the
     negative log probability without an epsilon fudge.  Returns
     (loss, grad_weights, grad_bias); the l2 term is not included here.
     """
-    num_classes = weights.shape[0]
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(bias)
     loss = 0.0
-    for vector, y in batch:
-        logits = _logits(weights, bias, vector)
+    bounds = rows.indptr.tolist()
+    for lo, hi, target in zip(bounds[:-1], bounds[1:], y, strict=True):
+        indices, values = rows.indices[lo:hi], rows.values[lo:hi]
+        logits = weights[:, indices] @ values + bias
         shifted = logits - logits.max()
         logsumexp = float(np.log(np.exp(shifted).sum()) + logits.max())
-        loss += logsumexp - float(logits[y])
+        loss += logsumexp - float(logits[target])
         probs = np.exp(logits - logsumexp)
-        probs[y] -= 1.0
-        if vector.nnz:
-            grad_w[:, vector.indices] += np.outer(probs, vector.values)
+        probs[target] -= 1.0
+        grad_w[:, indices] += np.outer(probs, values)
         grad_b += probs
-    scale = 1.0 / len(batch)
+    scale = 1.0 / len(rows)
     return loss * scale, grad_w * scale, grad_b * scale
 
 
 def train(
-    examples: Sequence[tuple[SparseVector, int]],
+    rows: SparseRows,
+    y: Sequence[int],
     hp: HyperParams = DEFAULT_HP,
     num_classes: int = 2,
-    dim: int = 1 << 18,
     class_labels: Sequence[str] | None = None,
     feature_fingerprint: str = "",
 ) -> LinearModel:
-    """Fit the model with mini-batch SGD.
+    """Fit the model to rows with classes y by mini-batch SGD.
 
-    Per epoch the examples are shuffled by a fresh RNG seeded from
+    Per epoch the rows are shuffled by a fresh RNG seeded from
     (rng_seed, epoch) and walked in batches of batch_size (the last
     batch may be short).  Each batch applies the averaged cross-entropy
     gradient plus l2 weight decay.  epochs=0 returns the zero model,
     which predicts uniformly.  The mean loss of every epoch is kept on
-    the returned model, and so is the most frequent class of the
-    examples as its fallback_class (ties go to the lowest index).
+    the returned model, and so is the most frequent class of y as its
+    fallback_class (ties go to the lowest index).
 
     The loop runs on a K x num_classes matrix over the K distinct
-    columns the examples use, and the result is scattered into the zero
-    num_classes x dim model at the end.  Columns outside the corpus stay
-    exactly 0.0; the others equal those of dense per-example SGD to
+    columns the rows use, and the result is scattered into the zero
+    num_classes x rows.dim model at the end.  Columns outside the corpus
+    stay exactly 0.0; the others equal those of dense per-example SGD to
     rounding (see the module docstring).
     """
-    if not examples:
+    if not len(rows):
         raise EmptyTrainingSet("no training examples")
-    for vector, y in examples:
-        if not (0 <= y < num_classes):
-            raise ClassIndexOutOfRange(f"class index {y} outside [0, {num_classes})")
-        if vector.dim != dim:
-            raise DimensionMismatch(f"vector dim {vector.dim} != model dim {dim}")
+    targets = np.asarray(y, dtype=np.int64)
+    if targets.shape != (len(rows),):
+        raise LengthMismatch(f"{targets.size} classes for {len(rows)} rows")
+    if targets.min() < 0 or targets.max() >= num_classes:
+        raise ClassIndexOutOfRange(f"a class index is outside [0, {num_classes})")
     if class_labels is None:
         labels = [str(i) for i in range(num_classes)]
     else:
@@ -185,11 +181,11 @@ def train(
             raise ValueError(f"{len(class_labels)} labels for {num_classes} classes")
         labels = list(class_labels)
 
-    counts = np.bincount([y for _, y in examples], minlength=num_classes)
+    counts = np.bincount(targets, minlength=num_classes)
     # The batch blocks die with _sgd's frame, before the dense model is
     # allocated, so they never add to the peak.
-    cols, weights, bias, losses = _sgd(examples, hp, num_classes)
-    dense = np.zeros((num_classes, dim), dtype=np.float64)
+    cols, weights, bias, losses = _sgd(rows, targets, hp, num_classes)
+    dense = np.zeros((num_classes, rows.dim), dtype=np.float64)
     dense[:, cols] = weights.T
     return LinearModel(
         weights=dense,
@@ -202,26 +198,21 @@ def train(
 
 
 def _sgd(
-    examples: Sequence[tuple[SparseVector, int]], hp: HyperParams, num_classes: int
+    rows: SparseRows, targets: np.ndarray, hp: HyperParams, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """(cols, weights, bias, epoch_losses) of train's SGD loop.
 
-    The examples become one CSR matrix over their K distinct columns
+    The rows' columns are renumbered over their K distinct columns
     cols; weights is K x num_classes, so a batch's rows are contiguous.
     Each batch fills a dense block with its rows over its u distinct
     columns, in slices of rows that keep it within _BLOCK_ELEMENTS; the
     logits are one product with weights[u] and the gradient the sum of
     one product per slice with the block's transpose.
     """
-    n = len(examples)
-    nnz = np.fromiter((vector.nnz for vector, _ in examples), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nnz, out=indptr[1:])
-    cols, indices = np.unique(
-        np.concatenate([vector.indices for vector, _ in examples]), return_inverse=True
-    )
-    values = np.concatenate([vector.values for vector, _ in examples])
-    targets = np.fromiter((y for _, y in examples), dtype=np.int64, count=n)
+    n = len(rows)
+    indptr, values = rows.indptr, rows.values
+    nnz = np.diff(indptr)
+    cols, indices = np.unique(rows.indices, return_inverse=True)
     width = cols.size
     weights = np.zeros((width, num_classes), dtype=np.float64)
     bias = np.zeros(num_classes, dtype=np.float64)
@@ -234,12 +225,12 @@ def _sgd(
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
-            rows = order[start : start + hp.batch_size]
-            m = rows.size
-            lengths = nnz[rows]
+            batch = order[start : start + hp.batch_size]
+            m = batch.size
+            lengths = nnz[batch]
             ends = np.cumsum(lengths)
             starts = ends - lengths
-            entries = np.arange(ends[-1]) + np.repeat(indptr[rows] - starts, lengths)
+            entries = np.arange(ends[-1]) + np.repeat(indptr[batch] - starts, lengths)
             batch_cols = indices[entries]
             touched = np.zeros(width, dtype=bool)
             touched[batch_cols] = True
@@ -256,7 +247,7 @@ def _sgd(
                 logits = block @ weights[u] + bias
                 top = logits.max(axis=1)
                 logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
-                picked = (np.arange(hi - lo), targets[rows[lo:hi]])
+                picked = (np.arange(hi - lo), targets[batch[lo:hi]])
                 epoch_loss += float((logsumexp - logits[picked]).sum())
                 probs = np.exp(logits - logsumexp[:, None])
                 probs[picked] -= 1.0

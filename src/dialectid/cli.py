@@ -261,6 +261,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if args.config is not None and args.command not in ("train", "predict"):
+            raise DialectIdError(f"--config is read by train and predict, not {args.command}")
         return args.func(args)
     except DialectIdError as exc:
         print(f"error: {exc}", file=sys.stderr)

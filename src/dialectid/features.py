@@ -5,13 +5,15 @@ on each side, hashed with 64-bit FNV-1a into a power-of-two table, and
 weighted by a smoothed inverse document frequency.  Hash collisions are
 accepted: colliding grams simply share a bucket and their counts add.
 
-Each text becomes a bucket -> count map (bucket_counts); the idf table
-is the document frequency of those buckets (fit_idf), and a document's
-tf-idf vector is built from its map (vectorize).  A fit or a predict
-makes one bucket_counts call.  It reads the texts in bounded chunks,
-cuts each distinct whitespace token of the call into grams once, and
-hashes the grams of a chunk's new tokens in one vectorized FNV-1a pass
-(hash_grams); a text's map is then the count of its tokens' buckets.
+A corpus is one CSR matrix, SparseRows: one row per text, one column
+per bucket.  bucket_counts yields the gram counts of the texts as
+blocks of rows; the idf table is the document frequency of the
+buckets (fit_idf), and vectorize turns a block of counts into tf-idf
+rows.  A fit or a predict makes one bucket_counts call.  It reads the
+texts in bounded chunks, cuts each distinct whitespace token of the
+call into grams once, and hashes the grams of a chunk's new tokens in
+one vectorized FNV-1a pass (hash_grams); a chunk's block is then one
+count of its (row, bucket) pairs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +59,8 @@ class FeatureConfig:
             raise ValueError(f"need 1 <= n_min <= n_max <= 8, got [{self.n_min}, {self.n_max}]")
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
+        if self.dim > 1 << 56:  # so that bucket_counts' keys row * dim + bucket fit an int64
+            raise ValueError(f"dim must be at most 2**56, got {self.dim}")
         if len(self.pad_token) != 1:
             raise ValueError("pad_token must be a single character")
 
@@ -118,33 +122,60 @@ def hash_grams(grams: Sequence[str], config: FeatureConfig = DEFAULT_FEATURES) -
     return h
 
 
-def hash_index(gram: str, config: FeatureConfig = DEFAULT_FEATURES) -> int:
-    """Bucket index of one gram (see hash_grams)."""
-    return int(hash_grams([gram], config)[0])
+@dataclass(frozen=True)
+class SparseRows:
+    """Sparse rows in CSR form: row i holds the bucket positions
+    indices[indptr[i]:indptr[i + 1]], strictly increasing and below
+    dim, and the matching nonzero weights in values."""
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __len__(self) -> int:
+        return int(self.indptr.shape[0]) - 1
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.shape[0])
+
+
+def join_rows(blocks: Sequence[SparseRows], dim: int) -> SparseRows:
+    """The rows of the blocks, in order, as one SparseRows of width dim."""
+    return SparseRows(
+        indptr=np.concatenate([[0]] + [np.diff(block.indptr) for block in blocks]).cumsum(),
+        indices=np.concatenate([_NO_INDICES] + [block.indices for block in blocks]),
+        values=np.concatenate([np.zeros(0)] + [block.values for block in blocks]),
+        dim=dim,
+    )
+
+
+_NO_INDICES = np.zeros(0, dtype=np.int64)
 
 # A chunk of texts ends after this many texts, or once the grams of the
 # tokens it saw first reach this many; those grams are hashed in one
 # hash_grams call.  The bounds cap the memory of one call's arrays and
-# of the maps a chunk holds before it yields them.
+# of the block a chunk counts.
 _CHUNK_TEXTS = 64
 _CHUNK_GRAMS = 1 << 14
 
 
 def bucket_counts(
     texts: Iterable[str], config: FeatureConfig = DEFAULT_FEATURES
-) -> Iterator[dict[int, int]]:
-    """The bucket -> gram count map of each text, in order.
+) -> Iterator[SparseRows]:
+    """The bucket -> gram counts of the texts, as blocks of rows in text
+    order, one row per text.
 
     Colliding grams add their counts in the shared bucket.  Grams never
-    cross whitespace, so a text's map is the sum of its tokens' maps:
+    cross whitespace, so a text's row is the sum of its tokens' buckets:
     each distinct token of the call is cut into grams once, its grams
     are hashed once, and the token -> buckets table lives as long as
     the returned iterator.  The texts are read in bounded chunks; the
     grams of a chunk's new tokens are hashed in one hash_grams call,
-    then the chunk's maps are yielded one at a time.
+    and the chunk's (row, bucket) pairs are counted in one np.unique.
     """
-    table: dict[str, tuple[int, ...]] = {}  # token -> one bucket per gram occurrence
+    table: dict[str, np.ndarray] = {}  # token -> one bucket per gram occurrence
     new: dict[str, list[str]] = {}  # this chunk's new tokens -> their grams
     pending = 0
     chunk: list[list[str]] = []
@@ -156,30 +187,34 @@ def bucket_counts(
                 grams = new[token] = list(char_ngrams(token, config).elements())
                 pending += len(grams)
         if len(chunk) == _CHUNK_TEXTS or pending >= _CHUNK_GRAMS:
-            _hash_tokens(new, table, config)
-            yield from _chunk_maps(chunk, table)
+            yield _count_block(chunk, new, table, config)
             chunk, pending = [], 0
-    _hash_tokens(new, table, config)
-    yield from _chunk_maps(chunk, table)
+    if chunk:
+        yield _count_block(chunk, new, table, config)
 
 
-def _hash_tokens(
-    new: dict[str, list[str]], table: dict[str, tuple[int, ...]], config: FeatureConfig
-) -> None:
-    """Move the new tokens into the table, hashing all their grams at once."""
-    buckets = hash_grams(list(chain.from_iterable(new.values())), config).tolist()
-    start = 0
-    for token, grams in new.items():
-        table[token] = tuple(buckets[start : start + len(grams)])
-        start += len(grams)
+def _count_block(
+    chunk: list[list[str]], new: dict[str, list[str]], table: dict[str, np.ndarray],
+    config: FeatureConfig,
+) -> SparseRows:
+    """Move the new tokens into the table, hashing all their grams at
+    once, then count each distinct (row, bucket) of the chunk's texts."""
+    buckets = hash_grams(list(chain.from_iterable(new.values())), config).astype(np.int64)
+    sizes = np.cumsum([len(grams) for grams in new.values()], dtype=np.int64)
+    table.update(zip(new, np.split(buckets, sizes[:-1])))
     new.clear()
-
-
-def _chunk_maps(
-    chunk: list[list[str]], table: dict[str, tuple[int, ...]]
-) -> Iterator[dict[int, int]]:
-    for tokens in chunk:
-        yield Counter(chain.from_iterable(map(table.__getitem__, tokens)))
+    parts = [table[token] for token in chain.from_iterable(chunk)]
+    owners = np.repeat(np.arange(len(chunk)), [len(tokens) for tokens in chunk])
+    rows = np.repeat(owners, [len(part) for part in parts])
+    keys, counts = np.unique(
+        rows * config.dim + np.concatenate([_NO_INDICES] + parts), return_counts=True
+    )
+    return SparseRows(
+        indptr=np.searchsorted(keys, np.arange(len(chunk) + 1) * config.dim),
+        indices=keys % config.dim,
+        values=counts.astype(np.float64),
+        dim=config.dim,
+    )
 
 
 @dataclass(frozen=True)
@@ -194,77 +229,42 @@ class IdfTable:
         return int(self.weights.shape[0])
 
 
-def fit_idf(
-    corpus: Sequence[Mapping[int, int]], config: FeatureConfig = DEFAULT_FEATURES
-) -> IdfTable:
+def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> IdfTable:
     """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1 per bucket.
 
-    corpus holds one bucket -> count map per document (see
-    bucket_counts); df counts the documents whose map has the bucket.
-    Raises EmptyCorpus on an empty corpus.
+    corpus holds one row of bucket counts per document (see
+    bucket_counts and join_rows); df counts the documents whose row has
+    the bucket.  Raises EmptyCorpus on an empty corpus.
     """
-    if not corpus:
+    if not len(corpus):
         raise EmptyCorpus("cannot fit idf on zero documents")
-    buckets = np.fromiter(
-        chain.from_iterable(corpus), dtype=np.int64, count=sum(map(len, corpus))
-    )
-    df = np.bincount(buckets, minlength=config.dim)
+    df = np.bincount(corpus.indices, minlength=config.dim)
     if df.shape[0] != config.dim:
-        raise ValueError(f"bucket {int(buckets.max())} is outside dim {config.dim}")
+        raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {config.dim}")
     n = len(corpus)
     weights = np.log((1.0 + n) / (1.0 + df)) + 1.0
     return IdfTable(weights=weights, doc_count=n)
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted sparse vector of one document.
-
-    indices are strictly increasing bucket positions below dim; values
-    are the matching nonzero weights.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-
-def empty_vector(dim: int) -> SparseVector:
-    return SparseVector(
-        indices=np.zeros(0, dtype=np.int64), values=np.zeros(0, dtype=np.float64), dim=dim
-    )
-
-
 def vectorize(
-    counts: Mapping[int, int],
+    counts: SparseRows,
     config: FeatureConfig = DEFAULT_FEATURES,
     idf: IdfTable | None = None,
-) -> SparseVector:
-    """One document's bucket -> count map (see bucket_counts),
-    IDF-weighted, L2 normalized.
+) -> SparseRows:
+    """Rows of bucket counts (see bucket_counts), IDF-weighted, each
+    row L2 normalized.
 
     With no idf table the raw counts are normalized directly.  An empty
-    map yields the empty vector.
+    row stays empty.
     """
     if idf is not None and idf.dim != config.dim:
         raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
-    if not counts:
-        return empty_vector(config.dim)
-    n = len(counts)
-    indices = np.fromiter(counts, dtype=np.int64, count=n)
-    values = np.fromiter(counts.values(), dtype=np.float64, count=n)
-    order = np.argsort(indices)
-    indices = indices[order]
-    values = values[order]
-    if idf is not None:
-        values = values * idf.weights[indices]
-    norm = float(np.sqrt(np.dot(values, values)))
-    values = values / norm
-    return SparseVector(indices=indices, values=values, dim=config.dim)
+    values = counts.values if idf is None else counts.values * idf.weights[counts.indices]
+    bounds = counts.indptr.tolist()
+    # One np.dot per row keeps each norm bit-identical to that of the
+    # row on its own; a segmented sum adds in another order.
+    norms = np.sqrt([np.dot(values[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    return replace(counts, values=values / np.repeat(norms, np.diff(counts.indptr)))
 
 
 def save_idf(table: IdfTable, path: str) -> None:

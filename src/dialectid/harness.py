@@ -129,15 +129,17 @@ def fit_pipeline(
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
     labels = vocab.labels(config.subtask.level)
-    docs = list(features.bucket_counts(texts, config.features))
-    idf = features.fit_idf(docs, config.features)
-    vectors = [features.vectorize(d, config.features, idf) for d in docs]
-    y = _class_indices(records, config.subtask.level, labels)
+    counts = features.join_rows(
+        list(features.bucket_counts(texts, config.features)), config.features.dim
+    )
+    idf = features.fit_idf(counts, config.features)
+    rows = features.vectorize(counts, config.features, idf)
+    # Only rows is positional, so bench/tracer.py finds hp by keyword.
     model = classifier.train(
-        list(zip(vectors, y)),
-        config.hp,
+        rows,
+        y=_class_indices(records, config.subtask.level, labels),
+        hp=config.hp,
         num_classes=len(labels),
-        dim=config.features.dim,
         class_labels=labels,
         feature_fingerprint=features.config_fingerprint(config.features),
     )
@@ -147,17 +149,17 @@ def fit_pipeline(
 def predict_texts(
     texts: Sequence[str], config: ExperimentConfig, model: LinearModel, idf: IdfTable
 ) -> list[str]:
-    """Label prepared texts in order.
+    """Label prepared texts in order, one block of texts at a time.
 
     A text that normalizes to nothing has no features and gets the
     model's fallback class, the majority class of the data it was
     fitted on.
     """
-    fallback = model.class_labels[model.fallback_class]
-    out = []
+    labels = model.class_labels
+    out: list[str] = []
     for counts in features.bucket_counts(texts, config.features):
-        vector = features.vectorize(counts, config.features, idf)
-        out.append(classifier.predict(model, vector) if vector.nnz else fallback)
+        rows = features.vectorize(counts, config.features, idf)
+        out.extend(labels[c] for c in classifier.predict(model, rows).tolist())
     return out
 
 

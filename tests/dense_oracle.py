@@ -12,24 +12,39 @@ document's argmax.
 import numpy as np
 
 from dialectid.classifier import batch_cross_entropy
+from dialectid.features import SparseRows
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def dense_train(examples, hp, num_classes, dim):
+def take_rows(rows, picks):
+    """The rows at the positions picks, in that order, as a SparseRows."""
+    spans = [range(rows.indptr[i], rows.indptr[i + 1]) for i in picks]
+    entries = np.array([e for span in spans for e in span], dtype=np.int64)
+    return SparseRows(
+        indptr=np.cumsum([0] + [len(span) for span in spans], dtype=np.int64),
+        indices=rows.indices[entries],
+        values=rows.values[entries],
+        dim=rows.dim,
+    )
+
+
+def dense_train(rows, y, hp, num_classes):
     """(weights, bias, epoch_losses) of dense mini-batch SGD."""
-    weights = np.zeros((num_classes, dim), dtype=np.float64)
+    weights = np.zeros((num_classes, rows.dim), dtype=np.float64)
     bias = np.zeros(num_classes, dtype=np.float64)
-    n = len(examples)
+    n = len(rows)
     losses = []
     for epoch in range(hp.epochs):
         rng = np.random.default_rng((hp.rng_seed & _U64, epoch))
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
-            batch = [examples[i] for i in order[start : start + hp.batch_size]]
-            loss, grad_w, grad_b = batch_cross_entropy(weights, bias, batch)
-            epoch_loss += loss * len(batch)
+            picks = order[start : start + hp.batch_size]
+            loss, grad_w, grad_b = batch_cross_entropy(
+                weights, bias, take_rows(rows, picks), [y[i] for i in picks]
+            )
+            epoch_loss += loss * len(picks)
             weights *= 1.0 - hp.lr * hp.l2
             weights -= hp.lr * grad_w
             bias -= hp.lr * grad_b

@@ -4,8 +4,9 @@ The featurization as it ran before each text was cut into grams once:
 char_ngrams counts into a Counter one gram at a time, hash_index runs
 the scalar fnv1a64 on one gram, fit_idf hashes every gram of every
 document's Counter, and vectorize recounts and rehashes the grams of
-its text.  features.hash_grams, bucket_counts, fit_idf and vectorize
-must match it byte for byte.
+its text into one (indices, values) pair.  features.hash_grams,
+bucket_counts, fit_idf and vectorize must match it byte for byte, row
+by row.
 """
 
 from collections import Counter
@@ -13,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from dialectid.errors import EmptyCorpus
-from dialectid.features import IdfTable, SparseVector, empty_vector, fnv1a64
+from dialectid.features import IdfTable, fnv1a64
 
 _U64 = (1 << 64) - 1
 
@@ -55,7 +56,7 @@ def vectorize(text, config, idf=None):
         raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
     grams = char_ngrams(text, config)
     if not grams:
-        return empty_vector(config.dim)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
     buckets = {}
     for gram, count in grams.items():
         j = hash_index(gram, config)
@@ -66,4 +67,4 @@ def vectorize(text, config, idf=None):
         values = values * idf.weights[indices]
     norm = float(np.sqrt(np.dot(values, values)))
     values = values / norm
-    return SparseVector(indices=indices, values=values, dim=config.dim)
+    return indices, values

@@ -18,12 +18,11 @@ from dialectid import cli
 from dialectid.classifier import batch_cross_entropy
 from dialectid.corpus import LabelVocab, Register, load_corpus
 from dialectid.evaluation import read_report, report
-from dialectid.features import SparseVector
 from dialectid.harness import Splits, finalize, parse_benchmark_file, run_grid
 from dialectid.normalizer import NormConfig, normalize
 
 import synthcorpus
-from conftest import data_path
+from conftest import csr, data_path
 
 
 def announce(capsys, text):
@@ -212,19 +211,16 @@ def test_gradient_matches_finite_differences_on_50_instances(capsys):
             [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(num_classes)]
         )
         bias = np.array([rng.uniform(-2, 2) for _ in range(num_classes)])
-        batch = []
+        maps, y = [], []
         for _ in range(rng.randint(1, 8)):
             nnz = rng.randint(0, min(6, dim))
-            indices = np.array(sorted(rng.sample(range(dim), nnz)), dtype=np.int64)
-            values = np.array([rng.uniform(-2, 2) for _ in range(nnz)])
-            batch.append(
-                (SparseVector(indices=indices, values=values, dim=dim),
-                 rng.randrange(num_classes))
-            )
-        _, grad_w, grad_b = batch_cross_entropy(weights, bias, batch)
+            maps.append({i: rng.uniform(-2, 2) for i in sorted(rng.sample(range(dim), nnz))})
+            y.append(rng.randrange(num_classes))
+        rows = csr(maps, dim)
+        _, grad_w, grad_b = batch_cross_entropy(weights, bias, rows, y)
 
         def loss_at(w, b):
-            return batch_cross_entropy(w, b, batch)[0]
+            return batch_cross_entropy(w, b, rows, y)[0]
 
         for i in range(num_classes):
             for j in range(dim):

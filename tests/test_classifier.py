@@ -13,7 +13,6 @@ from dialectid.classifier import (
     HyperParams,
     LinearModel,
     batch_cross_entropy,
-    forward,
     load_model,
     predict,
     save_model,
@@ -24,25 +23,16 @@ from dialectid.errors import (
     CorruptArtifact,
     DimensionMismatch,
     EmptyTrainingSet,
+    LengthMismatch,
 )
-from dialectid.features import SparseVector, empty_vector
 
-from dense_oracle import dense_train
-
-
-def sv(indices, values, dim):
-    return SparseVector(
-        indices=np.asarray(indices, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        dim=dim,
-    )
+from conftest import csr
+from dense_oracle import dense_train, take_rows
 
 
-def random_sv(rng, dim, max_nnz=4):
+def random_map(rng, dim, max_nnz=4):
     nnz = rng.randint(0, min(max_nnz, dim))
-    indices = sorted(rng.sample(range(dim), nnz))
-    values = [rng.uniform(-2, 2) for _ in range(nnz)]
-    return sv(indices, values, dim)
+    return {i: rng.uniform(-2, 2) for i in rng.sample(range(dim), nnz)}
 
 
 def test_hyperparams_defaults():
@@ -81,60 +71,69 @@ def test_hyperparams_validation():
             HyperParams(lr=lr, l2=l2)
 
 
-class TestForward:
-    def test_zero_model_is_uniform(self):
-        model = LinearModel(np.zeros((4, 8)), np.zeros(4), ["a", "b", "c", "d"])
-        probs = forward(model, empty_vector(8))
-        assert np.allclose(probs, 0.25, atol=1e-12)
-        probs = forward(model, sv([2, 5], [1.0, -1.0], 8))
-        assert np.allclose(probs, 0.25, atol=1e-12)
+class TestPredict:
+    def test_tie_breaks_to_lowest_class_index(self):
+        model = LinearModel(np.zeros((4, 8)), np.zeros(4), ["a", "b", "c", "d"], fallback_class=3)
+        rows = csr([{2: 1.0, 5: -1.0}, {0: 0.5}], 8)
+        assert predict(model, rows).tolist() == [0, 0]
 
-    def test_hand_computed_softmax(self):
+    def test_hand_computed_logits(self):
         weights = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 3.0]])
         bias = np.array([0.5, -0.5])
         model = LinearModel(weights, bias, ["x", "y"])
-        vector = sv([1, 3], [0.6, 0.8], 4)
-        z0 = 0.0 * 0.6 + 0.0 * 0.8 + 0.5
-        z1 = -1.0 * 0.6 + 3.0 * 0.8 - 0.5
-        e0, e1 = math.exp(z0), math.exp(z1)
-        probs = forward(model, vector)
-        assert probs[0] == pytest.approx(e0 / (e0 + e1), abs=1e-12)
-        assert probs[1] == pytest.approx(e1 / (e0 + e1), abs=1e-12)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        # logits (0.5, 1.3), (1.5, -0.5) and (0.5, -0.6): the bias decides the last.
+        rows = csr([{1: 0.6, 3: 0.8}, {0: 1.0}, {1: 0.1}], 4)
+        assert predict(model, rows).tolist() == [1, 0, 0]
+
+    def test_empty_rows_get_the_fallback_class(self):
+        model = LinearModel(np.zeros((3, 4)), np.array([0.0, 9.0, 0.0]), ["a", "b", "c"],
+                            fallback_class=2)
+        rows = csr([{}, {1: 1.0}, {}], 4)
+        assert predict(model, rows).tolist() == [2, 1, 2]
+        assert predict(model, csr([], 4)).tolist() == []
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros((2, 8)), np.zeros(2), ["x", "y"])
         with pytest.raises(DimensionMismatch):
-            forward(model, empty_vector(16))
+            predict(model, csr([{}], 16))
 
-    def test_large_logits_stay_finite(self):
-        model = LinearModel(np.full((2, 4), 500.0), np.zeros(2), ["x", "y"])
-        probs = forward(model, sv([0, 1], [2.0, 2.0], 4))
-        assert np.isfinite(probs).all()
-
-
-class TestPredict:
-    def test_tie_breaks_to_lowest_class_index(self):
-        model = LinearModel(np.zeros((3, 4)), np.zeros(3), ["c", "b", "a"])
-        assert predict(model, empty_vector(4)) == "c"
+    def test_large_logits(self):
+        model = LinearModel(np.full((2, 4), 500.0), np.array([0.0, 1.0]), ["x", "y"])
+        assert predict(model, csr([{0: 2.0, 1: 2.0}], 4)).tolist() == [1]
 
     def test_tie_between_later_classes(self):
         weights = np.array([[0.0], [5.0], [5.0]])
         model = LinearModel(weights, np.zeros(3), ["p", "q", "r"])
-        assert predict(model, sv([0], [1.0], 1)) == "q"
+        assert predict(model, csr([{0: 1.0}], 1)).tolist() == [1]
 
     def test_clear_winner(self):
         weights = np.array([[0.0, 1.0], [2.0, 0.0]])
         model = LinearModel(weights, np.zeros(2), ["low", "high"])
-        assert predict(model, sv([0], [1.0], 2)) == "high"
+        assert predict(model, csr([{0: 1.0}], 2)).tolist() == [1]
+
+    def test_block_matches_rows_one_at_a_time(self):
+        rng = random.Random(12)
+        dim = 16
+        model = LinearModel(
+            np.array([[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(5)]),
+            np.array([rng.uniform(-1, 1) for _ in range(5)]),
+            list("abcde"),
+        )
+        maps = [random_map(rng, dim, max_nnz=6) for _ in range(40)]
+        block = predict(model, csr(maps, dim))
+        assert block.tolist() == [predict(model, csr([m], dim))[0] for m in maps]
+        for m, c in zip(maps, block.tolist()):
+            if m:
+                logits = [sum(model.weights[k, i] * v for i, v in m.items()) + model.bias[k]
+                          for k in range(5)]
+                assert c == int(np.argmax(logits))
 
 
 class TestBatchCrossEntropy:
     def test_zero_weights_loss_is_log_num_classes(self):
         w = np.zeros((3, 4))
         b = np.zeros(3)
-        batch = [(sv([1], [1.0], 4), 2)]
-        loss, grad_w, grad_b = batch_cross_entropy(w, b, batch)
+        loss, grad_w, grad_b = batch_cross_entropy(w, b, csr([{1: 1.0}], 4), [2])
         assert loss == pytest.approx(math.log(3), abs=1e-12)
         expected_b = np.array([1 / 3, 1 / 3, 1 / 3 - 1.0])
         assert np.allclose(grad_b, expected_b, atol=1e-12)
@@ -146,12 +145,19 @@ class TestBatchCrossEntropy:
         dim, C = 6, 3
         w = np.array([[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(C)])
         b = np.array([rng.uniform(-1, 1) for _ in range(C)])
-        batch = [(random_sv(rng, dim), rng.randrange(C)) for _ in range(5)]
-        loss, grad_w, grad_b = batch_cross_entropy(w, b, batch)
-        singles = [batch_cross_entropy(w, b, [ex]) for ex in batch]
+        rows = csr([random_map(rng, dim) for _ in range(5)], dim)
+        y = [rng.randrange(C) for _ in range(5)]
+        loss, grad_w, grad_b = batch_cross_entropy(w, b, rows, y)
+        singles = [batch_cross_entropy(w, b, take_rows(rows, [i]), [y[i]]) for i in range(5)]
         assert loss == pytest.approx(sum(s[0] for s in singles) / 5, rel=1e-12)
         assert np.allclose(grad_w, sum(s[1] for s in singles) / 5, atol=1e-12)
         assert np.allclose(grad_b, sum(s[2] for s in singles) / 5, atol=1e-12)
+
+    @pytest.mark.parametrize("y", [[0], [0, 1, 2]])
+    def test_rows_and_classes_must_pair_up(self, y):
+        w, b = np.zeros((3, 4)), np.zeros(3)
+        with pytest.raises(ValueError):
+            batch_cross_entropy(w, b, csr([{1: 1.0}, {2: 1.0}], 4), y)
 
     def test_gradient_matches_central_differences(self):
         rng = random.Random(41)
@@ -163,19 +169,18 @@ class TestBatchCrossEntropy:
                 [[rng.uniform(-1.5, 1.5) for _ in range(dim)] for _ in range(C)]
             )
             b = np.array([rng.uniform(-1.5, 1.5) for _ in range(C)])
-            batch = [
-                (random_sv(rng, dim), rng.randrange(C))
-                for _ in range(rng.randint(1, 6))
-            ]
-            _, grad_w, grad_b = batch_cross_entropy(w, b, batch)
+            n = rng.randint(1, 6)
+            batch = (csr([random_map(rng, dim) for _ in range(n)], dim),
+                     [rng.randrange(C) for _ in range(n)])
+            _, grad_w, grad_b = batch_cross_entropy(w, b, *batch)
             for i in range(C):
                 for j in range(dim):
                     wp, wm = w.copy(), w.copy()
                     wp[i, j] += h
                     wm[i, j] -= h
                     fd = (
-                        batch_cross_entropy(wp, b, batch)[0]
-                        - batch_cross_entropy(wm, b, batch)[0]
+                        batch_cross_entropy(wp, b, *batch)[0]
+                        - batch_cross_entropy(wm, b, *batch)[0]
                     ) / (2 * h)
                     assert abs(fd - grad_w[i, j]) <= 1e-5 * max(
                         1.0, abs(fd), abs(grad_w[i, j])
@@ -185,85 +190,75 @@ class TestBatchCrossEntropy:
                 bp[i] += h
                 bm[i] -= h
                 fd = (
-                    batch_cross_entropy(w, bp, batch)[0]
-                    - batch_cross_entropy(w, bm, batch)[0]
+                    batch_cross_entropy(w, bp, *batch)[0]
+                    - batch_cross_entropy(w, bm, *batch)[0]
                 ) / (2 * h)
                 assert abs(fd - grad_b[i]) <= 1e-5 * max(1.0, abs(fd), abs(grad_b[i]))
 
 
 def separable_examples(per_class=30, dim=8, num_classes=3):
-    examples = []
+    """(rows, y): per_class one-column rows of each class, column c for class c."""
+    maps, y = [], []
     for c in range(num_classes):
         for k in range(per_class):
-            weight = 1.0 + 0.01 * k
-            examples.append((sv([c], [weight], dim), c))
-    return examples
+            maps.append({c: 1.0 + 0.01 * k})
+            y.append(c)
+    return csr(maps, dim), y
 
 
 class TestTrain:
     def test_learns_separable_data(self):
-        examples = separable_examples()
-        model = train(examples, HyperParams(), num_classes=3, dim=8)
-        hits = sum(
-            predict(model, vec) == model.class_labels[y] for vec, y in examples
-        )
-        assert hits == len(examples)
+        rows, y = separable_examples()
+        model = train(rows, y, HyperParams(), num_classes=3)
+        assert predict(model, rows).tolist() == y
 
     def test_zero_epochs_gives_zero_model(self):
-        model = train(
-            separable_examples(), HyperParams(epochs=0), num_classes=3, dim=8
-        )
+        model = train(*separable_examples(), HyperParams(epochs=0), num_classes=3)
         assert np.all(model.weights == 0.0)
         assert np.all(model.bias == 0.0)
         assert model.epoch_losses == []
 
     def test_bit_reproducible(self):
         examples = separable_examples(per_class=13)
-        a = train(examples, HyperParams(epochs=3, batch_size=7), num_classes=3, dim=8)
-        b = train(examples, HyperParams(epochs=3, batch_size=7), num_classes=3, dim=8)
+        a = train(*examples, HyperParams(epochs=3, batch_size=7), num_classes=3)
+        b = train(*examples, HyperParams(epochs=3, batch_size=7), num_classes=3)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.epoch_losses == b.epoch_losses
 
     def test_seed_changes_trajectory(self):
         examples = separable_examples(per_class=13)
-        a = train(examples, HyperParams(epochs=1, batch_size=7), num_classes=3, dim=8)
-        b = train(
-            examples,
-            HyperParams(epochs=1, batch_size=7, rng_seed=7),
-            num_classes=3,
-            dim=8,
-        )
+        a = train(*examples, HyperParams(epochs=1, batch_size=7), num_classes=3)
+        b = train(*examples, HyperParams(epochs=1, batch_size=7, rng_seed=7), num_classes=3)
         assert not np.array_equal(a.weights, b.weights)
 
     def test_loss_decreases(self):
-        model = train(separable_examples(), HyperParams(), num_classes=3, dim=8)
+        model = train(*separable_examples(), HyperParams(), num_classes=3)
         assert len(model.epoch_losses) == 5
         assert model.epoch_losses[-1] < model.epoch_losses[0]
         assert model.epoch_losses[0] <= math.log(3) + 1e-9
 
     def test_l2_shrinks_weights(self):
         examples = separable_examples()
-        loose = train(examples, HyperParams(l2=0.0), num_classes=3, dim=8)
-        tight = train(examples, HyperParams(l2=0.05), num_classes=3, dim=8)
+        loose = train(*examples, HyperParams(l2=0.0), num_classes=3)
+        tight = train(*examples, HyperParams(l2=0.05), num_classes=3)
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_short_final_batch(self):
-        examples = separable_examples(per_class=5, num_classes=2)[:5]
-        model = train(
-            examples, HyperParams(epochs=2, batch_size=2), num_classes=2, dim=8
-        )
+        rows, y = separable_examples(per_class=5, num_classes=2)
+        model = train(take_rows(rows, range(5)), y[:5], HyperParams(epochs=2, batch_size=2),
+                      num_classes=2)
         assert len(model.epoch_losses) == 2
 
     def test_default_and_custom_labels(self):
         examples = separable_examples(per_class=2)
-        model = train(examples, HyperParams(epochs=1), num_classes=3, dim=8)
+        model = train(*examples, HyperParams(epochs=1), num_classes=3)
         assert model.class_labels == ["0", "1", "2"]
+        assert model.dim == 8
         named = train(
-            examples,
+            *examples,
             HyperParams(epochs=1),
             num_classes=3,
-            dim=8,
             class_labels=["a", "b", "c"],
             feature_fingerprint="cafe",
         )
@@ -273,28 +268,28 @@ class TestTrain:
     def test_fallback_is_the_majority_class(self):
         # Class 2 is the most frequent; class 0 wins argmax(bias) of the
         # zero model, so only the counts can give 2.
-        examples = [(empty_vector(4), y) for y in (0, 1, 2, 2, 1, 2)]
-        model = train(examples, HyperParams(epochs=0), num_classes=3, dim=4)
+        model = train(csr([{}] * 6, 4), [0, 1, 2, 2, 1, 2], HyperParams(epochs=0), num_classes=3)
         assert model.fallback_class == 2
 
     def test_fallback_tie_takes_the_lowest_index(self):
-        examples = [(empty_vector(4), y) for y in (3, 1, 3, 1)]
-        model = train(examples, HyperParams(epochs=1), num_classes=4, dim=4)
+        model = train(csr([{}] * 4, 4), [3, 1, 3, 1], HyperParams(epochs=1), num_classes=4)
         assert model.fallback_class == 1
 
     def test_validation_errors(self):
         with pytest.raises(EmptyTrainingSet):
-            train([], HyperParams(), num_classes=2, dim=4)
+            train(csr([], 4), [], HyperParams(), num_classes=2)
         with pytest.raises(ClassIndexOutOfRange):
-            train([(empty_vector(4), 2)], HyperParams(), num_classes=2, dim=4)
-        with pytest.raises(DimensionMismatch):
-            train([(empty_vector(8), 0)], HyperParams(), num_classes=2, dim=4)
+            train(csr([{}], 4), [2], HyperParams(), num_classes=2)
+        with pytest.raises(ClassIndexOutOfRange):
+            train(csr([{}, {}], 4), [0, -1], HyperParams(), num_classes=2)
+        with pytest.raises(LengthMismatch):
+            train(csr([{}, {}], 4), [0], HyperParams(), num_classes=2)
         with pytest.raises(ValueError):
             train(
-                [(empty_vector(4), 0)],
+                csr([{}], 4),
+                [0],
                 HyperParams(),
                 num_classes=2,
-                dim=4,
                 class_labels=["only_one"],
             )
 
@@ -306,16 +301,15 @@ def training_problems(draw):
     num_classes = draw(st.integers(2, 6))
     n = draw(st.integers(1, 12))
     max_nnz = 0 if draw(st.integers(0, 9)) == 0 else min(6, dim)
-    examples = []
+    maps, y = [], []
     for _ in range(n):
         nnz = draw(st.integers(0, max_nnz))
-        indices = sorted(
-            draw(st.sets(st.integers(0, dim - 1), min_size=nnz, max_size=nnz))
-        )
+        indices = draw(st.sets(st.integers(0, dim - 1), min_size=nnz, max_size=nnz))
         values = draw(
             st.lists(st.floats(-2.0, 2.0), min_size=nnz, max_size=nnz)
         )
-        examples.append((sv(indices, values, dim), draw(st.integers(0, num_classes - 1))))
+        maps.append(dict(zip(sorted(indices), values)))
+        y.append(draw(st.integers(0, num_classes - 1)))
     batch_size = draw(
         st.one_of(st.just(1), st.integers(1, n), st.integers(n + 1, n + 4))
     )
@@ -330,7 +324,7 @@ def training_problems(draw):
         epochs=draw(st.integers(0, 3)),
         rng_seed=draw(st.integers(-5, 1 << 40)),
     )
-    return examples, hp, num_classes, dim
+    return csr(maps, dim), y, hp, num_classes
 
 
 class TestDenseOracle:
@@ -345,20 +339,18 @@ class TestDenseOracle:
     # before each update.
     @example(
         (
-            separable_examples(per_class=4, dim=64),
+            *separable_examples(per_class=4, dim=64),
             HyperParams(lr=2.0, l2=0.5, epochs=2, batch_size=3),
             3,
-            64,
         ),
         None,
     )
     # One batch of 12 rows over 3 columns, walked one row at a time.
     @example(
         (
-            separable_examples(per_class=4, dim=64),
+            *separable_examples(per_class=4, dim=64),
             HyperParams(epochs=2, batch_size=12),
             3,
-            64,
         ),
         1,
     )
@@ -367,27 +359,30 @@ class TestDenseOracle:
     def test_train_matches_dense_sgd_within_tolerance(self, problem, block_elements):
         """block_elements, when drawn, shrinks the batch block bound so
         that a batch's rows are walked in several slices."""
-        examples, hp, num_classes, dim = problem
+        rows, y, hp, num_classes = problem
         if block_elements is None:
-            model = train(examples, hp, num_classes=num_classes, dim=dim)
+            model = train(rows, y, hp, num_classes=num_classes)
         else:
             with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
-                model = train(examples, hp, num_classes=num_classes, dim=dim)
-        weights, bias, losses = dense_train(examples, hp, num_classes, dim)
-        assert model.weights.shape == (num_classes, dim)
+                model = train(rows, y, hp, num_classes=num_classes)
+        weights, bias, losses = dense_train(rows, y, hp, num_classes)
+        assert model.weights.shape == (num_classes, rows.dim)
         np.testing.assert_allclose(model.weights, weights, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(model.bias, bias, rtol=self.RTOL, atol=self.ATOL)
         assert len(model.epoch_losses) == len(losses)
         for got, want in zip(model.epoch_losses, losses):
             assert got == pytest.approx(want, rel=self.RTOL)
         # Columns no example uses are exactly zero, not merely small.
-        used = np.zeros(dim, dtype=bool)
-        for vector, _ in examples:
-            used[vector.indices] = True
+        used = np.zeros(rows.dim, dtype=bool)
+        used[rows.indices] = True
         assert np.all(model.weights[:, ~used] == 0.0)
+        # Both pick the same class for every row.  An empty row's logits
+        # are the bias, so there both take the argmax of their biases.
         oracle = LinearModel(weights, bias, model.class_labels)
-        for vector, _ in examples:
-            assert np.argmax(forward(model, vector)) == np.argmax(forward(oracle, vector))
+        empty = np.diff(rows.indptr) == 0
+        got, want = predict(model, rows), predict(oracle, rows)
+        got[empty], want[empty] = np.argmax(model.bias), np.argmax(bias)
+        assert np.array_equal(got, want)
 
 
 class TestModelIo:

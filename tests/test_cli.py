@@ -71,6 +71,28 @@ class TestDataErrors:
         assert err.startswith("error:")
         assert "/nonexistent/none.tsv" in err
 
+    @pytest.mark.parametrize("command", ["benchmark", "stats", "normalize", "evaluate"])
+    def test_global_config_is_an_error_where_unread(self, corpus_dir, tmp_path, capsys, command):
+        paths = corpus_dir["paths"]
+        test = load_corpus(paths["test"], Register.DA)
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "".join(f"{r.id},{r.country}\n" for r in test), encoding="utf-8"
+        )
+        argv = {
+            "benchmark": ["benchmark", corpus_dir["config"], "--out-dir", str(tmp_path / "out")],
+            "stats": ["stats", "--in", paths["dev"], "--level", "country"],
+            "normalize": ["normalize", "--in", paths["dev"], "--out", str(tmp_path / "n.tsv")],
+            "evaluate": ["evaluate", "--gold", paths["test"], "--pred", str(pred),
+                         "--level", "country", "--vocab", paths["vocab"]],
+        }[command]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["--config", str(tmp_path / "none.cfg")] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --config is read by train and predict, not {command}\n"
+
     def test_bad_label_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_text("id\ttweet\tcountry\tprovince\nr1\tنص\tRuritania\t\n", encoding="utf-8")

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,18 +18,17 @@ from dialectid.features import (
     bucket_counts,
     char_ngrams,
     config_fingerprint,
-    empty_vector,
     fit_idf,
     fnv1a64,
     hash_grams,
-    hash_index,
+    join_rows,
     load_idf,
     save_idf,
     vectorize,
 )
 
 import feature_oracle
-from conftest import data_path
+from conftest import csr, data_path, row_maps
 
 
 # Published FNV-1a 64 reference vectors.
@@ -61,13 +61,18 @@ def test_fnv1a64_against_independent_implementation():
         assert fnv1a64(blob) == fnv1a64_oracle(blob)
 
 
+def bucket(gram, config=DEFAULT_FEATURES):
+    """The bucket of one gram."""
+    return int(hash_grams([gram], config)[0])
+
+
 def test_hash_index_golden_replay():
     config = FeatureConfig()
     with open(data_path("hash_golden.tsv"), encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
     assert len(rows) == 100
     for gram, index in rows:
-        assert hash_index(gram, config) == int(index), repr(gram)
+        assert hash_grams([gram], config)[0] == int(index), repr(gram)
     # All at once: one call with the file's mixed byte widths.
     assert hash_grams([gram for gram, _ in rows], config).tolist() == [
         int(index) for _, index in rows
@@ -78,11 +83,11 @@ def test_hash_index_definition_and_seed():
     config = FeatureConfig(seed=12345)
     gram = "اب"
     expected = (fnv1a64(gram.encode("utf-8")) ^ 12345) & (config.dim - 1)
-    assert hash_index(gram, config) == expected
-    assert 0 <= hash_index(gram, config) < config.dim
-    assert hash_index(gram, FeatureConfig(seed=0)) != hash_index(
-        gram, FeatureConfig(seed=1)
-    )
+    assert hash_grams([gram], config)[0] == expected
+    assert 0 <= hash_grams([gram], config)[0] < config.dim
+    assert hash_grams([gram], FeatureConfig(seed=0))[0] != hash_grams(
+        [gram], FeatureConfig(seed=1)
+    )[0]
 
 
 # Grams of 1-8 characters of 1-4 UTF-8 bytes each: Arabic, Latin,
@@ -94,8 +99,8 @@ grams_lists = st.lists(st.text(alphabet=GRAM_ALPHABET, min_size=1, max_size=8), 
 @st.composite
 def hash_configs(draw):
     return FeatureConfig(
-        # Up to 2**64, so that every bit of the 64-bit hash is kept.
-        dim=1 << draw(st.one_of(st.integers(1, 18), st.integers(19, 64))),
+        # Up to 2**56, the largest dim FeatureConfig accepts.
+        dim=1 << draw(st.one_of(st.integers(1, 18), st.integers(19, 56))),
         seed=draw(st.one_of(
             st.integers(0, (1 << 64) - 1),
             st.sampled_from([0, 7, 1 << 63, (1 << 64) - 1]),
@@ -108,7 +113,7 @@ def hash_configs(draw):
 @example([], FeatureConfig())
 @example(["اب"], FeatureConfig(seed=1 << 63))
 @example(["a", "اب", "😀", "_a😀ب_", "🇪🇬🇪🇬", "abcdefgh"], FeatureConfig(seed=(1 << 64) - 1))
-@example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 64))
+@example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 56))
 def test_hash_grams_matches_scalar_fnv1a(grams, config):
     buckets = hash_grams(grams, config)
     assert buckets.shape == (len(grams),)
@@ -160,6 +165,10 @@ def test_feature_config_validation():
         FeatureConfig(dim=3)
     with pytest.raises(ValueError):
         FeatureConfig(dim=1)
+    # bucket_counts' (row, bucket) keys row * dim + bucket are int64.
+    with pytest.raises(ValueError, match="2\\*\\*56"):
+        FeatureConfig(dim=1 << 57)
+    assert len(next(bucket_counts(["اب"], FeatureConfig(dim=1 << 56)))) == 1
     with pytest.raises(ValueError):
         FeatureConfig(pad_token="")
     with pytest.raises(ValueError):
@@ -176,17 +185,33 @@ def test_config_fingerprint_is_stable_and_distinct():
 
 
 def counts_of(text, config=DEFAULT_FEATURES):
-    return next(bucket_counts([text], config))
+    """The bucket -> count map of one text."""
+    return row_maps(next(bucket_counts([text], config)))[0]
+
+
+def maps_of(blocks):
+    """The bucket -> count map of every row of the blocks, in order."""
+    return [counts for block in blocks for counts in row_maps(block)]
 
 
 class TestBucketCounts:
     def test_counts_grams_per_bucket(self):
         config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
         assert counts_of("اب", config) == {
-            hash_index("_", config): 2,
-            hash_index("ا", config): 1,
-            hash_index("ب", config): 1,
+            bucket("_", config): 2,
+            bucket("ا", config): 1,
+            bucket("ب", config): 1,
         }
+
+    def test_block_layout(self):
+        config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
+        block = next(bucket_counts(["ب ا", "", "ا"], config))
+        assert len(block) == 3 and block.dim == config.dim
+        assert block.indptr.tolist() == [0, 3, 3, 5]
+        assert block.indices.dtype == np.int64 and block.values.dtype == np.float64
+        bounds = block.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert np.all(np.diff(block.indices[lo:hi]) > 0)
 
     def test_colliding_grams_add(self):
         config = FeatureConfig(dim=2)
@@ -196,7 +221,9 @@ class TestBucketCounts:
         assert sum(counts.values()) == sum(grams.values())
 
     def test_empty_and_whitespace_only(self):
-        assert list(bucket_counts(["", "  \t "])) == [{}, {}]
+        (block,) = bucket_counts(["", "  \t "])
+        assert len(block) == 2 and block.nnz == 0
+        assert list(bucket_counts([])) == []
 
     def test_first_map_reads_one_chunk(self, monkeypatch):
         chunk = dialectid.features._CHUNK_TEXTS
@@ -214,8 +241,8 @@ class TestBucketCounts:
 
         expected = counts_of("اب جد")
         monkeypatch.setattr(dialectid.features, "char_ngrams", spy_ngrams)
-        maps = bucket_counts(texts())
-        assert next(maps) == expected
+        blocks = bucket_counts(texts())
+        assert row_maps(next(blocks)) == [expected] * chunk
         assert len(read) == chunk
         assert cut == ["اب", "جد"]
 
@@ -237,12 +264,14 @@ class TestBucketCounts:
                 yield text
 
         monkeypatch.setattr(dialectid.features, "hash_grams", spy_hash)
-        maps = bucket_counts(reading())
-        assert next(maps) == expected[0]
+        blocks = bucket_counts(reading())
+        first = row_maps(next(blocks))
         bound = dialectid.features._CHUNK_GRAMS
-        assert len(read) == -(-bound // per_text) < dialectid.features._CHUNK_TEXTS
-        assert batches == [len(read) * per_text]
-        assert list(maps) == expected[1:]
+        n_first = len(read)
+        assert n_first == -(-bound // per_text) < dialectid.features._CHUNK_TEXTS
+        assert first == expected[:n_first]
+        assert batches == [n_first * per_text]
+        assert maps_of(blocks) == expected[n_first:]
         assert sum(batches) == len(texts) * per_text
         assert max(batches) < bound + per_text
 
@@ -251,7 +280,7 @@ class TestFitIdf:
     def test_weight_formula(self):
         config = FeatureConfig()
         b1, b2 = 17, 40000
-        corpus = [{b1: 1, b2: 1}, {b1: 1}, {b1: 5}]
+        corpus = csr([{b1: 1, b2: 1}, {b1: 1}, {b1: 5}], config.dim)
         table = fit_idf(corpus, config)
         assert table.doc_count == 3
         assert table.weights[b1] == pytest.approx(math.log(4 / 4) + 1, abs=1e-15)
@@ -263,21 +292,21 @@ class TestFitIdf:
 
     def test_df_counts_documents_not_occurrences(self):
         b = 12345
-        table = fit_idf([{b: 100}], FeatureConfig())
+        table = fit_idf(csr([{b: 100}], DEFAULT_FEATURES.dim), FeatureConfig())
         assert table.weights[b] == pytest.approx(math.log(2 / 2) + 1, abs=1e-15)
 
     def test_empty_document_contributes_nothing(self):
-        table = fit_idf([{}], FeatureConfig())
+        table = fit_idf(csr([{}], DEFAULT_FEATURES.dim), FeatureConfig())
         assert table.doc_count == 1
         assert np.all(table.weights == math.log(2 / 1) + 1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            fit_idf([], FeatureConfig())
+            fit_idf(join_rows([], DEFAULT_FEATURES.dim), FeatureConfig())
 
     def test_bucket_outside_dim_rejected(self):
         with pytest.raises(ValueError, match="outside dim"):
-            fit_idf([{0: 1}, {16: 1}], FeatureConfig(dim=16))
+            fit_idf(csr([{0: 1}, {16: 1}], 32), FeatureConfig(dim=16))
 
 
 def oracle_vectorize(text, docs, config):
@@ -286,11 +315,11 @@ def oracle_vectorize(text, docs, config):
     n = len(docs)
     df: dict[int, int] = {}
     for doc in docs:
-        for b in {hash_index(g, config) for g in char_ngrams(doc, config)}:
+        for b in {bucket(g, config) for g in char_ngrams(doc, config)}:
             df[b] = df.get(b, 0) + 1
     counts: dict[int, float] = {}
     for gram, c in char_ngrams(text, config).items():
-        b = hash_index(gram, config)
+        b = bucket(gram, config)
         counts[b] = counts.get(b, 0.0) + float(c)
     vals = {
         b: c * (math.log((1.0 + n) / (1.0 + df.get(b, 0))) + 1.0)
@@ -313,48 +342,49 @@ def test_vectorize_matches_dense_oracle(dim):
     config = FeatureConfig(dim=dim)
     rng = random.Random(97)
     docs = [random_text(rng) for _ in range(25)]
-    table = fit_idf(list(bucket_counts(docs, config)), config)
-    for _ in range(30):
-        text = random_text(rng)
-        vec = vectorize(counts_of(text, config), config, table)
+    table = fit_idf(join_rows(list(bucket_counts(docs, config)), dim), config)
+    texts = [random_text(rng) for _ in range(30)]
+    vectors = maps_of(vectorize(block, config, table) for block in bucket_counts(texts, config))
+    for text, vec in zip(texts, vectors, strict=True):
         expected = oracle_vectorize(text, docs, config)
-        assert vec.nnz == len(expected)
-        for idx, val in zip(vec.indices, vec.values):
-            assert val == pytest.approx(expected[int(idx)], abs=1e-12)
+        assert vec.keys() == expected.keys()
+        for idx, val in vec.items():
+            assert val == pytest.approx(expected[idx], abs=1e-12)
 
 
 def test_vectorize_without_idf_normalizes_raw_counts():
     config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
-    vec = vectorize(counts_of("اب", config), config)
+    (by_bucket,) = row_maps(vectorize(next(bucket_counts(["اب"], config)), config))
     # grams _, ا, ب, _ -> counts {_:2, ا:1, ب:1}, norm sqrt(6)
-    by_bucket = dict(zip((int(i) for i in vec.indices), vec.values))
-    assert by_bucket[hash_index("_", config)] == pytest.approx(2 / math.sqrt(6))
-    assert by_bucket[hash_index("ا", config)] == pytest.approx(1 / math.sqrt(6))
+    assert by_bucket[bucket("_", config)] == pytest.approx(2 / math.sqrt(6))
+    assert by_bucket[bucket("ا", config)] == pytest.approx(1 / math.sqrt(6))
 
 
 def test_vectorize_empty_text():
-    vec = vectorize(counts_of(""), DEFAULT_FEATURES)
-    assert vec.nnz == 0
-    assert vec.dim == DEFAULT_FEATURES.dim
-    assert empty_vector(8).dim == 8
+    rows = vectorize(next(bucket_counts(["", "اب", ""])), DEFAULT_FEATURES)
+    assert np.diff(rows.indptr).tolist() == [0, len(char_ngrams("اب")), 0]
+    assert rows.dim == DEFAULT_FEATURES.dim
+    assert np.isfinite(rows.values).all()
 
 
 def test_vectorize_rejects_mismatched_idf():
-    table = fit_idf([{5: 1}], FeatureConfig(dim=1 << 10))
+    table = fit_idf(csr([{5: 1}], 1 << 10), FeatureConfig(dim=1 << 10))
     with pytest.raises(ValueError):
-        vectorize({5: 1}, FeatureConfig(dim=1 << 11), table)
+        vectorize(csr([{5: 1}], 1 << 11), FeatureConfig(dim=1 << 11), table)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.text(max_size=40))
-def test_vectorize_unit_norm_and_sorted_indices(text):
-    vec = vectorize(counts_of(text))
-    if vec.nnz:
-        assert float(np.dot(vec.values, vec.values)) == pytest.approx(1.0, abs=1e-9)
-        assert np.all(np.diff(vec.indices) > 0)
-        assert int(vec.indices[-1]) < vec.dim
-    else:
-        assert vec.indices.shape == (0,)
+@given(st.lists(st.text(max_size=40), min_size=1, max_size=5))
+def test_vectorize_unit_norm_and_sorted_indices(texts):
+    rows = vectorize(next(bucket_counts(texts)))
+    assert len(rows) == len(texts)
+    bounds = rows.indptr.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        values, indices = rows.values[lo:hi], rows.indices[lo:hi]
+        if hi > lo:
+            assert float(np.dot(values, values)) == pytest.approx(1.0, abs=1e-9)
+            assert np.all(np.diff(indices) > 0)
+            assert int(indices[-1]) < rows.dim
 
 
 # Arabic letters and digits, Latin, emoji and whitespace, so that texts
@@ -378,22 +408,37 @@ def oracle_configs(draw):
     )
 
 
-def assert_same_vector(vec, ref):
-    assert vec.dim == ref.dim
-    assert vec.indices.dtype == ref.indices.dtype
-    assert vec.indices.tobytes() == ref.indices.tobytes()
-    assert vec.values.tobytes() == ref.values.tobytes()
+def assert_same_rows(rows, refs, dim):
+    """rows holds the oracle's (indices, values) pairs refs, byte for byte."""
+    assert rows.dim == dim
+    assert rows.indptr.tolist() == np.cumsum([0] + [len(i) for i, _ in refs]).tolist()
+    assert rows.indices.dtype == np.int64 and rows.values.dtype == np.float64
+    bounds = rows.indptr.tolist()
+    for lo, hi, (indices, values) in zip(bounds, bounds[1:], refs):
+        assert rows.indices[lo:hi].tobytes() == indices.tobytes()
+        assert rows.values[lo:hi].tobytes() == values.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(oracle_texts.filter(bool), oracle_texts, oracle_configs())
-def test_featurizer_matches_per_text_oracle(train, serve, config):
+@given(oracle_texts.filter(bool), oracle_texts, oracle_configs(), st.integers(1, 3))
+def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
+    """chunk_texts shrinks the chunk bound, so that a fit joins several
+    blocks and a predict streams several."""
     for text in train + serve:
         assert list(char_ngrams(text, config).items()) == list(
             feature_oracle.char_ngrams(text, config).items()
         )
 
-    table = fit_idf(list(bucket_counts(train, config)), config)
+    with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts):
+        fit_blocks = list(bucket_counts(train, config))
+        counts = join_rows(fit_blocks, config.dim)
+        table = fit_idf(counts, config)
+        serve_blocks = list(bucket_counts(serve, config))
+    assert [len(block) for block in fit_blocks + serve_blocks] == [
+        min(chunk_texts, len(texts) - start)
+        for texts in (train, serve)
+        for start in range(0, len(texts), chunk_texts)
+    ]
     ref_table = feature_oracle.fit_idf(
         [feature_oracle.char_ngrams(t, config) for t in train], config
     )
@@ -401,12 +446,14 @@ def test_featurizer_matches_per_text_oracle(train, serve, config):
     assert table.weights.tobytes() == ref_table.weights.tobytes()
 
     for idf, ref_idf in ((table, ref_table), (None, None)):
-        for texts in (train, serve):
-            for counts, text in zip(bucket_counts(texts, config), texts, strict=True):
-                assert_same_vector(
-                    vectorize(counts, config, idf),
-                    feature_oracle.vectorize(text, config, ref_idf),
-                )
+        fitted = vectorize(counts, config, idf)
+        assert_same_rows(
+            fitted, [feature_oracle.vectorize(t, config, ref_idf) for t in train], config.dim
+        )
+        served = [vectorize(block, config, idf) for block in serve_blocks]
+        refs = iter([feature_oracle.vectorize(t, config, ref_idf) for t in serve])
+        for rows in served:
+            assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
 
 
 class TestIdfIo:

@@ -300,13 +300,14 @@ class TestPredictTexts:
         calls = []
         real_predict = dialectid.classifier.predict
 
-        def spy_predict(m, vector):
-            calls.append(vector.nnz)
-            return real_predict(m, vector)
+        def spy_predict(m, rows):
+            calls.append(len(rows))
+            return real_predict(m, rows)
 
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
         predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model, idf)
-        assert len(calls) == len(TEST) and all(calls)
+        # One call per block of texts, and TEST fits in one block.
+        assert calls == [len(TEST)]
         assert predictions == [r.country for r in TEST]
 
 
@@ -318,7 +319,7 @@ class TestFeaturizeOnce:
         return {token for text in prepare_texts(records, cfg) for token in text.split()}
 
     def spy(self, monkeypatch):
-        seen = {"char_ngrams": [], "hash_grams": [], "hash_index": []}
+        seen = {"char_ngrams": [], "hash_grams": []}
         features = dialectid.features
         real = {name: getattr(features, name) for name in seen}
 
@@ -330,11 +331,7 @@ class TestFeaturizeOnce:
             seen["hash_grams"].extend(grams)
             return real["hash_grams"](grams, config)
 
-        def hash_one(gram, config):
-            seen["hash_index"].append(gram)
-            return real["hash_index"](gram, config)
-
-        for name, fn in (("char_ngrams", cut), ("hash_grams", hash_many), ("hash_index", hash_one)):
+        for name, fn in (("char_ngrams", cut), ("hash_grams", hash_many)):
             monkeypatch.setattr(features, name, fn)
         return seen
 
@@ -344,7 +341,6 @@ class TestFeaturizeOnce:
         for token in tokens:
             grams.update(dialectid.features.char_ngrams(token, cfg.features))
         assert Counter(seen["hash_grams"]) == grams
-        assert seen["hash_index"] == []
 
     def test_fit_pipeline(self, monkeypatch):
         cfg = config("once")

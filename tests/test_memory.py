@@ -1,9 +1,10 @@
-"""Memory guards for the featurizer and the trainer: one bucket_counts
-pass over the benchmark's served test split, and classifier.train on
-the fit-nadi finalize corpus, at the workload's batch size and in one
-full batch, stay within fixed allocation peaks, so a table, memo or
-scratch block that outlives or outgrows its use fails here before it
-shows in the benchmark's peak RSS."""
+"""Memory guards for the featurizer, the predictor and the trainer: one
+bucket_counts pass and one predict_texts over the benchmark's served
+test split, and classifier.train on the fit-nadi finalize corpus, at
+the workload's batch size and in one full batch, stay within fixed
+allocation peaks, so a table, memo or scratch block that outlives or
+outgrows its use fails here before it shows in the benchmark's peak
+RSS."""
 
 import os
 import sys
@@ -11,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 
 from dialectid import classifier, features, harness
+from dialectid.cli import main
 from dialectid.corpus import LabelVocab, Register, concat_splits, load_corpus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -19,24 +21,50 @@ sys.path.insert(0, BENCH)
 import fixtures  # noqa: E402
 import numpy.random  # noqa: E402,F401  (train's first call would import it inside the trace)
 
-# The per-token table, hashed in bounded chunks, peaks at about 2.8e6
+# The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
-# peaks at 3.87e6 and fails.
+# peaked at 3.87e6 and failed.  predict_texts peaks at about 2.4e6; a
+# dense rows x distinct-columns block per chunk, or one classes x nnz
+# gather of the weights, peaks at about 6.6e6 and fails.
 PEAK_BYTES = 3.7e6
 
 
-def test_bucket_counts_peak_on_serve_split(tmp_path):
-    fixture = fixtures.write_fixture("serve", 101, str(tmp_path))
+def serve_split(directory):
+    """The serve workload's config and prepared test texts."""
+    fixture = fixtures.write_fixture("serve", 101, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = next(c for c in spec.experiments if c.name == fixture.experiment)
     texts = harness.prepare_texts(load_corpus(fixture.paths["test"], Register.DA), config)
+    return fixture, config, texts
+
+
+def test_bucket_counts_peak_on_serve_split(tmp_path):
+    _, config, texts = serve_split(str(tmp_path))
     tracemalloc.start()
     try:
-        maps = sum(1 for _ in features.bucket_counts(texts, config.features))
+        rows = sum(len(block) for block in features.bucket_counts(texts, config.features))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert maps == len(texts) == 1470
+    assert rows == len(texts) == 1470
+    assert peak <= PEAK_BYTES
+
+
+def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
+    fixture, config, texts = serve_split(str(tmp_path))
+    out = str(tmp_path / "out")
+    assert main(["benchmark", fixture.config_path, "--out-dir", out]) == 0
+    capsys.readouterr()
+    model = classifier.load_model(os.path.join(out, "model.bin"))
+    idf = features.load_idf(os.path.join(out, "idf.bin"))
+    tracemalloc.start()
+    try:
+        labels = harness.predict_texts(texts, config, model, idf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(os.path.join(out, "submission.csv"), encoding="utf-8") as fh:
+        assert [line.rstrip("\n").split(",")[1] for line in fh] == labels
     assert peak <= PEAK_BYTES
 
 
@@ -48,7 +76,8 @@ TRAIN_PEAK_BYTES = 47e6
 
 
 def fit_nadi_finalize_corpus(directory):
-    """The fit-nadi finalize run's tf-idf examples and its config."""
+    """The fit-nadi finalize run's tf-idf rows, their classes, its
+    config and its labels."""
     fixture = fixtures.write_fixture("fit-nadi", 101, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = spec.experiments[0]
@@ -56,24 +85,20 @@ def fit_nadi_finalize_corpus(directory):
         load_corpus(fixture.paths["train"], Register.DA),
         load_corpus(fixture.paths["dev"], Register.DA),
     )
-    docs = list(features.bucket_counts(harness.prepare_texts(records, config), config.features))
-    idf = features.fit_idf(docs, config.features)
+    blocks = features.bucket_counts(harness.prepare_texts(records, config), config.features)
+    counts = features.join_rows(list(blocks), config.features.dim)
+    rows = features.vectorize(counts, config.features, features.fit_idf(counts, config.features))
     level = config.subtask.level
     labels = LabelVocab.countries_only().labels(level)
-    examples = [
-        (features.vectorize(counts, config.features, idf), labels.index(r.label(level)))
-        for counts, r in zip(docs, records)
-    ]
-    return examples, config, labels
+    y = [labels.index(r.label(level)) for r in records]
+    return rows, y, config, labels
 
 
-def train_peak(examples, hp, config, labels):
+def train_peak(rows, y, hp, labels):
     """classifier.train's model and its allocation peak."""
     tracemalloc.start()
     try:
-        model = classifier.train(
-            examples, hp, num_classes=len(labels), dim=config.features.dim
-        )
+        model = classifier.train(rows, y, hp, num_classes=len(labels))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -81,9 +106,9 @@ def train_peak(examples, hp, config, labels):
 
 
 def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
-    examples, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
-    model, peak = train_peak(examples, config.hp, config, labels)
-    assert len(examples) == 630
+    rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
+    model, peak = train_peak(rows, y, config.hp, labels)
+    assert len(rows) == 630
     assert model.weights.nbytes == 44_040_192
     assert peak <= TRAIN_PEAK_BYTES
 
@@ -92,8 +117,8 @@ def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
     # Walked in row slices under a fixed bound, it peaks at 45.95e6.
-    examples, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
-    hp = replace(config.hp, batch_size=len(examples))
-    model, peak = train_peak(examples, hp, config, labels)
+    rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
+    hp = replace(config.hp, batch_size=len(rows))
+    model, peak = train_peak(rows, y, hp, labels)
     assert model.weights.nbytes == 44_040_192
     assert peak <= TRAIN_PEAK_BYTES

@@ -1,7 +1,9 @@
 """The benchmark's per-layer tracer, installed in-process, still sees
-the featurizer: one vectorize span per featurized document, one fit_idf
-span per fit, one char_ngrams span per distinct token of each fit or
-predict, and the nnz of the vectors it returns."""
+the featurizer and the classifier: one vectorize span per fit and per
+predict block, one classifier.predict span per predict block, one
+fit_idf and one fit_pipeline span per fit, one char_ngrams span per
+distinct token of each fit or predict, the nnz of the rows vectorize
+returns, and the example-epochs of every train call."""
 
 import json
 import os
@@ -37,20 +39,19 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     experiments = list(spec.experiments)
 
     def one_call(records, cfg):
-        """Distinct tokens and their grams in one bucket_counts call."""
-        tokens = {tok for text in harness.prepare_texts(records, cfg) for tok in text.split()}
+        """Distinct tokens, their grams and the blocks of one bucket_counts call."""
+        texts = harness.prepare_texts(records, cfg)
+        tokens = {tok for text in texts for tok in text.split()}
         grams = set().union(*(features.char_ngrams(tok, cfg.features) for tok in tokens))
-        return tokens, grams
+        return tokens, grams, sum(1 for _ in features.bucket_counts(texts, cfg.features))
 
     # Each fit and each predict is one bucket_counts call, which cuts
     # each distinct token of its texts into grams once.
-    grid_calls = [one_call(split, cfg) for cfg in experiments for split in (train, dev)]
-    final_calls = {
-        cfg.name: [one_call(split, cfg) for split in (train + dev, test)] for cfg in experiments
-    }
+    grid_calls = [(one_call(train, cfg), one_call(dev, cfg)) for cfg in experiments]
+    final_calls = {cfg.name: (one_call(train + dev, cfg), one_call(test, cfg)) for cfg in experiments}
 
     # monkeypatch puts back every attribute the tracer replaces.
-    for module_name, attr in tracer.SPANNED + (("features", "hash_index"),):
+    for module_name, attr in tracer.SPANNED:
         if module_name in PACKAGE:
             module = PACKAGE[module_name]
             monkeypatch.setattr(module, attr, getattr(module, attr))
@@ -66,19 +67,27 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
         doc = json.load(fh)
     _, _, calls = tracer.self_times(doc["spans"])
-    featurized = len(experiments) * (len(train) + len(dev)) + len(train) + len(dev) + len(test)
-    assert calls["features.vectorize"] == featurized
+    fit_and_predict = grid_calls + [final_calls[grid.selected]]
+    # A fit vectorizes its joined blocks once; a predict vectorizes and
+    # classifies block by block.
+    predict_blocks = sum(blocks for _, (_, _, blocks) in fit_and_predict)
+    assert calls["features.vectorize"] == len(fit_and_predict) + predict_blocks
+    assert calls["classifier.predict"] == predict_blocks
     assert calls["features.fit_idf"] == len(experiments) + 1
     # Every fit, the grid's and finalize's, goes through fit_pipeline.
     assert calls["harness.fit_pipeline"] == len(experiments) + 1
-    featurize_calls = grid_calls + final_calls[grid.selected]
-    assert calls["features.char_ngrams"] == sum(len(tokens) for tokens, _ in featurize_calls)
+    featurize_calls = [call for pair in fit_and_predict for call in pair]
+    assert calls["features.char_ngrams"] == sum(len(tokens) for tokens, _, _ in featurize_calls)
     assert doc["counters"]["features.nnz"] > 0
+    epochs = sum(cfg.hp.epochs for cfg in experiments) * len(train) + selected.hp.epochs * (
+        len(train) + len(dev)
+    )
+    assert doc["counters"]["classifier.example_epochs"] == epochs > 0
     layers = tracer.summarize(doc)
-    assert layers["features.vectorize_calls"] == featurized
+    assert layers["features.vectorize_calls"] == calls["features.vectorize"]
     assert layers["features.nnz_per_doc"] > 0
-    distinct_grams = set().union(*(grams for _, grams in featurize_calls))
+    distinct_grams = set().union(*(grams for _, grams, _ in featurize_calls))
     assert layers["features.distinct_grams"] == len(distinct_grams) > 0
-    # The tracer counts per-gram hash_index calls; featurization hashes
-    # its grams in batches through hash_grams instead.
+    # The package hashes its grams in batches through hash_grams and has
+    # no per-gram hash function left for the tracer to count.
     assert layers["features.hash_calls"] == 0
