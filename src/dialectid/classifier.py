@@ -5,15 +5,20 @@ Plain mini-batch SGD from a zero initialization.  Shuffling is rebuilt
 per epoch from (rng_seed, epoch), so training is bit-reproducible for a
 fixed input order.
 
-Training runs on the K columns the corpus touches, not on the full
-num_classes x dim matrix, and each batch is two matrix products over a
-dense block of the batch's distinct columns.  A column no example uses
-has a zero gradient on every batch, so it stays 0 * decay - lr * 0 =
-0.0 exactly as long as the decay factor 1 - lr * l2 is not negative,
-which HyperParams enforces.  The touched weights take the same updates
-as in dense per-example SGD (batch_cross_entropy), summed in another
-order: they agree with it to rounding, within rtol 1e-9 in the tests,
-and the argmax over the training documents is the same.
+The model is sparse: it holds weights only for the K columns (hash
+buckets) its training rows touch, as a K x num_classes matrix, and
+nothing for the other dim - K columns.  Training runs on those columns
+only, and each batch is two matrix products over a dense block of the
+batch's distinct columns.  In the dense num_classes x dim model of
+per-example SGD (batch_cross_entropy) a column no example uses has a
+zero gradient on every batch, so it stays 0 * decay - lr * 0 = 0.0
+exactly as long as the decay factor 1 - lr * l2 is not negative, which
+HyperParams enforces; leaving it out changes no logit.  The touched
+weights take the same updates as in dense per-example SGD, summed in
+another order: they agree with it to rounding, within rtol 1e-9 in the
+tests, and the argmax over the training documents is the same.
+Prediction reads a bucket outside the model's columns as weight 0.0,
+so its logits are those of the dense model bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .binio import read_exact, read_f8, write_f8
+from .binio import read_array, read_exact, read_ids, write_array, written_whole
 from .errors import (
     ClassIndexOutOfRange,
     CorruptArtifact,
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .features import SparseRows
 
-MODEL_MAGIC = b"NADIMDL2"
+MODEL_MAGIC = b"NADIMDL3"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ELEMENTS = 1 << 20  # float64s in one dense batch block: 8 MiB
@@ -74,13 +79,21 @@ DEFAULT_HP = HyperParams()
 
 @dataclass
 class LinearModel:
-    """Weights (num_classes x dim), biases, and the label order.
+    """A linear model over dim hash buckets that stores only some of them.
 
+    columns holds the K stored buckets, sorted, and weights their
+    weights, K x num_classes; every other bucket weighs 0.0 for every
+    class.  A trained model stores the buckets its rows use; one loaded
+    from a file written whole stores all dim (see save_model).  bias and class_labels are per class, in label order.
     fallback_class is the class index given to a text with no features:
-    the majority class of the training data."""
+    the majority class of the training data.  feature_fingerprint is the
+    config_fingerprint of the features it was trained on, or "" when
+    unknown."""
 
+    columns: np.ndarray
     weights: np.ndarray
     bias: np.ndarray
+    dim: int
     class_labels: list[str]
     feature_fingerprint: str = ""
     epoch_losses: list[float] = field(default_factory=list)
@@ -88,31 +101,42 @@ class LinearModel:
 
     @property
     def num_classes(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def dim(self) -> int:
         return int(self.weights.shape[1])
 
 
-def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
-    """Class index of each row: the argmax of its logits, ties to the
-    lowest index, or the model's fallback_class for an empty row.
+def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
+    """The rows x num_classes logits: the bias plus each row's weighted
+    sum of its buckets' weights, 0.0 for a bucket outside the model's
+    columns.
 
-    Each class's logits are one np.bincount of that class's weights at
-    the rows' entries, so no scratch array is larger than nnz.
+    The entries' buckets are found in columns with one searchsorted,
+    and each class's logits are one np.bincount of that class's weights
+    at the entries, so no scratch array is larger than nnz.
     """
     if rows.dim != model.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
     n = len(rows)
-    lengths = np.diff(rows.indptr)
-    owner = np.repeat(np.arange(n), lengths)
-    logits = np.empty((n, model.num_classes), dtype=np.float64)
+    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
+    columns = model.columns
+    # An entry's bucket is stored when the column searchsorted places
+    # it before is that bucket.
+    position = np.searchsorted(columns, rows.indices)
+    stored = position < columns.size
+    stored[stored] = columns[position[stored]] == rows.indices[stored]
+    position = position[stored]
+    out = np.empty((n, model.num_classes), dtype=np.float64)
+    weight = np.zeros(rows.nnz, dtype=np.float64)
     for c in range(model.num_classes):
-        weighted = model.weights[c, rows.indices] * rows.values
-        logits[:, c] = np.bincount(owner, weights=weighted, minlength=n) + model.bias[c]
-    classes = logits.argmax(axis=1)
-    classes[lengths == 0] = model.fallback_class
+        weight[stored] = model.weights[position, c]
+        out[:, c] = np.bincount(owner, weights=weight * rows.values, minlength=n) + model.bias[c]
+    return out
+
+
+def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
+    """Class index of each row: the argmax of its logits, ties to the
+    lowest index, or the model's fallback_class for an empty row."""
+    classes = logits(model, rows).argmax(axis=1)
+    classes[np.diff(rows.indptr) == 0] = model.fallback_class
     return classes
 
 
@@ -161,11 +185,10 @@ def train(
     the returned model, and so is the most frequent class of y as its
     fallback_class (ties go to the lowest index).
 
-    The loop runs on a K x num_classes matrix over the K distinct
-    columns the rows use, and the result is scattered into the zero
-    num_classes x rows.dim model at the end.  Columns outside the corpus
-    stay exactly 0.0; the others equal those of dense per-example SGD to
-    rounding (see the module docstring).
+    The model stores the K distinct columns the rows use and their
+    K x num_classes weights, which equal those of dense per-example SGD
+    to rounding; the dense model's other columns are exactly 0.0 (see
+    the module docstring).
     """
     if not len(rows):
         raise EmptyTrainingSet("no training examples")
@@ -182,14 +205,12 @@ def train(
         labels = list(class_labels)
 
     counts = np.bincount(targets, minlength=num_classes)
-    # The batch blocks die with _sgd's frame, before the dense model is
-    # allocated, so they never add to the peak.
     cols, weights, bias, losses = _sgd(rows, targets, hp, num_classes)
-    dense = np.zeros((num_classes, rows.dim), dtype=np.float64)
-    dense[:, cols] = weights.T
     return LinearModel(
-        weights=dense,
+        columns=cols,
+        weights=weights,
         bias=bias,
+        dim=rows.dim,
         class_labels=labels,
         feature_fingerprint=feature_fingerprint,
         epoch_losses=losses,
@@ -273,49 +294,93 @@ def _sgd(
 
 def save_model(model: LinearModel, path: str) -> None:
     """Binary layout: magic, u32 num_classes, u32 dim, u32 fallback
-    class, per label a u32 byte length plus UTF-8 bytes, then row-major
-    little-endian float64 weights followed by the biases."""
+    class, u32 number W of columns written; per label, then for the
+    feature fingerprint, a u32 byte length plus UTF-8 bytes; the W
+    sorted column ids as u32, left out when W is dim; the W x
+    num_classes weights, row-major, and the biases, as little-endian
+    float64.
+
+    A model storing more than a quarter of its columns is written whole
+    (W = dim, 0.0 for an unstored column), else sparse (W = K); see
+    binio.written_whole.
+    """
+    columns, weights = model.columns, model.weights
+    whole = written_whole(columns.size, model.dim)
+    if whole and columns.size < model.dim:
+        # At most four times the stored weights (written_whole).
+        weights = np.zeros((model.dim, model.num_classes), dtype=np.float64)
+        weights[columns] = model.weights
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<III", model.num_classes, model.dim, model.fallback_class))
-        for label in model.class_labels:
-            raw = label.encode("utf-8")
+        fh.write(struct.pack(
+            "<IIII", model.num_classes, model.dim, model.fallback_class, weights.shape[0]
+        ))
+        for text in [*model.class_labels, model.feature_fingerprint]:
+            raw = text.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        write_f8(fh, model.weights)
-        write_f8(fh, model.bias)
+        if not whole:
+            write_array(fh, columns, "<u4")
+        write_array(fh, weights, "<f8")
+        write_array(fh, model.bias, "<f8")
+
+
+def _read_text(fh: BinaryIO, size: int, path: str, what: str) -> str:
+    """A u32 byte length and that many UTF-8 bytes, as a string."""
+    (length,) = struct.unpack("<I", read_exact(fh, 4, path, f"the length of {what}"))
+    if length > size - fh.tell():
+        raise CorruptArtifact(f"{path}: file ends inside {what}")
+    try:
+        return read_exact(fh, length, path, what).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptArtifact(f"{path}: {what} is not UTF-8") from None
 
 
 def load_model(path: str) -> LinearModel:
-    """Read a file written by save_model.  Raises CorruptArtifact on a
-    bad magic, a cut header, a fallback class outside the classes, a
-    label that is not UTF-8, or a size that does not match the
-    header."""
+    """Read a file written by save_model; a whole file loads as a model
+    storing all dim columns.  Raises CorruptArtifact on a bad magic
+    (files of the earlier dense formats included: retrain them), a cut
+    header, a fallback class outside the classes, more columns than
+    dim, a sparse file with more than a quarter of dim columns (a
+    model that full is written whole), a label or fingerprint that is
+    not UTF-8, a size that does not match the header, or column ids
+    that are not strictly increasing below dim."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
-            raise CorruptArtifact(f"{path}: not a model file (bad magic)")
-        num_classes, dim, fallback = struct.unpack(
-            "<III", read_exact(fh, 12, path, "the header")
+            raise CorruptArtifact(f"{path}: not a {MODEL_MAGIC.decode()} model file (bad magic)")
+        num_classes, dim, fallback, width = struct.unpack(
+            "<IIII", read_exact(fh, 16, path, "the header")
         )
         if fallback >= num_classes:
             raise CorruptArtifact(
                 f"{path}: fallback class {fallback} outside {num_classes} classes"
             )
-        labels: list[str] = []
-        for i in range(num_classes):
-            (length,) = struct.unpack("<I", read_exact(fh, 4, path, f"the length of label {i}"))
-            if length > size - fh.tell():
-                raise CorruptArtifact(f"{path}: file ends inside label {i}")
-            try:
-                labels.append(read_exact(fh, length, path, f"label {i}").decode("utf-8"))
-            except UnicodeDecodeError:
-                raise CorruptArtifact(f"{path}: label {i} is not UTF-8") from None
-        expected = fh.tell() + 8 * num_classes * dim + 8 * num_classes
+        if width > dim:
+            raise CorruptArtifact(f"{path}: {width} columns for dim {dim}")
+        whole = width == dim
+        if not whole and written_whole(width, dim):
+            raise CorruptArtifact(
+                f"{path}: {width} of {dim} columns listed; a model that full is written whole"
+            )
+        labels = [_read_text(fh, size, path, f"label {i}") for i in range(num_classes)]
+        fingerprint = _read_text(fh, size, path, "the feature fingerprint")
+        ids_bytes = 0 if whole else 4 * width
+        expected = fh.tell() + ids_bytes + 8 * width * num_classes + 8 * num_classes
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
-        weights = read_f8(fh, (num_classes, dim), path, "the weights")
-        bias = read_f8(fh, (num_classes,), path, "the biases")
+        if whole:
+            columns = np.arange(dim, dtype=np.int64)
+        else:
+            columns = read_ids(fh, width, dim, path, "the column ids")
+        weights = read_array(fh, "<f8", (width, num_classes), path, "the weights")
+        bias = read_array(fh, "<f8", (num_classes,), path, "the biases")
     return LinearModel(
-        weights=weights, bias=bias, class_labels=labels, fallback_class=fallback
+        columns=columns,
+        weights=weights,
+        bias=bias,
+        dim=dim,
+        class_labels=labels,
+        feature_fingerprint=fingerprint,
+        fallback_class=fallback,
     )

@@ -146,6 +146,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         config = replace(config, features=replace(config.features, dim=idf.dim))
     if model.dim != idf.dim:
         raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
+    # A model trained outside the harness carries no fingerprint.
+    fingerprint = features.config_fingerprint(config.features)
+    if model.feature_fingerprint and model.feature_fingerprint != fingerprint:
+        raise DialectIdError(
+            f"model was trained on features {model.feature_fingerprint}, but experiment "
+            f"{config.name!r} has features {fingerprint} (n-gram range, hash seed "
+            f"or pad token differ)"
+        )
     lexicon, overrides = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile, register=Register(args.register))
     texts = harness.prepare_texts(records, config, lexicon, overrides)

@@ -7,13 +7,15 @@ accepted: colliding grams simply share a bucket and their counts add.
 
 A corpus is one CSR matrix, SparseRows: one row per text, one column
 per bucket.  bucket_counts yields the gram counts of the texts as
-blocks of rows; the idf table is the document frequency of the
-buckets (fit_idf), and vectorize turns a block of counts into tf-idf
-rows.  A fit or a predict makes one bucket_counts call.  It reads the
-texts in bounded chunks, cuts each distinct whitespace token of the
-call into grams once, and hashes the grams of a chunk's new tokens in
-one vectorized FNV-1a pass (hash_grams); a chunk's block is then one
-count of its (row, bucket) pairs.
+blocks of rows; the idf table holds the document frequency of every
+bucket (fit_idf) and computes its weights from them, and its file
+stores only the occupied buckets unless more than a quarter are
+(binio.written_whole); vectorize turns a block of counts
+into tf-idf rows.  A fit or a predict makes one bucket_counts call.
+It reads the texts in bounded chunks, cuts each distinct whitespace
+token of the call into grams once, and hashes the grams of a chunk's
+new tokens in one vectorized FNV-1a pass (hash_grams); a chunk's block
+is then one count of its (row, bucket) pairs.
 """
 
 from __future__ import annotations
@@ -21,20 +23,20 @@ from __future__ import annotations
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .binio import read_exact, read_f8, write_f8
+from .binio import read_array, read_exact, read_ids, write_array, written_whole
 from .errors import CorruptArtifact, EmptyCorpus
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-IDF_MAGIC = b"NADIIDF1"
+IDF_MAGIC = b"NADIIDF2"
 
 
 def fnv1a64(data: bytes) -> int:
@@ -219,14 +221,21 @@ def _count_block(
 
 @dataclass(frozen=True)
 class IdfTable:
-    """Per-bucket IDF weights fitted on one corpus."""
+    """The document frequency df of each bucket in a corpus of doc_count
+    documents, and the smoothed IDF weights ln((1 + N) / (1 + df)) + 1
+    computed from them, one per bucket."""
 
-    weights: np.ndarray
+    df: np.ndarray
     doc_count: int
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        weights = np.log((1.0 + self.doc_count) / (1.0 + self.df)) + 1.0
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
-        return int(self.weights.shape[0])
+        return int(self.df.shape[0])
 
 
 def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> IdfTable:
@@ -241,9 +250,7 @@ def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> Idf
     df = np.bincount(corpus.indices, minlength=config.dim)
     if df.shape[0] != config.dim:
         raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {config.dim}")
-    n = len(corpus)
-    weights = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return IdfTable(weights=weights, doc_count=n)
+    return IdfTable(df=df, doc_count=len(corpus))
 
 
 def vectorize(
@@ -268,24 +275,66 @@ def vectorize(
 
 
 def save_idf(table: IdfTable, path: str) -> None:
-    """Binary layout: magic, u32 dim, u64 doc_count, dim little-endian
-    float64 weights."""
+    """Binary layout: magic, u32 dim, u32 doc_count, u32 number W of
+    buckets written; then, sparse, the W occupied buckets' (df > 0)
+    sorted ids as u32 and their W document frequencies as u32, or,
+    whole (W = dim), the dim document frequencies as u32; all
+    little-endian.  A table with more than a quarter of its buckets
+    occupied is written whole; see binio.written_whole."""
+    occupied = np.flatnonzero(table.df)
+    whole = written_whole(occupied.size, table.dim)
     with open(path, "wb") as fh:
         fh.write(IDF_MAGIC)
-        fh.write(struct.pack("<IQ", table.dim, table.doc_count))
-        write_f8(fh, table.weights)
+        fh.write(struct.pack(
+            "<III", table.dim, table.doc_count, table.dim if whole else occupied.size
+        ))
+        if whole:
+            write_array(fh, table.df, "<u4")
+        else:
+            write_array(fh, occupied, "<u4")
+            write_array(fh, table.df[occupied], "<u4")
 
 
 def load_idf(path: str) -> IdfTable:
     """Read a file written by save_idf.  Raises CorruptArtifact on a bad
-    magic, a cut header, or a size that does not match the header."""
+    magic (files of the earlier dense format included: retrain them), a
+    cut header, a dim that is not a power of two >= 2, more buckets
+    than dim, a size that does not match the header, bucket ids that
+    are not strictly increasing below dim, a listed bucket with
+    document frequency 0, a document frequency above doc_count, or a
+    layout other than the one save_idf picks for the occupied
+    buckets."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
-            raise CorruptArtifact(f"{path}: not an idf table (bad magic)")
-        dim, doc_count = struct.unpack("<IQ", read_exact(fh, 12, path, "the header"))
-        expected = fh.tell() + 8 * dim
+            raise CorruptArtifact(f"{path}: not a {IDF_MAGIC.decode()} idf table (bad magic)")
+        dim, doc_count, width = struct.unpack("<III", read_exact(fh, 12, path, "the header"))
+        # The table is dense in memory: a dim no FeatureConfig accepts
+        # must not allocate one.
+        if dim < 2 or dim & (dim - 1):
+            raise CorruptArtifact(f"{path}: dim {dim} is not a power of two >= 2")
+        if width > dim:
+            raise CorruptArtifact(f"{path}: {width} occupied buckets for dim {dim}")
+        whole = width == dim
+        expected = fh.tell() + (4 if whole else 8) * width
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
-        weights = read_f8(fh, (dim,), path, "the weights")
-    return IdfTable(weights=weights, doc_count=doc_count)
+        if whole:
+            df = read_array(fh, "<u4", (dim,), path, "the document frequencies")
+            df = df.astype(np.int64)
+        else:
+            ids = read_ids(fh, width, dim, path, "the bucket ids")
+            counts = read_array(fh, "<u4", (width,), path, "the document frequencies")
+            if width and counts.min() == 0:
+                raise CorruptArtifact(f"{path}: a listed bucket has document frequency 0")
+            df = np.zeros(dim, dtype=np.int64)
+            df[ids] = counts
+    if df.max() > doc_count:
+        raise CorruptArtifact(f"{path}: a document frequency is above {doc_count}")
+    occupied = int(np.count_nonzero(df))
+    if whole != written_whole(occupied, dim):
+        raise CorruptArtifact(
+            f"{path}: {occupied} of {dim} buckets occupied in a "
+            f"{'whole' if whole else 'sparse'} file; save_idf writes the other layout"
+        )
+    return IdfTable(df=df, doc_count=doc_count)

@@ -304,7 +304,7 @@ class BenchmarkSpec:
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 
-# save_model and save_idf write dim in 32 bits.
+# save_model and save_idf write dim, and column and bucket ids, in 32 bits.
 _MAX_DIM = 1 << 31
 
 

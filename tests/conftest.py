@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dialectid.features import SparseRows
 
@@ -29,3 +30,15 @@ def row_maps(rows):
         dict(zip(rows.indices[lo:hi].tolist(), rows.values[lo:hi].tolist()))
         for lo, hi in zip(bounds, bounds[1:])
     ]
+
+
+def edit_one_place(draw, blob):
+    """blob with one byte overwritten, cut at one offset, or extended
+    by a few bytes at one offset, as hypothesis draws it."""
+    at = draw(st.integers(0, len(blob)))
+    edit = draw(st.sampled_from(["byte", "cut", "extend"]))
+    if edit == "cut":
+        return blob[:at]
+    if edit == "extend":
+        return blob[:at] + draw(st.binary(min_size=1, max_size=8)) + blob[at:]
+    return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1:]

@@ -1,17 +1,21 @@
-"""Dense reference trainer for the classifier tests.
+"""Dense reference trainer and predictor for the classifier tests.
 
 The mini-batch SGD loop as it ran before training was restricted to the
 corpus's columns and batched: every batch builds, decays and updates
 the full num_classes x dim matrix, one example at a time through
 batch_cross_entropy.  classifier.train sums each batch's gradient in
-another order, so it must match this to a stated tolerance, keep the
-columns no example uses exactly 0.0, and agree on every training
-document's argmax.
+another order, so it must match this to a stated tolerance, store
+exactly the columns some example uses (the oracle keeps the others at
+0.0), and agree on every training document's argmax.
+
+dense_logits is the per-class gather from a dense num_classes x dim
+matrix that classifier.logits ran before the model went sparse; over
+to_dense of a sparse model it must give the same bytes.
 """
 
 import numpy as np
 
-from dialectid.classifier import batch_cross_entropy
+from dialectid.classifier import LinearModel, batch_cross_entropy
 from dialectid.features import SparseRows
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -52,3 +56,38 @@ def dense_train(rows, y, hp, num_classes):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
     return weights, bias, losses
+
+
+def to_dense(model):
+    """The num_classes x dim weights of a sparse model: its stored
+    columns scattered into zeros."""
+    dense = np.zeros((model.num_classes, model.dim), dtype=np.float64)
+    dense[:, model.columns] = model.weights.T
+    return dense
+
+
+def from_dense(weights, bias, class_labels, **fields):
+    """The LinearModel storing the columns of a num_classes x dim weight
+    matrix that hold a nonzero weight."""
+    weights = np.asarray(weights, dtype=np.float64)
+    columns = np.flatnonzero(np.any(weights != 0.0, axis=0))
+    return LinearModel(
+        columns=columns,
+        weights=np.ascontiguousarray(weights[:, columns].T),
+        bias=np.asarray(bias, dtype=np.float64),
+        dim=weights.shape[1],
+        class_labels=list(class_labels),
+        **fields,
+    )
+
+
+def dense_logits(weights, bias, rows):
+    """rows x num_classes logits over a dense num_classes x dim matrix:
+    one np.bincount per class of its weights at the rows' entries."""
+    n = len(rows)
+    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
+    logits = np.empty((n, weights.shape[0]), dtype=np.float64)
+    for c in range(weights.shape[0]):
+        weighted = weights[c, rows.indices] * rows.values
+        logits[:, c] = np.bincount(owner, weights=weighted, minlength=n) + bias[c]
+    return logits

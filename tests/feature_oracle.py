@@ -3,7 +3,7 @@
 The featurization as it ran before each text was cut into grams once:
 char_ngrams counts into a Counter one gram at a time, hash_index runs
 the scalar fnv1a64 on one gram, fit_idf hashes every gram of every
-document's Counter, and vectorize recounts and rehashes the grams of
+document's Counter to count document frequencies, and vectorize recounts and rehashes the grams of
 its text into one (indices, values) pair.  features.hash_grams,
 bucket_counts, fit_idf and vectorize must match it byte for byte, row
 by row.
@@ -46,9 +46,7 @@ def fit_idf(corpus, config):
         buckets = {hash_index(g, config) for g in grams}
         if buckets:
             df[list(buckets)] += 1
-    n = len(corpus)
-    weights = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return IdfTable(weights=weights, doc_count=n)
+    return IdfTable(df=df, doc_count=len(corpus))
 
 
 def vectorize(text, config, idf=None):

@@ -7,9 +7,10 @@ import pytest
 
 import dialectid
 from dialectid import cli, normalizer
-from dialectid.classifier import load_model
+from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, Register, load_corpus, read_submission
 from dialectid.evaluation import parse_report
+from dialectid.features import FeatureConfig, config_fingerprint
 
 import synthcorpus
 
@@ -190,8 +191,10 @@ class TestStats:
 
 class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, trained, capsys):
-        assert open(trained["model"], "rb").read(8) == b"NADIMDL2"
-        assert open(trained["idf"], "rb").read(8) == b"NADIIDF1"
+        assert open(trained["model"], "rb").read(8) == b"NADIMDL3"
+        assert open(trained["idf"], "rb").read(8) == b"NADIIDF2"
+        model = load_model(trained["model"])
+        assert model.feature_fingerprint == config_fingerprint(FeatureConfig(dim=1 << 12))
 
     def test_predict_then_evaluate_round_trip(self, corpus_dir, trained, tmp_path, capsys):
         sub = tmp_path / "sub.csv"
@@ -262,6 +265,59 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", ["n_min=3", "hash_seed=7", "pad_token=#"])
+    def test_predict_with_other_features_fails(
+        self, corpus_dir, trained, tmp_path, capsys, keys
+    ):
+        # Same dim as the model, so only the fingerprint tells them apart.
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(
+            "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+            f"[experiment other]\ndim=4096\n{keys}\n",
+            encoding="utf-8",
+        )
+        rc = cli.main(
+            [
+                "--config", str(other_cfg),
+                "predict",
+                "--model", trained["model"],
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "'other'" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_model_without_fingerprint_is_not_checked(
+        self, corpus_dir, trained, tmp_path, capsys
+    ):
+        model = load_model(trained["model"])
+        model.feature_fingerprint = ""
+        bare = tmp_path / "bare.bin"
+        save_model(model, str(bare))
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(
+            "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+            "[experiment other]\ndim=4096\nn_min=3\n",
+            encoding="utf-8",
+        )
+        rc = cli.main(
+            [
+                "--config", str(other_cfg),
+                "predict",
+                "--model", str(bare),
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 0
+        assert len(read_submission(str(tmp_path / "s.csv"))) == 32
+        capsys.readouterr()
+
     def test_unknown_experiment_name(self, corpus_dir, trained, tmp_path, capsys):
         rc = cli.main(
             [
@@ -314,9 +370,10 @@ class TestCorruptArtifacts:
     def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
         blob = open(trained[which], "rb").read()
         if which == "model":
-            header = 20 + sum(
-                4 + len(label.encode("utf-8"))
-                for label in load_model(trained["model"]).class_labels
+            model = load_model(trained["model"])
+            header = 24 + sum(
+                4 + len(text.encode("utf-8"))
+                for text in model.class_labels + [model.feature_fingerprint]
             )
         else:
             header = 20

@@ -1,8 +1,9 @@
-"""Memory guards for the featurizer, the predictor and the trainer: one
-bucket_counts pass and one predict_texts over the benchmark's served
-test split, and classifier.train on the fit-nadi finalize corpus, at
-the workload's batch size and in one full batch, stay within fixed
-allocation peaks, so a table, memo or scratch block that outlives or
+"""Memory guards for the featurizer, the loaders, the predictor and the
+trainer: one bucket_counts pass, loading the served model and idf
+table, and one predict_texts over the benchmark's served test split,
+and classifier.train on the fit-nadi finalize corpus, at the workload's
+batch size and in one full batch, stay within fixed allocation peaks,
+so a table, memo, scratch block or dense array that outlives or
 outgrows its use fails here before it shows in the benchmark's peak
 RSS."""
 
@@ -50,11 +51,39 @@ def test_bucket_counts_peak_on_serve_split(tmp_path):
     assert peak <= PEAK_BYTES
 
 
-def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
+# The served model stores 16,644 of 2^18 columns (2.80e6 bytes of
+# weights); loading it and the idf table (dense df and weights, 2.10e6
+# bytes each) peaks at about 9.43e6 bytes.  The dense 21 x 2^18 model
+# and dense idf file loaded at about 46e6.
+LOAD_PEAK_BYTES = 10e6
+
+
+def served_artifacts(tmp_path, capsys):
+    """The serve workload's config, prepared test texts and the output
+    directory of the benchmark run that wrote its model and idf."""
     fixture, config, texts = serve_split(str(tmp_path))
     out = str(tmp_path / "out")
     assert main(["benchmark", fixture.config_path, "--out-dir", out]) == 0
     capsys.readouterr()
+    return config, texts, out
+
+
+def test_load_peak_on_serve_artifacts(tmp_path, capsys):
+    _, _, out = served_artifacts(tmp_path, capsys)
+    tracemalloc.start()
+    try:
+        model = classifier.load_model(os.path.join(out, "model.bin"))
+        idf = features.load_idf(os.path.join(out, "idf.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.weights.shape == (16_644, 21)
+    assert idf.dim == model.dim == 1 << 18
+    assert peak <= LOAD_PEAK_BYTES
+
+
+def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
+    config, texts, out = served_artifacts(tmp_path, capsys)
     model = classifier.load_model(os.path.join(out, "model.bin"))
     idf = features.load_idf(os.path.join(out, "idf.bin"))
     tracemalloc.start()
@@ -68,11 +97,12 @@ def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
     assert peak <= PEAK_BYTES
 
 
-# The dense 21 x 2^18 model alone is 44.04e6 bytes.  With the batch
-# blocks freed before it is allocated, train peaks at 45.95e6; blocks
-# still alive at that point peak at 52.3e6, and the per-example loop
-# this replaced at 49.6e6.
-TRAIN_PEAK_BYTES = 47e6
+# The model stores the corpus's 10,804 columns: 1.82e6 bytes of
+# weights, where the dense 21 x 2^18 model was 44.04e6 and train peaked
+# at 45.95e6.  At the workload's batch size train now peaks at 13.35e6;
+# in one full batch, walked in row slices, at 23.01e6.
+TRAIN_PEAK_BYTES = 14e6
+FULL_BATCH_PEAK_BYTES = 24e6
 
 
 def fit_nadi_finalize_corpus(directory):
@@ -109,16 +139,17 @@ def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
     model, peak = train_peak(rows, y, config.hp, labels)
     assert len(rows) == 630
-    assert model.weights.nbytes == 44_040_192
+    assert model.weights.shape == (10_804, 21)
     assert peak <= TRAIN_PEAK_BYTES
 
 
 def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
-    # Walked in row slices under a fixed bound, it peaks at 45.95e6.
+    # Walked in row slices under a fixed bound (8 MiB), it peaks at
+    # 23.01e6.
     rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
     hp = replace(config.hp, batch_size=len(rows))
     model, peak = train_peak(rows, y, hp, labels)
-    assert model.weights.nbytes == 44_040_192
-    assert peak <= TRAIN_PEAK_BYTES
+    assert model.weights.shape == (10_804, 21)
+    assert peak <= FULL_BATCH_PEAK_BYTES
