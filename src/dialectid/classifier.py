@@ -84,11 +84,11 @@ class LinearModel:
     columns holds the K stored buckets, sorted, and weights their
     weights, K x num_classes; every other bucket weighs 0.0 for every
     class.  A trained model stores the buckets its rows use; one loaded
-    from a file written whole stores all dim (see save_model).  bias and class_labels are per class, in label order.
-    fallback_class is the class index given to a text with no features:
-    the majority class of the training data.  feature_fingerprint is the
-    config_fingerprint of the features it was trained on, or "" when
-    unknown."""
+    from a file written whole stores all dim (see save_model).  bias and
+    class_labels are per class, in label order.  fallback_class is the
+    class index given to a text with no features: the majority class of
+    the training data.  feature_fingerprint is the config_fingerprint of
+    the features it was trained on, or "" when unknown."""
 
     columns: np.ndarray
     weights: np.ndarray

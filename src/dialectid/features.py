@@ -10,12 +10,13 @@ per bucket.  bucket_counts yields the gram counts of the texts as
 blocks of rows; the idf table holds the document frequency of every
 bucket (fit_idf) and computes its weights from them, and its file
 stores only the occupied buckets unless more than a quarter are
-(binio.written_whole); vectorize turns a block of counts
-into tf-idf rows.  A fit or a predict makes one bucket_counts call.
-It reads the texts in bounded chunks, cuts each distinct whitespace
-token of the call into grams once, and hashes the grams of a chunk's
-new tokens in one vectorized FNV-1a pass (hash_grams); a chunk's block
-is then one count of its (row, bucket) pairs.
+(binio.written_whole); vectorize turns a block of counts into tf-idf
+rows.  A fit or a predict makes one bucket_counts call.  It reads the
+texts in bounded chunks and cuts and hashes each distinct whitespace
+token once: a chunk's new padded tokens are encoded together, each
+gram is the byte span between two UTF-8 character starts, and one
+FNV-1a pass hashes all the spans (token_buckets); a chunk's block is
+then one count of its (row, bucket) pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,30 +99,43 @@ def char_ngrams(text: str, config: FeatureConfig = DEFAULT_FEATURES) -> Counter[
     ])
 
 
-def hash_grams(grams: Sequence[str], config: FeatureConfig = DEFAULT_FEATURES) -> np.ndarray:
-    """Bucket index of each gram, as a uint64 array: FNV-1a of its UTF-8
-    bytes, xor-folded with the seed, masked to the table size.
+def hash_spans(
+    data: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: FeatureConfig
+) -> np.ndarray:
+    """Bucket of each byte span data[lo[i]:hi[i]] of a uint8 array, as
+    int64: FNV-1a of the span, xor-folded with the seed, masked to the
+    table size.  Byte k of every span is folded in at once; uint64
+    products wrap mod 2**64, as the scalar fnv1a64 masks them."""
+    widths = hi - lo
+    h = np.full(widths.shape, _FNV_OFFSET, dtype=np.uint64)
+    for k in range(int(widths.max(initial=0))):
+        h = np.where(k < widths, (h ^ data.take(lo + k, mode="clip")) * np.uint64(_FNV_PRIME), h)
+    return ((h ^ np.uint64(config.seed & _U64)) & np.uint64(config.dim - 1)).astype(np.int64)
 
-    All grams are hashed together.  Their bytes are laid out as the
-    zero-padded rows of a uint8 matrix, and FNV-1a folds in one byte
-    column at a time, skipping rows that have ended; uint64 products
-    wrap mod 2**64, as the scalar fnv1a64 masks them.
-    """
-    encoded = [gram.encode("utf-8") for gram in grams]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    width = int(lengths.max(initial=0))
-    live = np.arange(width)[:, None] < lengths  # live[k, i]: gram i has a byte k
-    columns = np.zeros((width, len(encoded)), dtype=np.uint8)
-    # Boolean assignment fills the transposed view row by row, that is
-    # gram by gram, in the order the bytes were joined.
-    columns.T[live.T] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    h = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for k in range(width):
-        h = np.where(live[k], (h ^ columns[k]) * prime, h)
-    h ^= np.uint64(config.seed & _U64)
-    h &= np.uint64((config.dim - 1) & _U64)
-    return h
+
+def _gram_count(chars: int, config: FeatureConfig) -> int:
+    """Number of grams char_ngrams cuts from a padded token of chars characters."""
+    terms = max(min(config.n_max, chars) - config.n_min + 1, 0)  # the n that fit
+    return terms * (chars + 1) - (2 * config.n_min + terms - 1) * terms // 2
+
+
+def token_buckets(tokens: Sequence[str], config: FeatureConfig) -> np.ndarray:
+    """The int64 buckets of the grams char_ngrams cuts from each token,
+    token by token.  In the joined, encoded padded tokens, the n-gram at
+    character c spans the bytes from the start of character c to that of
+    c + n; a character starts at each byte not of the form 10xxxxxx."""
+    pad = config.pad_token
+    data = np.frombuffer("".join(pad + t + pad for t in tokens).encode("utf-8"), dtype=np.uint8)
+    starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    chars = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) + 2
+    ns = np.arange(config.n_min, config.n_max + 1)
+    counts = np.maximum(chars[:, None] - ns + 1, 0).ravel()  # grams of each (token, n)
+    # The j-th gram of a (token, n) pair starts at the token's first
+    # character plus j, and j = its index - the grams of earlier pairs.
+    first = np.repeat(np.cumsum(chars) - chars, len(ns)) - np.cumsum(counts) + counts
+    at = np.repeat(first, counts) + np.arange(counts.sum())
+    ends = at + np.repeat(np.tile(ns, len(tokens)), counts)
+    return hash_spans(data, starts[at], starts[ends], config)
 
 
 @dataclass(frozen=True)
@@ -157,8 +171,8 @@ _NO_INDICES = np.zeros(0, dtype=np.int64)
 
 # A chunk of texts ends after this many texts, or once the grams of the
 # tokens it saw first reach this many; those grams are hashed in one
-# hash_grams call.  The bounds cap the memory of one call's arrays and
-# of the block a chunk counts.
+# token_buckets call.  The bounds cap the memory of one call's arrays
+# and of the block a chunk counts.
 _CHUNK_TEXTS = 64
 _CHUNK_GRAMS = 1 << 14
 
@@ -171,14 +185,14 @@ def bucket_counts(
 
     Colliding grams add their counts in the shared bucket.  Grams never
     cross whitespace, so a text's row is the sum of its tokens' buckets:
-    each distinct token of the call is cut into grams once, its grams
-    are hashed once, and the token -> buckets table lives as long as
-    the returned iterator.  The texts are read in bounded chunks; the
-    grams of a chunk's new tokens are hashed in one hash_grams call,
-    and the chunk's (row, bucket) pairs are counted in one np.unique.
+    each distinct token of the call is cut and hashed once, and the
+    token -> buckets table lives as long as the returned iterator.  The
+    texts are read in bounded chunks; the grams of a chunk's new tokens
+    are cut and hashed in one token_buckets call, and the chunk's
+    (row, bucket) pairs are counted in one np.unique.
     """
     table: dict[str, np.ndarray] = {}  # token -> one bucket per gram occurrence
-    new: dict[str, list[str]] = {}  # this chunk's new tokens -> their grams
+    new: dict[str, int] = {}  # this chunk's new tokens -> their numbers of grams
     pending = 0
     chunk: list[list[str]] = []
     for text in texts:
@@ -186,8 +200,8 @@ def bucket_counts(
         chunk.append(tokens)
         for token in tokens:
             if token not in table and token not in new:
-                grams = new[token] = list(char_ngrams(token, config).elements())
-                pending += len(grams)
+                new[token] = _gram_count(len(token) + 2, config)
+                pending += new[token]
         if len(chunk) == _CHUNK_TEXTS or pending >= _CHUNK_GRAMS:
             yield _count_block(chunk, new, table, config)
             chunk, pending = [], 0
@@ -196,14 +210,14 @@ def bucket_counts(
 
 
 def _count_block(
-    chunk: list[list[str]], new: dict[str, list[str]], table: dict[str, np.ndarray],
+    chunk: list[list[str]], new: dict[str, int], table: dict[str, np.ndarray],
     config: FeatureConfig,
 ) -> SparseRows:
-    """Move the new tokens into the table, hashing all their grams at
-    once, then count each distinct (row, bucket) of the chunk's texts."""
-    buckets = hash_grams(list(chain.from_iterable(new.values())), config).astype(np.int64)
-    sizes = np.cumsum([len(grams) for grams in new.values()], dtype=np.int64)
-    table.update(zip(new, np.split(buckets, sizes[:-1])))
+    """Move the new tokens into the table, cut and hashed all at once,
+    then count each distinct (row, bucket) of the chunk's texts."""
+    buckets = token_buckets(list(new), config)
+    ends = accumulate(new.values())
+    table.update((tok, buckets[end - size : end]) for (tok, size), end in zip(new.items(), ends))
     new.clear()
     parts = [table[token] for token in chain.from_iterable(chunk)]
     owners = np.repeat(np.arange(len(chunk)), [len(tokens) for tokens in chunk])

@@ -3,10 +3,10 @@
 The featurization as it ran before each text was cut into grams once:
 char_ngrams counts into a Counter one gram at a time, hash_index runs
 the scalar fnv1a64 on one gram, fit_idf hashes every gram of every
-document's Counter to count document frequencies, and vectorize recounts and rehashes the grams of
-its text into one (indices, values) pair.  features.hash_grams,
-bucket_counts, fit_idf and vectorize must match it byte for byte, row
-by row.
+document's Counter to count document frequencies, and vectorize
+recounts and rehashes the grams of its text into one (indices, values)
+pair.  features.hash_spans, token_buckets, bucket_counts, fit_idf and
+vectorize must match it byte for byte, row by row.
 """
 
 from collections import Counter

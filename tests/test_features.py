@@ -21,10 +21,11 @@ from dialectid.features import (
     config_fingerprint,
     fit_idf,
     fnv1a64,
-    hash_grams,
+    hash_spans,
     join_rows,
     load_idf,
     save_idf,
+    token_buckets,
     vectorize,
 )
 
@@ -62,9 +63,18 @@ def test_fnv1a64_against_independent_implementation():
         assert fnv1a64(blob) == fnv1a64_oracle(blob)
 
 
+def buckets_of(grams, config=DEFAULT_FEATURES):
+    """The buckets of the grams, all hashed in one hash_spans call over
+    their joined UTF-8 bytes."""
+    encoded = [gram.encode("utf-8") for gram in grams]
+    hi = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+    lo = hi - [len(b) for b in encoded]
+    return hash_spans(np.frombuffer(b"".join(encoded), dtype=np.uint8), lo, hi, config)
+
+
 def bucket(gram, config=DEFAULT_FEATURES):
     """The bucket of one gram."""
-    return int(hash_grams([gram], config)[0])
+    return int(buckets_of([gram], config)[0])
 
 
 def test_hash_index_golden_replay():
@@ -73,9 +83,9 @@ def test_hash_index_golden_replay():
         rows = [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
     assert len(rows) == 100
     for gram, index in rows:
-        assert hash_grams([gram], config)[0] == int(index), repr(gram)
+        assert buckets_of([gram], config)[0] == int(index), repr(gram)
     # All at once: one call with the file's mixed byte widths.
-    assert hash_grams([gram for gram, _ in rows], config).tolist() == [
+    assert buckets_of([gram for gram, _ in rows], config).tolist() == [
         int(index) for _, index in rows
     ]
 
@@ -84,9 +94,9 @@ def test_hash_index_definition_and_seed():
     config = FeatureConfig(seed=12345)
     gram = "اب"
     expected = (fnv1a64(gram.encode("utf-8")) ^ 12345) & (config.dim - 1)
-    assert hash_grams([gram], config)[0] == expected
-    assert 0 <= hash_grams([gram], config)[0] < config.dim
-    assert hash_grams([gram], FeatureConfig(seed=0))[0] != hash_grams(
+    assert buckets_of([gram], config)[0] == expected
+    assert 0 <= buckets_of([gram], config)[0] < config.dim
+    assert buckets_of([gram], FeatureConfig(seed=0))[0] != buckets_of(
         [gram], FeatureConfig(seed=1)
     )[0]
 
@@ -115,11 +125,50 @@ def hash_configs(draw):
 @example(["اب"], FeatureConfig(seed=1 << 63))
 @example(["a", "اب", "😀", "_a😀ب_", "🇪🇬🇪🇬", "abcdefgh"], FeatureConfig(seed=(1 << 64) - 1))
 @example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 56))
-def test_hash_grams_matches_scalar_fnv1a(grams, config):
-    buckets = hash_grams(grams, config)
+def test_hash_spans_matches_scalar_fnv1a(grams, config):
+    buckets = buckets_of(grams, config)
     assert buckets.shape == (len(grams),)
     assert buckets.tolist() == [feature_oracle.hash_index(g, config) for g in grams]
     assert all(0 <= b < config.dim for b in buckets.tolist())
+
+
+# Tokens of Arabic, ASCII, 2-byte Latin, emoji and astral characters,
+# from one character (shorter than most n_min) to 12.
+TOKEN_ALPHABET = "ابتجدهوي٣" "abcXYZ09" "éñßø" "😀🇪🇬👍🏽\u200d" "𝄞𐍈𠀋"
+
+
+@st.composite
+def cutter_configs(draw):
+    n_min = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    return FeatureConfig(
+        n_min=n_min,
+        n_max=draw(st.integers(n_min, 8)),
+        dim=1 << draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, (1 << 64) - 1)),
+        pad_token=draw(st.sampled_from("_éا😀𝄞")),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=12), max_size=12),
+       cutter_configs())
+@example([], FeatureConfig())
+@example(["ا", "ab", "😀"], FeatureConfig(n_min=8, n_max=8, pad_token="𝄞"))
+@example(["𝄞😀ابcdéf"], FeatureConfig(n_min=8, n_max=8, dim=1 << 20, seed=(1 << 64) - 1))
+def test_token_buckets_match_char_ngrams(tokens, config):
+    """Each token's slice of the buckets, sized by the gram count that
+    bounds bucket_counts' chunks, is the multiset of its grams' scalar
+    FNV-1a buckets."""
+    buckets = token_buckets(tokens, config)
+    sizes = [dialectid.features._gram_count(len(token) + 2, config) for token in tokens]
+    assert sizes == [sum(char_ngrams(token, config).values()) for token in tokens]
+    assert buckets.dtype == np.int64 and buckets.shape == (sum(sizes),)
+    bounds = np.cumsum([0] + sizes).tolist()
+    for token, lo, hi in zip(tokens, bounds, bounds[1:]):
+        expected = Counter()
+        for gram, count in char_ngrams(token, config).items():
+            expected[feature_oracle.hash_index(gram, config)] += count
+        assert Counter(buckets[lo:hi].tolist()) == expected, token
 
 
 class TestCharNgrams:
@@ -226,14 +275,23 @@ class TestBucketCounts:
         assert len(block) == 2 and block.nnz == 0
         assert list(bucket_counts([])) == []
 
+    def spy_token_buckets(self, monkeypatch):
+        """Record the tokens and the number of grams of every
+        token_buckets call."""
+        calls = []
+        real = dialectid.features.token_buckets
+
+        def spy(tokens, config):
+            buckets = real(tokens, config)
+            calls.append((list(tokens), len(buckets)))
+            return buckets
+
+        monkeypatch.setattr(dialectid.features, "token_buckets", spy)
+        return calls
+
     def test_first_map_reads_one_chunk(self, monkeypatch):
         chunk = dialectid.features._CHUNK_TEXTS
-        read, cut = [], []
-        real_ngrams = dialectid.features.char_ngrams
-
-        def spy_ngrams(text, config):
-            cut.append(text)
-            return real_ngrams(text, config)
+        read = []
 
         def texts():
             for i in range(3 * chunk):
@@ -241,38 +299,34 @@ class TestBucketCounts:
                 yield "اب جد"
 
         expected = counts_of("اب جد")
-        monkeypatch.setattr(dialectid.features, "char_ngrams", spy_ngrams)
+        calls = self.spy_token_buckets(monkeypatch)
         blocks = bucket_counts(texts())
         assert row_maps(next(blocks)) == [expected] * chunk
         assert len(read) == chunk
-        assert cut == ["اب", "جد"]
+        assert [tokens for tokens, _ in calls] == [["اب", "جد"]]
 
     def test_chunk_ends_at_the_gram_bound(self, monkeypatch):
         # Every text brings 20 new tokens of 26 grams each.
         texts = [" ".join(f"w{i:03d}x{j:02d}" for j in range(20)) for i in range(200)]
         per_text = sum(char_ngrams(texts[0]).values())
         expected = [counts_of(t) for t in texts]
-        read, batches = [], []
-        real_hash = dialectid.features.hash_grams
-
-        def spy_hash(grams, config):
-            batches.append(len(grams))
-            return real_hash(grams, config)
+        read = []
 
         def reading():
             for text in texts:
                 read.append(text)
                 yield text
 
-        monkeypatch.setattr(dialectid.features, "hash_grams", spy_hash)
+        calls = self.spy_token_buckets(monkeypatch)
         blocks = bucket_counts(reading())
         first = row_maps(next(blocks))
         bound = dialectid.features._CHUNK_GRAMS
         n_first = len(read)
         assert n_first == -(-bound // per_text) < dialectid.features._CHUNK_TEXTS
         assert first == expected[:n_first]
-        assert batches == [n_first * per_text]
+        assert calls == [([t for text in texts[:n_first] for t in text.split()], n_first * per_text)]
         assert maps_of(blocks) == expected[n_first:]
+        batches = [grams for _, grams in calls]
         assert sum(batches) == len(texts) * per_text
         assert max(batches) < bound + per_text
 

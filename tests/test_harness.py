@@ -37,6 +37,8 @@ from dialectid.harness import (
 )
 from dialectid.normalizer import NormConfig
 
+import feature_oracle
+
 COUNTRY_SUBTASK = Subtask(Level.COUNTRY, Register.DA)
 VOCAB = LabelVocab(countries=("Atlantis", "Borealia"))
 CHARS = {"Atlantis": "ابت", "Borealia": "جحخ"}
@@ -319,28 +321,27 @@ class TestFeaturizeOnce:
         return {token for text in prepare_texts(records, cfg) for token in text.split()}
 
     def spy(self, monkeypatch):
-        seen = {"char_ngrams": [], "hash_grams": []}
-        features = dialectid.features
-        real = {name: getattr(features, name) for name in seen}
+        """Record the tokens of every token_buckets call and the buckets
+        it returns."""
+        seen = {"tokens": [], "buckets": Counter()}
+        real = dialectid.features.token_buckets
 
-        def cut(text, config):
-            seen["char_ngrams"].append(text)
-            return real["char_ngrams"](text, config)
+        def cut_and_hash(tokens, config):
+            buckets = real(tokens, config)
+            seen["tokens"].extend(tokens)
+            seen["buckets"].update(buckets.tolist())
+            return buckets
 
-        def hash_many(grams, config):
-            seen["hash_grams"].extend(grams)
-            return real["hash_grams"](grams, config)
-
-        for name, fn in (("char_ngrams", cut), ("hash_grams", hash_many)):
-            monkeypatch.setattr(features, name, fn)
+        monkeypatch.setattr(dialectid.features, "token_buckets", cut_and_hash)
         return seen
 
     def check(self, seen, tokens, cfg):
-        assert sorted(seen["char_ngrams"]) == sorted(tokens)
-        grams = Counter()
+        assert sorted(seen["tokens"]) == sorted(tokens)
+        buckets = Counter()
         for token in tokens:
-            grams.update(dialectid.features.char_ngrams(token, cfg.features))
-        assert Counter(seen["hash_grams"]) == grams
+            for gram, count in dialectid.features.char_ngrams(token, cfg.features).items():
+                buckets[feature_oracle.hash_index(gram, cfg.features)] += count
+        assert seen["buckets"] == buckets
 
     def test_fit_pipeline(self, monkeypatch):
         cfg = config("once")

@@ -1,9 +1,14 @@
 """The benchmark's per-layer tracer, installed in-process, still sees
 the featurizer and the classifier: one vectorize span per fit and per
 predict block, one classifier.predict span per predict block, one
-fit_idf and one fit_pipeline span per fit, one char_ngrams span per
-distinct token of each fit or predict, the nnz of the rows vectorize
-returns, and the example-epochs of every train call."""
+fit_idf and one fit_pipeline span per fit, the nnz of the rows
+vectorize returns, and the example-epochs of every train call.
+
+The tracer spans features.char_ngrams and counts the grams it returns,
+but bucket_counts cuts and hashes whole chunks of tokens in
+token_buckets and never calls char_ngrams, so features.char_ngrams_s
+and features.distinct_grams read zero; it also has no per-gram hash
+function left to count."""
 
 import json
 import os
@@ -39,14 +44,11 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     experiments = list(spec.experiments)
 
     def one_call(records, cfg):
-        """Distinct tokens, their grams and the blocks of one bucket_counts call."""
+        """The number of blocks of one bucket_counts call."""
         texts = harness.prepare_texts(records, cfg)
-        tokens = {tok for text in texts for tok in text.split()}
-        grams = set().union(*(features.char_ngrams(tok, cfg.features) for tok in tokens))
-        return tokens, grams, sum(1 for _ in features.bucket_counts(texts, cfg.features))
+        return sum(1 for _ in features.bucket_counts(texts, cfg.features))
 
-    # Each fit and each predict is one bucket_counts call, which cuts
-    # each distinct token of its texts into grams once.
+    # Each fit and each predict is one bucket_counts call.
     grid_calls = [(one_call(train, cfg), one_call(dev, cfg)) for cfg in experiments]
     final_calls = {cfg.name: (one_call(train + dev, cfg), one_call(test, cfg)) for cfg in experiments}
 
@@ -70,14 +72,13 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     fit_and_predict = grid_calls + [final_calls[grid.selected]]
     # A fit vectorizes its joined blocks once; a predict vectorizes and
     # classifies block by block.
-    predict_blocks = sum(blocks for _, (_, _, blocks) in fit_and_predict)
+    predict_blocks = sum(blocks for _, blocks in fit_and_predict)
     assert calls["features.vectorize"] == len(fit_and_predict) + predict_blocks
     assert calls["classifier.predict"] == predict_blocks
     assert calls["features.fit_idf"] == len(experiments) + 1
     # Every fit, the grid's and finalize's, goes through fit_pipeline.
     assert calls["harness.fit_pipeline"] == len(experiments) + 1
-    featurize_calls = [call for pair in fit_and_predict for call in pair]
-    assert calls["features.char_ngrams"] == sum(len(tokens) for tokens, _, _ in featurize_calls)
+    assert "features.char_ngrams" not in calls
     assert doc["counters"]["features.nnz"] > 0
     epochs = sum(cfg.hp.epochs for cfg in experiments) * len(train) + selected.hp.epochs * (
         len(train) + len(dev)
@@ -86,8 +87,6 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     layers = tracer.summarize(doc)
     assert layers["features.vectorize_calls"] == calls["features.vectorize"]
     assert layers["features.nnz_per_doc"] > 0
-    distinct_grams = set().union(*(grams for _, grams, _ in featurize_calls))
-    assert layers["features.distinct_grams"] == len(distinct_grams) > 0
-    # The package hashes its grams in batches through hash_grams and has
-    # no per-gram hash function left for the tracer to count.
+    assert layers["features.char_ngrams_s"] == 0
+    assert layers["features.distinct_grams"] == 0
     assert layers["features.hash_calls"] == 0
