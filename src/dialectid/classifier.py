@@ -10,7 +10,7 @@ buckets) its training rows touch, as a K x num_classes matrix, and
 nothing for the other dim - K columns.  Training runs on those columns
 only, and each batch is two matrix products over a dense block of the
 batch's distinct columns.  In the dense num_classes x dim model of
-per-example SGD (batch_cross_entropy) a column no example uses has a
+per-example SGD (tests/dense_oracle.py) a column no example uses has a
 zero gradient on every batch, so it stays 0 * decay - lr * 0 = 0.0
 exactly as long as the decay factor 1 - lr * l2 is not negative, which
 HyperParams enforces; leaving it out changes no logit.  The touched
@@ -138,33 +138,6 @@ def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
     classes = logits(model, rows).argmax(axis=1)
     classes[np.diff(rows.indptr) == 0] = model.fallback_class
     return classes
-
-
-def batch_cross_entropy(
-    weights: np.ndarray, bias: np.ndarray, rows: SparseRows, y: Sequence[int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch of rows and its exact gradient.
-
-    Loss per example uses logsumexp(logits) - logits[y], which is the
-    negative log probability without an epsilon fudge.  Returns
-    (loss, grad_weights, grad_bias); the l2 term is not included here.
-    """
-    grad_w = np.zeros_like(weights)
-    grad_b = np.zeros_like(bias)
-    loss = 0.0
-    bounds = rows.indptr.tolist()
-    for lo, hi, target in zip(bounds[:-1], bounds[1:], y, strict=True):
-        indices, values = rows.indices[lo:hi], rows.values[lo:hi]
-        logits = weights[:, indices] @ values + bias
-        shifted = logits - logits.max()
-        logsumexp = float(np.log(np.exp(shifted).sum()) + logits.max())
-        loss += logsumexp - float(logits[target])
-        probs = np.exp(logits - logsumexp)
-        probs[target] -= 1.0
-        grad_w[:, indices] += np.outer(probs, values)
-        grad_b += probs
-    scale = 1.0 / len(rows)
-    return loss * scale, grad_w * scale, grad_b * scale
 
 
 def train(

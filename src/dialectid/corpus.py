@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DuplicateId,
@@ -267,24 +267,6 @@ def load_corpus(
             TweetRecord(id=rid, text=text, country=country, province=province, register=register)
         )
     return records
-
-
-def write_corpus(records: Iterable[TweetRecord], path: str, schema: ColumnSchema = DEFAULT_SCHEMA) -> None:
-    """Write records as a four-column TSV with a header row.
-
-    Fields must not contain tab or newline characters; the format has no
-    escaping, so such a record would not survive a round trip.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\t".join((schema.id, schema.text, schema.country, schema.province)) + "\n")
-        for record in records:
-            cells = [record.id, record.text, record.country or "", record.province or ""]
-            for value in cells:
-                if "\t" in value or "\n" in value or "\r" in value:
-                    raise MalformedRow(
-                        f"record {record.id!r}: fields may not contain tabs or newlines"
-                    )
-            fh.write("\t".join(cells) + "\n")
 
 
 @dataclass(frozen=True)

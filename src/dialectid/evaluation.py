@@ -208,8 +208,3 @@ def parse_report(text: str) -> EvaluationReport:
 def write_report(rep: EvaluationReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_report(rep))
-
-
-def read_report(path: str) -> EvaluationReport:
-    with open(path, encoding="utf-8") as fh:
-        return parse_report(fh.read())

@@ -25,7 +25,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -177,6 +177,28 @@ _CHUNK_TEXTS = 64
 _CHUNK_GRAMS = 1 << 14
 
 
+class _Appendable:
+    """An int64 array appended to in place; its buffer is reallocated at
+    twice the needed size when full, so n appends copy O(n) entries."""
+
+    def __init__(self, first: Sequence[int] = ()) -> None:
+        self.buffer = np.array(first, dtype=np.int64)
+        self.size = len(first)
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self.size + len(values)
+        if end > self.buffer.size:
+            grown = np.empty(2 * end, dtype=np.int64)
+            grown[: self.size] = self.buffer[: self.size]
+            self.buffer = grown
+        self.buffer[self.size : end] = values
+        self.size = end
+
+    @property
+    def last(self) -> int:
+        return int(self.buffer[self.size - 1])
+
+
 def bucket_counts(
     texts: Iterable[str], config: FeatureConfig = DEFAULT_FEATURES
 ) -> Iterator[SparseRows]:
@@ -185,13 +207,16 @@ def bucket_counts(
 
     Colliding grams add their counts in the shared bucket.  Grams never
     cross whitespace, so a text's row is the sum of its tokens' buckets:
-    each distinct token of the call is cut and hashed once, and the
-    token -> buckets table lives as long as the returned iterator.  The
-    texts are read in bounded chunks; the grams of a chunk's new tokens
-    are cut and hashed in one token_buckets call, and the chunk's
-    (row, bucket) pairs are counted in one np.unique.
+    each distinct token of the call is numbered, cut and hashed once,
+    and the token -> buckets table, in CSR form, lives as long as the
+    returned iterator.  The texts are read in bounded chunks; the grams
+    of a chunk's new tokens are cut and hashed in one token_buckets
+    call, and the chunk's (row, bucket) pairs are counted in one
+    np.unique.
     """
-    table: dict[str, np.ndarray] = {}  # token -> one bucket per gram occurrence
+    ids: dict[str, int] = {}  # token -> its number, in order of first sight
+    buckets = _Appendable()  # token i's grams hash to buckets[bounds[i]:bounds[i + 1]]
+    bounds = _Appendable([0])
     new: dict[str, int] = {}  # this chunk's new tokens -> their numbers of grams
     pending = 0
     chunk: list[list[str]] = []
@@ -199,32 +224,36 @@ def bucket_counts(
         tokens = text.split()
         chunk.append(tokens)
         for token in tokens:
-            if token not in table and token not in new:
+            if token not in ids:
+                ids[token] = len(ids)
                 new[token] = _gram_count(len(token) + 2, config)
                 pending += new[token]
         if len(chunk) == _CHUNK_TEXTS or pending >= _CHUNK_GRAMS:
-            yield _count_block(chunk, new, table, config)
+            yield _count_block(chunk, ids, new, buckets, bounds, config)
             chunk, pending = [], 0
     if chunk:
-        yield _count_block(chunk, new, table, config)
+        yield _count_block(chunk, ids, new, buckets, bounds, config)
 
 
 def _count_block(
-    chunk: list[list[str]], new: dict[str, int], table: dict[str, np.ndarray],
-    config: FeatureConfig,
+    chunk: list[list[str]], ids: dict[str, int], new: dict[str, int],
+    buckets: _Appendable, bounds: _Appendable, config: FeatureConfig,
 ) -> SparseRows:
-    """Move the new tokens into the table, cut and hashed all at once,
-    then count each distinct (row, bucket) of the chunk's texts."""
-    buckets = token_buckets(list(new), config)
-    ends = accumulate(new.values())
-    table.update((tok, buckets[end - size : end]) for (tok, size), end in zip(new.items(), ends))
+    """Append the new tokens' buckets to the table, cut and hashed all
+    at once, then count each distinct (row, bucket) of the chunk's
+    texts from the spans of its token occurrences."""
+    buckets.extend(token_buckets(list(new), config))
+    bounds.extend(bounds.last + np.cumsum(np.fromiter(new.values(), np.int64, len(new))))
     new.clear()
-    parts = [table[token] for token in chain.from_iterable(chunk)]
-    owners = np.repeat(np.arange(len(chunk)), [len(tokens) for tokens in chunk])
-    rows = np.repeat(owners, [len(part) for part in parts])
-    keys, counts = np.unique(
-        rows * config.dim + np.concatenate([_NO_INDICES] + parts), return_counts=True
+    lengths = [len(tokens) for tokens in chunk]
+    occurrences = np.fromiter(
+        map(ids.__getitem__, chain.from_iterable(chunk)), np.int64, sum(lengths)
     )
+    lo = bounds.buffer[occurrences]
+    sizes = bounds.buffer[occurrences + 1] - lo
+    at = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    rows = np.repeat(np.repeat(np.arange(len(chunk)), lengths), sizes)
+    keys, counts = np.unique(rows * config.dim + buckets.buffer[at], return_counts=True)
     return SparseRows(
         indptr=np.searchsorted(keys, np.arange(len(chunk) + 1) * config.dim),
         indices=keys % config.dim,

@@ -7,11 +7,24 @@ insertion at script boundaries, whitespace collapsing, and (optionally)
 rule-based clitic segmentation.
 
 Placeholder surfaces are protected spans: no downstream stage may alter
-the bytes inside them. `normalize` re-applies the stage chain until the
-text stops changing, so its output is a fixed point; removing a noise
-character can fuse two fragments into something a previous stage would
-have rewritten (for example an emoji spliced into a URL), and only the
-re-application catches that.
+the bytes inside them. `normalize` returns a fixed point of the stage
+chain: a text one more pass would leave as it is.  With noise removal
+on and segmentation off, one pass usually gets there, and `normalize`
+can tell without running a second:
+
+- Once noise removal has run, no `<`, `>` or `&` is left, so
+  `strip_markup` cannot fire.
+- Deleting characters and capping runs give a text that noise removal
+  leaves as it is.  So does `insert_spacing`, which never inserts next
+  to whitespace or at either end.
+- Two things can make a second pass fire, and both go through
+  `replace_entities`.  One is a deletion that splices a URL, as in
+  `http😂://x.co`.  The other is a space that opens a `\\b` before a
+  bare host, as in `عربيx.co/a`.  So the pass output is settled when
+  no entity matches outside its placeholders.
+
+Any other configuration re-applies the chain until the text stops
+changing.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping
 
 
@@ -46,8 +60,9 @@ _SURFACE_BY_GROUP = {p.kind.value: p.surface for p in PLACEHOLDERS}
 class NormConfig:
     """Stage toggles and the repeated-character cap.
 
-    Whitespace collapsing has no toggle; it always runs so that the
-    output is single-space separated whenever any stage fired.
+    Whitespace collapsing has no toggle: the output is always single-space
+    separated.  Noise removal collapses whitespace itself, so the
+    separate collapsing stage runs only when noise removal is off.
     """
 
     strip_markup: bool = True
@@ -75,7 +90,6 @@ _DISALLOWED_RE = re.compile(
     "[^" + _ARABIC_RANGES + "٠-٩" + "A-Za-z0-9" + r"\[\]+" + _PUNCT_CHARS + r"\s]"
 )
 
-_RUN_RE = re.compile(r"(.)\1+", re.DOTALL)
 _WS_RE = re.compile(r"\s+")
 
 _BR_TAG_RE = re.compile(r"</?br\s*/?>", re.IGNORECASE)
@@ -156,8 +170,14 @@ def replace_entities(text: str) -> str:
     )
 
 
+@lru_cache(maxsize=None)
+def _long_run_re(max_repeat: int) -> re.Pattern[str]:
+    """A run of one character longer than max_repeat."""
+    return re.compile(rf"(.)\1{{{max_repeat},}}", re.DOTALL)
+
+
 def _cap_runs(text: str, max_repeat: int) -> str:
-    return _RUN_RE.sub(lambda m: m.group(0)[:max_repeat], text)
+    return _long_run_re(max_repeat).sub(lambda m: m.group(1) * max_repeat, text)
 
 
 def _map_outside_placeholders(text: str, fn) -> str:
@@ -275,7 +295,8 @@ def _apply_stages(
         text = remove_noise(text, config.max_repeat)
     if config.insert_spacing:
         text = insert_spacing(text)
-    text = collapse_whitespace(text)
+    if not config.remove_noise:  # remove_noise collapsed it, and insert_spacing keeps it so
+        text = collapse_whitespace(text)
     if config.segment:
         text = segment(text, lexicon, overrides)
     return text
@@ -286,13 +307,34 @@ def _apply_stages(
 _MAX_PASSES = 8
 
 
+def _settled(text: str, config: NormConfig) -> bool:
+    """Whether another pass of the chain would leave this pass output
+    as it is (see the module docstring).  Every entity needs an @, a /
+    or www., so a text with none of them cannot match one."""
+    if not config.remove_noise or config.segment:
+        return False
+    if not config.replace_entities or not ("@" in text or "/" in text or "www." in text):
+        return True
+    parts = _PLACEHOLDER_SPLIT_RE.split(text)
+    return not any(_ENTITY_RE.search(part) for part in parts[::2])
+
+
 def normalize(
     text: str,
     config: NormConfig | None = None,
     lexicon: SegmentLexicon | None = None,
     overrides: Mapping[str, str] | None = None,
 ) -> str:
-    """Run the full cleanup chain until the text stops changing."""
+    """Run the full cleanup chain to a fixed point.
+
+    After each pass the text is returned if the pass left it unchanged
+    or if its output is settled.  With noise removal on and
+    segmentation off, a second pass could change the output only
+    through `replace_entities`, when a deletion spliced a URL or a space
+    opened a `\\b` before a bare host (see the module docstring), so the
+    output is settled when no entity matches outside its placeholders.
+    Otherwise the chain runs again, at most _MAX_PASSES times in all.
+    """
     if config is None:
         config = DEFAULT_CONFIG
     if lexicon is None:
@@ -300,7 +342,7 @@ def normalize(
     current = text
     for _ in range(_MAX_PASSES):
         nxt = _apply_stages(current, config, lexicon, overrides)
-        if nxt == current:
+        if nxt == current or _settled(nxt, config):
             return nxt
         current = nxt
     return current

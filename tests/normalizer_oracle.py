@@ -1,13 +1,21 @@
-"""Character-by-character reference for normalizer.insert_spacing.
+"""Reference implementations for the normalizer tests.
 
-The spacing stage as it ran before it became one lookaround regex: it
-walks each segment between placeholders and tests every adjacent pair
-of characters.  insert_spacing must match it on every string.
+insert_spacing is the spacing stage as it ran before it became one
+lookaround regex: it walks each segment between placeholders and tests
+every adjacent pair of characters.  normalizer.insert_spacing must match
+it on every string.
+
+normalize is the fixed-point loop as it ran before normalizer.normalize
+learned to stop after a settled pass: it re-applies the whole stage
+chain, whitespace collapsing included and runs capped by the old
+every-run regex, until the text stops changing.  normalizer.normalize
+must give the same bytes on every string and configuration.
 """
 
 import re
 
-from dialectid.normalizer import PLACEHOLDERS
+from dialectid import normalizer
+from dialectid.normalizer import DEFAULT_CONFIG, DEFAULT_LEXICON, PLACEHOLDERS
 
 _ARABIC_SET = frozenset(
     [chr(c) for c in range(0x0621, 0x063B)]
@@ -48,3 +56,48 @@ def insert_spacing(text):
     for i in range(0, len(parts), 2):
         parts[i] = _space_segment(parts[i])
     return "".join(parts)
+
+
+_RUN_RE = re.compile(r"(.)\1+", re.DOTALL)
+_WS_RE = re.compile(r"\s+")
+_MAX_PASSES = 8
+
+
+def _map_outside_placeholders(text, fn):
+    parts = _PLACEHOLDER_SPLIT_RE.split(text)
+    for i in range(0, len(parts), 2):
+        parts[i] = fn(parts[i])
+    return "".join(parts)
+
+
+def remove_noise(text, max_repeat):
+    def clean(part):
+        part = normalizer._DISALLOWED_RE.sub("", part)
+        return _RUN_RE.sub(lambda m: m.group(0)[:max_repeat], part)
+
+    return _WS_RE.sub(" ", _map_outside_placeholders(text, clean)).strip()
+
+
+def apply_stages(text, config, lexicon, overrides):
+    if config.strip_markup:
+        text = normalizer.strip_markup(text)
+    if config.replace_entities:
+        text = normalizer.replace_entities(text)
+    if config.remove_noise:
+        text = remove_noise(text, config.max_repeat)
+    if config.insert_spacing:
+        text = normalizer.insert_spacing(text)
+    text = _WS_RE.sub(" ", text).strip()
+    if config.segment:
+        text = normalizer.segment(text, lexicon, overrides)
+    return text
+
+
+def normalize(text, config=DEFAULT_CONFIG, lexicon=DEFAULT_LEXICON, overrides=None):
+    current = text
+    for _ in range(_MAX_PASSES):
+        nxt = apply_stages(current, config, lexicon, overrides)
+        if nxt == current:
+            return nxt
+        current = nxt
+    return current

@@ -15,14 +15,15 @@ import pytest
 import dialectid.classifier
 import dialectid.features
 from dialectid import cli
-from dialectid.classifier import batch_cross_entropy
 from dialectid.corpus import LabelVocab, Register, load_corpus
-from dialectid.evaluation import read_report, report
+from dialectid.evaluation import report
 from dialectid.harness import Splits, finalize, parse_benchmark_file, run_grid
 from dialectid.normalizer import NormConfig, normalize
 
 import synthcorpus
 from conftest import csr, data_path
+from dense_oracle import batch_cross_entropy
+from file_io import read_report
 
 
 def announce(capsys, text):

@@ -13,7 +13,6 @@ from dialectid import classifier
 from dialectid.classifier import (
     HyperParams,
     LinearModel,
-    batch_cross_entropy,
     load_model,
     logits,
     predict,
@@ -29,7 +28,14 @@ from dialectid.errors import (
 )
 
 from conftest import csr, edit_one_place
-from dense_oracle import dense_logits, dense_train, from_dense, take_rows, to_dense
+from dense_oracle import (
+    batch_cross_entropy,
+    dense_logits,
+    dense_train,
+    from_dense,
+    take_rows,
+    to_dense,
+)
 
 
 def random_map(rng, dim, max_nnz=4):

@@ -12,7 +12,6 @@ from dialectid.corpus import (
     corpus_stats,
     load_corpus,
     read_submission,
-    write_corpus,
     write_submission,
 )
 from dialectid.errors import (
@@ -23,6 +22,8 @@ from dialectid.errors import (
     UnknownLabel,
     UnlabeledRecord,
 )
+
+from file_io import write_corpus
 
 
 def test_subtask_codes():

@@ -12,12 +12,13 @@ from dialectid.evaluation import (
     macro_f1,
     parse_report,
     per_class_prf,
-    read_report,
     render_report,
     report,
     weighted_f1,
     write_report,
 )
+
+from file_io import read_report
 
 # gold rows, predicted columns: [[1, 1], [0, 1]]
 FIXTURE_GOLD = ["A", "A", "B"]

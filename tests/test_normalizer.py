@@ -1,12 +1,15 @@
 import itertools
+import os
 import random
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dialectid import normalizer
+from dialectid import harness, normalizer
+from dialectid.corpus import Register, load_corpus
 from dialectid.normalizer import (
     DEFAULT_LEXICON,
     NormConfig,
@@ -23,6 +26,11 @@ from dialectid.normalizer import (
 
 import normalizer_oracle
 from conftest import data_path
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import fixtures  # noqa: E402
 
 CONFIGS = {
     "default": NormConfig(),
@@ -444,3 +452,152 @@ def test_normalize_deterministic():
 
 def test_collapse_whitespace():
     assert collapse_whitespace(" a \t b\n") == "a b"
+
+
+# normalize against the fixed-point oracle
+
+# Texts on which a pass of the chain can make another pass fire: noise
+# spliced into URLs, emails, mentions, tags, entities, placeholder
+# surfaces and elongations; Arabic, placeholders and brackets glued to
+# hosts; segmenter markers; and whitespace other than the space.
+CARRIERS = [
+    "http://x.co/a", "https://t.co/ab", "http://x.co", "www.x.co", "x.co/a", "a-b.c.d/e",
+    "user@mail.com", "@user", "@", "<b>", "</b>", "<br>", "<br />", "&lt;b&gt;",
+    "&amp;lt;b&amp;gt;", "&amp;", "&nbsp;", "[رابط]", "[بريد]", "[مستخدم]",
+    "هههه", "اااا", "!!!!", "+", "وال+", "+ها", "والكتاب", "كتابها",
+]
+NOISE = ["😂", "🎉", "\u200f", "#", "،", "؟", "\u0301", "«", "\U0001F1EA\U0001F1EC"]
+GLUE = [
+    "", " ", "  ", "\t", "\n", "\x1c", "\x85", "\u3000", "\u00a0",
+    "عربي", "x", "25", "٢٥", "/", ".", "_", "[", "]",
+]
+
+
+@st.composite
+def noisy_carriers(draw):
+    carrier = draw(st.sampled_from(CARRIERS))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(carrier)))
+        carrier = carrier[:at] + draw(st.sampled_from(NOISE)) + carrier[at:]
+    return carrier
+
+
+adversarial_texts = st.lists(
+    st.one_of(noisy_carriers(), st.sampled_from(GLUE)), max_size=8
+).map("".join)
+every_config = st.builds(
+    NormConfig,
+    strip_markup=st.booleans(),
+    replace_entities=st.booleans(),
+    remove_noise=st.booleans(),
+    insert_spacing=st.booleans(),
+    segment=st.booleans(),
+    max_repeat=st.integers(1, 3),
+)
+SHORT_LEXICON = SegmentLexicon(prefixes=("ال", "و"), suffixes=("ها",), min_stem_len=1)
+# Overrides that undo a marker, split a word and bring a host back.
+OVERRIDES = {"كتاب": "ك+ تاب", "عربي": "عربيx.co/a", "+ها": "ها+", "[رابط]": "x.co/a"}
+
+# A deletion splices a URL together, and a space opens a word boundary
+# before a bare host: the two ways a pass makes the next one fire.
+SPLICED_URL = "http😂://x.co"
+GLUED_HOST = "عربيx.co/a"
+
+
+def assert_matches_oracle(text, config, lexicon=DEFAULT_LEXICON, overrides=None):
+    expected = normalizer_oracle.normalize(text, config, lexicon, overrides)
+    assert normalize(text, config, lexicon, overrides) == expected, (text, config)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(any_texts, fragment_texts, adversarial_texts),
+    every_config,
+    st.sampled_from([DEFAULT_LEXICON, SHORT_LEXICON]),
+    st.sampled_from([None, OVERRIDES]),
+)
+@example(SPLICED_URL, NormConfig(), DEFAULT_LEXICON, None)
+@example(GLUED_HOST, NormConfig(), DEFAULT_LEXICON, None)
+@example("http😂://x.co/a", NormConfig(), DEFAULT_LEXICON, None)
+@example("[راب😂ط]", NormConfig(), DEFAULT_LEXICON, None)
+@example("هه😂هه😂هه", NormConfig(max_repeat=1), DEFAULT_LEXICON, None)
+@example("&amp;lt;b&amp;gt;", NormConfig(remove_noise=False), DEFAULT_LEXICON, None)
+@example("[رابط]x.co/a", NormConfig(), DEFAULT_LEXICON, None)
+@example("وال+ كتاب +ها", NormConfig(segment=True), SHORT_LEXICON, OVERRIDES)
+def test_normalize_matches_fixed_point_oracle(text, config, lexicon, overrides):
+    assert_matches_oracle(text, config, lexicon, overrides)
+
+
+ADVERSARIAL = [
+    SPLICED_URL, GLUED_HOST, "http😂://x.co/a", "www😂.x.co", "x😂.co/a", "[راب😂ط]",
+    "هه😂هه😂ههه", "&amp;lt;b&amp;gt;", "<b😂>", "[رابط]x.co/a", "@us😂er",
+    "a.b@ma😂il.com", "وال+ كتاب +ها", "عمري25\x1c\x85\u3000x.co/a", "",
+]
+
+
+@pytest.mark.parametrize("toggles", list(itertools.product([False, True], repeat=5)))
+def test_every_toggle_combination_matches_oracle(toggles):
+    for max_repeat in (1, 2, 3):
+        config = NormConfig(*toggles, max_repeat=max_repeat)
+        for text in ADVERSARIAL:
+            assert_matches_oracle(text, config)
+            assert_matches_oracle(text, config, SHORT_LEXICON, OVERRIDES)
+
+
+def test_golden_matches_oracle():
+    for _, text, _ in GOLDEN:
+        for config in CONFIGS.values():
+            assert_matches_oracle(text, config)
+
+
+def fixture_texts(workload, seed, directory):
+    """The raw texts of every split of a benchmark fixture, and the norm
+    configurations of its experiments."""
+    fixture = fixtures.write_fixture(workload, seed, directory)
+    spec = harness.parse_benchmark_file(fixture.config_path)
+    texts = [r.text for path in fixture.paths.values() for r in load_corpus(path, Register.DA)]
+    return texts, {config.norm for config in spec.experiments}
+
+
+@pytest.mark.parametrize("seed", [101, 7])
+@pytest.mark.parametrize("workload", sorted(fixtures.WORKLOADS))
+def test_benchmark_fixtures_match_oracle(workload, seed, tmp_path):
+    texts, configs = fixture_texts(workload, seed, str(tmp_path))
+    for config in configs:
+        for text in texts:
+            assert_matches_oracle(text, config)
+
+
+def count_passes(monkeypatch, texts, module=normalizer, stages="_apply_stages"):
+    """The number of passes of the stage chain module.normalize runs
+    over texts."""
+    calls = []
+    real = getattr(module, stages)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, stages, counting)
+        for text in texts:
+            module.normalize(text)
+    return len(calls)
+
+
+def test_one_pass_per_text_on_served_split(monkeypatch, tmp_path):
+    fixture = fixtures.write_fixture("serve", 101, str(tmp_path))
+    texts = [r.text for r in load_corpus(fixture.paths["test"], Register.DA)]
+    assert len(texts) == 1470
+    assert count_passes(monkeypatch, texts) == 1470
+    # The loop that stops only when a pass changes nothing: 1,439 of the
+    # texts take a second pass that only confirms the first.
+    assert count_passes(monkeypatch, texts, normalizer_oracle, "apply_stages") == 2909
+
+
+def test_refiring_texts_take_another_pass(monkeypatch):
+    assert count_passes(monkeypatch, [SPLICED_URL]) >= 2
+    assert count_passes(monkeypatch, [GLUED_HOST]) >= 2
+    # The first pass replaces x.co/a; the http:// left over matches no
+    # entity in its part, whatever follows the placeholder.
+    assert count_passes(monkeypatch, ["http😂://x.co/a"]) == 1
