@@ -7,7 +7,6 @@ experiment harness with a command line front end.
 
 from .classifier import HyperParams, LinearModel, predict, train
 from .corpus import (
-    ColumnSchema,
     LabelVocab,
     Level,
     Register,
@@ -25,7 +24,6 @@ from .features import (
     IdfTable,
     SparseRows,
     bucket_counts,
-    char_ngrams,
     fit_idf,
     join_rows,
     vectorize,
@@ -36,7 +34,6 @@ from .normalizer import NormConfig, SegmentLexicon, normalize, segment
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnSchema",
     "DialectIdError",
     "EvaluationReport",
     "ExperimentConfig",
@@ -55,7 +52,6 @@ __all__ = [
     "Subtask",
     "TweetRecord",
     "bucket_counts",
-    "char_ngrams",
     "concat_splits",
     "confusion",
     "corpus_stats",

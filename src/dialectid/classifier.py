@@ -87,8 +87,9 @@ class LinearModel:
     from a file written whole stores all dim (see save_model).  bias and
     class_labels are per class, in label order.  fallback_class is the
     class index given to a text with no features: the majority class of
-    the training data.  feature_fingerprint is the config_fingerprint of
-    the features it was trained on, or "" when unknown."""
+    the training data.  feature_fingerprint is the harness.fingerprint
+    of the text preparation and features it was trained on, or "" when
+    unknown."""
 
     columns: np.ndarray
     weights: np.ndarray

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import classifier, corpus, evaluation, features, harness, normalizer
-from .corpus import ColumnSchema, LabelVocab, Level, Register, Subtask
+from .corpus import LabelVocab, Level, Register, Subtask
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
 
@@ -35,10 +35,9 @@ def _load_lexicon_flags(args: argparse.Namespace):
 def _cmd_normalize(args: argparse.Namespace) -> int:
     config = _norm_config_from_flags(args)
     lexicon, overrides = _load_lexicon_flags(args)
-    schema = ColumnSchema()
     rows = corpus.read_rows(args.infile)
     text_col = 1 if rows and len(rows[0][1]) >= 2 else 0
-    has_header = text_col == 1 and rows[0][1][0] == schema.id and rows[0][1][1] == schema.text
+    has_header = bool(rows) and corpus.has_header(rows[0][1])
     for lineno, cells in rows[1 if has_header else 0 :]:
         if len(cells) <= text_col:
             raise MalformedRow(
@@ -147,12 +146,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if model.dim != idf.dim:
         raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
     # A model trained outside the harness carries no fingerprint.
-    fingerprint = features.config_fingerprint(config.features)
+    fingerprint = harness.fingerprint(config)
     if model.feature_fingerprint and model.feature_fingerprint != fingerprint:
         raise DialectIdError(
-            f"model was trained on features {model.feature_fingerprint}, but experiment "
-            f"{config.name!r} has features {fingerprint} (n-gram range, hash seed "
-            f"or pad token differ)"
+            f"model was trained with fingerprint {model.feature_fingerprint}, but experiment "
+            f"{config.name!r} has {fingerprint} (its text preparation or features differ)"
         )
     lexicon, overrides = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile, register=Register(args.register))
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Arabic dialect identification pipeline",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the training RNG seed everywhere")
+                        help="override the training RNG seed of train and benchmark")
     parser.add_argument("--config", default=None,
                         help="benchmark config holding the experiment of train and predict")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,6 +269,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.config is not None and args.command not in ("train", "predict"):
             raise DialectIdError(f"--config is read by train and predict, not {args.command}")
+        if args.seed is not None and args.command not in ("train", "benchmark"):
+            raise DialectIdError(f"--seed is read by train and benchmark, not {args.command}")
         return args.func(args)
     except DialectIdError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Corpus ingestion and label bookkeeping.
 
 Data files are UTF-8 TSV, one record per line, with an optional header
-row.  Labels live in a two-level vocabulary: every province belongs to
-exactly one country, and records may be labeled at either level.
+row; every TSV file is read by read_rows.  Labels live in a two-level
+vocabulary: every province belongs to exactly one country, and records
+may be labeled at either level.
 """
 
 from __future__ import annotations
@@ -57,22 +58,9 @@ class TweetRecord:
         return self.country if level is Level.COUNTRY else self.province
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnSchema:
-    """Names of the columns holding each record field.
-
-    With a header row the columns are located by these names; without
-    one the order id, text, country, province is assumed, and trailing
-    label columns may be absent entirely.
-    """
-
-    id: str = "id"
-    text: str = "tweet"
-    country: str = "country"
-    province: str = "province"
-
-
-DEFAULT_SCHEMA = ColumnSchema()
+# The column names of a split's header row, in the column order of a
+# split without one: id, text, country, province.
+HEADER = ("id", "tweet", "country", "province")
 
 # Country inventory of the dialect identification task, in the order the
 # task materials list them.
@@ -130,21 +118,13 @@ class LabelVocab:
         provinces: list[str] = []
         countries: list[str] = []
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                cells = line.split("\t")
-                if len(cells) != 2:
-                    raise MalformedRow(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
-                province, country = cells
-                if province in mapping:
-                    raise DuplicateId(f"{path}:{lineno}: province {province!r} listed twice")
-                mapping[province] = country
-                provinces.append(province)
-                if country not in countries:
-                    countries.append(country)
+        for lineno, province, country in read_pairs(path):
+            if province in mapping:
+                raise DuplicateId(f"{path}:{lineno}: province {province!r} listed twice")
+            mapping[province] = country
+            provinces.append(province)
+            if country not in countries:
+                countries.append(country)
         return cls(
             countries=tuple(countries),
             provinces=tuple(provinces),
@@ -158,23 +138,41 @@ class LabelVocab:
 
 def read_rows(path: str) -> list[tuple[int, list[str]]]:
     """The (line number, tab-separated cells) of every line of a UTF-8
-    file, with a final newline and each line's carriage return dropped."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    TSV file that is not blank.  A leading byte order mark and one
+    carriage return before each newline are dropped; only a newline
+    ends a line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         raw_lines = fh.read().split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
     rows = []
     for lineno, line in enumerate(raw_lines, start=1):
         if line.endswith("\r"):
             line = line[:-1]
-        rows.append((lineno, line.split("\t")))
+        if line:
+            rows.append((lineno, line.split("\t")))
     return rows
+
+
+def read_pairs(path: str) -> list[tuple[int, str, str]]:
+    """The (line number, first cell, second cell) of every row of a
+    two-column TSV file read by read_rows.  Raises MalformedRow on a row
+    of another width."""
+    pairs = []
+    for lineno, cells in read_rows(path):
+        if len(cells) != 2:
+            raise MalformedRow(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
+        pairs.append((lineno, cells[0], cells[1]))
+    return pairs
+
+
+def has_header(cells: Sequence[str]) -> bool:
+    """Whether a split's first row is a header: its first two cells are
+    the names of the id and text columns."""
+    return tuple(cells[:2]) == HEADER[:2]
 
 
 def load_corpus(
     path: str,
     register: Register,
-    schema: ColumnSchema = DEFAULT_SCHEMA,
     vocab: LabelVocab | None = None,
 ) -> list[TweetRecord]:
     """Load a TSV split into records, preserving file order.
@@ -190,38 +188,23 @@ def load_corpus(
     if not rows:
         return []
 
-    col_of: dict[str, int | None]
-    first_cells = rows[0][1]
-    has_header = (
-        len(first_cells) >= 2
-        and first_cells[0] == schema.id
-        and first_cells[1] == schema.text
-    )
-    if has_header:
+    first_lineno, first_cells = rows[0]
+    expected_cols = len(first_cells)
+    # The column of each field of HEADER, or None for a missing label.
+    if has_header(first_cells):
         positions = {name: i for i, name in enumerate(first_cells)}
         if len(positions) != len(first_cells):
-            raise MalformedRow(f"{path}:1: duplicate column name in header")
-        col_of = {
-            "id": positions[schema.id],
-            "text": positions[schema.text],
-            "country": positions.get(schema.country),
-            "province": positions.get(schema.province),
-        }
-        expected_cols = len(first_cells)
+            raise MalformedRow(f"{path}:{first_lineno}: duplicate column name in header")
+        columns = [positions.get(name) for name in HEADER]
         data_rows = rows[1:]
     else:
-        expected_cols = len(first_cells)
         if expected_cols not in (2, 3, 4):
             raise MalformedRow(
-                f"{path}:1: expected 2 to 4 columns, got {expected_cols}"
+                f"{path}:{first_lineno}: expected 2 to 4 columns, got {expected_cols}"
             )
-        col_of = {
-            "id": 0,
-            "text": 1,
-            "country": 2 if expected_cols >= 3 else None,
-            "province": 3 if expected_cols >= 4 else None,
-        }
+        columns = [i if i < expected_cols else None for i in range(len(HEADER))]
         data_rows = rows
+    id_col, text_col, country_col, province_col = columns
 
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
@@ -230,23 +213,22 @@ def load_corpus(
             raise MalformedRow(
                 f"{path}:{lineno}: expected {expected_cols} columns, got {len(cells)}"
             )
-        rid = cells[col_of["id"]]
+        rid = cells[id_col]
         if not rid:
             raise MalformedRow(f"{path}:{lineno}: empty id")
         if rid in seen_ids:
             raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r}")
         seen_ids.add(rid)
-        text = cells[col_of["text"]]
+        text = cells[text_col]
 
-        def cell(key: str) -> str | None:
-            idx = col_of[key]
+        def cell(idx: int | None) -> str | None:
             if idx is None:
                 return None
             value = cells[idx]
             return value if value else None
 
-        country = cell("country")
-        province = cell("province")
+        country = cell(country_col)
+        province = cell(province_col)
         if vocab is not None:
             if country is not None and country not in vocab.countries:
                 raise UnknownLabel(f"{path}:{lineno}: unknown country {country!r}")

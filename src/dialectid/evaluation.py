@@ -91,23 +91,6 @@ def per_class_prf(matrix: ConfusionMatrix) -> list[ClassMetrics]:
     return out
 
 
-def macro_f1(matrix: ConfusionMatrix) -> float:
-    """Unweighted mean F1 over every class in the inventory."""
-    metrics = per_class_prf(matrix)
-    return sum(m.f1 for m in metrics) / len(metrics)
-
-
-def _support_weighted_f1(metrics: Sequence[ClassMetrics], total: int) -> float:
-    if total == 0:
-        raise EmptyMatrix("weighted F1 of an empty matrix")
-    return sum(m.f1 * m.support for m in metrics) / total
-
-
-def weighted_f1(matrix: ConfusionMatrix) -> float:
-    """Support-weighted mean F1; raises EmptyMatrix on zero instances."""
-    return _support_weighted_f1(per_class_prf(matrix), matrix.total)
-
-
 def accuracy(matrix: ConfusionMatrix) -> float:
     if matrix.total == 0:
         raise EmptyMatrix("accuracy of an empty matrix")
@@ -121,13 +104,14 @@ def report(
     matrix = confusion(gold, pred, class_labels)
     metrics = per_class_prf(matrix)
     k = len(metrics)
+    acc = accuracy(matrix)  # raises EmptyMatrix before the weighted mean divides by 0
     return EvaluationReport(
         per_class=tuple(metrics),
         macro_precision=sum(m.precision for m in metrics) / k,
         macro_recall=sum(m.recall for m in metrics) / k,
         macro_f1=sum(m.f1 for m in metrics) / k,
-        weighted_f1=_support_weighted_f1(metrics, matrix.total),
-        accuracy=accuracy(matrix),
+        weighted_f1=sum(m.f1 * m.support for m in metrics) / matrix.total,
+        accuracy=acc,
         total=matrix.total,
     )
 

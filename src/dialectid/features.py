@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -71,34 +70,6 @@ class FeatureConfig:
 DEFAULT_FEATURES = FeatureConfig()
 
 
-def config_fingerprint(config: FeatureConfig) -> str:
-    """Stable hex digest of a feature configuration, for pairing a model
-    with the featurizer it was trained against."""
-    canon = (
-        f"n_min={config.n_min};n_max={config.n_max};dim={config.dim};"
-        f"seed={config.seed};pad={config.pad_token}"
-    )
-    return f"{fnv1a64(canon.encode('utf-8')):016x}"
-
-
-def char_ngrams(text: str, config: FeatureConfig = DEFAULT_FEATURES) -> Counter[str]:
-    """Multiset of character n-grams, n in [n_min, n_max].
-
-    Each whitespace token is padded with one pad_token on each side, and
-    grams never cross token boundaries.  The empty string yields an
-    empty multiset.  Items come in first-occurrence order: token by
-    token, shorter grams first, left to right.
-    """
-    pad = config.pad_token
-    n_min, n_max = config.n_min, config.n_max
-    return Counter([
-        padded[i : i + n]
-        for padded in [pad + token + pad for token in text.split()]
-        for n in range(n_min, min(n_max, len(padded)) + 1)
-        for i in range(len(padded) - n + 1)
-    ])
-
-
 def hash_spans(
     data: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: FeatureConfig
 ) -> np.ndarray:
@@ -114,14 +85,16 @@ def hash_spans(
 
 
 def _gram_count(chars: int, config: FeatureConfig) -> int:
-    """Number of grams char_ngrams cuts from a padded token of chars characters."""
+    """Number of grams token_buckets cuts from a padded token of chars characters."""
     terms = max(min(config.n_max, chars) - config.n_min + 1, 0)  # the n that fit
     return terms * (chars + 1) - (2 * config.n_min + terms - 1) * terms // 2
 
 
 def token_buckets(tokens: Sequence[str], config: FeatureConfig) -> np.ndarray:
-    """The int64 buckets of the grams char_ngrams cuts from each token,
-    token by token.  In the joined, encoded padded tokens, the n-gram at
+    """The int64 buckets of each token's grams, token by token: the
+    n-grams, n in [n_min, n_max], of the token padded with one pad_token
+    on each side, shorter grams first, left to right.  Grams never cross
+    tokens.  In the joined, encoded padded tokens, the n-gram at
     character c spans the bytes from the start of character c to that of
     c + n; a character starts at each byte not of the form 10xxxxxx."""
     pad = config.pad_token
@@ -298,18 +271,17 @@ def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> Idf
 
 def vectorize(
     counts: SparseRows,
-    config: FeatureConfig = DEFAULT_FEATURES,
-    idf: IdfTable | None = None,
+    config: FeatureConfig,
+    idf: IdfTable,
 ) -> SparseRows:
     """Rows of bucket counts (see bucket_counts), IDF-weighted, each
     row L2 normalized.
 
-    With no idf table the raw counts are normalized directly.  An empty
-    row stays empty.
+    An empty row stays empty.
     """
-    if idf is not None and idf.dim != config.dim:
+    if idf.dim != config.dim:
         raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
-    values = counts.values if idf is None else counts.values * idf.weights[counts.indices]
+    values = counts.values * idf.weights[counts.indices]
     bounds = counts.indptr.tolist()
     # One np.dot per row keeps each norm bit-identical to that of the
     # row on its own; a segmented sum adds in another order.

@@ -105,6 +105,18 @@ def prepare_texts(
     ]
 
 
+def fingerprint(config: ExperimentConfig) -> str:
+    """Stable 16-hex-digit digest of what turns a record into features:
+    every NormConfig field, max_seq_len and every FeatureConfig field.
+    A model carries the fingerprint of its experiment, and predict
+    refuses an experiment with another one."""
+    settings = [(f.name, getattr(config.norm, f.name)) for f in fields(NormConfig)]
+    settings.append(("max_seq_len", config.hp.max_seq_len))
+    settings += [(f.name, getattr(config.features, f.name)) for f in fields(FeatureConfig)]
+    canon = ";".join(f"{name}={value}" for name, value in settings)
+    return f"{features.fnv1a64(canon.encode('utf-8')):016x}"
+
+
 def _class_indices(
     records: Sequence[TweetRecord], level: Level, labels: Sequence[str]
 ) -> list[int]:
@@ -141,7 +153,7 @@ def fit_pipeline(
         hp=config.hp,
         num_classes=len(labels),
         class_labels=labels,
-        feature_fingerprint=features.config_fingerprint(config.features),
+        feature_fingerprint=fingerprint(config),
     )
     return model, idf
 

@@ -31,29 +31,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Mapping
 
-
-class PlaceholderKind(Enum):
-    URL = "url"
-    EMAIL = "email"
-    MENTION = "mention"
+from .corpus import read_pairs
 
 
-@dataclass(frozen=True, slots=True)
-class Placeholder:
-    kind: PlaceholderKind
-    surface: str
-
-
-URL_PLACEHOLDER = Placeholder(PlaceholderKind.URL, "[رابط]")
-EMAIL_PLACEHOLDER = Placeholder(PlaceholderKind.EMAIL, "[بريد]")
-MENTION_PLACEHOLDER = Placeholder(PlaceholderKind.MENTION, "[مستخدم]")
-PLACEHOLDERS = (URL_PLACEHOLDER, EMAIL_PLACEHOLDER, MENTION_PLACEHOLDER)
-
-_SURFACE_BY_GROUP = {p.kind.value: p.surface for p in PLACEHOLDERS}
+# The placeholder surface that replaces each kind of entity, by its
+# group name in _ENTITY_RE.
+_SURFACE_BY_GROUP = {"url": "[رابط]", "email": "[بريد]", "mention": "[مستخدم]"}
+PLACEHOLDERS = tuple(_SURFACE_BY_GROUP.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +94,7 @@ _ENTITY_RE = re.compile(
     f"(?P<url>{_URL_PAT})|(?P<email>{_EMAIL_PAT})|(?P<mention>{_MENTION_PAT})"
 )
 
-_PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(re.escape(p.surface) for p in PLACEHOLDERS) + ")")
+_PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(map(re.escape, PLACEHOLDERS)) + ")")
 
 # A space goes between Arabic and a digit or ASCII letter (either
 # order), and between a bracket and any non-space neighbour.
@@ -372,14 +359,4 @@ def load_lexicon(path: str) -> SegmentLexicon:
 
 def load_presegmented(path: str) -> dict[str, str]:
     """Read a two-column TSV mapping a raw token to its segmented form."""
-    table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
-            table[cells[0]] = cells[1]
-    return table
+    return {token: segmented for _, token, segmented in read_pairs(path)}

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from dialectid.errors import EmptyCorpus
-from dialectid.features import IdfTable, fnv1a64
+from dialectid.features import DEFAULT_FEATURES, IdfTable, fnv1a64
 
 _U64 = (1 << 64) - 1
 
@@ -23,7 +23,7 @@ def hash_index(gram, config):
     return (fnv1a64(gram.encode("utf-8")) ^ (config.seed & _U64)) & (config.dim - 1)
 
 
-def char_ngrams(text, config):
+def char_ngrams(text, config=DEFAULT_FEATURES):
     grams = Counter()
     pad = config.pad_token
     for token in text.split():
@@ -49,8 +49,8 @@ def fit_idf(corpus, config):
     return IdfTable(df=df, doc_count=len(corpus))
 
 
-def vectorize(text, config, idf=None):
-    if idf is not None and idf.dim != config.dim:
+def vectorize(text, config, idf):
+    if idf.dim != config.dim:
         raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
     grams = char_ngrams(text, config)
     if not grams:
@@ -61,8 +61,7 @@ def vectorize(text, config, idf=None):
         buckets[j] = buckets.get(j, 0.0) + float(count)
     indices = np.array(sorted(buckets), dtype=np.int64)
     values = np.array([buckets[int(j)] for j in indices], dtype=np.float64)
-    if idf is not None:
-        values = values * idf.weights[indices]
+    values = values * idf.weights[indices]
     norm = float(np.sqrt(np.dot(values, values)))
     values = values / norm
     return indices, values

@@ -4,19 +4,19 @@ write_corpus makes the TSV files that corpus.load_corpus reads, and
 read_report parses a report.txt written by evaluation.write_report.
 """
 
-from dialectid.corpus import DEFAULT_SCHEMA
+from dialectid.corpus import HEADER
 from dialectid.errors import MalformedRow
 from dialectid.evaluation import parse_report
 
 
-def write_corpus(records, path, schema=DEFAULT_SCHEMA):
+def write_corpus(records, path):
     """Write records as a four-column TSV with a header row.
 
     Fields must not contain tab or newline characters; the format has no
     escaping, so such a record would not survive a round trip.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\t".join((schema.id, schema.text, schema.country, schema.province)) + "\n")
+        fh.write("\t".join(HEADER) + "\n")
         for record in records:
             cells = [record.id, record.text, record.country or "", record.province or ""]
             for value in cells:

@@ -25,7 +25,7 @@ _ARABIC_SET = frozenset(
 _DIGIT_SET = frozenset("0123456789٠١٢٣٤٥٦٧٨٩")
 _ASCII_ALPHA_SET = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-_PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(re.escape(p.surface) for p in PLACEHOLDERS) + ")")
+_PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(re.escape(p) for p in PLACEHOLDERS) + ")")
 
 
 def _boundary(a, b):

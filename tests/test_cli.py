@@ -6,11 +6,10 @@ import sys
 import pytest
 
 import dialectid
-from dialectid import cli, normalizer
+from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, Register, load_corpus, read_submission
 from dialectid.evaluation import parse_report
-from dialectid.features import FeatureConfig, config_fingerprint
 
 import synthcorpus
 
@@ -72,27 +71,46 @@ class TestDataErrors:
         assert err.startswith("error:")
         assert "/nonexistent/none.tsv" in err
 
-    @pytest.mark.parametrize("command", ["benchmark", "stats", "normalize", "evaluate"])
-    def test_global_config_is_an_error_where_unread(self, corpus_dir, tmp_path, capsys, command):
+    @staticmethod
+    def argv_of(command, corpus_dir, trained, tmp_path):
+        """A command line of the command that exits 0."""
         paths = corpus_dir["paths"]
         test = load_corpus(paths["test"], Register.DA)
         pred = tmp_path / "pred.csv"
         pred.write_text(
             "".join(f"{r.id},{r.country}\n" for r in test), encoding="utf-8"
         )
-        argv = {
+        return {
             "benchmark": ["benchmark", corpus_dir["config"], "--out-dir", str(tmp_path / "out")],
             "stats": ["stats", "--in", paths["dev"], "--level", "country"],
             "normalize": ["normalize", "--in", paths["dev"], "--out", str(tmp_path / "n.tsv")],
             "evaluate": ["evaluate", "--gold", paths["test"], "--pred", str(pred),
                          "--level", "country", "--vocab", paths["vocab"]],
+            "predict": ["predict", "--model", trained["model"], "--idf", trained["idf"],
+                        "--in", paths["test"], "--out", str(tmp_path / "sub.csv")],
         }[command]
+
+    @pytest.mark.parametrize("command", ["benchmark", "stats", "normalize", "evaluate"])
+    def test_global_config_is_an_error_where_unread(
+        self, corpus_dir, trained, tmp_path, capsys, command
+    ):
+        argv = self.argv_of(command, corpus_dir, trained, tmp_path)
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert cli.main(["--config", str(tmp_path / "none.cfg")] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --config is read by train and predict, not {command}\n"
+
+    @pytest.mark.parametrize("command", ["predict", "stats", "normalize", "evaluate"])
+    def test_seed_is_an_error_where_unread(self, corpus_dir, trained, tmp_path, capsys, command):
+        argv = self.argv_of(command, corpus_dir, trained, tmp_path)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["--seed", "5"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed is read by train and benchmark, not {command}\n"
 
     def test_bad_label_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
@@ -190,11 +208,12 @@ class TestStats:
 
 
 class TestTrainPredictEvaluate:
-    def test_train_writes_artifacts(self, trained, capsys):
+    def test_train_writes_artifacts(self, corpus_dir, trained, capsys):
         assert open(trained["model"], "rb").read(8) == b"NADIMDL3"
         assert open(trained["idf"], "rb").read(8) == b"NADIIDF2"
         model = load_model(trained["model"])
-        assert model.feature_fingerprint == config_fingerprint(FeatureConfig(dim=1 << 12))
+        spec = harness.parse_benchmark_file(corpus_dir["config"])
+        assert model.feature_fingerprint == harness.fingerprint(spec.experiments[0])
 
     def test_predict_then_evaluate_round_trip(self, corpus_dir, trained, tmp_path, capsys):
         sub = tmp_path / "sub.csv"
@@ -265,7 +284,9 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("keys", ["n_min=3", "hash_seed=7", "pad_token=#"])
+    @pytest.mark.parametrize("keys", [
+        "n_min=3", "hash_seed=7", "pad_token=#", "segment=true", "max_seq_len=40", "max_repeat=1",
+    ])
     def test_predict_with_other_features_fails(
         self, corpus_dir, trained, tmp_path, capsys, keys
     ):
@@ -528,6 +549,31 @@ class TestBenchmark:
         capsys.readouterr()
         for name in ("grid.tsv", "submission.csv", "model.bin", "idf.bin", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_predict_refuses_another_text_preparation(self, corpus_dir, tmp_path, capsys):
+        # Same features as predict's default experiment at the idf's dim;
+        # only the text preparation differs.
+        paths = corpus_dir["paths"]
+        config = tmp_path / "prep.cfg"
+        config.write_text(
+            "format=1\n[data]\n"
+            + "".join(f"{split}={paths[split]}\n" for split in ("train", "dev", "test", "vocab"))
+            + "level=country\nregister=da\n"
+            "[experiment prep]\ndim=4096\nepochs=2\nsegment=true\nmax_seq_len=40\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["benchmark", str(config), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        predict = ["predict", "--model", str(out / "model.bin"), "--idf", str(out / "idf.bin"),
+                   "--in", paths["test"], "--out", str(tmp_path / "sub.csv")]
+        assert cli.main(predict) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "text preparation" in err
+        assert not (tmp_path / "sub.csv").exists()
+        assert cli.main(["--config", str(config)] + predict) == 0
+        capsys.readouterr()
+        assert (tmp_path / "sub.csv").read_bytes() == (out / "submission.csv").read_bytes()
 
     def test_seed_override_changes_model(self, corpus_dir, tmp_path, capsys):
         a = tmp_path / "a"

@@ -1,8 +1,8 @@
 import pytest
 
+from dialectid import cli, normalizer
 from dialectid.corpus import (
     DEFAULT_COUNTRIES,
-    ColumnSchema,
     LabelVocab,
     Level,
     Register,
@@ -11,6 +11,7 @@ from dialectid.corpus import (
     concat_splits,
     corpus_stats,
     load_corpus,
+    read_rows,
     read_submission,
     write_submission,
 )
@@ -139,14 +140,6 @@ class TestLoadCorpus:
         assert loaded[0].country == "Egypt"
         assert loaded[0].province == "Cairo"
 
-    def test_custom_schema_names(self, tmp_path):
-        path = tmp_path / "split.tsv"
-        path.write_text("tid\tcontent\nx\tنص\n", encoding="utf-8")
-        schema = ColumnSchema(id="tid", text="content")
-        loaded = load_corpus(str(path), Register.DA, schema=schema)
-        assert loaded[0].id == "x"
-        assert loaded[0].text == "نص"
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
@@ -214,6 +207,60 @@ class TestLoadCorpus:
             load_corpus(str(path), Register.DA, vocab=VOCAB)
         with pytest.raises(HierarchyViolation):
             load_corpus(str(path), Register.DA)
+
+
+def test_read_rows_ends_lines_at_newlines_only(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes("\ufeffa\tx\ry\r\r\n\n\r\nb\n\ufeffc".encode("utf-8"))
+    # The byte order mark is dropped only at the start of the file.
+    assert read_rows(str(path)) == [(1, ["a", "x\ry\r"]), (4, ["b"]), (5, ["\ufeffc"])]
+
+
+def normalized(path):
+    """The bytes dialectid normalize writes for the file at path."""
+    assert cli.main(["normalize", "--in", path, "--out", path + ".out"]) == 0
+    with open(path + ".out", "rb") as fh:
+        return fh.read()
+
+
+# Each TSV reader: the lines of a file, the reader, and what it reads.
+TSV_READERS = {
+    "load_corpus": (
+        ["id\ttweet\tcountry", "a\tنص\tEgypt", "b\tكلام\t"],
+        lambda path: load_corpus(path, Register.DA),
+        [TweetRecord("a", "نص", "Egypt"), TweetRecord("b", "كلام")],
+    ),
+    "LabelVocab.from_file": (
+        ["Cairo\tEgypt", "Giza\tEgypt"],
+        LabelVocab.from_file,
+        LabelVocab(("Egypt",), ("Cairo", "Giza"), {"Cairo": "Egypt", "Giza": "Egypt"}),
+    ),
+    "load_presegmented": (
+        ["والكتاب\tوال+ كتاب", "بالبيت\tبال+ بيت"],
+        normalizer.load_presegmented,
+        {"والكتاب": "وال+ كتاب", "بالبيت": "بال+ بيت"},
+    ),
+    "dialectid normalize": (
+        ["id\ttweet", "a\t@user هههه"],
+        normalized,
+        "id\ttweet\na\t[مستخدم] هه\n".encode("utf-8"),
+    ),
+}
+LINE_FORMS = {
+    "LF": lambda lines: "\n".join(lines) + "\n",
+    "CRLF": lambda lines: "\r\n".join(lines) + "\r\n",
+    "BOM": lambda lines: "\ufeff" + "\n".join(lines) + "\n",
+    "trailing blank line": lambda lines: "\n".join(lines) + "\n\n",
+}
+
+
+@pytest.mark.parametrize("form", LINE_FORMS)
+@pytest.mark.parametrize("reader", TSV_READERS)
+def test_every_tsv_reader_reads_every_line_form_alike(tmp_path, reader, form):
+    lines, read, expected = TSV_READERS[reader]
+    path = tmp_path / "file.tsv"
+    path.write_bytes(LINE_FORMS[form](lines).encode("utf-8"))
+    assert read(str(path)) == expected
 
 
 def test_write_corpus_rejects_tabs_and_newlines(tmp_path):

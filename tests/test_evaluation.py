@@ -9,12 +9,10 @@ from dialectid.evaluation import (
     ConfusionMatrix,
     accuracy,
     confusion,
-    macro_f1,
     parse_report,
     per_class_prf,
     render_report,
     report,
-    weighted_f1,
     write_report,
 )
 
@@ -79,10 +77,12 @@ class TestZeroDenominators:
     def test_empty_matrix_aggregates_raise(self):
         m = ConfusionMatrix(np.zeros((2, 2), dtype=np.int64), ("A", "B"))
         with pytest.raises(EmptyMatrix):
-            weighted_f1(m)
-        with pytest.raises(EmptyMatrix):
             accuracy(m)
-        assert macro_f1(m) == 0.0
+        # Every class has F1 0, so the macro mean is 0, but the
+        # support-weighted mean and accuracy have no instances.
+        assert [c.f1 for c in per_class_prf(m)] == [0.0, 0.0]
+        with pytest.raises(EmptyMatrix):
+            report([], [], ["A", "B"])
 
 
 class TestConfusionValidation:
@@ -152,13 +152,18 @@ def test_report_matches_brute_force_oracle():
         assert abs(rep.accuracy - agg["accuracy"]) <= 1e-12
 
 
-def test_report_computes_per_class_once_and_matches_the_public_functions(monkeypatch):
+def test_report_computes_per_class_once_and_averages_it_exactly(monkeypatch):
     rng = random.Random(77)
     cases = [random_instance(rng) for _ in range(40)]
     expected = []
     for gold, pred, labels in cases:
         m = confusion(gold, pred, labels)
-        expected.append((macro_f1(m), weighted_f1(m), accuracy(m)))
+        per_class = per_class_prf(m)
+        expected.append((
+            sum(c.f1 for c in per_class) / len(per_class),
+            sum(c.f1 * c.support for c in per_class) / m.total,
+            accuracy(m),
+        ))
     calls = []
     real = evaluation.per_class_prf
     monkeypatch.setattr(

@@ -17,8 +17,6 @@ from dialectid.features import (
     FeatureConfig,
     IdfTable,
     bucket_counts,
-    char_ngrams,
-    config_fingerprint,
     fit_idf,
     fnv1a64,
     hash_spans,
@@ -30,6 +28,7 @@ from dialectid.features import (
 )
 
 import feature_oracle
+from feature_oracle import char_ngrams
 from conftest import csr, data_path, edit_one_place, row_maps
 
 
@@ -225,15 +224,6 @@ def test_feature_config_validation():
         FeatureConfig(pad_token="__")
 
 
-def test_config_fingerprint_is_stable_and_distinct():
-    a = config_fingerprint(FeatureConfig())
-    assert a == config_fingerprint(FeatureConfig())
-    assert len(a) == 16
-    int(a, 16)
-    assert a != config_fingerprint(FeatureConfig(seed=1))
-    assert a != config_fingerprint(FeatureConfig(dim=1 << 16))
-
-
 def counts_of(text, config=DEFAULT_FEATURES):
     """The bucket -> count map of one text."""
     return row_maps(next(bucket_counts([text], config)))[0]
@@ -407,16 +397,22 @@ def test_vectorize_matches_dense_oracle(dim):
             assert val == pytest.approx(expected[idx], abs=1e-12)
 
 
-def test_vectorize_without_idf_normalizes_raw_counts():
+def uniform_idf(config=DEFAULT_FEATURES):
+    """An idf table of no documents: every weight is ln(1 / 1) + 1 = 1."""
+    return IdfTable(df=np.zeros(config.dim, dtype=np.int64), doc_count=0)
+
+
+def test_vectorize_with_uniform_idf_normalizes_raw_counts():
     config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
-    (by_bucket,) = row_maps(vectorize(next(bucket_counts(["اب"], config)), config))
+    counts = next(bucket_counts(["اب"], config))
+    (by_bucket,) = row_maps(vectorize(counts, config, uniform_idf(config)))
     # grams _, ا, ب, _ -> counts {_:2, ا:1, ب:1}, norm sqrt(6)
     assert by_bucket[bucket("_", config)] == pytest.approx(2 / math.sqrt(6))
     assert by_bucket[bucket("ا", config)] == pytest.approx(1 / math.sqrt(6))
 
 
 def test_vectorize_empty_text():
-    rows = vectorize(next(bucket_counts(["", "اب", ""])), DEFAULT_FEATURES)
+    rows = vectorize(next(bucket_counts(["", "اب", ""])), DEFAULT_FEATURES, uniform_idf())
     assert np.diff(rows.indptr).tolist() == [0, len(char_ngrams("اب")), 0]
     assert rows.dim == DEFAULT_FEATURES.dim
     assert np.isfinite(rows.values).all()
@@ -431,7 +427,8 @@ def test_vectorize_rejects_mismatched_idf():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=5))
 def test_vectorize_unit_norm_and_sorted_indices(texts):
-    rows = vectorize(next(bucket_counts(texts)))
+    counts = next(bucket_counts(texts))
+    rows = vectorize(counts, DEFAULT_FEATURES, fit_idf(counts))
     assert len(rows) == len(texts)
     bounds = rows.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
@@ -479,11 +476,6 @@ def assert_same_rows(rows, refs, dim):
 def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     """chunk_texts shrinks the chunk bound, so that a fit joins several
     blocks and a predict streams several."""
-    for text in train + serve:
-        assert list(char_ngrams(text, config).items()) == list(
-            feature_oracle.char_ngrams(text, config).items()
-        )
-
     with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts):
         fit_blocks = list(bucket_counts(train, config))
         counts = join_rows(fit_blocks, config.dim)
@@ -501,15 +493,14 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     assert table.df.tobytes() == ref_table.df.tobytes()
     assert table.weights.tobytes() == ref_table.weights.tobytes()
 
-    for idf, ref_idf in ((table, ref_table), (None, None)):
-        fitted = vectorize(counts, config, idf)
-        assert_same_rows(
-            fitted, [feature_oracle.vectorize(t, config, ref_idf) for t in train], config.dim
-        )
-        served = [vectorize(block, config, idf) for block in serve_blocks]
-        refs = iter([feature_oracle.vectorize(t, config, ref_idf) for t in serve])
-        for rows in served:
-            assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
+    fitted = vectorize(counts, config, table)
+    assert_same_rows(
+        fitted, [feature_oracle.vectorize(t, config, ref_table) for t in train], config.dim
+    )
+    served = [vectorize(block, config, table) for block in serve_blocks]
+    refs = iter([feature_oracle.vectorize(t, config, ref_table) for t in serve])
+    for rows in served:
+        assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
 
 
 def idf_bytes(dim, doc_count, ids, df):

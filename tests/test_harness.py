@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from dialectid.harness import (
     SelectionMetric,
     Splits,
     finalize,
+    fingerprint,
     fit_pipeline,
     override_seed,
     parse_benchmark_file,
@@ -86,6 +87,26 @@ def test_grid_row_metric_mapping():
     assert row.metric(SelectionMetric.WEIGHTED_F1) == 0.1
     assert row.metric(SelectionMetric.ACCURACY) == 0.2
     assert row.metric(SelectionMetric.MACRO_F1) == 0.3
+
+
+def test_fingerprint_covers_text_preparation_and_features():
+    base = config("a")
+    digest = fingerprint(base)
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    # The name and the training settings but max_seq_len are not covered.
+    assert fingerprint(config("b", epochs=1, lr=0.5, rng_seed=4)) == digest
+    norm_changes = [
+        {f.name: not value if isinstance(value, bool) else value + 1}
+        for f in fields(NormConfig)
+        for value in [getattr(base.norm, f.name)]
+    ]
+    variants = [replace(base, norm=replace(base.norm, **change)) for change in norm_changes]
+    variants.append(replace(base, hp=replace(base.hp, max_seq_len=base.hp.max_seq_len + 1)))
+    variants += [
+        replace(base, features=replace(base.features, **change))
+        for change in ({"n_min": 3}, {"n_max": 6}, {"dim": 1 << 13}, {"seed": 1}, {"pad_token": "#"})
+    ]
+    assert len({fingerprint(c) for c in [base] + variants}) == len(variants) + 1
 
 
 class TestRunGridValidation:
@@ -339,7 +360,7 @@ class TestFeaturizeOnce:
         assert sorted(seen["tokens"]) == sorted(tokens)
         buckets = Counter()
         for token in tokens:
-            for gram, count in dialectid.features.char_ngrams(token, cfg.features).items():
+            for gram, count in feature_oracle.char_ngrams(token, cfg.features).items():
                 buckets[feature_oracle.hash_index(gram, cfg.features)] += count
         assert seen["buckets"] == buckets
 
