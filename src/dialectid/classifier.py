@@ -16,9 +16,11 @@ exactly as long as the decay factor 1 - lr * l2 is not negative, which
 HyperParams enforces; leaving it out changes no logit.  The touched
 weights take the same updates as in dense per-example SGD, summed in
 another order: they agree with it to rounding, within rtol 1e-9 in the
-tests, and the argmax over the training documents is the same.
-Prediction reads a bucket outside the model's columns as weight 0.0,
-so its logits are those of the dense model bit for bit.
+tests, and the argmax over the training documents is the same; they
+equal those of the batched loop in tests/dense_oracle.py bit for bit.
+Prediction drops the entries on buckets outside the model's columns,
+which the dense model weighs 0.0, and its logits are those of the
+dense model bit for bit (see logits).
 """
 
 from __future__ import annotations
@@ -110,26 +112,29 @@ def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
     sum of its buckets' weights, 0.0 for a bucket outside the model's
     columns.
 
-    The entries' buckets are found in columns with one searchsorted,
-    and each class's logits are one np.bincount of that class's weights
-    at the entries, so no scratch array is larger than nnz.
+    Each entry's column is looked up in a dim-sized table that maps a
+    stored bucket to its column and any other bucket to K.  Entries on
+    unstored buckets are dropped: each would add 0.0 * value, a signed
+    zero for a finite value, to a sum that starts at +0.0 and so is
+    never -0.0, and such a term leaves the sum's bits as they are.
+    Each class's logits are then one np.bincount of its weights at the
+    kept entries, so no scratch array is larger than nnz or dim.
     """
     if rows.dim != model.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
     n = len(rows)
-    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
     columns = model.columns
-    # An entry's bucket is stored when the column searchsorted places
-    # it before is that bucket.
-    position = np.searchsorted(columns, rows.indices)
+    table = np.full(model.dim, columns.size, dtype=np.int32)
+    table[columns] = np.arange(columns.size, dtype=np.int32)
+    position = table[rows.indices]
     stored = position < columns.size
-    stored[stored] = columns[position[stored]] == rows.indices[stored]
     position = position[stored]
+    values = rows.values[stored]
+    owner = np.repeat(np.arange(n), np.diff(rows.indptr))[stored]
     out = np.empty((n, model.num_classes), dtype=np.float64)
-    weight = np.zeros(rows.nnz, dtype=np.float64)
     for c in range(model.num_classes):
-        weight[stored] = model.weights[position, c]
-        out[:, c] = np.bincount(owner, weights=weight * rows.values, minlength=n) + model.bias[c]
+        weighted = model.weights[position, c] * values
+        out[:, c] = np.bincount(owner, weights=weighted, minlength=n) + model.bias[c]
     return out
 
 
@@ -200,9 +205,12 @@ def _sgd(
     The rows' columns are renumbered over their K distinct columns
     cols; weights is K x num_classes, so a batch's rows are contiguous.
     Each batch fills a dense block with its rows over its u distinct
-    columns, in slices of rows that keep it within _BLOCK_ELEMENTS; the
-    logits are one product with weights[u] and the gradient the sum of
-    one product per slice with the block's transpose.
+    columns, in slices of rows that keep it within _BLOCK_ELEMENTS.
+    Every slice's block is a prefix of one buffer, grown when a slice
+    needs more and zeroed again at the slice's own entries after use.
+    The logits are one product with weights[u]; the gradient, class-major
+    (num_classes x u), is the sum over the slices of the transposed
+    probabilities times the block, and is transposed back in the update.
     """
     n = len(rows)
     indptr, values = rows.indptr, rows.values
@@ -213,6 +221,8 @@ def _sgd(
     bias = np.zeros(num_classes, dtype=np.float64)
     # slot[c] is the block column of touched column c in the current batch.
     slot = np.zeros(width, dtype=np.int64)
+    # All zeros between slices.
+    buffer = np.zeros(0, dtype=np.float64)
     decay = 1.0 - hp.lr * hp.l2
     losses: list[float] = []
     for epoch in range(hp.epochs):
@@ -235,9 +245,14 @@ def _sgd(
             for lo in range(0, m, step):
                 hi = min(lo + step, m)
                 part = slice(starts[lo], ends[hi - 1])
-                block = np.zeros((hi - lo, u.size), dtype=np.float64)
-                flat = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
-                block.ravel()[flat + slot[batch_cols[part]]] = values[entries[part]]
+                size = (hi - lo) * u.size
+                if buffer.size < size:
+                    buffer = None  # freed before the larger one is allocated
+                    buffer = np.zeros(size, dtype=np.float64)
+                block = buffer[:size].reshape(hi - lo, u.size)
+                spots = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
+                spots += slot[batch_cols[part]]
+                buffer[spots] = values[entries[part]]
 
                 logits = block @ weights[u] + bias
                 top = logits.max(axis=1)
@@ -247,18 +262,20 @@ def _sgd(
                 probs = np.exp(logits - logsumexp[:, None])
                 probs[picked] -= 1.0
                 if lo == 0:
-                    grad_w = block.T @ probs
+                    grad_w = probs.T @ block
                     grad_b = probs.sum(axis=0)
                 else:
-                    grad_w += block.T @ probs
+                    grad_w += probs.T @ block
                     grad_b += probs.sum(axis=0)
+                buffer[spots] = 0.0
             scale = 1.0 / m
             weights *= decay
-            weights[u] -= hp.lr * (grad_w * scale)
+            weights[u] -= hp.lr * (grad_w.T * scale)
             bias -= hp.lr * (grad_b * scale)
-            # Freed before the next batch allocates its block: a gradient
-            # still alive then pins the heap under the freed blocks, which
-            # added up to 9.6 MB (glibc malloc) to fit-nadi's peak RSS.
+            # Freed before the next batch: a gradient still alive when
+            # a larger buffer is allocated pins the heap under the freed
+            # one, which added up to 9.6 MB (glibc malloc) to fit-nadi's
+            # peak RSS.
             del grad_w
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
@@ -317,8 +334,9 @@ def load_model(path: str) -> LinearModel:
     header, a fallback class outside the classes, more columns than
     dim, a sparse file with more than a quarter of dim columns (a
     model that full is written whole), a label or fingerprint that is
-    not UTF-8, a size that does not match the header, or column ids
-    that are not strictly increasing below dim."""
+    not UTF-8, a size that does not match the header, column ids
+    that are not strictly increasing below dim, or a weight or bias
+    that is not finite."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -349,6 +367,8 @@ def load_model(path: str) -> LinearModel:
             columns = read_ids(fh, width, dim, path, "the column ids")
         weights = read_array(fh, "<f8", (width, num_classes), path, "the weights")
         bias = read_array(fh, "<f8", (num_classes,), path, "the biases")
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise CorruptArtifact(f"{path}: a weight or bias is not finite")
     return LinearModel(
         columns=columns,
         weights=weights,

@@ -314,7 +314,7 @@ def write_submission(ids: Sequence[str], labels: Sequence[str], path: str) -> No
 def read_submission(path: str) -> list[tuple[str, str]]:
     """Read an `id,label` file back into (id, label) pairs."""
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:

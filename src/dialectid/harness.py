@@ -396,7 +396,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
     saw_version = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -341,7 +341,7 @@ def load_lexicon(path: str) -> SegmentLexicon:
     prefixes: list[str] = []
     suffixes: list[str] = []
     target: list[str] | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -8,6 +8,10 @@ another order, so it must match this to a stated tolerance, store
 exactly the columns some example uses (the oracle keeps the others at
 0.0), and agree on every training document's argmax.
 
+batched_sgd is classifier._sgd as it ran before its block buffer was
+reused: a fresh zero block per slice and the gradient as block.T @
+probs.  train runs the same arithmetic, so it must give the same bits.
+
 dense_logits is the per-class gather from a dense num_classes x dim
 matrix that classifier.logits ran before the model went sparse; over
 to_dense of a sparse model it must give the same bytes.
@@ -81,6 +85,66 @@ def dense_train(rows, y, hp, num_classes):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
     return weights, bias, losses
+
+
+def batched_sgd(rows, targets, hp, num_classes, block_elements):
+    """(weights, bias, epoch_losses, sizes) of batched sparse SGD with
+    at most block_elements float64s in a slice's block (or one row);
+    weights is K x num_classes over the rows' sorted distinct columns,
+    and sizes lists each slice's block size in order."""
+    n = len(rows)
+    indptr, values = rows.indptr, rows.values
+    nnz = np.diff(indptr)
+    cols, indices = np.unique(rows.indices, return_inverse=True)
+    width = cols.size
+    weights = np.zeros((width, num_classes), dtype=np.float64)
+    bias = np.zeros(num_classes, dtype=np.float64)
+    slot = np.zeros(width, dtype=np.int64)
+    decay = 1.0 - hp.lr * hp.l2
+    losses, sizes = [], []
+    for epoch in range(hp.epochs):
+        rng = np.random.default_rng((hp.rng_seed & _U64, epoch))
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, hp.batch_size):
+            batch = order[start : start + hp.batch_size]
+            m = batch.size
+            lengths = nnz[batch]
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            entries = np.arange(ends[-1]) + np.repeat(indptr[batch] - starts, lengths)
+            batch_cols = indices[entries]
+            touched = np.zeros(width, dtype=bool)
+            touched[batch_cols] = True
+            u = np.flatnonzero(touched)
+            slot[u] = np.arange(u.size)
+            step = max(1, block_elements // max(1, u.size))
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                part = slice(starts[lo], ends[hi - 1])
+                block = np.zeros((hi - lo, u.size), dtype=np.float64)
+                sizes.append(block.size)
+                flat = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
+                block.ravel()[flat + slot[batch_cols[part]]] = values[entries[part]]
+                logits = block @ weights[u] + bias
+                top = logits.max(axis=1)
+                logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
+                picked = (np.arange(hi - lo), targets[batch[lo:hi]])
+                epoch_loss += float((logsumexp - logits[picked]).sum())
+                probs = np.exp(logits - logsumexp[:, None])
+                probs[picked] -= 1.0
+                if lo == 0:
+                    grad_w = block.T @ probs
+                    grad_b = probs.sum(axis=0)
+                else:
+                    grad_w += block.T @ probs
+                    grad_b += probs.sum(axis=0)
+            scale = 1.0 / m
+            weights *= decay
+            weights[u] -= hp.lr * (grad_w * scale)
+            bias -= hp.lr * (grad_b * scale)
+        losses.append(epoch_loss / n)
+    return weights, bias, losses, sizes
 
 
 def to_dense(model):

@@ -30,12 +30,14 @@ from dialectid.errors import (
 from conftest import csr, edit_one_place
 from dense_oracle import (
     batch_cross_entropy,
+    batched_sgd,
     dense_logits,
     dense_train,
     from_dense,
     take_rows,
     to_dense,
 )
+from test_memory import fit_nadi_finalize_corpus
 
 
 def random_map(rng, dim, max_nnz=4):
@@ -404,13 +406,47 @@ class TestDenseOracle:
         assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
 
 
+@pytest.fixture(scope="module")
+def fit_nadi_corpus(tmp_path_factory):
+    return fit_nadi_finalize_corpus(str(tmp_path_factory.mktemp("fit-nadi")))
+
+
+# The workload's bound, one slice per batch of 126; and one under which
+# each batch takes about 13 slices of about 10 rows over its about 4,900
+# columns, whose sizes vary, so the block must grow after the first.
+@pytest.mark.parametrize("block_elements", [classifier._BLOCK_ELEMENTS, 50_000])
+def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements):
+    rows, y, config, labels = fit_nadi_corpus
+    hp = config.hp
+    assert hp.batch_size == 126
+    with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
+        model = train(rows, y, hp, num_classes=len(labels))
+    weights, bias, losses, sizes = batched_sgd(
+        rows, np.asarray(y), hp, len(labels), block_elements
+    )
+    batches = hp.epochs * -(-len(rows) // hp.batch_size)
+    if block_elements == classifier._BLOCK_ELEMENTS:
+        assert len(sizes) == batches
+    else:
+        assert len(sizes) > 10 * batches
+    assert max(sizes) > sizes[0]
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.tobytes() == bias.tobytes()
+    assert model.epoch_losses == losses
+
+
 @st.composite
 def sparse_models_and_rows(draw):
-    """A sparse model (K = 0 included) and rows whose entries fall on
-    stored and unstored buckets, with empty rows among them."""
+    """A sparse model (K = 0 included) or a whole one (all dim columns
+    stored), and rows whose entries fall on stored and unstored
+    buckets, with empty rows and rows on unstored buckets only among
+    them."""
     dim = draw(st.integers(1, 64))
     num_classes = draw(st.integers(1, 5))
-    columns = sorted(draw(st.sets(st.integers(0, dim - 1))))
+    if draw(st.booleans()):
+        columns = list(range(dim))
+    else:
+        columns = sorted(draw(st.sets(st.integers(0, dim - 1))))
     finite = st.floats(-1e3, 1e3)
     weights = draw(st.lists(finite, min_size=len(columns) * num_classes,
                             max_size=len(columns) * num_classes))
@@ -424,6 +460,11 @@ def sparse_models_and_rows(draw):
         fallback_class=draw(st.integers(0, num_classes - 1)),
     )
     maps = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), finite), max_size=8))
+    unstored = sorted(set(range(dim)).difference(columns))
+    if unstored:
+        maps += draw(st.lists(
+            st.dictionaries(st.sampled_from(unstored), finite, min_size=1), max_size=3
+        ))
     return model, csr(maps, dim)
 
 
@@ -624,6 +665,17 @@ class TestModelIo:
         path = tmp_path / "m.bin"
         path.write_bytes(model_bytes(2, dim, 0, columns))
         with pytest.raises(CorruptArtifact, match=match):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
+    @pytest.mark.parametrize("field", ["weights", "bias"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, tmp_path, dim, field, value):
+        model = replace(small_model(), dim=dim)
+        getattr(model, field).flat[1] = value
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        with pytest.raises(CorruptArtifact, match="not finite"):
             load_model(str(path))
 
     @pytest.mark.parametrize("magic", [b"NADIMDL1", b"NADIMDL2"])

@@ -438,6 +438,26 @@ class TestCorruptArtifacts:
         assert err.startswith("error:") and "fallback class" in err, err
         assert "Traceback" not in err
 
+    def test_predict_on_non_finite_weights(self, corpus_dir, trained, tmp_path, capsys):
+        model = load_model(trained["model"])
+        model.weights[:] = float("nan")
+        bad = tmp_path / "nan.model"
+        save_model(model, str(bad))
+        out = tmp_path / "s.csv"
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(bad),
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "not finite" in err, err
+        assert not out.exists()
+
 
 class TestEvaluateAlignment:
     def write_gold(self, tmp_path):
@@ -455,6 +475,14 @@ class TestEvaluateAlignment:
         rc = cli.main(["evaluate", "--gold", gold, "--pred", str(pred), "--level", "country"])
         assert rc == 1
         assert "b" in capsys.readouterr().err
+
+    def test_prediction_file_with_a_leading_bom(self, tmp_path, capsys):
+        gold = self.write_gold(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\ufeffa,Egypt\nb,Iraq\n", encoding="utf-8")
+        rc = cli.main(["evaluate", "--gold", gold, "--pred", str(pred), "--level", "country"])
+        assert rc == 0, capsys.readouterr().err
+        capsys.readouterr()
 
     def test_duplicate_prediction_id(self, tmp_path, capsys):
         gold = self.write_gold(tmp_path)

@@ -521,6 +521,12 @@ class TestBenchmarkParsing:
         assert exp.norm.insert_spacing is False
         assert exp.norm.max_repeat == 3
 
+    def test_leading_bom(self, tmp_path):
+        text = BASE_CONFIG.format(train="t.tsv", dev="d.tsv", test="x.tsv", vocab="v.tsv")
+        plain = parse_benchmark_file(self.write(tmp_path, text))
+        (tmp_path / "bom").mkdir()
+        assert parse_benchmark_file(self.write(tmp_path / "bom", "\ufeff" + text)) == plain
+
     def test_defaults_when_keys_absent(self, tmp_path):
         path = self.write(
             tmp_path,

@@ -24,9 +24,10 @@ import numpy.random  # noqa: E402,F401  (train's first call would import it insi
 
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
-# peaked at 3.87e6 and failed.  predict_texts peaks at about 2.4e6; a
-# dense rows x distinct-columns block per chunk, or one classes x nnz
-# gather of the weights, peaks at about 6.6e6 and fails.
+# peaked at 3.87e6 and failed.  predict_texts peaks at about 3.1e6, of
+# which 1.05e6 is logits' dim-sized bucket -> column table; a dense
+# rows x distinct-columns block per chunk, or one classes x nnz gather
+# of the weights, peaks at about 6.6e6 and fails.
 PEAK_BYTES = 3.7e6
 
 
@@ -99,8 +100,8 @@ def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
 
 # The model stores the corpus's 10,804 columns: 1.82e6 bytes of
 # weights, where the dense 21 x 2^18 model was 44.04e6 and train peaked
-# at 45.95e6.  At the workload's batch size train now peaks at 13.35e6;
-# in one full batch, walked in row slices, at 23.01e6.
+# at 45.95e6.  At the workload's batch size train now peaks at 13.47e6;
+# in one full batch, walked in row slices, at 18.24e6.
 TRAIN_PEAK_BYTES = 14e6
 FULL_BATCH_PEAK_BYTES = 24e6
 
@@ -146,8 +147,8 @@ def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
 def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
-    # Walked in row slices under a fixed bound (8 MiB), it peaks at
-    # 23.01e6.
+    # Walked in row slices under a fixed bound (8 MiB), each slice's
+    # block a prefix of one reused buffer, it peaks at 18.24e6.
     rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
     hp = replace(config.hp, batch_size=len(rows))
     model, peak = train_peak(rows, y, hp, labels)

@@ -375,6 +375,13 @@ def test_load_lexicon_and_presegmented(tmp_path):
         normalizer.load_lexicon(str(bad))
 
 
+def test_load_lexicon_drops_a_leading_bom(tmp_path):
+    lex_file = tmp_path / "lex.txt"
+    lex_file.write_text("\ufeff[prefixes]\nو\n[suffixes]\nها\n", encoding="utf-8")
+    lex = normalizer.load_lexicon(str(lex_file))
+    assert (lex.prefixes, lex.suffixes) == (("و",), ("ها",))
+
+
 # full pipeline properties
 
 ALLOWED_OUTPUT = (
