@@ -1,9 +1,11 @@
 """Multinomial logistic regression over sparse feature rows.
 
 Training and prediction both take a corpus as one SparseRows matrix.
-Plain mini-batch SGD from a zero initialization.  Shuffling is rebuilt
-per epoch from (rng_seed, epoch), so training is bit-reproducible for a
-fixed input order.
+Plain mini-batch SGD from a zero initialization.  Each epoch walks the
+rows in epoch_order(rng_seed, epoch), a splitmix64 stream of the
+package's own, so training is bit-reproducible for a fixed input order
+on any numpy version (numpy does not promise to keep its generators'
+streams), and no command loads numpy.random.
 
 The model is sparse: it holds weights only for the K columns (hash
 buckets) its training rows touch, as a K x num_classes matrix, and
@@ -13,12 +15,20 @@ batch's distinct columns.  In the dense num_classes x dim model of
 per-example SGD (tests/dense_oracle.py) a column no example uses has a
 zero gradient on every batch, so it stays 0 * decay - lr * 0 = 0.0
 exactly as long as the decay factor 1 - lr * l2 is not negative, which
-HyperParams enforces; leaving it out changes no logit.  The touched
-weights take the same updates as in dense per-example SGD, summed in
-another order: they agree with it to rounding, within rtol 1e-9 in the
-tests, and the argmax over the training documents is the same; they
-equal those of the batched loop in tests/dense_oracle.py bit for bit.
-Prediction drops the entries on buckets outside the model's columns,
+HyperParams enforces; leaving it out changes no logit.
+
+Training keeps the weights as a scalar times a matrix, W = s * V
+(Shalev-Shwartz et al., "Pegasos", ICML 2007), so the l2 decay of
+every weight is one multiply s *= 1 - lr * l2 per batch (Bottou,
+"Stochastic Gradient Descent Tricks", 2012), and only the batch's rows
+of V are read and written.  When s falls below _FOLD_BELOW (at once
+when lr * l2 = 1 makes the decay 0.0), it is folded into V before the
+update divides by it, and it is folded once more at the end.  The
+touched weights take the same updates as in dense per-example SGD,
+summed in another order and scaled: they agree with it to rounding,
+within rtol 1e-9 in the tests, and the argmax over the training
+documents is the same; they equal those of the batched loop in
+tests/dense_oracle.py bit for bit.  Prediction drops the entries on buckets outside the model's columns,
 which the dense model weighs 0.0, and its logits are those of the
 dense model bit for bit (see logits).
 """
@@ -46,7 +56,9 @@ from .features import SparseRows
 MODEL_MAGIC = b"NADIMDL3"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 / golden ratio
 _BLOCK_ELEMENTS = 1 << 20  # float64s in one dense batch block: 8 MiB
+_FOLD_BELOW = 1e-6  # the weight scale s is folded into V below this
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,25 +119,34 @@ class LinearModel:
         return int(self.weights.shape[1])
 
 
-def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
+def column_table(columns: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-sized int32 bucket -> column table of K sorted distinct
+    columns: columns[k] maps to k, and every other bucket to K."""
+    table = np.full(dim, columns.size, dtype=np.int32)
+    table[columns] = np.arange(columns.size, dtype=np.int32)
+    return table
+
+
+def logits(model: LinearModel, rows: SparseRows, table: np.ndarray | None = None) -> np.ndarray:
     """The rows x num_classes logits: the bias plus each row's weighted
     sum of its buckets' weights, 0.0 for a bucket outside the model's
     columns.
 
-    Each entry's column is looked up in a dim-sized table that maps a
-    stored bucket to its column and any other bucket to K.  Entries on
-    unstored buckets are dropped: each would add 0.0 * value, a signed
-    zero for a finite value, to a sum that starts at +0.0 and so is
-    never -0.0, and such a term leaves the sum's bits as they are.
-    Each class's logits are then one np.bincount of its weights at the
-    kept entries, so no scratch array is larger than nnz or dim.
+    Each entry's column is looked up in table, the model's
+    column_table, built here when not given; a caller scoring many
+    blocks with one model builds it once.  Entries on unstored buckets
+    are dropped: each would add 0.0 * value, a signed zero for a finite
+    value, to a sum that starts at +0.0 and so is never -0.0, and such
+    a term leaves the sum's bits as they are.  Each class's logits are
+    then one np.bincount of its weights at the kept entries, so no
+    scratch array is larger than nnz or dim.
     """
     if rows.dim != model.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
     n = len(rows)
     columns = model.columns
-    table = np.full(model.dim, columns.size, dtype=np.int32)
-    table[columns] = np.arange(columns.size, dtype=np.int32)
+    if table is None:
+        table = column_table(columns, model.dim)
     position = table[rows.indices]
     stored = position < columns.size
     position = position[stored]
@@ -138,12 +159,37 @@ def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
     return out
 
 
-def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
+def predict(model: LinearModel, rows: SparseRows, table: np.ndarray | None = None) -> np.ndarray:
     """Class index of each row: the argmax of its logits, ties to the
-    lowest index, or the model's fallback_class for an empty row."""
-    classes = logits(model, rows).argmax(axis=1)
+    lowest index, or the model's fallback_class for an empty row.
+    table is as in logits."""
+    classes = logits(model, rows, table).argmax(axis=1)
     classes[np.diff(rows.indptr) == 0] = model.fallback_class
     return classes
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function (Steele et al., OOPSLA 2014) on
+    uint64 states, mod 2**64; a bijection."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def epoch_order(rng_seed: int, epoch: int, n: int) -> np.ndarray:
+    """The order in which train walks n rows in an epoch: a permutation
+    of range(n), fixed by (rng_seed, epoch).
+
+    It is the stable argsort of the first n outputs of a splitmix64
+    generator, mix(key + (i + 1) * gamma) for row i, started at
+    key = mix(mix(seed + gamma) ^ epoch), where seed is rng_seed mod
+    2**64 (a negative seed is masked).  mix is a bijection and gamma is
+    odd, so the n outputs are distinct.
+    """
+    seed = np.array([rng_seed & _U64], dtype=np.uint64)
+    key = _mix64(_mix64(seed + _GAMMA) ^ np.uint64(epoch))
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+    return np.argsort(_mix64(steps + key), kind="stable")
 
 
 def train(
@@ -156,13 +202,13 @@ def train(
 ) -> LinearModel:
     """Fit the model to rows with classes y by mini-batch SGD.
 
-    Per epoch the rows are shuffled by a fresh RNG seeded from
-    (rng_seed, epoch) and walked in batches of batch_size (the last
-    batch may be short).  Each batch applies the averaged cross-entropy
-    gradient plus l2 weight decay.  epochs=0 returns the zero model,
-    which predicts uniformly.  The mean loss of every epoch is kept on
-    the returned model, and so is the most frequent class of y as its
-    fallback_class (ties go to the lowest index).
+    Per epoch the rows are walked in epoch_order(rng_seed, epoch) in
+    batches of batch_size (the last batch may be short).  Each batch
+    applies the averaged cross-entropy gradient plus l2 weight decay.
+    epochs=0 returns the zero model, which predicts uniformly.  The mean
+    loss of every epoch is kept on the returned model, and so is the
+    most frequent class of y as its fallback_class (ties go to the
+    lowest index).
 
     The model stores the K distinct columns the rows use and their
     K x num_classes weights, which equal those of dense per-example SGD
@@ -202,22 +248,32 @@ def _sgd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """(cols, weights, bias, epoch_losses) of train's SGD loop.
 
-    The rows' columns are renumbered over their K distinct columns
-    cols; weights is K x num_classes, so a batch's rows are contiguous.
-    Each batch fills a dense block with its rows over its u distinct
-    columns, in slices of rows that keep it within _BLOCK_ELEMENTS.
-    Every slice's block is a prefix of one buffer, grown when a slice
-    needs more and zeroed again at the slice's own entries after use.
-    The logits are one product with weights[u]; the gradient, class-major
-    (num_classes x u), is the sum over the slices of the transposed
-    probabilities times the block, and is transposed back in the update.
+    The rows' columns are renumbered over their K distinct columns cols
+    through a column_table, freed before the loop.  The weights are
+    scale * scaled, scaled K x num_classes (see the module docstring).
+    Each batch takes its u distinct rows of scaled once, as vu, and
+    writes them back once, as whole rows.  It fills a dense block with
+    its rows over those columns, in slices of rows that keep it within
+    _BLOCK_ELEMENTS.  Every slice's block is a prefix of one buffer,
+    grown when a slice needs more and zeroed again at the slice's own
+    entries after use.  The logits are (block @ vu) * scale + bias; the
+    gradient, class-major (num_classes x u), is the sum over the slices
+    of the transposed probabilities times the block, and is scaled by
+    lr / (m * scale) in place and subtracted from vu transposed.
     """
     n = len(rows)
     indptr, values = rows.indptr, rows.values
     nnz = np.diff(indptr)
-    cols, indices = np.unique(rows.indices, return_inverse=True)
+    present = np.zeros(rows.dim, dtype=bool)
+    present[rows.indices] = True
+    cols = np.flatnonzero(present)
+    del present
+    indices = column_table(cols, rows.dim)[rows.indices]
     width = cols.size
-    weights = np.zeros((width, num_classes), dtype=np.float64)
+    scaled = np.zeros((width, num_classes), dtype=np.float64)
+    # One item per row of scaled, so that a batch's rows are set whole.
+    row_items = scaled.view(np.dtype((np.void, scaled.itemsize * num_classes))).ravel()
+    scale = 1.0
     bias = np.zeros(num_classes, dtype=np.float64)
     # slot[c] is the block column of touched column c in the current batch.
     slot = np.zeros(width, dtype=np.int64)
@@ -226,8 +282,7 @@ def _sgd(
     decay = 1.0 - hp.lr * hp.l2
     losses: list[float] = []
     for epoch in range(hp.epochs):
-        rng = np.random.default_rng((hp.rng_seed & _U64, epoch))
-        order = rng.permutation(n)
+        order = epoch_order(hp.rng_seed, epoch, n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
@@ -241,20 +296,24 @@ def _sgd(
             touched[batch_cols] = True
             u = np.flatnonzero(touched)
             slot[u] = np.arange(u.size)
+            vu = scaled.take(u, axis=0)
             step = max(1, _BLOCK_ELEMENTS // max(1, u.size))
             for lo in range(0, m, step):
                 hi = min(lo + step, m)
                 part = slice(starts[lo], ends[hi - 1])
                 size = (hi - lo) * u.size
                 if buffer.size < size:
-                    buffer = None  # freed before the larger one is allocated
+                    # The last block is a view of the buffer: drop both,
+                    # so the old buffer is freed before the larger one
+                    # is allocated.
+                    block = buffer = None
                     buffer = np.zeros(size, dtype=np.float64)
                 block = buffer[:size].reshape(hi - lo, u.size)
                 spots = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
                 spots += slot[batch_cols[part]]
                 buffer[spots] = values[entries[part]]
 
-                logits = block @ weights[u] + bias
+                logits = (block @ vu) * scale + bias
                 top = logits.max(axis=1)
                 logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
                 picked = (np.arange(hi - lo), targets[batch[lo:hi]])
@@ -268,19 +327,27 @@ def _sgd(
                     grad_w += probs.T @ block
                     grad_b += probs.sum(axis=0)
                 buffer[spots] = 0.0
-            scale = 1.0 / m
-            weights *= decay
-            weights[u] -= hp.lr * (grad_w.T * scale)
-            bias -= hp.lr * (grad_b * scale)
+            scale *= decay
+            # Checked before the division below, which scale = 0.0 (the
+            # decay of lr * l2 = 1) would make infinite.
+            if scale < _FOLD_BELOW:
+                scaled *= scale
+                vu *= scale
+                scale = 1.0
+            grad_w *= hp.lr / (m * scale)
+            vu -= grad_w.T
+            row_items[u] = vu.view(row_items.dtype).ravel()
+            bias -= hp.lr * (grad_b * (1.0 / m))
             # Freed before the next batch: a gradient still alive when
             # a larger buffer is allocated pins the heap under the freed
             # one, which added up to 9.6 MB (glibc malloc) to fit-nadi's
             # peak RSS.
             del grad_w
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        if not (np.isfinite(scaled).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
-    return cols, weights, bias, losses
+    scaled *= scale
+    return cols, scaled, bias, losses
 
 
 def save_model(model: LinearModel, path: str) -> None:

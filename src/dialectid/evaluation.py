@@ -126,7 +126,7 @@ def render_report(rep: EvaluationReport) -> str:
 
     A `# per-class` section with one label per line, then an
     `# aggregate` section of key/value lines.  The format is exact:
-    parse_report recovers every float bit-for-bit.
+    %.17g gives back every float bit-for-bit.
     """
     lines = ["# per-class", "label\tprecision\trecall\tf1\tsupport"]
     for m in rep.per_class:
@@ -141,52 +141,6 @@ def render_report(rep: EvaluationReport) -> str:
     lines.append(f"accuracy\t{_fmt(rep.accuracy)}")
     lines.append(f"total\t{rep.total}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> EvaluationReport:
-    per_class: list[ClassMetrics] = []
-    aggregates: dict[str, str] = {}
-    section = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line == "# per-class":
-            section = "per-class"
-            continue
-        if line == "# aggregate":
-            section = "aggregate"
-            continue
-        if section == "per-class":
-            cells = line.split("\t")
-            if cells[0] == "label":
-                continue
-            if len(cells) != 5:
-                raise ValueError(f"bad per-class line: {line!r}")
-            per_class.append(
-                ClassMetrics(
-                    label=cells[0],
-                    precision=float(cells[1]),
-                    recall=float(cells[2]),
-                    f1=float(cells[3]),
-                    support=int(cells[4]),
-                )
-            )
-        elif section == "aggregate":
-            key, sep, value = line.partition("\t")
-            if not sep:
-                raise ValueError(f"bad aggregate line: {line!r}")
-            aggregates[key] = value
-        else:
-            raise ValueError(f"line outside any section: {line!r}")
-    return EvaluationReport(
-        per_class=tuple(per_class),
-        macro_precision=float(aggregates["macro_precision"]),
-        macro_recall=float(aggregates["macro_recall"]),
-        macro_f1=float(aggregates["macro_f1"]),
-        weighted_f1=float(aggregates["weighted_f1"]),
-        accuracy=float(aggregates["accuracy"]),
-        total=int(aggregates["total"]),
-    )
 
 
 def write_report(rep: EvaluationReport, path: str) -> None:

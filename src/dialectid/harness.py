@@ -165,13 +165,15 @@ def predict_texts(
 
     A text that normalizes to nothing has no features and gets the
     model's fallback class, the majority class of the data it was
-    fitted on.
+    fitted on.  The model's bucket -> column table is built once and
+    shared by every block.
     """
     labels = model.class_labels
+    table = classifier.column_table(model.columns, model.dim)
     out: list[str] = []
     for counts in features.bucket_counts(texts, config.features):
         rows = features.vectorize(counts, config.features, idf)
-        out.extend(labels[c] for c in classifier.predict(model, rows).tolist())
+        out.extend(labels[c] for c in classifier.predict(model, rows, table).tolist())
     return out
 
 

@@ -8,9 +8,13 @@ another order, so it must match this to a stated tolerance, store
 exactly the columns some example uses (the oracle keeps the others at
 0.0), and agree on every training document's argmax.
 
-batched_sgd is classifier._sgd as it ran before its block buffer was
-reused: a fresh zero block per slice and the gradient as block.T @
-probs.  train runs the same arithmetic, so it must give the same bits.
+batched_sgd is classifier._sgd in its plain form: np.unique renumbers
+the columns, a fresh zero block per slice, the gradient as block.T @
+probs, and the weights as scale * scaled, updated by fancy indexing,
+with the same scaling and fold rule.  train runs the same arithmetic,
+so it must give the same bits.
+
+Both walk each epoch in classifier.epoch_order.
 
 dense_logits is the per-class gather from a dense num_classes x dim
 matrix that classifier.logits ran before the model went sparse; over
@@ -19,10 +23,10 @@ to_dense of a sparse model it must give the same bytes.
 
 import numpy as np
 
-from dialectid.classifier import LinearModel
+from dialectid.classifier import LinearModel, epoch_order
 from dialectid.features import SparseRows
 
-_U64 = 0xFFFFFFFFFFFFFFFF
+FOLD_BELOW = 1e-6
 
 
 def batch_cross_entropy(weights, bias, rows, y):
@@ -69,8 +73,7 @@ def dense_train(rows, y, hp, num_classes):
     n = len(rows)
     losses = []
     for epoch in range(hp.epochs):
-        rng = np.random.default_rng((hp.rng_seed & _U64, epoch))
-        order = rng.permutation(n)
+        order = epoch_order(hp.rng_seed, epoch, n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             picks = order[start : start + hp.batch_size]
@@ -91,20 +94,23 @@ def batched_sgd(rows, targets, hp, num_classes, block_elements):
     """(weights, bias, epoch_losses, sizes) of batched sparse SGD with
     at most block_elements float64s in a slice's block (or one row);
     weights is K x num_classes over the rows' sorted distinct columns,
-    and sizes lists each slice's block size in order."""
+    and sizes lists each slice's block size in order.  The weights are
+    kept as scale * scaled; scale takes the decay, and is folded into
+    scaled when it falls below FOLD_BELOW, before the update divides by
+    it, and at the end."""
     n = len(rows)
     indptr, values = rows.indptr, rows.values
     nnz = np.diff(indptr)
     cols, indices = np.unique(rows.indices, return_inverse=True)
     width = cols.size
-    weights = np.zeros((width, num_classes), dtype=np.float64)
+    scaled = np.zeros((width, num_classes), dtype=np.float64)
+    scale = 1.0
     bias = np.zeros(num_classes, dtype=np.float64)
     slot = np.zeros(width, dtype=np.int64)
     decay = 1.0 - hp.lr * hp.l2
     losses, sizes = [], []
     for epoch in range(hp.epochs):
-        rng = np.random.default_rng((hp.rng_seed & _U64, epoch))
-        order = rng.permutation(n)
+        order = epoch_order(hp.rng_seed, epoch, n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
@@ -126,7 +132,7 @@ def batched_sgd(rows, targets, hp, num_classes, block_elements):
                 sizes.append(block.size)
                 flat = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
                 block.ravel()[flat + slot[batch_cols[part]]] = values[entries[part]]
-                logits = block @ weights[u] + bias
+                logits = (block @ scaled[u]) * scale + bias
                 top = logits.max(axis=1)
                 logsumexp = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
                 picked = (np.arange(hi - lo), targets[batch[lo:hi]])
@@ -139,12 +145,15 @@ def batched_sgd(rows, targets, hp, num_classes, block_elements):
                 else:
                     grad_w += block.T @ probs
                     grad_b += probs.sum(axis=0)
-            scale = 1.0 / m
-            weights *= decay
-            weights[u] -= hp.lr * (grad_w * scale)
-            bias -= hp.lr * (grad_b * scale)
+            scale *= decay
+            if scale < FOLD_BELOW:
+                scaled *= scale
+                scale = 1.0
+            scaled[u] -= grad_w * (hp.lr / (m * scale))
+            bias -= hp.lr * (grad_b * (1.0 / m))
         losses.append(epoch_loss / n)
-    return weights, bias, losses, sizes
+    scaled *= scale
+    return scaled, bias, losses, sizes
 
 
 def to_dense(model):

@@ -13,6 +13,8 @@ from dialectid import classifier
 from dialectid.classifier import (
     HyperParams,
     LinearModel,
+    column_table,
+    epoch_order,
     load_model,
     logits,
     predict,
@@ -134,6 +136,66 @@ class TestPredict:
                 by_hand = [sum(weights[k, i] * v for i, v in m.items()) + model.bias[k]
                            for k in range(5)]
                 assert c == int(np.argmax(by_hand))
+
+
+    def test_given_table_equals_the_built_one(self):
+        rng = random.Random(5)
+        dim = 32
+        weights = np.array([[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(3)])
+        weights[:, ::3] = 0.0
+        model = from_dense(weights, np.array([0.5, -0.5, 0.0]), list("abc"))
+        rows = csr([random_map(rng, dim, max_nnz=6) for _ in range(20)], dim)
+        table = column_table(model.columns, dim)
+        assert logits(model, rows, table).tobytes() == logits(model, rows).tobytes()
+        assert predict(model, rows, table).tolist() == predict(model, rows).tolist()
+
+
+def test_column_table_maps_columns_to_positions_and_the_rest_to_k():
+    table = column_table(np.array([1, 4, 6]), 8)
+    assert table.dtype == np.int32
+    assert table.tolist() == [3, 0, 3, 3, 1, 3, 2, 3]
+    assert column_table(np.array([], dtype=np.int64), 4).tolist() == [0, 0, 0, 0]
+
+
+class TestEpochOrder:
+    # The splitmix64 stream of epoch_order's docstring in Python ints.
+    @staticmethod
+    def reference(rng_seed, epoch, n):
+        mask = (1 << 64) - 1
+        gamma = 0x9E3779B97F4A7C15
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        key = mix(mix(((rng_seed & mask) + gamma) & mask) ^ epoch)
+        outputs = [mix((key + (i + 1) * gamma) & mask) for i in range(n)]
+        return sorted(range(n), key=outputs.__getitem__)
+
+    def test_golden_order(self):
+        assert epoch_order(42, 0, 10).tolist() == [4, 7, 9, 1, 6, 3, 2, 0, 5, 8]
+
+    @pytest.mark.parametrize("seed, epoch, n", [(42, 0, 10), (0, 5, 300), (-7, 2, 64),
+                                                (1 << 63, 1, 33)])
+    def test_matches_the_python_reference(self, seed, epoch, n):
+        assert epoch_order(seed, epoch, n).tolist() == self.reference(seed, epoch, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    def test_is_a_deterministic_permutation(self, n):
+        order = epoch_order(11, 3, n)
+        assert order.dtype == np.int64
+        assert sorted(order.tolist()) == list(range(n))
+        assert epoch_order(11, 3, n).tolist() == order.tolist()
+
+    def test_differs_across_epochs_and_seeds(self):
+        orders = {tuple(epoch_order(seed, epoch, 50).tolist())
+                  for seed in (0, 1, 42, -1) for epoch in range(4)}
+        assert len(orders) == 16
+
+    def test_masks_negative_seeds(self):
+        assert epoch_order(-1, 2, 40).tolist() == epoch_order((1 << 64) - 1, 2, 40).tolist()
+        assert epoch_order(-5, 0, 40).tolist() == epoch_order((1 << 64) - 5, 0, 40).tolist()
 
 
 class TestBatchCrossEntropy:
@@ -336,18 +398,20 @@ def training_problems(draw):
 
 def tied_bias_problem():
     """A problem where train ends with the biases of classes 1 and 2
-    4e-16 apart one way and the dense oracle 4e-16 apart the other way,
+    equal and the dense oracle with class 2's 4e-16 above class 1's,
     run with _BLOCK_ELEMENTS = 10: the argmax of an empty row differs."""
     rows = csr([{}, {0: 0.0}, {}, {}, {1: 0.0, 2: 0.0}], 5)
-    hp = HyperParams(lr=13.125, l2=0.0, epochs=2, batch_size=5, rng_seed=0)
+    hp = HyperParams(lr=13.125, l2=0.0, epochs=2, batch_size=5, rng_seed=2)
     return rows, [2, 0, 0, 1, 0], hp, 6
 
 
 class TestDenseOracle:
     # Batched SGD sums each batch's gradient in another order than the
-    # per-example oracle, so touched weights may differ in the last
-    # bits.  Over 3,000 drawn problems the largest differences
-    # were 3.6e-15 absolute and 1.4e-14 relative (|W| up to 58).
+    # per-example oracle, and scales it by the weight scale, so touched
+    # weights may differ in the last bits.  In three runs of 3,000 drawn
+    # problems the largest differences were 1.4e-14 to 3.9e-13 absolute
+    # (|W| up to 60), and none used more than 3e-5 of its allowance
+    # ATOL + RTOL * |W|.
     RTOL = 1e-9
     ATOL = 1e-12
 
@@ -433,6 +497,64 @@ def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements
     assert model.weights.tobytes() == weights.tobytes()
     assert model.bias.tobytes() == bias.tobytes()
     assert model.epoch_losses == losses
+
+
+def overlapping_examples(per_class=6, dim=16, num_classes=3):
+    """(rows, y): rows of two or three columns each, shared across the
+    classes, so that batches touch overlapping column sets."""
+    rng = random.Random(23)
+    maps, y = [], []
+    for c in range(num_classes):
+        for _ in range(per_class):
+            picks = rng.sample(range(dim), rng.randint(2, 3))
+            maps.append({i: rng.uniform(0.5, 1.5) for i in [c, *picks]})
+            y.append(c)
+    return csr(maps, dim), y
+
+
+def assert_matches_both_oracles(rows, y, hp, num_classes):
+    model = train(rows, y, hp, num_classes=num_classes)
+    weights, bias, losses, _ = batched_sgd(
+        rows, np.asarray(y), hp, num_classes, classifier._BLOCK_ELEMENTS
+    )
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.tobytes() == bias.tobytes()
+    assert model.epoch_losses == losses
+    dense_w, dense_b, dense_losses = dense_train(rows, y, hp, num_classes)
+    rtol, atol = TestDenseOracle.RTOL, TestDenseOracle.ATOL
+    np.testing.assert_allclose(model.weights, dense_w[:, model.columns].T, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(model.bias, dense_b, rtol=rtol, atol=atol)
+    assert model.epoch_losses == pytest.approx(dense_losses, rel=rtol)
+    return model
+
+
+def test_decay_zero_wipes_the_weights_before_each_update():
+    # lr * l2 == 1: the scale is 0.0 after every batch and is folded
+    # into the weights before the update would divide by it.
+    rows, y = overlapping_examples()
+    hp = HyperParams(lr=2.0, l2=0.5, epochs=3, batch_size=4)
+    assert 1.0 - hp.lr * hp.l2 == 0.0
+    model = assert_matches_both_oracles(rows, y, hp, 3)
+    assert np.all(np.isfinite(model.weights))
+    # Only the last batch's update survives its wipe.
+    last = epoch_order(hp.rng_seed, hp.epochs - 1, len(rows))[-(len(rows) % 4 or 4):]
+    kept = np.unique(take_rows(rows, last).indices)
+    np.testing.assert_array_equal(
+        np.flatnonzero(np.any(model.weights != 0.0, axis=1)), np.searchsorted(model.columns, kept)
+    )
+
+
+def test_scale_folded_partway_through():
+    # decay 0.75: the scale falls below 1e-6 after 49 of the 54 batches
+    # (0.75**48 = 1.0e-6 and 0.75**49 = 7.5e-7), is folded there, and
+    # the run goes on from 1.0.
+    rows, y = overlapping_examples()
+    hp = HyperParams(lr=0.5, l2=0.5, epochs=3, batch_size=1)
+    decay = 1.0 - hp.lr * hp.l2
+    batches = hp.epochs * len(rows)
+    crossed = next(k for k in range(1, batches + 1) if decay**k < 1e-6)
+    assert (crossed, batches) == (49, 54)
+    assert_matches_both_oracles(rows, y, hp, 3)
 
 
 @st.composite

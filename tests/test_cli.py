@@ -9,9 +9,9 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, Register, load_corpus, read_submission
-from dialectid.evaluation import parse_report
 
 import synthcorpus
+from file_io import parse_report
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,13 @@ from dialectid.evaluation import (
     ConfusionMatrix,
     accuracy,
     confusion,
-    parse_report,
     per_class_prf,
     render_report,
     report,
     write_report,
 )
 
-from file_io import read_report
+from file_io import parse_report, read_report
 
 # gold rows, predicted columns: [[1, 1], [0, 1]]
 FIXTURE_GOLD = ["A", "A", "B"]

@@ -323,15 +323,40 @@ class TestPredictTexts:
         calls = []
         real_predict = dialectid.classifier.predict
 
-        def spy_predict(m, rows):
+        def spy_predict(m, rows, table):
             calls.append(len(rows))
-            return real_predict(m, rows)
+            return real_predict(m, rows, table)
 
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
         predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model, idf)
         # One call per block of texts, and TEST fits in one block.
         assert calls == [len(TEST)]
         assert predictions == [r.country for r in TEST]
+
+    def test_builds_the_column_table_once_for_all_blocks(self, monkeypatch):
+        cfg = config("m")
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
+        texts = prepare_texts(TEST, cfg)
+        expected = predict_texts(texts, cfg, model, idf)
+        built, tables = [], []
+        real_table = dialectid.classifier.column_table
+        real_predict = dialectid.classifier.predict
+
+        def spy_table(columns, dim):
+            built.append(real_table(columns, dim))
+            return built[-1]
+
+        def spy_predict(m, rows, table):
+            tables.append(table)
+            return real_predict(m, rows, table)
+
+        monkeypatch.setattr(dialectid.classifier, "column_table", spy_table)
+        monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
+        monkeypatch.setattr(dialectid.features, "_CHUNK_TEXTS", 2)
+        assert predict_texts(texts, cfg, model, idf) == expected
+        assert len(built) == 1
+        assert len(tables) == -(-len(TEST) // 2) > 1
+        assert all(table is built[0] for table in tables)
 
 
 class TestFeaturizeOnce:

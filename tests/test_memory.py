@@ -20,12 +20,13 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 
 import fixtures  # noqa: E402
-import numpy.random  # noqa: E402,F401  (train's first call would import it inside the trace)
 
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
-# peaked at 3.87e6 and failed.  predict_texts peaks at about 3.1e6, of
-# which 1.05e6 is logits' dim-sized bucket -> column table; a dense
+# peaked at 3.87e6 and failed.  predict_texts peaks at about 3.47e6:
+# the model's dim-sized bucket -> column table (1.05e6), built once per
+# call and shared by every block, is alive while each chunk is hashed
+# (3.09e6 when each block built its own inside logits); a dense
 # rows x distinct-columns block per chunk, or one classes x nnz gather
 # of the weights, peaks at about 6.6e6 and fails.
 PEAK_BYTES = 3.7e6
@@ -100,8 +101,13 @@ def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
 
 # The model stores the corpus's 10,804 columns: 1.82e6 bytes of
 # weights, where the dense 21 x 2^18 model was 44.04e6 and train peaked
-# at 45.95e6.  At the workload's batch size train now peaks at 13.47e6;
-# in one full batch, walked in row slices, at 18.24e6.
+# at 45.95e6.  At the workload's batch size train peaked at 13.47e6
+# while the last block kept the old buffer alive as the larger one was
+# allocated, at 11.02e6 without it, and now, with the batch's weight
+# rows gathered once and the decay one scalar, at 9.90e6; in one full
+# batch, walked in row slices, at 18.24e6 and now 17.54e6.  The trace
+# would also count numpy.random's import (about 7 MB of RSS) if train
+# loaded it again.
 TRAIN_PEAK_BYTES = 14e6
 FULL_BATCH_PEAK_BYTES = 24e6
 
@@ -148,7 +154,7 @@ def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
     # Walked in row slices under a fixed bound (8 MiB), each slice's
-    # block a prefix of one reused buffer, it peaks at 18.24e6.
+    # block a prefix of one reused buffer, it peaks at 17.54e6.
     rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
     hp = replace(config.hp, batch_size=len(rows))
     model, peak = train_peak(rows, y, hp, labels)
