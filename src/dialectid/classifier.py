@@ -28,9 +28,13 @@ touched weights take the same updates as in dense per-example SGD,
 summed in another order and scaled: they agree with it to rounding,
 within rtol 1e-9 in the tests, and the argmax over the training
 documents is the same; they equal those of the batched loop in
-tests/dense_oracle.py bit for bit.  Prediction drops the entries on buckets outside the model's columns,
-which the dense model weighs 0.0, and its logits are those of the
-dense model bit for bit (see logits).
+tests/dense_oracle.py bit for bit.
+
+A model's bucket -> column table (LinearModel.table) is built on its
+first prediction and kept for the rest.  Prediction drops the entries
+on buckets outside the model's columns, which the dense model weighs
+0.0, and its logits are those of the dense model bit for bit (see
+logits).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -88,9 +93,6 @@ class HyperParams:
             )
 
 
-DEFAULT_HP = HyperParams()
-
-
 @dataclass
 class LinearModel:
     """A linear model over dim hash buckets that stores only some of them.
@@ -118,6 +120,14 @@ class LinearModel:
     def num_classes(self) -> int:
         return int(self.weights.shape[1])
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The column_table of columns, built on first use and kept, so
+        columns must not change after: every logits call on the model
+        shares it.  It is dim int32s, so a model that is only saved
+        never builds it."""
+        return column_table(self.columns, self.dim)
+
 
 def column_table(columns: np.ndarray, dim: int) -> np.ndarray:
     """The dim-sized int32 bucket -> column table of K sorted distinct
@@ -127,28 +137,23 @@ def column_table(columns: np.ndarray, dim: int) -> np.ndarray:
     return table
 
 
-def logits(model: LinearModel, rows: SparseRows, table: np.ndarray | None = None) -> np.ndarray:
+def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
     """The rows x num_classes logits: the bias plus each row's weighted
     sum of its buckets' weights, 0.0 for a bucket outside the model's
     columns.
 
-    Each entry's column is looked up in table, the model's
-    column_table, built here when not given; a caller scoring many
-    blocks with one model builds it once.  Entries on unstored buckets
-    are dropped: each would add 0.0 * value, a signed zero for a finite
-    value, to a sum that starts at +0.0 and so is never -0.0, and such
-    a term leaves the sum's bits as they are.  Each class's logits are
+    Each entry's column is looked up in the model's table.  Entries on
+    unstored buckets are dropped: each would add 0.0 * value, a signed
+    zero for a finite value, to a sum that starts at +0.0 and so is
+    never -0.0, and such a term leaves the sum's bits as they are.  Each class's logits are
     then one np.bincount of its weights at the kept entries, so no
     scratch array is larger than nnz or dim.
     """
     if rows.dim != model.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
     n = len(rows)
-    columns = model.columns
-    if table is None:
-        table = column_table(columns, model.dim)
-    position = table[rows.indices]
-    stored = position < columns.size
+    position = model.table[rows.indices]
+    stored = position < model.columns.size
     position = position[stored]
     values = rows.values[stored]
     owner = np.repeat(np.arange(n), np.diff(rows.indptr))[stored]
@@ -159,11 +164,10 @@ def logits(model: LinearModel, rows: SparseRows, table: np.ndarray | None = None
     return out
 
 
-def predict(model: LinearModel, rows: SparseRows, table: np.ndarray | None = None) -> np.ndarray:
+def predict(model: LinearModel, rows: SparseRows) -> np.ndarray:
     """Class index of each row: the argmax of its logits, ties to the
-    lowest index, or the model's fallback_class for an empty row.
-    table is as in logits."""
-    classes = logits(model, rows, table).argmax(axis=1)
+    lowest index, or the model's fallback_class for an empty row."""
+    classes = logits(model, rows).argmax(axis=1)
     classes[np.diff(rows.indptr) == 0] = model.fallback_class
     return classes
 
@@ -195,12 +199,12 @@ def epoch_order(rng_seed: int, epoch: int, n: int) -> np.ndarray:
 def train(
     rows: SparseRows,
     y: Sequence[int],
-    hp: HyperParams = DEFAULT_HP,
-    num_classes: int = 2,
-    class_labels: Sequence[str] | None = None,
+    hp: HyperParams,
+    class_labels: Sequence[str],
     feature_fingerprint: str = "",
 ) -> LinearModel:
-    """Fit the model to rows with classes y by mini-batch SGD.
+    """Fit the model to rows with classes y, indices into class_labels,
+    by mini-batch SGD.
 
     Per epoch the rows are walked in epoch_order(rng_seed, epoch) in
     batches of batch_size (the last batch may be short).  Each batch
@@ -220,14 +224,9 @@ def train(
     targets = np.asarray(y, dtype=np.int64)
     if targets.shape != (len(rows),):
         raise LengthMismatch(f"{targets.size} classes for {len(rows)} rows")
+    num_classes = len(class_labels)
     if targets.min() < 0 or targets.max() >= num_classes:
         raise ClassIndexOutOfRange(f"a class index is outside [0, {num_classes})")
-    if class_labels is None:
-        labels = [str(i) for i in range(num_classes)]
-    else:
-        if len(class_labels) != num_classes:
-            raise ValueError(f"{len(class_labels)} labels for {num_classes} classes")
-        labels = list(class_labels)
 
     counts = np.bincount(targets, minlength=num_classes)
     cols, weights, bias, losses = _sgd(rows, targets, hp, num_classes)
@@ -236,7 +235,7 @@ def train(
         weights=weights,
         bias=bias,
         dim=rows.dim,
-        class_labels=labels,
+        class_labels=list(class_labels),
         feature_fingerprint=feature_fingerprint,
         epoch_losses=losses,
         fallback_class=int(counts.argmax()),

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import classifier, corpus, evaluation, features, harness, normalizer
-from .corpus import LabelVocab, Level, Register, Subtask
+from .corpus import LabelVocab, Level
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
 
@@ -62,7 +62,7 @@ def _default_vocab(vocab_path: str | None, level: Level) -> LabelVocab:
 def _cmd_stats(args: argparse.Namespace) -> int:
     level = Level(args.level)
     vocab = LabelVocab.from_file(args.vocab) if args.vocab else None
-    records = corpus.load_corpus(args.infile, register=Register.DA, vocab=vocab)
+    records = corpus.load_corpus(args.infile, vocab=vocab)
     stats = corpus.corpus_stats(records, level, vocab)
     for label, count in stats.counts.items():
         print(f"{label}\t{count}")
@@ -70,11 +70,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_from_args(args: argparse.Namespace, subtask: Subtask) -> ExperimentConfig:
+def _experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.experiment and not args.config:
         raise DialectIdError(f"--experiment {args.experiment!r} needs --config")
     if not args.config:
-        config = ExperimentConfig(name="default", subtask=subtask)
+        config = ExperimentConfig(name="default")
         if args.seed is not None:
             config = replace(config, hp=replace(config.hp, rng_seed=args.seed))
         return config
@@ -86,19 +86,17 @@ def _experiment_from_args(args: argparse.Namespace, subtask: Subtask) -> Experim
         exp = next((e for e in spec.experiments if e.name == args.experiment), None)
         if exp is None:
             raise DialectIdError(f"no experiment named {args.experiment!r} in {args.config}")
-    return replace(exp, subtask=subtask)
+    return exp
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     level = Level(args.level)
-    register = Register(args.register)
     vocab = _default_vocab(args.vocab, level)
-    subtask = Subtask(level=level, register=register)
-    config = _experiment_from_args(args, subtask)
-    records = corpus.load_corpus(args.infile, register=register, vocab=vocab)
+    config = _experiment_from_args(args)
+    records = corpus.load_corpus(args.infile, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
     texts = harness.prepare_texts(records, config, lexicon, overrides)
-    model, idf = harness.fit_pipeline(texts, records, config, vocab)
+    model, idf = harness.fit_pipeline(texts, records, config, vocab, level)
     classifier.save_model(model, args.out_model)
     features.save_idf(idf, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
@@ -108,7 +106,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     level = Level(args.level)
     vocab = _default_vocab(args.vocab, level)
-    gold_records = corpus.load_corpus(args.gold, register=Register.DA, vocab=vocab)
+    gold_records = corpus.load_corpus(args.gold, vocab=vocab)
     pairs = corpus.read_submission(args.pred)
     by_id = dict(pairs)
     if len(by_id) != len(pairs):
@@ -135,8 +133,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = classifier.load_model(args.model)
     idf = features.load_idf(args.idf)
-    subtask = Subtask(level=Level.COUNTRY, register=Register.DA)
-    config = _experiment_from_args(args, subtask)
+    config = _experiment_from_args(args)
     if config.features.dim != idf.dim:
         if args.config:
             raise DialectIdError(
@@ -153,7 +150,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"{config.name!r} has {fingerprint} (its text preparation or features differ)"
         )
     lexicon, overrides = _load_lexicon_flags(args)
-    records = corpus.load_corpus(args.infile, register=Register(args.register))
+    records = corpus.load_corpus(args.infile)
     texts = harness.prepare_texts(records, config, lexicon, overrides)
     predictions = harness.predict_texts(texts, config, model, idf)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
@@ -166,12 +163,11 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = harness.override_seed(spec, args.seed)
     vocab = _default_vocab(spec.vocab_path, spec.subtask.level)
-    register = spec.subtask.register
-    train = corpus.load_corpus(spec.train_path, register=register, vocab=vocab)
-    dev = corpus.load_corpus(spec.dev_path, register=register, vocab=vocab)
-    test = corpus.load_corpus(spec.test_path, register=register, vocab=vocab)
+    train = corpus.load_corpus(spec.train_path, vocab=vocab)
+    dev = corpus.load_corpus(spec.dev_path, vocab=vocab)
+    test = corpus.load_corpus(spec.test_path, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
-    splits = harness.Splits(train, dev, test, lexicon, overrides)
+    splits = harness.Splits(spec.subtask, train, dev, test, lexicon, overrides)
 
     grid = harness.run_grid(splits, list(spec.experiments), vocab, spec.selection)
     sys.stdout.write(harness.render_grid(grid))
@@ -223,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model and write model and idf files")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--level", choices=[l.value for l in Level], required=True)
-    p.add_argument("--register", choices=[r.value for r in Register], required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--experiment", default=None,
                    help="experiment name inside --config (default: first)")
@@ -245,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idf", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--register", choices=[r.value for r in Register], default="da")
     p.add_argument("--experiment", default=None)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--presegmented", default=None)

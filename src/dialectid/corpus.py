@@ -52,7 +52,6 @@ class TweetRecord:
     text: str
     country: str | None = None
     province: str | None = None
-    register: Register = Register.DA
 
     def label(self, level: Level) -> str | None:
         return self.country if level is Level.COUNTRY else self.province
@@ -136,20 +135,25 @@ class LabelVocab:
         return cls(countries=tuple(countries))
 
 
-def read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """The (line number, tab-separated cells) of every line of a UTF-8
-    TSV file that is not blank.  A leading byte order mark and one
-    carriage return before each newline are dropped; only a newline
-    ends a line."""
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The (line number, line) of every line of a UTF-8 file that is not
+    blank.  A leading byte order mark and one carriage return before
+    each newline are dropped; only a newline ends a line."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         raw_lines = fh.read().split("\n")
-    rows = []
+    lines = []
     for lineno, line in enumerate(raw_lines, start=1):
         if line.endswith("\r"):
             line = line[:-1]
         if line:
-            rows.append((lineno, line.split("\t")))
-    return rows
+            lines.append((lineno, line))
+    return lines
+
+
+def read_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The (line number, tab-separated cells) of every line of a TSV
+    file that is not blank, split as _read_lines splits them."""
+    return [(lineno, line.split("\t")) for lineno, line in _read_lines(path)]
 
 
 def read_pairs(path: str) -> list[tuple[int, str, str]]:
@@ -170,17 +174,15 @@ def has_header(cells: Sequence[str]) -> bool:
     return tuple(cells[:2]) == HEADER[:2]
 
 
-def load_corpus(
-    path: str,
-    register: Register,
-    vocab: LabelVocab | None = None,
-) -> list[TweetRecord]:
+def load_corpus(path: str, vocab: LabelVocab | None = None) -> list[TweetRecord]:
     """Load a TSV split into records, preserving file order.
 
     Column count must be consistent across rows (2, 3, or 4 columns
-    without a header).  Empty label cells become None.  When a vocab is
-    given, labels are validated against it, including the constraint
-    that a record's country is the country its province belongs to.
+    without a header).  An id may not hold a comma, which the id,label
+    lines of a submission cannot hold.  Empty label cells become None.
+    When a vocab is given, labels are validated against it, including
+    the constraint that a record's country is the country its province
+    belongs to.
     Raises MalformedRow, DuplicateId, UnknownLabel, or
     HierarchyViolation with the offending line number.
     """
@@ -216,6 +218,8 @@ def load_corpus(
         rid = cells[id_col]
         if not rid:
             raise MalformedRow(f"{path}:{lineno}: empty id")
+        if "," in rid:
+            raise MalformedRow(f"{path}:{lineno}: id {rid!r} holds a comma")
         if rid in seen_ids:
             raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r}")
         seen_ids.add(rid)
@@ -245,9 +249,7 @@ def load_corpus(
             raise HierarchyViolation(
                 f"{path}:{lineno}: province {province!r} without a country"
             )
-        records.append(
-            TweetRecord(id=rid, text=text, country=country, province=province, register=register)
-        )
+        records.append(TweetRecord(id=rid, text=text, country=country, province=province))
     return records
 
 
@@ -312,15 +314,12 @@ def write_submission(ids: Sequence[str], labels: Sequence[str], path: str) -> No
 
 
 def read_submission(path: str) -> list[tuple[str, str]]:
-    """Read an `id,label` file back into (id, label) pairs."""
+    """Read an `id,label` file back into (id, label) pairs, its lines
+    split as read_rows splits them."""
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            rid, sep, label = line.partition(",")
-            if not sep or not rid:
-                raise MalformedRow(f"{path}:{lineno}: expected id,label")
-            pairs.append((rid, label))
+    for lineno, line in _read_lines(path):
+        rid, sep, label = line.partition(",")
+        if not sep or not rid:
+            raise MalformedRow(f"{path}:{lineno}: expected id,label")
+        pairs.append((rid, label))
     return pairs

@@ -56,7 +56,7 @@ class EmptyMatrix(DialectIdError):
 
 
 class SubtaskMismatch(DialectIdError):
-    """Records do not carry the labels or register a subtask requires."""
+    """Records do not carry the labels a subtask requires."""
 
 
 class ConfigError(DialectIdError):

@@ -6,9 +6,10 @@ weighted by a smoothed inverse document frequency.  Hash collisions are
 accepted: colliding grams simply share a bucket and their counts add.
 
 A corpus is one CSR matrix, SparseRows: one row per text, one column
-per bucket.  bucket_counts yields the gram counts of the texts as
-blocks of rows; the idf table holds the document frequency of every
-bucket (fit_idf) and computes its weights from them, and its file
+per bucket, and its width dim, which fit_idf and vectorize read from
+it.  bucket_counts yields the gram counts of the texts as blocks of
+rows; the idf table holds the document frequency of every bucket
+(fit_idf) and computes its weights from them, and its file
 stores only the occupied buckets unless more than a quarter are
 (binio.written_whole); vectorize turns a block of counts into tf-idf
 rows.  A fit or a predict makes one bucket_counts call.  It reads the
@@ -61,8 +62,10 @@ class FeatureConfig:
             raise ValueError(f"need 1 <= n_min <= n_max <= 8, got [{self.n_min}, {self.n_max}]")
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
-        if self.dim > 1 << 56:  # so that bucket_counts' keys row * dim + bucket fit an int64
-            raise ValueError(f"dim must be at most 2**56, got {self.dim}")
+        if self.dim > 1 << 31:
+            raise ValueError(
+                f"dim {self.dim} is above 2**31; the model and idf files store dim in 32 bits"
+            )
         if len(self.pad_token) != 1:
             raise ValueError("pad_token must be a single character")
 
@@ -254,8 +257,9 @@ class IdfTable:
         return int(self.df.shape[0])
 
 
-def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> IdfTable:
-    """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1 per bucket.
+def fit_idf(corpus: SparseRows) -> IdfTable:
+    """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1 for each of
+    the corpus's dim buckets.
 
     corpus holds one row of bucket counts per document (see
     bucket_counts and join_rows); df counts the documents whose row has
@@ -263,24 +267,20 @@ def fit_idf(corpus: SparseRows, config: FeatureConfig = DEFAULT_FEATURES) -> Idf
     """
     if not len(corpus):
         raise EmptyCorpus("cannot fit idf on zero documents")
-    df = np.bincount(corpus.indices, minlength=config.dim)
-    if df.shape[0] != config.dim:
-        raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {config.dim}")
+    df = np.bincount(corpus.indices, minlength=corpus.dim)
+    if df.shape[0] != corpus.dim:
+        raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {corpus.dim}")
     return IdfTable(df=df, doc_count=len(corpus))
 
 
-def vectorize(
-    counts: SparseRows,
-    config: FeatureConfig,
-    idf: IdfTable,
-) -> SparseRows:
+def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
     """Rows of bucket counts (see bucket_counts), IDF-weighted, each
     row L2 normalized.
 
     An empty row stays empty.
     """
-    if idf.dim != config.dim:
-        raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
+    if idf.dim != counts.dim:
+        raise ValueError(f"idf table dim {idf.dim} != rows dim {counts.dim}")
     values = counts.values * idf.weights[counts.indices]
     bounds = counts.indptr.tolist()
     # One np.dot per row keeps each norm bit-identical to that of the

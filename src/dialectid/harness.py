@@ -5,7 +5,8 @@ it on dev, and selects the best row; dev never reaches idf fitting or
 the gradient updates.  finalize refits the chosen configuration on
 train plus dev and writes the test submission.  Both take a Splits,
 which prepares each split's texts once per text preparation, so the
-grid and finalize share them.
+grid and finalize share them, and names the subtask they are labeled
+for.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class SelectionMetric(Enum):
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    subtask: Subtask
     norm: NormConfig = field(default_factory=NormConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     hp: HyperParams = field(default_factory=HyperParams)
@@ -73,21 +73,16 @@ class FinalizeResult:
     report: EvaluationReport | None
 
 
-def _require_labels(splits: Splits, subtask: Subtask, vocab: LabelVocab) -> None:
-    """The vocab and every train and dev record must fit the subtask."""
-    if subtask.level is Level.PROVINCE and not vocab.provinces:
+def _require_labels(splits: Splits, vocab: LabelVocab) -> None:
+    """The vocab and every train and dev record must have labels at the
+    level of the splits' subtask."""
+    level = splits.subtask.level
+    if level is Level.PROVINCE and not vocab.provinces:
         raise SubtaskMismatch("province subtask needs a vocab with provinces")
     for split in ("train", "dev"):
         for record in getattr(splits, split):
-            if record.register is not subtask.register:
-                raise SubtaskMismatch(
-                    f"{split} record {record.id!r} is {record.register.value}, "
-                    f"subtask wants {subtask.register.value}"
-                )
-            if record.label(subtask.level) is None:
-                raise SubtaskMismatch(
-                    f"{split} record {record.id!r} has no {subtask.level.value} label"
-                )
+            if record.label(level) is None:
+                raise SubtaskMismatch(f"{split} record {record.id!r} has no {level.value} label")
 
 
 def prepare_texts(
@@ -135,23 +130,24 @@ def fit_pipeline(
     records: Sequence[TweetRecord],
     config: ExperimentConfig,
     vocab: LabelVocab,
+    level: Level,
 ) -> tuple[LinearModel, IdfTable]:
-    """Fit the idf table and the model on one split: texts are the
-    prepared texts of records, in the same order."""
+    """Fit the idf table and the model on one split, to the labels of
+    the records at level: texts are the prepared texts of records, in
+    the same order."""
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
-    labels = vocab.labels(config.subtask.level)
+    labels = vocab.labels(level)
     counts = features.join_rows(
         list(features.bucket_counts(texts, config.features)), config.features.dim
     )
-    idf = features.fit_idf(counts, config.features)
-    rows = features.vectorize(counts, config.features, idf)
+    idf = features.fit_idf(counts)
+    rows = features.vectorize(counts, idf)
     # Only rows is positional, so bench/tracer.py finds hp by keyword.
     model = classifier.train(
         rows,
-        y=_class_indices(records, config.subtask.level, labels),
+        y=_class_indices(records, level, labels),
         hp=config.hp,
-        num_classes=len(labels),
         class_labels=labels,
         feature_fingerprint=fingerprint(config),
     )
@@ -165,23 +161,22 @@ def predict_texts(
 
     A text that normalizes to nothing has no features and gets the
     model's fallback class, the majority class of the data it was
-    fitted on.  The model's bucket -> column table is built once and
-    shared by every block.
+    fitted on.
     """
     labels = model.class_labels
-    table = classifier.column_table(model.columns, model.dim)
     out: list[str] = []
     for counts in features.bucket_counts(texts, config.features):
-        rows = features.vectorize(counts, config.features, idf)
-        out.extend(labels[c] for c in classifier.predict(model, rows, table).tolist())
+        rows = features.vectorize(counts, idf)
+        out.extend(labels[c] for c in classifier.predict(model, rows).tolist())
     return out
 
 
 @dataclass
 class Splits:
-    """A run's train, dev and test records, and the lexicon and overrides
-    their texts are normalized with."""
+    """A run's subtask, the train, dev and test records labeled for it,
+    and the lexicon and overrides their texts are normalized with."""
 
+    subtask: Subtask
     train: Sequence[TweetRecord]
     dev: Sequence[TweetRecord]
     test: Sequence[TweetRecord] = ()
@@ -209,24 +204,23 @@ def run_grid(
 ) -> GridResult:
     """Score every configuration on dev and pick the best row.
 
-    All configurations must target the same subtask and carry unique
-    names.  Ties on the selection metric go to the earliest row.  The
-    idf table and the model of each row are fitted on train only.
+    All configurations must carry unique names.  Ties on the selection
+    metric go to the earliest row.  The idf table and the model of each
+    row are fitted on train only.
     """
     if not configs:
         raise ConfigError("grid needs at least one experiment")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate experiment name in grid")
-    subtask = configs[0].subtask
-    if any(c.subtask != subtask for c in configs):
-        raise ConfigError("all experiments in a grid must share one subtask")
-    _require_labels(splits, subtask, vocab)
-    labels = vocab.labels(subtask.level)
-    gold = [r.label(subtask.level) for r in splits.dev]
+    _require_labels(splits, vocab)
+    level = splits.subtask.level
+    labels = vocab.labels(level)
+    gold = [r.label(level) for r in splits.dev]
     rows: list[GridRow] = []
     for config in configs:
-        model, idf = fit_pipeline(splits.texts("train", config), splits.train, config, vocab)
+        texts = splits.texts("train", config)
+        model, idf = fit_pipeline(texts, splits.train, config, vocab, level)
         pred = predict_texts(splits.texts("dev", config), config, model, idf)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
@@ -252,20 +246,20 @@ def finalize(
     When every test record is labeled for the subtask the returned
     result also carries an evaluation report.
     """
-    subtask = config.subtask
-    _require_labels(splits, subtask, vocab)
+    _require_labels(splits, vocab)
+    level = splits.subtask.level
     combined = corpus.concat_splits(splits.train, splits.dev)
-    labels = vocab.labels(subtask.level)
+    labels = vocab.labels(level)
     # prepare_texts works record by record, so this is the preparation
     # of combined.
     texts = splits.texts("train", config) + splits.texts("dev", config)
-    model, idf = fit_pipeline(texts, combined, config, vocab)
+    model, idf = fit_pipeline(texts, combined, config, vocab, level)
     test = splits.test
     predictions = predict_texts(splits.texts("test", config), config, model, idf)
     corpus.write_submission([r.id for r in test], predictions, submission_path)
     rep = None
-    if test and all(r.label(subtask.level) is not None for r in test):
-        gold = [r.label(subtask.level) for r in test]
+    if test and all(r.label(level) is not None for r in test):
+        gold = [r.label(level) for r in test]
         rep = evaluation.report(gold, predictions, labels)
     return FinalizeResult(
         model=model,
@@ -318,9 +312,6 @@ class BenchmarkSpec:
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 
-# save_model and save_idf write dim, and column and bucket ids, in 32 bits.
-_MAX_DIM = 1 << 31
-
 
 def _parse_bool(key: str, value: str) -> bool:
     if value.lower() not in _BOOL_VALUES:
@@ -362,23 +353,16 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _experiment_from_items(name: str, items: dict[str, str], subtask: Subtask) -> ExperimentConfig:
+def _experiment_from_items(name: str, items: dict[str, str]) -> ExperimentConfig:
     kwargs: dict[type, dict] = {NormConfig: {}, FeatureConfig: {}, HyperParams: {}}
     for key, value in items.items():
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown experiment key {key!r}")
         cls, attr, parse = _EXPERIMENT_KEYS[key]
         kwargs[cls][attr] = parse(key, value)
-    dim = kwargs[FeatureConfig].get("dim", 0)
-    if dim > _MAX_DIM:
-        raise ConfigError(
-            f"experiment {name!r}: dim {dim} is above 2**31; "
-            f"the model and idf files store dim in 32 bits"
-        )
     try:
         return ExperimentConfig(
             name=name,
-            subtask=subtask,
             norm=NormConfig(**kwargs[NormConfig]),
             features=FeatureConfig(**kwargs[FeatureConfig]),
             hp=HyperParams(**kwargs[HyperParams]),
@@ -462,8 +446,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
             selection = SelectionMetric(data["selection"])
         except ValueError:
             raise ConfigError(f"{path}: unknown selection metric {data['selection']!r}") from None
-    subtask = Subtask(level=level, register=register)
-    configs = tuple(_experiment_from_items(name, items, subtask) for name, items in experiments)
+    configs = tuple(_experiment_from_items(name, items) for name, items in experiments)
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate experiment name")
@@ -472,7 +455,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
         dev_path=data["dev"],
         test_path=data["test"],
         vocab_path=data.get("vocab"),
-        subtask=subtask,
+        subtask=Subtask(level=level, register=register),
         experiments=configs,
         selection=selection,
     )

@@ -15,7 +15,7 @@ import pytest
 import dialectid.classifier
 import dialectid.features
 from dialectid import cli
-from dialectid.corpus import LabelVocab, Register, load_corpus
+from dialectid.corpus import LabelVocab, load_corpus
 from dialectid.evaluation import report
 from dialectid.harness import Splits, finalize, parse_benchmark_file, run_grid
 from dialectid.normalizer import NormConfig, normalize
@@ -338,18 +338,18 @@ def test_fitting_sees_exactly_the_training_split(tmp_path, capsys, monkeypatch):
     config_path = synthcorpus.write_benchmark_config(str(tmp_path), paths, dim=1 << 13)
     spec = parse_benchmark_file(config_path)
     vocab = LabelVocab.from_file(paths["vocab"])
-    train = load_corpus(paths["train"], Register.DA, vocab=vocab)
-    dev = load_corpus(paths["dev"], Register.DA, vocab=vocab)
-    test = load_corpus(paths["test"], Register.DA, vocab=vocab)
+    train = load_corpus(paths["train"], vocab=vocab)
+    dev = load_corpus(paths["dev"], vocab=vocab)
+    test = load_corpus(paths["test"], vocab=vocab)
 
     idf_sizes = []
     train_sizes = []
     real_fit = dialectid.features.fit_idf
     real_train = dialectid.classifier.train
 
-    def spy_fit(corpus, config):
+    def spy_fit(corpus):
         idf_sizes.append(len(corpus))
-        return real_fit(corpus, config)
+        return real_fit(corpus)
 
     def spy_train(examples, *args, **kwargs):
         train_sizes.append(len(examples))
@@ -358,7 +358,7 @@ def test_fitting_sees_exactly_the_training_split(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
     monkeypatch.setattr(dialectid.classifier, "train", spy_train)
 
-    splits = Splits(train, dev, test)
+    splits = Splits(spec.subtask, train, dev, test)
     run_grid(splits, list(spec.experiments), vocab, spec.selection)
     n_experiments = len(spec.experiments)
     assert idf_sizes == [len(train)] * n_experiments, idf_sizes

@@ -138,16 +138,21 @@ class TestPredict:
                 assert c == int(np.argmax(by_hand))
 
 
-    def test_given_table_equals_the_built_one(self):
+    def test_kept_table_equals_the_built_one(self):
         rng = random.Random(5)
         dim = 32
         weights = np.array([[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(3)])
         weights[:, ::3] = 0.0
         model = from_dense(weights, np.array([0.5, -0.5, 0.0]), list("abc"))
         rows = csr([random_map(rng, dim, max_nnz=6) for _ in range(20)], dim)
-        table = column_table(model.columns, dim)
-        assert logits(model, rows, table).tobytes() == logits(model, rows).tobytes()
-        assert predict(model, rows, table).tolist() == predict(model, rows).tolist()
+        first = logits(model, rows)
+        assert model.table is model.table
+        assert model.table.tobytes() == column_table(model.columns, dim).tobytes()
+        assert logits(model, rows).tobytes() == first.tobytes()
+        # A copy of the model builds its own table.
+        fresh = replace(model)
+        assert predict(fresh, rows).tolist() == predict(model, rows).tolist()
+        assert fresh.table is not model.table
 
 
 def test_column_table_maps_columns_to_positions_and_the_rest_to_k():
@@ -265,6 +270,11 @@ class TestBatchCrossEntropy:
                 assert abs(fd - grad_b[i]) <= 1e-5 * max(1.0, abs(fd), abs(grad_b[i]))
 
 
+def labels(num_classes):
+    """The class labels "0", "1", ... of num_classes classes."""
+    return [str(c) for c in range(num_classes)]
+
+
 def separable_examples(per_class=30, dim=8, num_classes=3):
     """(rows, y): per_class one-column rows of each class, column c for class c."""
     maps, y = [], []
@@ -278,56 +288,55 @@ def separable_examples(per_class=30, dim=8, num_classes=3):
 class TestTrain:
     def test_learns_separable_data(self):
         rows, y = separable_examples()
-        model = train(rows, y, HyperParams(), num_classes=3)
+        model = train(rows, y, HyperParams(), labels(3))
         assert predict(model, rows).tolist() == y
 
     def test_zero_epochs_gives_zero_model(self):
-        model = train(*separable_examples(), HyperParams(epochs=0), num_classes=3)
+        model = train(*separable_examples(), HyperParams(epochs=0), labels(3))
         assert np.all(model.weights == 0.0)
         assert np.all(model.bias == 0.0)
         assert model.epoch_losses == []
 
     def test_bit_reproducible(self):
         examples = separable_examples(per_class=13)
-        a = train(*examples, HyperParams(epochs=3, batch_size=7), num_classes=3)
-        b = train(*examples, HyperParams(epochs=3, batch_size=7), num_classes=3)
+        a = train(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
+        b = train(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.epoch_losses == b.epoch_losses
 
     def test_seed_changes_trajectory(self):
         examples = separable_examples(per_class=13)
-        a = train(*examples, HyperParams(epochs=1, batch_size=7), num_classes=3)
-        b = train(*examples, HyperParams(epochs=1, batch_size=7, rng_seed=7), num_classes=3)
+        a = train(*examples, HyperParams(epochs=1, batch_size=7), labels(3))
+        b = train(*examples, HyperParams(epochs=1, batch_size=7, rng_seed=7), labels(3))
         assert not np.array_equal(a.weights, b.weights)
 
     def test_loss_decreases(self):
-        model = train(*separable_examples(), HyperParams(), num_classes=3)
+        model = train(*separable_examples(), HyperParams(), labels(3))
         assert len(model.epoch_losses) == 5
         assert model.epoch_losses[-1] < model.epoch_losses[0]
         assert model.epoch_losses[0] <= math.log(3) + 1e-9
 
     def test_l2_shrinks_weights(self):
         examples = separable_examples()
-        loose = train(*examples, HyperParams(l2=0.0), num_classes=3)
-        tight = train(*examples, HyperParams(l2=0.05), num_classes=3)
+        loose = train(*examples, HyperParams(l2=0.0), labels(3))
+        tight = train(*examples, HyperParams(l2=0.05), labels(3))
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_short_final_batch(self):
         rows, y = separable_examples(per_class=5, num_classes=2)
         model = train(take_rows(rows, range(5)), y[:5], HyperParams(epochs=2, batch_size=2),
-                      num_classes=2)
+                      labels(2))
         assert len(model.epoch_losses) == 2
 
     def test_default_and_custom_labels(self):
         examples = separable_examples(per_class=2)
-        model = train(*examples, HyperParams(epochs=1), num_classes=3)
+        model = train(*examples, HyperParams(epochs=1), labels(3))
         assert model.class_labels == ["0", "1", "2"]
         assert model.dim == 8
         named = train(
             *examples,
             HyperParams(epochs=1),
-            num_classes=3,
             class_labels=["a", "b", "c"],
             feature_fingerprint="cafe",
         )
@@ -337,30 +346,22 @@ class TestTrain:
     def test_fallback_is_the_majority_class(self):
         # Class 2 is the most frequent; class 0 wins argmax(bias) of the
         # zero model, so only the counts can give 2.
-        model = train(csr([{}] * 6, 4), [0, 1, 2, 2, 1, 2], HyperParams(epochs=0), num_classes=3)
+        model = train(csr([{}] * 6, 4), [0, 1, 2, 2, 1, 2], HyperParams(epochs=0), labels(3))
         assert model.fallback_class == 2
 
     def test_fallback_tie_takes_the_lowest_index(self):
-        model = train(csr([{}] * 4, 4), [3, 1, 3, 1], HyperParams(epochs=1), num_classes=4)
+        model = train(csr([{}] * 4, 4), [3, 1, 3, 1], HyperParams(epochs=1), labels(4))
         assert model.fallback_class == 1
 
     def test_validation_errors(self):
         with pytest.raises(EmptyTrainingSet):
-            train(csr([], 4), [], HyperParams(), num_classes=2)
+            train(csr([], 4), [], HyperParams(), labels(2))
         with pytest.raises(ClassIndexOutOfRange):
-            train(csr([{}], 4), [2], HyperParams(), num_classes=2)
+            train(csr([{}], 4), [2], HyperParams(), labels(2))
         with pytest.raises(ClassIndexOutOfRange):
-            train(csr([{}, {}], 4), [0, -1], HyperParams(), num_classes=2)
+            train(csr([{}, {}], 4), [0, -1], HyperParams(), labels(2))
         with pytest.raises(LengthMismatch):
-            train(csr([{}, {}], 4), [0], HyperParams(), num_classes=2)
-        with pytest.raises(ValueError):
-            train(
-                csr([{}], 4),
-                [0],
-                HyperParams(),
-                num_classes=2,
-                class_labels=["only_one"],
-            )
+            train(csr([{}, {}], 4), [0], HyperParams(), labels(2))
 
 
 @st.composite
@@ -443,10 +444,10 @@ class TestDenseOracle:
         that a batch's rows are walked in several slices."""
         rows, y, hp, num_classes = problem
         if block_elements is None:
-            model = train(rows, y, hp, num_classes=num_classes)
+            model = train(rows, y, hp, labels(num_classes))
         else:
             with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
-                model = train(rows, y, hp, num_classes=num_classes)
+                model = train(rows, y, hp, labels(num_classes))
         weights, bias, losses = dense_train(rows, y, hp, num_classes)
         # The model stores exactly the columns some example uses, and the
         # dense oracle keeps every other column exactly 0.0.
@@ -484,7 +485,7 @@ def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements
     hp = config.hp
     assert hp.batch_size == 126
     with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
-        model = train(rows, y, hp, num_classes=len(labels))
+        model = train(rows, y, hp, class_labels=labels)
     weights, bias, losses, sizes = batched_sgd(
         rows, np.asarray(y), hp, len(labels), block_elements
     )
@@ -513,7 +514,7 @@ def overlapping_examples(per_class=6, dim=16, num_classes=3):
 
 
 def assert_matches_both_oracles(rows, y, hp, num_classes):
-    model = train(rows, y, hp, num_classes=num_classes)
+    model = train(rows, y, hp, labels(num_classes))
     weights, bias, losses, _ = batched_sgd(
         rows, np.asarray(y), hp, num_classes, classifier._BLOCK_ELEMENTS
     )
@@ -653,7 +654,7 @@ class TestModelIo:
         assert path.read_bytes()[:8] == b"NADIMDL3"
 
     def test_no_columns_round_trip(self, tmp_path):
-        model = train(csr([{}, {}], 4), [1, 1], HyperParams(epochs=1), num_classes=2)
+        model = train(csr([{}, {}], 4), [1, 1], HyperParams(epochs=1), labels(2))
         assert model.columns.size == 0 and model.weights.shape == (0, 2)
         path = tmp_path / "m.bin"
         save_model(model, str(path))

@@ -8,7 +8,7 @@ import pytest
 import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
-from dialectid.corpus import LabelVocab, Register, load_corpus, read_submission
+from dialectid.corpus import LabelVocab, load_corpus, read_submission
 
 import synthcorpus
 from file_io import parse_report
@@ -35,7 +35,6 @@ def trained(corpus_dir, tmp_path_factory):
             "train",
             "--in", corpus_dir["paths"]["train"],
             "--level", "country",
-            "--register", "da",
             "--vocab", corpus_dir["paths"]["vocab"],
             "--out-model", model,
             "--out-idf", idf,
@@ -75,7 +74,7 @@ class TestDataErrors:
     def argv_of(command, corpus_dir, trained, tmp_path):
         """A command line of the command that exits 0."""
         paths = corpus_dir["paths"]
-        test = load_corpus(paths["test"], Register.DA)
+        test = load_corpus(paths["test"])
         pred = tmp_path / "pred.csv"
         pred.write_text(
             "".join(f"{r.id},{r.country}\n" for r in test), encoding="utf-8"
@@ -364,7 +363,6 @@ class TestTrainPredictEvaluate:
                 "train",
                 "--in", corpus_dir["paths"]["train"],
                 "--level", "country",
-                "--register", "da",
                 "--vocab", corpus_dir["paths"]["vocab"],
                 "--out-model", str(tmp_path / "m.bin"),
                 "--out-idf", str(tmp_path / "i.bin"),
@@ -533,7 +531,7 @@ class TestBenchmark:
         paths = corpus_dir["paths"]
         vocab = LabelVocab.from_file(paths["vocab"])
         records = sum(
-            len(load_corpus(paths[split], Register.DA, vocab=vocab))
+            len(load_corpus(paths[split], vocab=vocab))
             for split in ("train", "dev", "test")
         )
         calls = []

@@ -107,28 +107,27 @@ class TestLoadCorpus:
         ]
         path = tmp_path / "split.tsv"
         write_corpus(records, str(path))
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert loaded == records
 
     def test_headerless_two_columns(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\nb\tآخر\n", encoding="utf-8")
-        loaded = load_corpus(str(path), Register.MSA)
+        loaded = load_corpus(str(path))
         assert [r.id for r in loaded] == ["a", "b"]
         assert loaded[0].country is None
-        assert loaded[0].register is Register.MSA
 
     def test_headerless_three_columns(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\tEgypt\n", encoding="utf-8")
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert loaded[0].country == "Egypt"
         assert loaded[0].province is None
 
     def test_headerless_four_columns(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\tEgypt\tCairo\n", encoding="utf-8")
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert loaded[0].province == "Cairo"
 
     def test_header_with_reordered_label_columns(self, tmp_path):
@@ -136,49 +135,56 @@ class TestLoadCorpus:
         path.write_text(
             "id\ttweet\tprovince\tcountry\na\tنص\tCairo\tEgypt\n", encoding="utf-8"
         )
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert loaded[0].country == "Egypt"
         assert loaded[0].province == "Cairo"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
-        assert load_corpus(str(path), Register.DA) == []
+        assert load_corpus(str(path)) == []
 
     def test_crlf_lines(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_bytes(b"a\t\xd9\x86\xd8\xb5\r\nb\tx\r\n")
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert [r.text for r in loaded] == ["نص", "x"]
 
     def test_inconsistent_columns_reports_line(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\nb\tx\tEgypt\n", encoding="utf-8")
         with pytest.raises(MalformedRow, match=r":2:"):
-            load_corpus(str(path), Register.DA)
+            load_corpus(str(path))
 
     def test_too_many_columns(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tb\tc\td\te\n", encoding="utf-8")
         with pytest.raises(MalformedRow, match=r":1:"):
-            load_corpus(str(path), Register.DA)
+            load_corpus(str(path))
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tx\na\ty\n", encoding="utf-8")
         with pytest.raises(DuplicateId, match=r":2:"):
-            load_corpus(str(path), Register.DA)
+            load_corpus(str(path))
 
     def test_empty_id_rejected(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("\tx\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
-            load_corpus(str(path), Register.DA)
+            load_corpus(str(path))
+
+    def test_id_with_a_comma_rejected(self, tmp_path):
+        # An id,label line of a submission cannot hold it.
+        path = tmp_path / "split.tsv"
+        path.write_text("a\tx\nb,1\ty\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=r":2: id 'b,1' holds a comma"):
+            load_corpus(str(path))
 
     def test_empty_label_cells_become_none(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\t\t\n", encoding="utf-8")
-        loaded = load_corpus(str(path), Register.DA)
+        loaded = load_corpus(str(path))
         assert loaded[0].country is None
         assert loaded[0].province is None
 
@@ -186,27 +192,27 @@ class TestLoadCorpus:
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\tAtlantis\n", encoding="utf-8")
         with pytest.raises(UnknownLabel, match="Atlantis"):
-            load_corpus(str(path), Register.DA, vocab=VOCAB)
+            load_corpus(str(path), vocab=VOCAB)
 
     def test_unknown_province_with_vocab(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\tEgypt\tNowhere\n", encoding="utf-8")
         with pytest.raises(UnknownLabel, match="Nowhere"):
-            load_corpus(str(path), Register.DA, vocab=VOCAB)
+            load_corpus(str(path), vocab=VOCAB)
 
     def test_province_country_mismatch(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\tIraq\tCairo\n", encoding="utf-8")
         with pytest.raises(HierarchyViolation):
-            load_corpus(str(path), Register.DA, vocab=VOCAB)
+            load_corpus(str(path), vocab=VOCAB)
 
     def test_province_without_country(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("a\tنص\t\tCairo\n", encoding="utf-8")
         with pytest.raises(HierarchyViolation):
-            load_corpus(str(path), Register.DA, vocab=VOCAB)
+            load_corpus(str(path), vocab=VOCAB)
         with pytest.raises(HierarchyViolation):
-            load_corpus(str(path), Register.DA)
+            load_corpus(str(path))
 
 
 def test_read_rows_ends_lines_at_newlines_only(tmp_path):
@@ -227,7 +233,7 @@ def normalized(path):
 TSV_READERS = {
     "load_corpus": (
         ["id\ttweet\tcountry", "a\tنص\tEgypt", "b\tكلام\t"],
-        lambda path: load_corpus(path, Register.DA),
+        load_corpus,
         [TweetRecord("a", "نص", "Egypt"), TweetRecord("b", "كلام")],
     ),
     "LabelVocab.from_file": (
@@ -331,6 +337,12 @@ class TestSubmission:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(LengthMismatch):
             write_submission(["a"], [], str(tmp_path / "sub.csv"))
+
+    def test_round_trip_of_an_id_with_a_carriage_return(self, tmp_path):
+        # load_corpus keeps a bare \r inside a cell, as read_rows does.
+        path = tmp_path / "sub.csv"
+        write_submission(["x\ry", "z"], ["Egypt", "Iraq"], str(path))
+        assert read_submission(str(path)) == [("x\ry", "Egypt"), ("z", "Iraq")]
 
     def test_read_rejects_missing_comma(self, tmp_path):
         path = tmp_path / "sub.csv"

@@ -109,8 +109,8 @@ grams_lists = st.lists(st.text(alphabet=GRAM_ALPHABET, min_size=1, max_size=8), 
 @st.composite
 def hash_configs(draw):
     return FeatureConfig(
-        # Up to 2**56, the largest dim FeatureConfig accepts.
-        dim=1 << draw(st.one_of(st.integers(1, 18), st.integers(19, 56))),
+        # Up to 2**31, the largest dim FeatureConfig accepts.
+        dim=1 << draw(st.one_of(st.integers(1, 18), st.integers(19, 31))),
         seed=draw(st.one_of(
             st.integers(0, (1 << 64) - 1),
             st.sampled_from([0, 7, 1 << 63, (1 << 64) - 1]),
@@ -123,7 +123,7 @@ def hash_configs(draw):
 @example([], FeatureConfig())
 @example(["اب"], FeatureConfig(seed=1 << 63))
 @example(["a", "اب", "😀", "_a😀ب_", "🇪🇬🇪🇬", "abcdefgh"], FeatureConfig(seed=(1 << 64) - 1))
-@example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 56))
+@example(["😀😀😀😀😀😀😀😀", "a"], FeatureConfig(dim=1 << 31))
 def test_hash_spans_matches_scalar_fnv1a(grams, config):
     buckets = buckets_of(grams, config)
     assert buckets.shape == (len(grams),)
@@ -214,10 +214,10 @@ def test_feature_config_validation():
         FeatureConfig(dim=3)
     with pytest.raises(ValueError):
         FeatureConfig(dim=1)
-    # bucket_counts' (row, bucket) keys row * dim + bucket are int64.
-    with pytest.raises(ValueError, match="2\\*\\*56"):
-        FeatureConfig(dim=1 << 57)
-    assert len(next(bucket_counts(["اب"], FeatureConfig(dim=1 << 56)))) == 1
+    # The model and idf files store dim in 32 bits.
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        FeatureConfig(dim=1 << 32)
+    assert len(next(bucket_counts(["اب"], FeatureConfig(dim=1 << 31)))) == 1
     with pytest.raises(ValueError):
         FeatureConfig(pad_token="")
     with pytest.raises(ValueError):
@@ -326,7 +326,7 @@ class TestFitIdf:
         config = FeatureConfig()
         b1, b2 = 17, 40000
         corpus = csr([{b1: 1, b2: 1}, {b1: 1}, {b1: 5}], config.dim)
-        table = fit_idf(corpus, config)
+        table = fit_idf(corpus)
         assert table.doc_count == 3
         assert table.weights[b1] == pytest.approx(math.log(4 / 4) + 1, abs=1e-15)
         assert table.weights[b2] == pytest.approx(math.log(4 / 2) + 1, abs=1e-15)
@@ -337,21 +337,21 @@ class TestFitIdf:
 
     def test_df_counts_documents_not_occurrences(self):
         b = 12345
-        table = fit_idf(csr([{b: 100}], DEFAULT_FEATURES.dim), FeatureConfig())
+        table = fit_idf(csr([{b: 100}], DEFAULT_FEATURES.dim))
         assert table.weights[b] == pytest.approx(math.log(2 / 2) + 1, abs=1e-15)
 
     def test_empty_document_contributes_nothing(self):
-        table = fit_idf(csr([{}], DEFAULT_FEATURES.dim), FeatureConfig())
+        table = fit_idf(csr([{}], DEFAULT_FEATURES.dim))
         assert table.doc_count == 1
         assert np.all(table.weights == math.log(2 / 1) + 1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            fit_idf(join_rows([], DEFAULT_FEATURES.dim), FeatureConfig())
+            fit_idf(join_rows([], DEFAULT_FEATURES.dim))
 
     def test_bucket_outside_dim_rejected(self):
         with pytest.raises(ValueError, match="outside dim"):
-            fit_idf(csr([{0: 1}, {16: 1}], 32), FeatureConfig(dim=16))
+            fit_idf(csr([{0: 1}, {16: 1}], 16))
 
 
 def oracle_vectorize(text, docs, config):
@@ -387,9 +387,9 @@ def test_vectorize_matches_dense_oracle(dim):
     config = FeatureConfig(dim=dim)
     rng = random.Random(97)
     docs = [random_text(rng) for _ in range(25)]
-    table = fit_idf(join_rows(list(bucket_counts(docs, config)), dim), config)
+    table = fit_idf(join_rows(list(bucket_counts(docs, config)), dim))
     texts = [random_text(rng) for _ in range(30)]
-    vectors = maps_of(vectorize(block, config, table) for block in bucket_counts(texts, config))
+    vectors = maps_of(vectorize(block, table) for block in bucket_counts(texts, config))
     for text, vec in zip(texts, vectors, strict=True):
         expected = oracle_vectorize(text, docs, config)
         assert vec.keys() == expected.keys()
@@ -405,30 +405,30 @@ def uniform_idf(config=DEFAULT_FEATURES):
 def test_vectorize_with_uniform_idf_normalizes_raw_counts():
     config = FeatureConfig(n_min=1, n_max=1, dim=1 << 10)
     counts = next(bucket_counts(["اب"], config))
-    (by_bucket,) = row_maps(vectorize(counts, config, uniform_idf(config)))
+    (by_bucket,) = row_maps(vectorize(counts, uniform_idf(config)))
     # grams _, ا, ب, _ -> counts {_:2, ا:1, ب:1}, norm sqrt(6)
     assert by_bucket[bucket("_", config)] == pytest.approx(2 / math.sqrt(6))
     assert by_bucket[bucket("ا", config)] == pytest.approx(1 / math.sqrt(6))
 
 
 def test_vectorize_empty_text():
-    rows = vectorize(next(bucket_counts(["", "اب", ""])), DEFAULT_FEATURES, uniform_idf())
+    rows = vectorize(next(bucket_counts(["", "اب", ""])), uniform_idf())
     assert np.diff(rows.indptr).tolist() == [0, len(char_ngrams("اب")), 0]
     assert rows.dim == DEFAULT_FEATURES.dim
     assert np.isfinite(rows.values).all()
 
 
 def test_vectorize_rejects_mismatched_idf():
-    table = fit_idf(csr([{5: 1}], 1 << 10), FeatureConfig(dim=1 << 10))
+    table = fit_idf(csr([{5: 1}], 1 << 10))
     with pytest.raises(ValueError):
-        vectorize(csr([{5: 1}], 1 << 11), FeatureConfig(dim=1 << 11), table)
+        vectorize(csr([{5: 1}], 1 << 11), table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=5))
 def test_vectorize_unit_norm_and_sorted_indices(texts):
     counts = next(bucket_counts(texts))
-    rows = vectorize(counts, DEFAULT_FEATURES, fit_idf(counts))
+    rows = vectorize(counts, fit_idf(counts))
     assert len(rows) == len(texts)
     bounds = rows.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
@@ -479,7 +479,7 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts):
         fit_blocks = list(bucket_counts(train, config))
         counts = join_rows(fit_blocks, config.dim)
-        table = fit_idf(counts, config)
+        table = fit_idf(counts)
         serve_blocks = list(bucket_counts(serve, config))
     assert [len(block) for block in fit_blocks + serve_blocks] == [
         min(chunk_texts, len(texts) - start)
@@ -493,11 +493,11 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     assert table.df.tobytes() == ref_table.df.tobytes()
     assert table.weights.tobytes() == ref_table.weights.tobytes()
 
-    fitted = vectorize(counts, config, table)
+    fitted = vectorize(counts, table)
     assert_same_rows(
         fitted, [feature_oracle.vectorize(t, config, ref_table) for t in train], config.dim
     )
-    served = [vectorize(block, config, table) for block in serve_blocks]
+    served = [vectorize(block, table) for block in serve_blocks]
     refs = iter([feature_oracle.vectorize(t, config, ref_table) for t in serve])
     for rows in served:
         assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
@@ -539,7 +539,7 @@ class TestIdfIo:
     def test_fitted_table_round_trips_bit_for_bit(self, tmp_path):
         config = FeatureConfig(dim=1 << 10)
         texts = ["ab cd ef", "ab ab", "", "xyz cd"]
-        table = fit_idf(join_rows(list(bucket_counts(texts, config)), config.dim), config)
+        table = fit_idf(join_rows(list(bucket_counts(texts, config)), config.dim))
         path = tmp_path / "table.idf"
         save_idf(table, str(path))
         loaded = load_idf(str(path))

@@ -71,7 +71,6 @@ SMALL_FEATURES = FeatureConfig(dim=1 << 12)
 def config(name, epochs=3, **hp_kwargs):
     return ExperimentConfig(
         name=name,
-        subtask=COUNTRY_SUBTASK,
         features=SMALL_FEATURES,
         hp=HyperParams(epochs=epochs, **hp_kwargs),
     )
@@ -79,7 +78,7 @@ def config(name, epochs=3, **hp_kwargs):
 
 def test_experiment_config_requires_name():
     with pytest.raises(ConfigError):
-        ExperimentConfig(name="", subtask=COUNTRY_SUBTASK)
+        ExperimentConfig(name="")
 
 
 def test_grid_row_metric_mapping():
@@ -112,44 +111,29 @@ def test_fingerprint_covers_text_preparation_and_features():
 class TestRunGridValidation:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
-            run_grid(Splits(TRAIN, DEV), [], VOCAB)
+            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [], VOCAB)
 
     def test_duplicate_names(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            run_grid(Splits(TRAIN, DEV), [config("a"), config("a")], VOCAB)
-
-    def test_mixed_subtasks(self):
-        other = ExperimentConfig(
-            name="b", subtask=Subtask(Level.COUNTRY, Register.MSA)
-        )
-        with pytest.raises(ConfigError, match="subtask"):
-            run_grid(Splits(TRAIN, DEV), [config("a"), other], VOCAB)
+            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("a"), config("a")], VOCAB)
 
     def test_province_needs_province_vocab(self):
-        cfg = ExperimentConfig(
-            name="p",
-            subtask=Subtask(Level.PROVINCE, Register.DA),
-            features=SMALL_FEATURES,
-        )
+        cfg = ExperimentConfig(name="p", features=SMALL_FEATURES)
         with pytest.raises(SubtaskMismatch):
-            run_grid(Splits(TRAIN, DEV), [cfg], VOCAB)
-
-    def test_register_mismatch_rejected_before_training(self):
-        msa = Subtask(Level.COUNTRY, Register.MSA)
-        cfg = ExperimentConfig(name="m", subtask=msa, features=SMALL_FEATURES)
-        with pytest.raises(SubtaskMismatch, match="tr"):
-            run_grid(Splits(TRAIN, DEV), [cfg], VOCAB)
+            run_grid(Splits(Subtask(Level.PROVINCE, Register.DA), TRAIN, DEV), [cfg], VOCAB)
 
     def test_unlabeled_train_record_rejected(self):
         broken = TRAIN + [TweetRecord(id="naked", text="ابت")]
         with pytest.raises(SubtaskMismatch, match="naked"):
-            run_grid(Splits(broken, DEV), [config("a")], VOCAB)
+            run_grid(Splits(COUNTRY_SUBTASK, broken, DEV), [config("a")], VOCAB)
 
 
 class TestRunGrid:
     def test_trained_beats_untrained_and_is_selected(self):
         result = run_grid(
-            Splits(TRAIN, DEV), [config("zero", epochs=0), config("five", epochs=5)], VOCAB
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV),
+            [config("zero", epochs=0), config("five", epochs=5)],
+            VOCAB,
         )
         by_name = {row.name: row for row in result.rows}
         assert by_name["five"].weighted_f1 > by_name["zero"].weighted_f1
@@ -159,14 +143,17 @@ class TestRunGrid:
 
     def test_tie_goes_to_earliest_row(self):
         result = run_grid(
-            Splits(TRAIN, DEV), [config("first"), config("second")], VOCAB
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("first"), config("second")], VOCAB
         )
         assert result.rows[0].weighted_f1 == result.rows[1].weighted_f1
         assert result.selected == "first"
 
     def test_selection_metric_recorded(self):
         result = run_grid(
-            Splits(TRAIN, DEV), [config("only")], VOCAB, selection=SelectionMetric.ACCURACY
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV),
+            [config("only")],
+            VOCAB,
+            selection=SelectionMetric.ACCURACY,
         )
         assert result.selection_metric is SelectionMetric.ACCURACY
 
@@ -176,9 +163,9 @@ class TestRunGrid:
         real_fit = dialectid.features.fit_idf
         real_train = dialectid.classifier.train
 
-        def spy_fit(corpus, config):
+        def spy_fit(corpus):
             idf_sizes.append(len(corpus))
-            return real_fit(corpus, config)
+            return real_fit(corpus)
 
         def spy_train(examples, *args, **kwargs):
             train_sizes.append(len(examples))
@@ -186,7 +173,7 @@ class TestRunGrid:
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         monkeypatch.setattr(dialectid.classifier, "train", spy_train)
-        run_grid(Splits(TRAIN, DEV), [config("a"), config("b", epochs=1)], VOCAB)
+        run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("a"), config("b", epochs=1)], VOCAB)
         assert idf_sizes == [len(TRAIN), len(TRAIN)]
         assert train_sizes == [len(TRAIN), len(TRAIN)]
 
@@ -206,7 +193,9 @@ class TestRunGrid:
         ],
     )
     def test_texts_prepared_once_per_preparation(self, monkeypatch, configs, preparations):
-        separate = [run_grid(Splits(TRAIN, DEV), [c], VOCAB).rows[0] for c in configs]
+        separate = [
+            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [c], VOCAB).rows[0] for c in configs
+        ]
         inputs = []
         real_normalize = dialectid.normalizer.normalize
 
@@ -215,7 +204,7 @@ class TestRunGrid:
             return real_normalize(text, *args, **kwargs)
 
         monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
-        result = run_grid(Splits(TRAIN, DEV), configs, VOCAB)
+        result = run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), configs, VOCAB)
         assert len(inputs) == preparations * (len(TRAIN) + len(DEV))
         assert list(result.rows) == separate
 
@@ -246,7 +235,7 @@ class TestPrepareTexts:
 
 class TestSplits:
     def test_each_split_is_prepared_once_per_preparation(self, monkeypatch, tmp_path):
-        splits = Splits(TRAIN, DEV, TEST)
+        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
         inputs = []
         real_normalize = dialectid.normalizer.normalize
 
@@ -266,11 +255,11 @@ class TestSplits:
 
     def test_finalize_fits_on_the_preparation_of_train_plus_dev(self, tmp_path):
         cfg = config("f")
-        splits = Splits(TRAIN, DEV, TEST)
+        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
         combined = concat_splits(TRAIN, DEV)
         texts = prepare_texts(combined, cfg)
         assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
-        model, idf = fit_pipeline(texts, combined, cfg, VOCAB)
+        model, idf = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY)
         result = finalize(splits, cfg, VOCAB, str(tmp_path / "s.csv"))
         assert np.array_equal(result.model.weights, model.weights)
         assert np.array_equal(result.idf.weights, idf.weights)
@@ -278,7 +267,10 @@ class TestSplits:
     def test_finalize_rejects_ids_in_train_and_dev(self, tmp_path):
         with pytest.raises(DuplicateId):
             finalize(
-                Splits(TRAIN, DEV + TRAIN[:1], TEST), config("f"), VOCAB, str(tmp_path / "s.csv")
+                Splits(COUNTRY_SUBTASK, TRAIN, DEV + TRAIN[:1], TEST),
+                config("f"),
+                VOCAB,
+                str(tmp_path / "s.csv"),
             )
 
 
@@ -286,19 +278,19 @@ class TestFitPipeline:
     def test_texts_and_records_must_pair_up(self):
         cfg = config("m")
         with pytest.raises(LengthMismatch):
-            fit_pipeline(prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB)
+            fit_pipeline(prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB, Level.COUNTRY)
 
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
         assert model.class_labels[model.fallback_class] == "Atlantis"
         assert idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         assert model.fallback_class == 0
 
 
@@ -308,7 +300,7 @@ class TestPredictTexts:
         lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
         assert [r.country for r in lopsided].count("Borealia") == 6
         cfg = config("z", epochs=0)
-        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
         blank = TweetRecord(id="blank", text="😂😂")
         word_only = TweetRecord(id="w", text="ابت")
         texts = prepare_texts([blank, word_only], cfg)
@@ -319,13 +311,13 @@ class TestPredictTexts:
 
     def test_classifies_through_module_attributes(self, monkeypatch):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         calls = []
         real_predict = dialectid.classifier.predict
 
-        def spy_predict(m, rows, table):
+        def spy_predict(m, rows):
             calls.append(len(rows))
-            return real_predict(m, rows, table)
+            return real_predict(m, rows)
 
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
         predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model, idf)
@@ -335,9 +327,10 @@ class TestPredictTexts:
 
     def test_builds_the_column_table_once_for_all_blocks(self, monkeypatch):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         texts = prepare_texts(TEST, cfg)
-        expected = predict_texts(texts, cfg, model, idf)
+        # A copy of the model, so that model itself builds no table here.
+        expected = predict_texts(texts, cfg, replace(model), idf)
         built, tables = [], []
         real_table = dialectid.classifier.column_table
         real_predict = dialectid.classifier.predict
@@ -346,16 +339,19 @@ class TestPredictTexts:
             built.append(real_table(columns, dim))
             return built[-1]
 
-        def spy_predict(m, rows, table):
-            tables.append(table)
-            return real_predict(m, rows, table)
+        def spy_predict(m, rows):
+            classes = real_predict(m, rows)
+            tables.append(m.table)
+            return classes
 
         monkeypatch.setattr(dialectid.classifier, "column_table", spy_table)
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
         monkeypatch.setattr(dialectid.features, "_CHUNK_TEXTS", 2)
+        # One model scored by two predict_texts calls builds one table.
+        assert predict_texts(texts, cfg, model, idf) == expected
         assert predict_texts(texts, cfg, model, idf) == expected
         assert len(built) == 1
-        assert len(tables) == -(-len(TEST) // 2) > 1
+        assert len(tables) == 2 * -(-len(TEST) // 2) > 2
         assert all(table is built[0] for table in tables)
 
 
@@ -394,12 +390,12 @@ class TestFeaturizeOnce:
         tokens = self.distinct_tokens(TRAIN, cfg)
         texts = prepare_texts(TRAIN, cfg)
         seen = self.spy(monkeypatch)
-        fit_pipeline(texts, TRAIN, cfg, VOCAB)
+        fit_pipeline(texts, TRAIN, cfg, VOCAB, Level.COUNTRY)
         self.check(seen, tokens, cfg)
 
     def test_predict_texts(self, monkeypatch):
         cfg = config("once")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB)
+        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         tokens = self.distinct_tokens(TEST, cfg)
         texts = prepare_texts(TEST, cfg)
         seen = self.spy(monkeypatch)
@@ -412,19 +408,20 @@ class TestFinalize:
         idf_sizes = []
         real_fit = dialectid.features.fit_idf
 
-        def spy_fit(corpus, config):
+        def spy_fit(corpus):
             idf_sizes.append(len(corpus))
-            return real_fit(corpus, config)
+            return real_fit(corpus)
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         finalize(
-            Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(tmp_path / "sub.csv")
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(tmp_path / "sub.csv")
         )
         assert idf_sizes == [len(TRAIN) + len(DEV)]
 
     def test_submission_and_report(self, tmp_path):
         path = tmp_path / "sub.csv"
-        result = finalize(Splits(TRAIN, DEV, TEST), config("f", epochs=10), VOCAB, str(path))
+        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
+        result = finalize(splits, config("f", epochs=10), VOCAB, str(path))
         assert len(result.predictions) == len(TEST)
         pairs = read_submission(str(path))
         assert [rid for rid, _ in pairs] == [r.id for r in TEST]
@@ -436,7 +433,7 @@ class TestFinalize:
     def test_unlabeled_test_gets_no_report(self, tmp_path):
         blind = [TweetRecord(id=r.id, text=r.text) for r in TEST]
         result = finalize(
-            Splits(TRAIN, DEV, blind), config("f"), VOCAB, str(tmp_path / "s.csv")
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV, blind), config("f"), VOCAB, str(tmp_path / "s.csv")
         )
         assert result.report is None
         assert len(result.predictions) == len(blind)
@@ -444,7 +441,7 @@ class TestFinalize:
     def test_empty_text_falls_back_to_majority(self, tmp_path):
         blank = TweetRecord(id="blank", text="😂😂")
         result = finalize(
-            Splits(TRAIN, DEV, [blank] + TEST),
+            Splits(COUNTRY_SUBTASK, TRAIN, DEV, [blank] + TEST),
             config("f"),
             VOCAB,
             str(tmp_path / "s.csv"),
@@ -456,15 +453,16 @@ class TestFinalize:
     def test_two_runs_are_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        first = finalize(Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(a))
-        second = finalize(Splits(TRAIN, DEV, TEST), config("f"), VOCAB, str(b))
+        first = finalize(Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(a))
+        second = finalize(Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(b))
         assert first.predictions == second.predictions
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestGridRendering:
     def result(self):
-        return run_grid(Splits(TRAIN, DEV), [config("zero", epochs=0), config("one")], VOCAB)
+        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV)
+        return run_grid(splits, [config("zero", epochs=0), config("one")], VOCAB)
 
     def test_render_grid_marks_selected(self):
         text = render_grid(self.result())

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from dialectid import classifier, features, harness
 from dialectid.cli import main
-from dialectid.corpus import LabelVocab, Register, concat_splits, load_corpus
+from dialectid.corpus import LabelVocab, concat_splits, load_corpus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -24,8 +24,9 @@ import fixtures  # noqa: E402
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
 # peaked at 3.87e6 and failed.  predict_texts peaks at about 3.47e6:
-# the model's dim-sized bucket -> column table (1.05e6), built once per
-# call and shared by every block, is alive while each chunk is hashed
+# the model's dim-sized bucket -> column table (1.05e6), built on its
+# first predict and kept for every later block, is alive while each
+# chunk is hashed
 # (3.09e6 when each block built its own inside logits); a dense
 # rows x distinct-columns block per chunk, or one classes x nnz gather
 # of the weights, peaks at about 6.6e6 and fails.
@@ -37,7 +38,7 @@ def serve_split(directory):
     fixture = fixtures.write_fixture("serve", 101, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = next(c for c in spec.experiments if c.name == fixture.experiment)
-    texts = harness.prepare_texts(load_corpus(fixture.paths["test"], Register.DA), config)
+    texts = harness.prepare_texts(load_corpus(fixture.paths["test"]), config)
     return fixture, config, texts
 
 
@@ -119,13 +120,13 @@ def fit_nadi_finalize_corpus(directory):
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = spec.experiments[0]
     records = concat_splits(
-        load_corpus(fixture.paths["train"], Register.DA),
-        load_corpus(fixture.paths["dev"], Register.DA),
+        load_corpus(fixture.paths["train"]),
+        load_corpus(fixture.paths["dev"]),
     )
     blocks = features.bucket_counts(harness.prepare_texts(records, config), config.features)
     counts = features.join_rows(list(blocks), config.features.dim)
-    rows = features.vectorize(counts, config.features, features.fit_idf(counts, config.features))
-    level = config.subtask.level
+    rows = features.vectorize(counts, features.fit_idf(counts))
+    level = spec.subtask.level
     labels = LabelVocab.countries_only().labels(level)
     y = [labels.index(r.label(level)) for r in records]
     return rows, y, config, labels
@@ -135,7 +136,7 @@ def train_peak(rows, y, hp, labels):
     """classifier.train's model and its allocation peak."""
     tracemalloc.start()
     try:
-        model = classifier.train(rows, y, hp, num_classes=len(labels))
+        model = classifier.train(rows, y, hp, class_labels=labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

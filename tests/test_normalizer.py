@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialectid import harness, normalizer
-from dialectid.corpus import Register, load_corpus
+from dialectid.corpus import load_corpus
 from dialectid.normalizer import (
     DEFAULT_LEXICON,
     NormConfig,
@@ -562,7 +562,7 @@ def fixture_texts(workload, seed, directory):
     configurations of its experiments."""
     fixture = fixtures.write_fixture(workload, seed, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
-    texts = [r.text for path in fixture.paths.values() for r in load_corpus(path, Register.DA)]
+    texts = [r.text for path in fixture.paths.values() for r in load_corpus(path)]
     return texts, {config.norm for config in spec.experiments}
 
 
@@ -594,7 +594,7 @@ def count_passes(monkeypatch, texts, module=normalizer, stages="_apply_stages"):
 
 def test_one_pass_per_text_on_served_split(monkeypatch, tmp_path):
     fixture = fixtures.write_fixture("serve", 101, str(tmp_path))
-    texts = [r.text for r in load_corpus(fixture.paths["test"], Register.DA)]
+    texts = [r.text for r in load_corpus(fixture.paths["test"])]
     assert len(texts) == 1470
     assert count_passes(monkeypatch, texts) == 1470
     # The loop that stops only when a pass changes nothing: 1,439 of the

@@ -15,7 +15,7 @@ import os
 import sys
 
 from dialectid import classifier, corpus, evaluation, features, harness, normalizer
-from dialectid.corpus import LabelVocab, Register, load_corpus
+from dialectid.corpus import LabelVocab, load_corpus
 
 import synthcorpus
 
@@ -39,7 +39,7 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     )
     vocab = LabelVocab.from_file(paths["vocab"])
     train, dev, test = (
-        load_corpus(paths[split], Register.DA, vocab=vocab) for split in ("train", "dev", "test")
+        load_corpus(paths[split], vocab=vocab) for split in ("train", "dev", "test")
     )
     experiments = list(spec.experiments)
 
@@ -60,7 +60,7 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     trace = tracer.Tracer()
     trace.install(PACKAGE)
 
-    splits = harness.Splits(train, dev, test)
+    splits = harness.Splits(spec.subtask, train, dev, test)
     grid = harness.run_grid(splits, experiments, vocab, spec.selection)
     selected = next(c for c in experiments if c.name == grid.selected)
     harness.finalize(splits, selected, vocab, str(tmp_path / "sub.csv"))
