@@ -12,7 +12,10 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+import numpy as np
+
 from . import classifier, corpus, evaluation, features, harness, normalizer
+from .binio import written_whole
 from .corpus import LabelVocab, Level
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
@@ -142,6 +145,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         config = replace(config, features=replace(config.features, dim=idf.dim))
     if model.dim != idf.dim:
         raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
+    # A model stores exactly the buckets occupied in the idf table it
+    # was fitted with (see harness.fit_pipeline).  A model that full is
+    # written whole and loads with all dim columns, so two whole files
+    # are only checked to both be whole.
+    occupied = np.flatnonzero(idf.df)
+    if written_whole(occupied.size, idf.dim):
+        occupied = np.arange(idf.dim)
+    if not np.array_equal(model.columns, occupied):
+        raise DialectIdError(f"{args.model} and {args.idf}: model and idf were not fitted together")
     # A model trained outside the harness carries no fingerprint.
     fingerprint = harness.fingerprint(config)
     if model.feature_fingerprint and model.feature_fingerprint != fingerprint:

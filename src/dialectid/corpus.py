@@ -39,12 +39,6 @@ class Subtask:
     level: Level
     register: Register
 
-    @property
-    def code(self) -> str:
-        first = "1" if self.level is Level.COUNTRY else "2"
-        second = "1" if self.register is Register.MSA else "2"
-        return f"{first}.{second}"
-
 
 @dataclass(frozen=True, slots=True)
 class TweetRecord:

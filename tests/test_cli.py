@@ -338,6 +338,55 @@ class TestTrainPredictEvaluate:
         assert len(read_submission(str(tmp_path / "s.csv"))) == 32
         capsys.readouterr()
 
+    def test_model_and_idf_of_other_fits(self, corpus_dir, tmp_path, capsys):
+        # Same dim and fingerprint; at dim 2^14 both files list their
+        # buckets, so the model's columns tell the two fits apart.
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(
+            "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+            "[experiment big]\ndim=16384\nepochs=1\n",
+            encoding="utf-8",
+        )
+        for split in ("train", "dev"):
+            assert cli.main(
+                [
+                    "--config", str(cfg),
+                    "train",
+                    "--in", corpus_dir["paths"][split],
+                    "--level", "country",
+                    "--vocab", corpus_dir["paths"]["vocab"],
+                    "--out-model", str(tmp_path / f"{split}.bin"),
+                    "--out-idf", str(tmp_path / f"{split}.idf"),
+                ]
+            ) == 0
+        capsys.readouterr()
+        model = load_model(str(tmp_path / "train.bin"))
+        assert 4 * model.columns.size <= model.dim
+        assert model.feature_fingerprint == load_model(str(tmp_path / "dev.bin")).feature_fingerprint
+        out = tmp_path / "s.csv"
+
+        def predict(idf):
+            return cli.main(
+                [
+                    "--config", str(cfg),
+                    "predict",
+                    "--model", str(tmp_path / "train.bin"),
+                    "--idf", str(tmp_path / idf),
+                    "--in", corpus_dir["paths"]["test"],
+                    "--out", str(out),
+                ]
+            )
+
+        rc = predict("dev.idf")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "not fitted together" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert predict("train.idf") == 0
+        assert len(read_submission(str(out))) == 32
+        capsys.readouterr()
+
     def test_unknown_experiment_name(self, corpus_dir, trained, tmp_path, capsys):
         rc = cli.main(
             [

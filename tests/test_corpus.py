@@ -5,8 +5,6 @@ from dialectid.corpus import (
     DEFAULT_COUNTRIES,
     LabelVocab,
     Level,
-    Register,
-    Subtask,
     TweetRecord,
     concat_splits,
     corpus_stats,
@@ -25,13 +23,6 @@ from dialectid.errors import (
 )
 
 from file_io import write_corpus
-
-
-def test_subtask_codes():
-    assert Subtask(Level.COUNTRY, Register.MSA).code == "1.1"
-    assert Subtask(Level.COUNTRY, Register.DA).code == "1.2"
-    assert Subtask(Level.PROVINCE, Register.MSA).code == "2.1"
-    assert Subtask(Level.PROVINCE, Register.DA).code == "2.2"
 
 
 def test_record_label_by_level():
