@@ -8,14 +8,15 @@ on any numpy version (numpy does not promise to keep its generators'
 streams), and no command loads numpy.random.
 
 The model is sparse: it holds weights only for the K columns (hash
-buckets) its training rows touch, as a K x num_classes matrix, and
-nothing for the other dim - K columns.  Training runs on those columns
-only, and each batch is two matrix products over a dense block of the
-batch's distinct columns.  In the dense num_classes x dim model of
-per-example SGD (tests/dense_oracle.py) a column no example uses has a
-zero gradient on every batch, so it stays 0 * decay - lr * 0 = 0.0
-exactly as long as the decay factor 1 - lr * l2 is not negative, which
-HyperParams enforces; leaving it out changes no logit.
+buckets) of its idf table, those its training rows touch, as a K x
+num_classes matrix, and nothing for the other dim - K columns.
+Training runs on those columns only, and each batch is two matrix
+products over a dense block of the batch's distinct columns.  In the
+dense num_classes x dim model of per-example SGD
+(tests/dense_oracle.py) a column no example uses has a zero gradient
+on every batch, so it stays 0 * decay - lr * 0 = 0.0 exactly as long
+as the decay factor 1 - lr * l2 is not negative, which HyperParams
+enforces; leaving it out changes no logit.
 
 Training keeps the weights as a scalar times a matrix, W = s * V
 (Shalev-Shwartz et al., "Pegasos", ICML 2007), so the l2 decay of
@@ -30,11 +31,11 @@ within rtol 1e-9 in the tests, and the argmax over the training
 documents is the same; they equal those of the batched loop in
 tests/dense_oracle.py bit for bit.
 
-A model's bucket -> column table (LinearModel.table) is built on its
-first prediction and kept for the rest.  Prediction drops the entries
-on buckets outside the model's columns, which the dense model weighs
-0.0, and its logits are those of the dense model bit for bit (see
-logits).
+A model carries the features.IdfTable it was fitted with, its columns
+and dim; training and prediction find a bucket's column in that
+table's one bucket -> column table.  Prediction drops the entries on
+buckets outside the model's columns, which the dense model weighs 0.0,
+and its logits are those of the dense model bit for bit (see logits).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -52,11 +52,12 @@ from .binio import read_array, read_exact, read_ids, write_array, written_whole
 from .errors import (
     ClassIndexOutOfRange,
     CorruptArtifact,
+    DialectIdError,
     DimensionMismatch,
     EmptyTrainingSet,
     LengthMismatch,
 )
-from .features import SparseRows
+from .features import IdfTable, SparseRows
 
 MODEL_MAGIC = b"NADIMDL3"
 
@@ -95,23 +96,20 @@ class HyperParams:
 
 @dataclass
 class LinearModel:
-    """A linear model over dim hash buckets that stores only some of them.
+    """A linear model over the buckets of its idf table.
 
-    columns holds the K stored buckets, sorted, and weights their
-    weights, K x num_classes; every other bucket weighs 0.0 for every
-    class.  A trained model stores the buckets its rows use; one loaded
-    from a file written whole stores all dim (see save_model).  bias and
-    class_labels are per class, in label order.  fallback_class is the
-    class index given to a text with no features: the majority class of
-    the training data.  feature_fingerprint is the harness.fingerprint
-    of the text preparation and features it was trained on, or "" when
-    unknown."""
+    weights holds the weights of the table's K columns (idf.columns),
+    K x num_classes; every other bucket weighs 0.0 for every class.
+    bias and class_labels are per class, in label order.
+    fallback_class is the class index given to a text with no features:
+    the majority class of the training data.  feature_fingerprint is the
+    harness.fingerprint of the text preparation and features it was
+    trained on, or "" when unknown."""
 
-    columns: np.ndarray
     weights: np.ndarray
     bias: np.ndarray
-    dim: int
     class_labels: list[str]
+    idf: IdfTable
     feature_fingerprint: str = ""
     epoch_losses: list[float] = field(default_factory=list)
     fallback_class: int = 0
@@ -120,40 +118,24 @@ class LinearModel:
     def num_classes(self) -> int:
         return int(self.weights.shape[1])
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The column_table of columns, built on first use and kept, so
-        columns must not change after: every logits call on the model
-        shares it.  It is dim int32s, so a model that is only saved
-        never builds it."""
-        return column_table(self.columns, self.dim)
-
-
-def column_table(columns: np.ndarray, dim: int) -> np.ndarray:
-    """The dim-sized int32 bucket -> column table of K sorted distinct
-    columns: columns[k] maps to k, and every other bucket to K."""
-    table = np.full(dim, columns.size, dtype=np.int32)
-    table[columns] = np.arange(columns.size, dtype=np.int32)
-    return table
-
 
 def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
     """The rows x num_classes logits: the bias plus each row's weighted
     sum of its buckets' weights, 0.0 for a bucket outside the model's
     columns.
 
-    Each entry's column is looked up in the model's table.  Entries on
+    Each entry's column is looked up in the model's idf.table.  Entries on
     unstored buckets are dropped: each would add 0.0 * value, a signed
     zero for a finite value, to a sum that starts at +0.0 and so is
     never -0.0, and such a term leaves the sum's bits as they are.  Each class's logits are
     then one np.bincount of its weights at the kept entries, so no
     scratch array is larger than nnz or dim.
     """
-    if rows.dim != model.dim:
-        raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.dim}")
+    if rows.dim != model.idf.dim:
+        raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.idf.dim}")
     n = len(rows)
-    position = model.table[rows.indices]
-    stored = position < model.columns.size
+    position = model.idf.table[rows.indices]
+    stored = position < model.idf.columns.size
     position = position[stored]
     values = rows.values[stored]
     owner = np.repeat(np.arange(n), np.diff(rows.indptr))[stored]
@@ -198,9 +180,11 @@ def epoch_order(rng_seed: int, epoch: int, n: int) -> np.ndarray:
 
 def train(
     rows: SparseRows,
+    *,
     y: Sequence[int],
     hp: HyperParams,
     class_labels: Sequence[str],
+    idf: IdfTable,
     feature_fingerprint: str = "",
 ) -> LinearModel:
     """Fit the model to rows with classes y, indices into class_labels,
@@ -214,10 +198,10 @@ def train(
     most frequent class of y as its fallback_class (ties go to the
     lowest index).
 
-    The model stores the K distinct columns the rows use and their
-    K x num_classes weights, which equal those of dense per-example SGD
-    to rounding; the dense model's other columns are exactly 0.0 (see
-    the module docstring).
+    The model carries idf, and weighs its columns, which must hold every
+    bucket the rows use (as fit_idf of the rows' counts does).  Their
+    weights equal those of dense per-example SGD to rounding; the dense
+    model's other columns are exactly 0.0 (see the module docstring).
     """
     if not len(rows):
         raise EmptyTrainingSet("no training examples")
@@ -227,15 +211,20 @@ def train(
     num_classes = len(class_labels)
     if targets.min() < 0 or targets.max() >= num_classes:
         raise ClassIndexOutOfRange(f"a class index is outside [0, {num_classes})")
+    if rows.dim != idf.dim:
+        raise DimensionMismatch(f"rows dim {rows.dim} != idf dim {idf.dim}")
+    width = idf.columns.size
+    indices = idf.table[rows.indices]
+    if indices.size and indices.max() == width:
+        raise DimensionMismatch("a row uses a bucket outside the idf table's columns")
 
     counts = np.bincount(targets, minlength=num_classes)
-    cols, weights, bias, losses = _sgd(rows, targets, hp, num_classes)
+    weights, bias, losses = _sgd(rows, indices, width, targets, hp, num_classes)
     return LinearModel(
-        columns=cols,
         weights=weights,
         bias=bias,
-        dim=rows.dim,
         class_labels=list(class_labels),
+        idf=idf,
         feature_fingerprint=feature_fingerprint,
         epoch_losses=losses,
         fallback_class=int(counts.argmax()),
@@ -243,14 +232,14 @@ def train(
 
 
 def _sgd(
-    rows: SparseRows, targets: np.ndarray, hp: HyperParams, num_classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """(cols, weights, bias, epoch_losses) of train's SGD loop.
+    rows: SparseRows, indices: np.ndarray, width: int, targets: np.ndarray, hp: HyperParams,
+    num_classes: int,
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(weights, bias, epoch_losses) of train's SGD loop over width
+    columns, indices[e] the column of the rows' entry e.
 
-    The rows' columns are renumbered over their K distinct columns cols
-    through a column_table, freed before the loop.  The weights are
-    scale * scaled, scaled K x num_classes (see the module docstring).
-    Each batch takes its u distinct rows of scaled once, as vu, and
+    The weights are scale * scaled, scaled width x num_classes (see the
+    module docstring).  Each batch takes its u distinct rows of scaled once, as vu, and
     writes them back once, as whole rows.  It fills a dense block with
     its rows over those columns, in slices of rows that keep it within
     _BLOCK_ELEMENTS.  Every slice's block is a prefix of one buffer,
@@ -263,12 +252,6 @@ def _sgd(
     n = len(rows)
     indptr, values = rows.indptr, rows.values
     nnz = np.diff(indptr)
-    present = np.zeros(rows.dim, dtype=bool)
-    present[rows.indices] = True
-    cols = np.flatnonzero(present)
-    del present
-    indices = column_table(cols, rows.dim)[rows.indices]
-    width = cols.size
     scaled = np.zeros((width, num_classes), dtype=np.float64)
     # One item per row of scaled, so that a batch's rows are set whole.
     row_items = scaled.view(np.dtype((np.void, scaled.itemsize * num_classes))).ravel()
@@ -346,7 +329,7 @@ def _sgd(
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
     scaled *= scale
-    return cols, scaled, bias, losses
+    return scaled, bias, losses
 
 
 def save_model(model: LinearModel, path: str) -> None:
@@ -357,20 +340,20 @@ def save_model(model: LinearModel, path: str) -> None:
     num_classes weights, row-major, and the biases, as little-endian
     float64.
 
-    A model storing more than a quarter of its columns is written whole
-    (W = dim, 0.0 for an unstored column), else sparse (W = K); see
-    binio.written_whole.
+    A model over more than a quarter of the buckets is written whole
+    (W = dim, 0.0 for a bucket outside its columns), else sparse
+    (W = K); see binio.written_whole.  Its idf goes to features.save_idf.
     """
-    columns, weights = model.columns, model.weights
-    whole = written_whole(columns.size, model.dim)
-    if whole and columns.size < model.dim:
+    columns, dim, weights = model.idf.columns, model.idf.dim, model.weights
+    whole = written_whole(columns.size, dim)
+    if whole and columns.size < dim:
         # At most four times the stored weights (written_whole).
-        weights = np.zeros((model.dim, model.num_classes), dtype=np.float64)
+        weights = np.zeros((dim, model.num_classes), dtype=np.float64)
         weights[columns] = model.weights
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack(
-            "<IIII", model.num_classes, model.dim, model.fallback_class, weights.shape[0]
+            "<IIII", model.num_classes, dim, model.fallback_class, weights.shape[0]
         ))
         for text in [*model.class_labels, model.feature_fingerprint]:
             raw = text.encode("utf-8")
@@ -393,16 +376,19 @@ def _read_text(fh: BinaryIO, size: int, path: str, what: str) -> str:
         raise CorruptArtifact(f"{path}: {what} is not UTF-8") from None
 
 
-def load_model(path: str) -> LinearModel:
-    """Read a file written by save_model; a whole file loads as a model
-    storing all dim columns.  Raises CorruptArtifact on a bad magic
-    (files of the earlier dense formats included: retrain them), a cut
-    header, a fallback class outside the classes, more columns than
-    dim, a sparse file with more than a quarter of dim columns (a
-    model that full is written whole), a label or fingerprint that is
-    not UTF-8, a size that does not match the header, column ids
-    that are not strictly increasing below dim, or a weight or bias
-    that is not finite."""
+def load_model(path: str, idf: IdfTable) -> LinearModel:
+    """Read a file written by save_model as the model over idf, the
+    table it was fitted with; a whole file keeps the weights of idf's
+    columns only.  Raises CorruptArtifact on a bad magic (files of the
+    earlier dense formats included: retrain them), a cut header, a
+    fallback class outside the classes, more columns than dim, a sparse
+    file with more than a quarter of dim columns (a model that full is
+    written whole), a label or fingerprint that is not UTF-8, a size
+    that does not match the header, column ids that are not strictly
+    increasing below dim, or a weight or bias that is not finite.
+    Raises DimensionMismatch on a dim other than idf's, and
+    DialectIdError unless the file is the one save_model writes over
+    idf's columns: the same ids, or whole with 0.0 outside them."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -427,20 +413,28 @@ def load_model(path: str) -> LinearModel:
         expected = fh.tell() + ids_bytes + 8 * width * num_classes + 8 * num_classes
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
-        if whole:
-            columns = np.arange(dim, dtype=np.int64)
-        else:
+        if dim != idf.dim:
+            raise DimensionMismatch(f"{path}: model dim {dim} does not match idf dim {idf.dim}")
+        if not whole:
             columns = read_ids(fh, width, dim, path, "the column ids")
         weights = read_array(fh, "<f8", (width, num_classes), path, "the weights")
         bias = read_array(fh, "<f8", (num_classes,), path, "the biases")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise CorruptArtifact(f"{path}: a weight or bias is not finite")
+    if whole:
+        outside = weights.any(axis=1)
+        outside[idf.columns] = False
+        together = written_whole(idf.columns.size, dim) and not outside.any()
+        weights = weights[idf.columns]
+    else:
+        together = np.array_equal(columns, idf.columns)
+    if not together:
+        raise DialectIdError(f"{path}: model and idf were not fitted together")
     return LinearModel(
-        columns=columns,
         weights=weights,
         bias=bias,
-        dim=dim,
         class_labels=labels,
+        idf=idf,
         feature_fingerprint=fingerprint,
         fallback_class=fallback,
     )

@@ -12,10 +12,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from . import classifier, corpus, evaluation, features, harness, normalizer
-from .binio import written_whole
 from .corpus import LabelVocab, Level
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
@@ -99,9 +96,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     records = corpus.load_corpus(args.infile, vocab=vocab)
     lexicon, overrides = _load_lexicon_flags(args)
     texts = harness.prepare_texts(records, config, lexicon, overrides)
-    model, idf = harness.fit_pipeline(texts, records, config, vocab, level)
+    model = harness.fit_pipeline(texts, records, config, vocab, level)
     classifier.save_model(model, args.out_model)
-    features.save_idf(idf, args.out_idf)
+    features.save_idf(model.idf, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
     return 0
 
@@ -134,26 +131,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model = classifier.load_model(args.model)
-    idf = features.load_idf(args.idf)
+    model = classifier.load_model(args.model, features.load_idf(args.idf))
     config = _experiment_from_args(args)
-    if config.features.dim != idf.dim:
+    if config.features.dim != model.idf.dim:
         if args.config:
             raise DialectIdError(
-                f"config dim {config.features.dim} does not match idf table dim {idf.dim}"
+                f"config dim {config.features.dim} does not match idf table dim {model.idf.dim}"
             )
-        config = replace(config, features=replace(config.features, dim=idf.dim))
-    if model.dim != idf.dim:
-        raise DialectIdError(f"model dim {model.dim} does not match idf dim {idf.dim}")
-    # A model stores exactly the buckets occupied in the idf table it
-    # was fitted with (see harness.fit_pipeline).  A model that full is
-    # written whole and loads with all dim columns, so two whole files
-    # are only checked to both be whole.
-    occupied = np.flatnonzero(idf.df)
-    if written_whole(occupied.size, idf.dim):
-        occupied = np.arange(idf.dim)
-    if not np.array_equal(model.columns, occupied):
-        raise DialectIdError(f"{args.model} and {args.idf}: model and idf were not fitted together")
+        config = replace(config, features=replace(config.features, dim=model.idf.dim))
     # A model trained outside the harness carries no fingerprint.
     fingerprint = harness.fingerprint(config)
     if model.feature_fingerprint and model.feature_fingerprint != fingerprint:
@@ -164,7 +149,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     lexicon, overrides = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile)
     texts = harness.prepare_texts(records, config, lexicon, overrides)
-    predictions = harness.predict_texts(texts, config, model, idf)
+    predictions = harness.predict_texts(texts, config, model)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
     return 0
@@ -190,7 +175,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     submission_path = os.path.join(args.out_dir, "submission.csv")
     result = harness.finalize(splits, selected, vocab, submission_path)
     classifier.save_model(result.model, os.path.join(args.out_dir, "model.bin"))
-    features.save_idf(result.idf, os.path.join(args.out_dir, "idf.bin"))
+    features.save_idf(result.model.idf, os.path.join(args.out_dir, "idf.bin"))
     if result.report is not None:
         evaluation.write_report(result.report, os.path.join(args.out_dir, "report.txt"))
         print(

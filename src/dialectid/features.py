@@ -8,16 +8,18 @@ accepted: colliding grams simply share a bucket and their counts add.
 A corpus is one CSR matrix, SparseRows: one row per text, one column
 per bucket, and its width dim, which fit_idf and vectorize read from
 it.  bucket_counts yields the gram counts of the texts as blocks of
-rows; the idf table holds the document frequency of every bucket
-(fit_idf) and computes its weights from them, and its file
-stores only the occupied buckets unless more than a quarter are
-(binio.written_whole); vectorize turns a block of counts into tf-idf
-rows.  A fit or a predict makes one bucket_counts call.  It reads the
-texts in bounded chunks and cuts and hashes each distinct whitespace
-token once: a chunk's new padded tokens are encoded together, each
-gram is the byte span between two UTF-8 character starts, and one
-FNV-1a pass hashes all the spans (token_buckets); a chunk's block is
-then one count of its (row, bucket) pairs.
+rows; the idf table (fit_idf) holds the K occupied buckets, their
+document frequencies and K + 1 weights, the last that of a bucket no
+document has, and its file stores only the occupied buckets unless
+more than a quarter are (binio.written_whole); vectorize turns a
+block of counts into tf-idf rows, finding each bucket's weight
+through the table's bucket -> column table.  A fit or a predict makes
+one bucket_counts call.  It reads the texts in bounded chunks and cuts
+and hashes each distinct whitespace token once: a chunk's new padded
+tokens are encoded together, each gram is the byte span between two
+UTF-8 character starts, and one FNV-1a pass hashes all the spans
+(token_buckets); a chunk's block is then one count of its (row,
+bucket) pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -240,37 +243,51 @@ def _count_block(
 
 @dataclass(frozen=True)
 class IdfTable:
-    """The document frequency df of each bucket in a corpus of doc_count
-    documents, and the smoothed IDF weights ln((1 + N) / (1 + df)) + 1
-    computed from them, one per bucket."""
+    """The smoothed IDF of a corpus of doc_count documents over dim
+    buckets: columns holds the K sorted buckets some document has, df
+    their document frequencies (all > 0), and weights the K + 1
+    weights ln((1 + N) / (1 + df)) + 1 of the columns and then of df 0,
+    that of every other bucket.  table, the column_table of columns, is
+    built on first use and kept, so columns must not change after."""
 
+    columns: np.ndarray
     df: np.ndarray
     doc_count: int
+    dim: int
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = np.log((1.0 + self.doc_count) / (1.0 + self.df)) + 1.0
+        weights = np.log((1.0 + self.doc_count) / (1.0 + np.append(self.df, 0))) + 1.0
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def dim(self) -> int:
-        return int(self.df.shape[0])
+    @cached_property
+    def table(self) -> np.ndarray:
+        return column_table(self.columns, self.dim)
+
+
+def column_table(columns: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-sized int32 bucket -> column table of K sorted distinct
+    columns: columns[k] maps to k, and every other bucket to K."""
+    table = np.full(dim, columns.size, dtype=np.int32)
+    table[columns] = np.arange(columns.size, dtype=np.int32)
+    return table
 
 
 def fit_idf(corpus: SparseRows) -> IdfTable:
-    """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1 for each of
-    the corpus's dim buckets.
+    """Fit smoothed IDF weights: ln((1 + N) / (1 + df)) + 1, where df
+    counts the documents whose row has the bucket.
 
     corpus holds one row of bucket counts per document (see
-    bucket_counts and join_rows); df counts the documents whose row has
-    the bucket.  Raises EmptyCorpus on an empty corpus.
+    bucket_counts and join_rows).  Raises EmptyCorpus on an empty
+    corpus.
     """
     if not len(corpus):
         raise EmptyCorpus("cannot fit idf on zero documents")
     df = np.bincount(corpus.indices, minlength=corpus.dim)
     if df.shape[0] != corpus.dim:
         raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {corpus.dim}")
-    return IdfTable(df=df, doc_count=len(corpus))
+    columns = np.flatnonzero(df)
+    return IdfTable(columns=columns, df=df[columns], doc_count=len(corpus), dim=corpus.dim)
 
 
 def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
@@ -281,7 +298,7 @@ def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
     """
     if idf.dim != counts.dim:
         raise ValueError(f"idf table dim {idf.dim} != rows dim {counts.dim}")
-    values = counts.values * idf.weights[counts.indices]
+    values = counts.values * idf.weights[idf.table[counts.indices]]
     bounds = counts.indptr.tolist()
     # One np.dot per row keeps each norm bit-identical to that of the
     # row on its own; a segmented sum adds in another order.
@@ -291,27 +308,29 @@ def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
 
 def save_idf(table: IdfTable, path: str) -> None:
     """Binary layout: magic, u32 dim, u32 doc_count, u32 number W of
-    buckets written; then, sparse, the W occupied buckets' (df > 0)
-    sorted ids as u32 and their W document frequencies as u32, or,
-    whole (W = dim), the dim document frequencies as u32; all
-    little-endian.  A table with more than a quarter of its buckets
+    buckets written; then, sparse, the W occupied buckets' sorted ids as
+    u32 and their W document frequencies as u32, or, whole (W = dim),
+    the dim document frequencies as u32, 0 for an unoccupied bucket;
+    all little-endian.  A table with more than a quarter of its buckets
     occupied is written whole; see binio.written_whole."""
-    occupied = np.flatnonzero(table.df)
-    whole = written_whole(occupied.size, table.dim)
+    whole = written_whole(table.columns.size, table.dim)
     with open(path, "wb") as fh:
         fh.write(IDF_MAGIC)
         fh.write(struct.pack(
-            "<III", table.dim, table.doc_count, table.dim if whole else occupied.size
+            "<III", table.dim, table.doc_count, table.dim if whole else table.columns.size
         ))
         if whole:
-            write_array(fh, table.df, "<u4")
+            df = np.zeros(table.dim, dtype=np.int64)
+            df[table.columns] = table.df
+            write_array(fh, df, "<u4")
         else:
-            write_array(fh, occupied, "<u4")
-            write_array(fh, table.df[occupied], "<u4")
+            write_array(fh, table.columns, "<u4")
+            write_array(fh, table.df, "<u4")
 
 
 def load_idf(path: str) -> IdfTable:
-    """Read a file written by save_idf.  Raises CorruptArtifact on a bad
+    """Read a file written by save_idf, as the table of its occupied
+    buckets, whichever its layout.  Raises CorruptArtifact on a bad
     magic (files of the earlier dense format included: retrain them), a
     cut header, a dim that is not a power of two >= 2, more buckets
     than dim, a size that does not match the header, bucket ids that
@@ -324,8 +343,8 @@ def load_idf(path: str) -> IdfTable:
         if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
             raise CorruptArtifact(f"{path}: not a {IDF_MAGIC.decode()} idf table (bad magic)")
         dim, doc_count, width = struct.unpack("<III", read_exact(fh, 12, path, "the header"))
-        # The table is dense in memory: a dim no FeatureConfig accepts
-        # must not allocate one.
+        # The table's bucket -> column table is dim-sized: a dim no
+        # FeatureConfig accepts must not allocate one.
         if dim < 2 or dim & (dim - 1):
             raise CorruptArtifact(f"{path}: dim {dim} is not a power of two >= 2")
         if width > dim:
@@ -336,20 +355,18 @@ def load_idf(path: str) -> IdfTable:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
         if whole:
             df = read_array(fh, "<u4", (dim,), path, "the document frequencies")
-            df = df.astype(np.int64)
+            columns = np.flatnonzero(df)
+            df = df[columns]
         else:
-            ids = read_ids(fh, width, dim, path, "the bucket ids")
-            counts = read_array(fh, "<u4", (width,), path, "the document frequencies")
-            if width and counts.min() == 0:
+            columns = read_ids(fh, width, dim, path, "the bucket ids")
+            df = read_array(fh, "<u4", (width,), path, "the document frequencies")
+            if width and df.min() == 0:
                 raise CorruptArtifact(f"{path}: a listed bucket has document frequency 0")
-            df = np.zeros(dim, dtype=np.int64)
-            df[ids] = counts
-    if df.max() > doc_count:
+    if df.size and df.max() > doc_count:
         raise CorruptArtifact(f"{path}: a document frequency is above {doc_count}")
-    occupied = int(np.count_nonzero(df))
-    if whole != written_whole(occupied, dim):
+    if whole != written_whole(columns.size, dim):
         raise CorruptArtifact(
-            f"{path}: {occupied} of {dim} buckets occupied in a "
+            f"{path}: {columns.size} of {dim} buckets occupied in a "
             f"{'whole' if whole else 'sparse'} file; save_idf writes the other layout"
         )
-    return IdfTable(df=df, doc_count=doc_count)
+    return IdfTable(columns=columns, df=df.astype(np.int64), doc_count=doc_count, dim=dim)

@@ -1,8 +1,10 @@
 """Experiment orchestration.
 
-run_grid trains one model per configuration on the train split, scores
+run_grid fits one model per configuration on the train split, scores
 it on dev, and selects the best row; dev never reaches idf fitting or
-the gradient updates.  finalize refits the chosen configuration on
+the gradient updates.  A fit (fit_pipeline) returns one LinearModel,
+which carries the idf table it was fitted with, so predict_texts
+featurizes and scores with the model alone.  finalize refits the chosen configuration on
 train plus dev and writes the test submission.  Both take a Splits,
 which prepares each split's texts once per text preparation, so the
 grid and finalize share them, and names the subtask they are labeled
@@ -20,7 +22,7 @@ from .classifier import HyperParams, LinearModel
 from .corpus import LabelVocab, Level, Register, Subtask, TweetRecord
 from .errors import ConfigError, LengthMismatch, SubtaskMismatch, UnknownLabel
 from .evaluation import EvaluationReport
-from .features import FeatureConfig, IdfTable
+from .features import FeatureConfig
 from .normalizer import NormConfig, SegmentLexicon
 
 
@@ -67,7 +69,6 @@ class GridResult:
 @dataclass(frozen=True)
 class FinalizeResult:
     model: LinearModel
-    idf: IdfTable
     predictions: tuple[str, ...]
     submission_path: str
     report: EvaluationReport | None
@@ -131,10 +132,10 @@ def fit_pipeline(
     config: ExperimentConfig,
     vocab: LabelVocab,
     level: Level,
-) -> tuple[LinearModel, IdfTable]:
-    """Fit the idf table and the model on one split, to the labels of
-    the records at level: texts are the prepared texts of records, in
-    the same order."""
+) -> LinearModel:
+    """Fit the idf table and the model that carries it on one split, to
+    the labels of the records at level: texts are the prepared texts of
+    records, in the same order."""
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
     labels = vocab.labels(level)
@@ -143,19 +144,18 @@ def fit_pipeline(
     )
     idf = features.fit_idf(counts)
     rows = features.vectorize(counts, idf)
-    # Only rows is positional, so bench/tracer.py finds hp by keyword.
-    model = classifier.train(
+    return classifier.train(
         rows,
         y=_class_indices(records, level, labels),
         hp=config.hp,
         class_labels=labels,
+        idf=idf,
         feature_fingerprint=fingerprint(config),
     )
-    return model, idf
 
 
 def predict_texts(
-    texts: Sequence[str], config: ExperimentConfig, model: LinearModel, idf: IdfTable
+    texts: Sequence[str], config: ExperimentConfig, model: LinearModel
 ) -> list[str]:
     """Label prepared texts in order, one block of texts at a time.
 
@@ -166,7 +166,7 @@ def predict_texts(
     labels = model.class_labels
     out: list[str] = []
     for counts in features.bucket_counts(texts, config.features):
-        rows = features.vectorize(counts, idf)
+        rows = features.vectorize(counts, model.idf)
         out.extend(labels[c] for c in classifier.predict(model, rows).tolist())
     return out
 
@@ -220,8 +220,8 @@ def run_grid(
     rows: list[GridRow] = []
     for config in configs:
         texts = splits.texts("train", config)
-        model, idf = fit_pipeline(texts, splits.train, config, vocab, level)
-        pred = predict_texts(splits.texts("dev", config), config, model, idf)
+        model = fit_pipeline(texts, splits.train, config, vocab, level)
+        pred = predict_texts(splits.texts("dev", config), config, model)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
             GridRow(
@@ -253,9 +253,9 @@ def finalize(
     # prepare_texts works record by record, so this is the preparation
     # of combined.
     texts = splits.texts("train", config) + splits.texts("dev", config)
-    model, idf = fit_pipeline(texts, combined, config, vocab, level)
+    model = fit_pipeline(texts, combined, config, vocab, level)
     test = splits.test
-    predictions = predict_texts(splits.texts("test", config), config, model, idf)
+    predictions = predict_texts(splits.texts("test", config), config, model)
     corpus.write_submission([r.id for r in test], predictions, submission_path)
     rep = None
     if test and all(r.label(level) is not None for r in test):
@@ -263,7 +263,6 @@ def finalize(
         rep = evaluation.report(gold, predictions, labels)
     return FinalizeResult(
         model=model,
-        idf=idf,
         predictions=tuple(predictions),
         submission_path=submission_path,
         report=rep,
@@ -417,7 +416,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
             if data is not None:
                 raise ConfigError(f"{path}: more than one [data] section")
             data = items
-        elif header.startswith("experiment"):
+        elif header.split(maxsplit=1)[:1] == ["experiment"]:
             name = header[len("experiment"):].strip()
             if not name:
                 raise ConfigError(f"{path}: experiment section without a name")

@@ -23,8 +23,8 @@ to_dense of a sparse model it must give the same bytes.
 
 import numpy as np
 
-from dialectid.classifier import LinearModel, epoch_order
-from dialectid.features import SparseRows
+from dialectid.classifier import LinearModel, epoch_order, train
+from dialectid.features import IdfTable, SparseRows
 
 FOLD_BELOW = 1e-6
 
@@ -156,11 +156,25 @@ def batched_sgd(rows, targets, hp, num_classes, block_elements):
     return scaled, bias, losses, sizes
 
 
+def idf_of(columns, dim):
+    """An IdfTable over the sorted buckets columns of dim, each in the
+    one document of its corpus."""
+    columns = np.asarray(columns, dtype=np.int64)
+    return IdfTable(columns=columns, df=np.ones(columns.size, dtype=np.int64), doc_count=1,
+                    dim=dim)
+
+
+def train_on(rows, y, hp, class_labels, **fields):
+    """classifier.train over the rows' own distinct columns."""
+    idf = idf_of(np.unique(rows.indices), rows.dim)
+    return train(rows, y=y, hp=hp, class_labels=class_labels, idf=idf, **fields)
+
+
 def to_dense(model):
     """The num_classes x dim weights of a sparse model: its stored
     columns scattered into zeros."""
-    dense = np.zeros((model.num_classes, model.dim), dtype=np.float64)
-    dense[:, model.columns] = model.weights.T
+    dense = np.zeros((model.num_classes, model.idf.dim), dtype=np.float64)
+    dense[:, model.idf.columns] = model.weights.T
     return dense
 
 
@@ -170,11 +184,10 @@ def from_dense(weights, bias, class_labels, **fields):
     weights = np.asarray(weights, dtype=np.float64)
     columns = np.flatnonzero(np.any(weights != 0.0, axis=0))
     return LinearModel(
-        columns=columns,
         weights=np.ascontiguousarray(weights[:, columns].T),
         bias=np.asarray(bias, dtype=np.float64),
-        dim=weights.shape[1],
         class_labels=list(class_labels),
+        idf=idf_of(columns, weights.shape[1]),
         **fields,
     )
 

@@ -3,10 +3,12 @@
 The featurization as it ran before each text was cut into grams once:
 char_ngrams counts into a Counter one gram at a time, hash_index runs
 the scalar fnv1a64 on one gram, fit_idf hashes every gram of every
-document's Counter to count document frequencies, and vectorize
-recounts and rehashes the grams of its text into one (indices, values)
-pair.  features.hash_spans, token_buckets, bucket_counts, fit_idf and
-vectorize must match it byte for byte, row by row.
+document's Counter to count document frequencies into a dense array
+over all dim buckets, idf_weights applies the smoothed idf formula to
+every bucket of that array, and vectorize recounts and rehashes the
+grams of its text into one (indices, values) pair weighted from the
+dense weights.  features.hash_spans, token_buckets, bucket_counts,
+fit_idf and vectorize must match it byte for byte, row by row.
 """
 
 from collections import Counter
@@ -14,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from dialectid.errors import EmptyCorpus
-from dialectid.features import DEFAULT_FEATURES, IdfTable, fnv1a64
+from dialectid.features import DEFAULT_FEATURES, fnv1a64
 
 _U64 = (1 << 64) - 1
 
@@ -38,7 +40,8 @@ def char_ngrams(text, config=DEFAULT_FEATURES):
 
 
 def fit_idf(corpus, config):
-    """corpus holds one gram Counter per document."""
+    """The document frequency of each of the dim buckets, as a dense
+    int64 array; corpus holds one gram Counter per document."""
     if not corpus:
         raise EmptyCorpus("cannot fit idf on zero documents")
     df = np.zeros(config.dim, dtype=np.int64)
@@ -46,12 +49,19 @@ def fit_idf(corpus, config):
         buckets = {hash_index(g, config) for g in grams}
         if buckets:
             df[list(buckets)] += 1
-    return IdfTable(df=df, doc_count=len(corpus))
+    return df
 
 
-def vectorize(text, config, idf):
-    if idf.dim != config.dim:
-        raise ValueError(f"idf table dim {idf.dim} != config dim {config.dim}")
+def idf_weights(df, doc_count):
+    """The smoothed idf weight ln((1 + N) / (1 + df)) + 1 of every
+    bucket of a dense df array, df 0 included."""
+    return np.log((1.0 + doc_count) / (1.0 + df)) + 1.0
+
+
+def vectorize(text, config, weights):
+    """The text's tf-idf row over the dense weights of idf_weights."""
+    if weights.size != config.dim:
+        raise ValueError(f"idf weights dim {weights.size} != config dim {config.dim}")
     grams = char_ngrams(text, config)
     if not grams:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
@@ -61,7 +71,7 @@ def vectorize(text, config, idf):
         buckets[j] = buckets.get(j, 0.0) + float(count)
     indices = np.array(sorted(buckets), dtype=np.int64)
     values = np.array([buckets[int(j)] for j in indices], dtype=np.float64)
-    values = values * idf.weights[indices]
+    values = values * weights[indices]
     norm = float(np.sqrt(np.dot(values, values)))
     values = values / norm
     return indices, values

@@ -13,7 +13,6 @@ from dialectid import classifier
 from dialectid.classifier import (
     HyperParams,
     LinearModel,
-    column_table,
     epoch_order,
     load_model,
     logits,
@@ -25,9 +24,11 @@ from dialectid.errors import (
     ClassIndexOutOfRange,
     CorruptArtifact,
     DimensionMismatch,
+    DialectIdError,
     EmptyTrainingSet,
     LengthMismatch,
 )
+from dialectid.features import column_table
 
 from conftest import csr, edit_one_place
 from dense_oracle import (
@@ -36,8 +37,10 @@ from dense_oracle import (
     dense_logits,
     dense_train,
     from_dense,
+    idf_of,
     take_rows,
     to_dense,
+    train_on,
 )
 from test_memory import fit_nadi_finalize_corpus
 
@@ -146,13 +149,13 @@ class TestPredict:
         model = from_dense(weights, np.array([0.5, -0.5, 0.0]), list("abc"))
         rows = csr([random_map(rng, dim, max_nnz=6) for _ in range(20)], dim)
         first = logits(model, rows)
-        assert model.table is model.table
-        assert model.table.tobytes() == column_table(model.columns, dim).tobytes()
+        assert model.idf.table is model.idf.table
+        assert model.idf.table.tobytes() == column_table(model.idf.columns, dim).tobytes()
         assert logits(model, rows).tobytes() == first.tobytes()
-        # A copy of the model builds its own table.
-        fresh = replace(model)
+        # A copy of the idf table builds its own.
+        fresh = replace(model, idf=replace(model.idf))
         assert predict(fresh, rows).tolist() == predict(model, rows).tolist()
-        assert fresh.table is not model.table
+        assert fresh.idf.table is not model.idf.table
 
 
 def test_column_table_maps_columns_to_positions_and_the_rest_to_k():
@@ -288,53 +291,53 @@ def separable_examples(per_class=30, dim=8, num_classes=3):
 class TestTrain:
     def test_learns_separable_data(self):
         rows, y = separable_examples()
-        model = train(rows, y, HyperParams(), labels(3))
+        model = train_on(rows, y, HyperParams(), labels(3))
         assert predict(model, rows).tolist() == y
 
     def test_zero_epochs_gives_zero_model(self):
-        model = train(*separable_examples(), HyperParams(epochs=0), labels(3))
+        model = train_on(*separable_examples(), HyperParams(epochs=0), labels(3))
         assert np.all(model.weights == 0.0)
         assert np.all(model.bias == 0.0)
         assert model.epoch_losses == []
 
     def test_bit_reproducible(self):
         examples = separable_examples(per_class=13)
-        a = train(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
-        b = train(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
+        a = train_on(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
+        b = train_on(*examples, HyperParams(epochs=3, batch_size=7), labels(3))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.epoch_losses == b.epoch_losses
 
     def test_seed_changes_trajectory(self):
         examples = separable_examples(per_class=13)
-        a = train(*examples, HyperParams(epochs=1, batch_size=7), labels(3))
-        b = train(*examples, HyperParams(epochs=1, batch_size=7, rng_seed=7), labels(3))
+        a = train_on(*examples, HyperParams(epochs=1, batch_size=7), labels(3))
+        b = train_on(*examples, HyperParams(epochs=1, batch_size=7, rng_seed=7), labels(3))
         assert not np.array_equal(a.weights, b.weights)
 
     def test_loss_decreases(self):
-        model = train(*separable_examples(), HyperParams(), labels(3))
+        model = train_on(*separable_examples(), HyperParams(), labels(3))
         assert len(model.epoch_losses) == 5
         assert model.epoch_losses[-1] < model.epoch_losses[0]
         assert model.epoch_losses[0] <= math.log(3) + 1e-9
 
     def test_l2_shrinks_weights(self):
         examples = separable_examples()
-        loose = train(*examples, HyperParams(l2=0.0), labels(3))
-        tight = train(*examples, HyperParams(l2=0.05), labels(3))
+        loose = train_on(*examples, HyperParams(l2=0.0), labels(3))
+        tight = train_on(*examples, HyperParams(l2=0.05), labels(3))
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_short_final_batch(self):
         rows, y = separable_examples(per_class=5, num_classes=2)
-        model = train(take_rows(rows, range(5)), y[:5], HyperParams(epochs=2, batch_size=2),
+        model = train_on(take_rows(rows, range(5)), y[:5], HyperParams(epochs=2, batch_size=2),
                       labels(2))
         assert len(model.epoch_losses) == 2
 
     def test_default_and_custom_labels(self):
         examples = separable_examples(per_class=2)
-        model = train(*examples, HyperParams(epochs=1), labels(3))
+        model = train_on(*examples, HyperParams(epochs=1), labels(3))
         assert model.class_labels == ["0", "1", "2"]
-        assert model.dim == 8
-        named = train(
+        assert model.idf.dim == 8
+        named = train_on(
             *examples,
             HyperParams(epochs=1),
             class_labels=["a", "b", "c"],
@@ -346,22 +349,49 @@ class TestTrain:
     def test_fallback_is_the_majority_class(self):
         # Class 2 is the most frequent; class 0 wins argmax(bias) of the
         # zero model, so only the counts can give 2.
-        model = train(csr([{}] * 6, 4), [0, 1, 2, 2, 1, 2], HyperParams(epochs=0), labels(3))
+        model = train_on(csr([{}] * 6, 4), [0, 1, 2, 2, 1, 2], HyperParams(epochs=0), labels(3))
         assert model.fallback_class == 2
 
     def test_fallback_tie_takes_the_lowest_index(self):
-        model = train(csr([{}] * 4, 4), [3, 1, 3, 1], HyperParams(epochs=1), labels(4))
+        model = train_on(csr([{}] * 4, 4), [3, 1, 3, 1], HyperParams(epochs=1), labels(4))
         assert model.fallback_class == 1
 
     def test_validation_errors(self):
         with pytest.raises(EmptyTrainingSet):
-            train(csr([], 4), [], HyperParams(), labels(2))
+            train_on(csr([], 4), [], HyperParams(), labels(2))
         with pytest.raises(ClassIndexOutOfRange):
-            train(csr([{}], 4), [2], HyperParams(), labels(2))
+            train_on(csr([{}], 4), [2], HyperParams(), labels(2))
         with pytest.raises(ClassIndexOutOfRange):
-            train(csr([{}, {}], 4), [0, -1], HyperParams(), labels(2))
+            train_on(csr([{}, {}], 4), [0, -1], HyperParams(), labels(2))
         with pytest.raises(LengthMismatch):
-            train(csr([{}, {}], 4), [0], HyperParams(), labels(2))
+            train_on(csr([{}, {}], 4), [0], HyperParams(), labels(2))
+
+    def test_arguments_but_rows_are_keyword_only(self):
+        rows, y = separable_examples(per_class=2)
+        with pytest.raises(TypeError):
+            train(rows, y, HyperParams(), labels(3), idf_of([0, 1, 2], 8))
+
+    def test_rows_outside_the_idf_table(self):
+        rows, y = separable_examples(per_class=2)
+        hp = HyperParams(epochs=1)
+        with pytest.raises(DimensionMismatch, match="dim 8 != idf dim 16"):
+            train(rows, y=y, hp=hp, class_labels=labels(3), idf=idf_of([0, 1, 2], 16))
+        # Bucket 2 is not a column of the table.
+        with pytest.raises(DimensionMismatch, match="outside"):
+            train(rows, y=y, hp=hp, class_labels=labels(3), idf=idf_of([0, 1, 5], 8))
+
+    def test_idf_columns_the_rows_do_not_use_stay_zero(self):
+        # The rows use columns 0, 1 and 2 of the table's five; the two
+        # others weigh 0.0, and the rest equals the fit over 0, 1, 2.
+        rows, y = separable_examples(per_class=5)
+        hp = HyperParams(epochs=2, batch_size=4)
+        own = train_on(rows, y, hp, labels(3))
+        wide = train(rows, y=y, hp=hp, class_labels=labels(3), idf=idf_of([0, 1, 2, 5, 7], 8))
+        assert wide.weights.shape == (5, 3)
+        assert np.all(wide.weights[3:] == 0.0)
+        assert wide.weights[:3].tobytes() == own.weights.tobytes()
+        assert wide.bias.tobytes() == own.bias.tobytes()
+        assert logits(wide, rows).tobytes() == logits(own, rows).tobytes()
 
 
 @st.composite
@@ -444,19 +474,20 @@ class TestDenseOracle:
         that a batch's rows are walked in several slices."""
         rows, y, hp, num_classes = problem
         if block_elements is None:
-            model = train(rows, y, hp, labels(num_classes))
+            model = train_on(rows, y, hp, labels(num_classes))
         else:
             with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
-                model = train(rows, y, hp, labels(num_classes))
+                model = train_on(rows, y, hp, labels(num_classes))
         weights, bias, losses = dense_train(rows, y, hp, num_classes)
         # The model stores exactly the columns some example uses, and the
         # dense oracle keeps every other column exactly 0.0.
-        assert np.array_equal(model.columns, np.unique(rows.indices))
-        assert model.weights.shape == (model.columns.size, num_classes)
-        assert model.dim == rows.dim
-        assert np.all(np.delete(weights, model.columns, axis=1) == 0.0)
+        columns = model.idf.columns
+        assert np.array_equal(columns, np.unique(rows.indices))
+        assert model.weights.shape == (columns.size, num_classes)
+        assert model.idf.dim == rows.dim
+        assert np.all(np.delete(weights, columns, axis=1) == 0.0)
         np.testing.assert_allclose(
-            model.weights, weights[:, model.columns].T, rtol=self.RTOL, atol=self.ATOL
+            model.weights, weights[:, columns].T, rtol=self.RTOL, atol=self.ATOL
         )
         np.testing.assert_allclose(model.bias, bias, rtol=self.RTOL, atol=self.ATOL)
         assert len(model.epoch_losses) == len(losses)
@@ -481,11 +512,11 @@ def fit_nadi_corpus(tmp_path_factory):
 # columns, whose sizes vary, so the block must grow after the first.
 @pytest.mark.parametrize("block_elements", [classifier._BLOCK_ELEMENTS, 50_000])
 def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements):
-    rows, y, config, labels = fit_nadi_corpus
+    rows, y, config, labels, idf = fit_nadi_corpus
     hp = config.hp
     assert hp.batch_size == 126
     with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
-        model = train(rows, y, hp, class_labels=labels)
+        model = train(rows, y=y, hp=hp, class_labels=labels, idf=idf)
     weights, bias, losses, sizes = batched_sgd(
         rows, np.asarray(y), hp, len(labels), block_elements
     )
@@ -514,7 +545,7 @@ def overlapping_examples(per_class=6, dim=16, num_classes=3):
 
 
 def assert_matches_both_oracles(rows, y, hp, num_classes):
-    model = train(rows, y, hp, labels(num_classes))
+    model = train_on(rows, y, hp, labels(num_classes))
     weights, bias, losses, _ = batched_sgd(
         rows, np.asarray(y), hp, num_classes, classifier._BLOCK_ELEMENTS
     )
@@ -523,7 +554,9 @@ def assert_matches_both_oracles(rows, y, hp, num_classes):
     assert model.epoch_losses == losses
     dense_w, dense_b, dense_losses = dense_train(rows, y, hp, num_classes)
     rtol, atol = TestDenseOracle.RTOL, TestDenseOracle.ATOL
-    np.testing.assert_allclose(model.weights, dense_w[:, model.columns].T, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(
+        model.weights, dense_w[:, model.idf.columns].T, rtol=rtol, atol=atol
+    )
     np.testing.assert_allclose(model.bias, dense_b, rtol=rtol, atol=atol)
     assert model.epoch_losses == pytest.approx(dense_losses, rel=rtol)
     return model
@@ -541,7 +574,8 @@ def test_decay_zero_wipes_the_weights_before_each_update():
     last = epoch_order(hp.rng_seed, hp.epochs - 1, len(rows))[-(len(rows) % 4 or 4):]
     kept = np.unique(take_rows(rows, last).indices)
     np.testing.assert_array_equal(
-        np.flatnonzero(np.any(model.weights != 0.0, axis=1)), np.searchsorted(model.columns, kept)
+        np.flatnonzero(np.any(model.weights != 0.0, axis=1)),
+        np.searchsorted(model.idf.columns, kept),
     )
 
 
@@ -575,11 +609,10 @@ def sparse_models_and_rows(draw):
                             max_size=len(columns) * num_classes))
     bias = draw(st.lists(finite, min_size=num_classes, max_size=num_classes))
     model = LinearModel(
-        columns=np.array(columns, dtype=np.int64),
         weights=np.array(weights, dtype=np.float64).reshape(len(columns), num_classes),
         bias=np.array(bias),
-        dim=dim,
         class_labels=[str(c) for c in range(num_classes)],
+        idf=idf_of(columns, dim),
         fallback_class=draw(st.integers(0, num_classes - 1)),
     )
     maps = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), finite), max_size=8))
@@ -602,14 +635,13 @@ def test_predict_matches_dense_oracle(problem):
     assert predict(model, rows).tolist() == classes.tolist()
 
 
-def small_model(**fields):
-    """Two classes over dim 8, columns 1, 4 and 6 stored."""
+def small_model(dim=8, **fields):
+    """Two classes over dim buckets, columns 1, 4 and 6 stored."""
     return LinearModel(
-        columns=np.array([1, 4, 6]),
         weights=np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5,
         bias=np.array([0.25, -0.5]),
-        dim=8,
         class_labels=["ab", "c"],
+        idf=idf_of([1, 4, 6], dim),
         **fields,
     )
 
@@ -632,34 +664,31 @@ class TestModelIo:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         model = LinearModel(
-            columns=np.array([0, 3, 7, 15]),
             weights=rng.normal(size=(4, 3)),
             bias=rng.normal(size=3),
-            dim=16,
             class_labels=["Egypt", "السودان", ""],
+            idf=idf_of([0, 3, 7, 15], 16),
             feature_fingerprint="0123456789abcdef",
             fallback_class=2,
         )
         path = tmp_path / "m.bin"
         save_model(model, str(path))
-        loaded = load_model(str(path))
-        assert loaded.columns.tolist() == [0, 3, 7, 15]
-        assert loaded.columns.dtype == np.int64
+        loaded = load_model(str(path), model.idf)
+        assert loaded.idf is model.idf
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.dim == 16
         assert loaded.class_labels == model.class_labels
         assert loaded.fallback_class == 2
         assert loaded.feature_fingerprint == "0123456789abcdef"
         assert path.read_bytes()[:8] == b"NADIMDL3"
 
     def test_no_columns_round_trip(self, tmp_path):
-        model = train(csr([{}, {}], 4), [1, 1], HyperParams(epochs=1), labels(2))
-        assert model.columns.size == 0 and model.weights.shape == (0, 2)
+        model = train_on(csr([{}, {}], 4), [1, 1], HyperParams(epochs=1), labels(2))
+        assert model.idf.columns.size == 0 and model.weights.shape == (0, 2)
         path = tmp_path / "m.bin"
         save_model(model, str(path))
-        loaded = load_model(str(path))
-        assert loaded.weights.shape == (0, 2) and loaded.dim == 4
+        loaded = load_model(str(path), model.idf)
+        assert loaded.weights.shape == (0, 2)
         # Bucket 3 is not stored, so the second row's logits are the bias.
         assert loaded.bias[1] > loaded.bias[0]
         assert predict(loaded, csr([{}, {3: 1.0}], 4)).tolist() == [1, 1]
@@ -668,14 +697,15 @@ class TestModelIo:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
-            load_model(str(path))
+            load_model(str(path), idf_of([], 8))
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.bin"
-        save_model(small_model(), str(path))
+        model = small_model()
+        save_model(model, str(path))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
-            load_model(str(path))
+            load_model(str(path), model.idf)
 
     @pytest.mark.parametrize("layout", ["fortran", "float32", "big-endian"])
     def test_save_writes_the_row_major_float64_layout(self, tmp_path, layout):
@@ -690,7 +720,7 @@ class TestModelIo:
             weights, bias = weights.astype(">f8"), bias.astype(">f8")
         labels = ["a", "بب", ""]
         # 4 of 16 columns, no more than a quarter: the file lists them.
-        model = LinearModel(np.array([2, 3, 5, 9]), weights, bias, 16, labels,
+        model = LinearModel(weights, bias, labels, idf_of([2, 3, 5, 9], 16),
                             feature_fingerprint="f00d", fallback_class=1)
         path = tmp_path / "m.bin"
         save_model(model, str(path))
@@ -705,7 +735,7 @@ class TestModelIo:
             + bias.astype("<f8").tobytes()
         )
         assert path.read_bytes() == expected
-        loaded = load_model(str(path))
+        loaded = load_model(str(path), model.idf)
         assert loaded.weights.flags.c_contiguous
         assert loaded.weights.tobytes() == weights.astype(np.float64).tobytes(order="C")
         assert loaded.bias.tobytes() == bias.astype(np.float64).tobytes()
@@ -724,27 +754,50 @@ class TestModelIo:
             blob += struct.pack("<I", len(text)) + text.encode("utf-8")
         blob += dense.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
         assert path.read_bytes() == blob
-        loaded = load_model(str(path))
-        assert loaded.columns.tolist() == list(range(8))
-        assert loaded.weights.tobytes() == dense.tobytes()
+        # It loads as the model it was saved from, weights of 1, 4, 6.
+        loaded = load_model(str(path), model.idf)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
         assert (loaded.feature_fingerprint, loaded.fallback_class) == ("beef", 1)
         rows = csr([{1: 0.5, 2: 1.0}, {4: 2.0, 7: 3.0}, {6: 1.0}, {}], 8)
         assert logits(loaded, rows).tobytes() == logits(model, rows).tobytes()
         save_model(loaded, str(path))
         assert path.read_bytes() == blob
 
+    def test_dim_other_than_the_idf_tables(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(small_model(16), str(path))
+        with pytest.raises(DimensionMismatch, match="model dim 16 does not match idf dim 32"):
+            load_model(str(path), idf_of([1, 4, 6], 32))
+
+    # The file is over columns 1, 4 and 6, sparse at dim 16 and whole at
+    # dim 8; each table lists other columns.  Whole, the table of 1, 4,
+    # 5 leaves bucket 6's nonzero weights out, and a table of one column
+    # would have the model written sparse.
+    @pytest.mark.parametrize("dim, columns", [
+        (16, [1, 4, 7]), (16, [1, 4]), (16, [1, 4, 6, 9]), (8, [1, 4, 5]), (8, [1]),
+    ])
+    def test_idf_of_another_fit(self, tmp_path, dim, columns):
+        path = tmp_path / "m.bin"
+        model = small_model(dim)
+        if columns == [1]:
+            model.weights[1:] = 0.0  # only bucket 1 weighs anything
+        save_model(model, str(path))
+        with pytest.raises(DialectIdError, match="not fitted together"):
+            load_model(str(path), idf_of(columns, dim))
+
     @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
     def test_every_cut_is_corrupt(self, tmp_path, dim):
         path = tmp_path / "m.bin"
-        save_model(replace(small_model(feature_fingerprint="beef"), dim=dim), str(path))
+        model = small_model(dim, feature_fingerprint="beef")
+        save_model(model, str(path))
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(CorruptArtifact):
-                load_model(str(path))
+                load_model(str(path), model.idf)
         path.write_bytes(blob + b"\x00")
         with pytest.raises(CorruptArtifact, match="expected"):
-            load_model(str(path))
+            load_model(str(path), model.idf)
 
     def test_label_longer_than_the_file(self, tmp_path):
         path = tmp_path / "m.bin"
@@ -752,7 +805,7 @@ class TestModelIo:
             b"NADIMDL3" + struct.pack("<IIII", 1, 2, 0, 0) + struct.pack("<I", 0xFFFFFFFF) + b"x"
         )
         with pytest.raises(CorruptArtifact, match="label 0"):
-            load_model(str(path))
+            load_model(str(path), idf_of([], 2))
 
     # The one-byte label "x" sits at byte 28, the fingerprint "x" at 33.
     @pytest.mark.parametrize("what, at", [("label 0", 28), ("the feature fingerprint", 33)])
@@ -763,7 +816,7 @@ class TestModelIo:
         path = tmp_path / "m.bin"
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptArtifact, match=f"{what} is not UTF-8"):
-            load_model(str(path))
+            load_model(str(path), idf_of([], 4))
 
     @pytest.mark.parametrize("fallback", [2, 3, 0xFFFFFFFF])
     def test_fallback_outside_the_classes(self, tmp_path, fallback):
@@ -773,7 +826,7 @@ class TestModelIo:
         blob[16:20] = struct.pack("<I", fallback)
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptArtifact, match="fallback class"):
-            load_model(str(path))
+            load_model(str(path), small_model().idf)
 
     @pytest.mark.parametrize("dim, columns, match", [
         (8, [1, 1], "strictly increasing"),
@@ -788,35 +841,36 @@ class TestModelIo:
         path = tmp_path / "m.bin"
         path.write_bytes(model_bytes(2, dim, 0, columns))
         with pytest.raises(CorruptArtifact, match=match):
-            load_model(str(path))
+            load_model(str(path), idf_of([], dim))
 
     @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
     @pytest.mark.parametrize("field", ["weights", "bias"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters(self, tmp_path, dim, field, value):
-        model = replace(small_model(), dim=dim)
+        model = small_model(dim)
         getattr(model, field).flat[1] = value
         path = tmp_path / "m.bin"
         save_model(model, str(path))
         with pytest.raises(CorruptArtifact, match="not finite"):
-            load_model(str(path))
+            load_model(str(path), model.idf)
 
     @pytest.mark.parametrize("magic", [b"NADIMDL1", b"NADIMDL2"])
     def test_previous_formats_are_rejected(self, tmp_path, magic):
         path = tmp_path / "m.bin"
-        save_model(small_model(), str(path))
+        model = small_model()
+        save_model(model, str(path))
         path.write_bytes(magic + path.read_bytes()[8:])
         with pytest.raises(CorruptArtifact, match="magic"):
-            load_model(str(path))
+            load_model(str(path), model.idf)
 
 
 @st.composite
 def model_files(draw):
-    """Bytes that are often almost a model file: a valid small file,
-    whole or sparse, with one byte overwritten, cut or extended, or the
-    magic and noise."""
+    """Bytes that are often almost a model file, and the idf table of
+    its columns: a valid small file, whole or sparse, with one byte
+    overwritten, cut or extended, or the magic and noise."""
     if draw(st.booleans()):
-        return b"NADIMDL3" + draw(st.binary(max_size=96))
+        return b"NADIMDL3" + draw(st.binary(max_size=96)), idf_of([], draw(st.integers(1, 12)))
     num_classes = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 12))
     if draw(st.booleans()):
@@ -825,21 +879,24 @@ def model_files(draw):
         columns = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim // 4)))
     blob = model_bytes(num_classes, dim, draw(st.integers(0, num_classes - 1)), columns,
                        fingerprint=draw(st.sampled_from(["", "0123456789abcdef"])))
-    return edit_one_place(draw, blob)
+    return edit_one_place(draw, blob), idf_of(columns, dim)
 
 
 @settings(max_examples=300, deadline=None)
 @given(model_files())
-def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, blob):
+def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, problem):
+    blob, idf = problem
     path = tmp_path_factory.mktemp("fuzz") / "m.bin"
     path.write_bytes(blob)
     try:
-        model = load_model(str(path))
-    except CorruptArtifact:
+        model = load_model(str(path), idf)
+    except (CorruptArtifact, DimensionMismatch):
+        return
+    except DialectIdError as exc:
+        assert "not fitted together" in str(exc)
         return
     # A load is a model predict can use, and it saves to the same bytes.
     assert model.fallback_class < model.num_classes == len(model.class_labels)
-    assert model.weights.shape == (model.columns.size, model.num_classes)
-    assert np.all(np.diff(model.columns) > 0) and np.all(model.columns < model.dim)
+    assert model.weights.shape == (idf.columns.size, model.num_classes)
     save_model(model, str(path))
     assert path.read_bytes() == blob

@@ -9,9 +9,20 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, load_corpus, read_submission
+from dialectid.features import load_idf
 
 import synthcorpus
 from file_io import parse_report
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import fixtures  # noqa: E402
+
+
+def load_pair(model_path, idf_path):
+    """The model of a model file and the idf file it was fitted with."""
+    return load_model(model_path, load_idf(idf_path))
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +221,7 @@ class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, corpus_dir, trained, capsys):
         assert open(trained["model"], "rb").read(8) == b"NADIMDL3"
         assert open(trained["idf"], "rb").read(8) == b"NADIIDF2"
-        model = load_model(trained["model"])
+        model = load_pair(trained["model"], trained["idf"])
         spec = harness.parse_benchmark_file(corpus_dir["config"])
         assert model.feature_fingerprint == harness.fingerprint(spec.experiments[0])
 
@@ -314,7 +325,7 @@ class TestTrainPredictEvaluate:
     def test_model_without_fingerprint_is_not_checked(
         self, corpus_dir, trained, tmp_path, capsys
     ):
-        model = load_model(trained["model"])
+        model = load_pair(trained["model"], trained["idf"])
         model.feature_fingerprint = ""
         bare = tmp_path / "bare.bin"
         save_model(model, str(bare))
@@ -360,9 +371,10 @@ class TestTrainPredictEvaluate:
                 ]
             ) == 0
         capsys.readouterr()
-        model = load_model(str(tmp_path / "train.bin"))
-        assert 4 * model.columns.size <= model.dim
-        assert model.feature_fingerprint == load_model(str(tmp_path / "dev.bin")).feature_fingerprint
+        model = load_pair(str(tmp_path / "train.bin"), str(tmp_path / "train.idf"))
+        dev = load_pair(str(tmp_path / "dev.bin"), str(tmp_path / "dev.idf"))
+        assert 4 * model.idf.columns.size <= model.idf.dim
+        assert model.feature_fingerprint == dev.feature_fingerprint
         out = tmp_path / "s.csv"
 
         def predict(idf):
@@ -385,6 +397,47 @@ class TestTrainPredictEvaluate:
         assert not out.exists()
         assert predict("train.idf") == 0
         assert len(read_submission(str(out))) == 32
+        capsys.readouterr()
+
+    def test_whole_files_of_other_fits(self, tmp_path, capsys):
+        # grid-wide's files at dim 2^13 are written whole and list no
+        # ids; seed 101's model weighs buckets seed 7's idf calls
+        # unoccupied.
+        runs = {}
+        for seed in (101, 7):
+            fixture = fixtures.write_fixture("grid-wide", seed, str(tmp_path / f"data{seed}"))
+            out = tmp_path / f"out{seed}"
+            assert cli.main(["benchmark", fixture.config_path, "--out-dir", str(out)]) == 0
+            _, dim, _, width = struct.unpack("<IIII", (out / "model.bin").read_bytes()[8:24])
+            assert dim == width == 1 << 13
+            runs[seed] = fixture, out
+        capsys.readouterr()
+        fixture, out = runs[101]
+        grid = (out / "grid.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        selected = next(line.split("\t")[0] for line in grid if line.endswith("\t1"))
+        sub = tmp_path / "s.csv"
+
+        def predict(idf_dir):
+            return cli.main(
+                [
+                    "--config", fixture.config_path,
+                    "predict",
+                    "--experiment", selected,
+                    "--model", str(out / "model.bin"),
+                    "--idf", str(idf_dir / "idf.bin"),
+                    "--in", fixture.paths["test"],
+                    "--out", str(sub),
+                ]
+            )
+
+        rc = predict(runs[7][1])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "not fitted together" in err, err
+        assert "Traceback" not in err
+        assert not sub.exists()
+        assert predict(out) == 0
+        assert sub.read_bytes() == (out / "submission.csv").read_bytes()
         capsys.readouterr()
 
     def test_unknown_experiment_name(self, corpus_dir, trained, tmp_path, capsys):
@@ -438,7 +491,7 @@ class TestCorruptArtifacts:
     def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
         blob = open(trained[which], "rb").read()
         if which == "model":
-            model = load_model(trained["model"])
+            model = load_pair(trained["model"], trained["idf"])
             header = 24 + sum(
                 4 + len(text.encode("utf-8"))
                 for text in model.class_labels + [model.feature_fingerprint]
@@ -486,7 +539,7 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
 
     def test_predict_on_non_finite_weights(self, corpus_dir, trained, tmp_path, capsys):
-        model = load_model(trained["model"])
+        model = load_pair(trained["model"], trained["idf"])
         model.weights[:] = float("nan")
         bad = tmp_path / "nan.model"
         save_model(model, str(bad))

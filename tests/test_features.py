@@ -321,29 +321,37 @@ class TestBucketCounts:
         assert max(batches) < bound + per_text
 
 
+def weight_of(table, bucket):
+    """The idf weight of a bucket, looked up as vectorize does."""
+    return table.weights[table.table[bucket]]
+
+
 class TestFitIdf:
     def test_weight_formula(self):
         config = FeatureConfig()
         b1, b2 = 17, 40000
         corpus = csr([{b1: 1, b2: 1}, {b1: 1}, {b1: 5}], config.dim)
         table = fit_idf(corpus)
-        assert table.doc_count == 3
-        assert table.weights[b1] == pytest.approx(math.log(4 / 4) + 1, abs=1e-15)
-        assert table.weights[b2] == pytest.approx(math.log(4 / 2) + 1, abs=1e-15)
-        untouched = (b1 + b2 + 1) % config.dim
-        while untouched in (b1, b2):
-            untouched = (untouched + 1) % config.dim
-        assert table.weights[untouched] == pytest.approx(math.log(4 / 1) + 1, abs=1e-15)
+        assert table.doc_count == 3 and table.dim == config.dim
+        assert table.columns.tolist() == [b1, b2] and table.df.tolist() == [3, 1]
+        # One weight per occupied bucket, then that of df 0.
+        assert table.weights.tolist() == pytest.approx(
+            [math.log(4 / 4) + 1, math.log(4 / 2) + 1, math.log(4 / 1) + 1], abs=1e-15
+        )
+        assert weight_of(table, b2) == table.weights[1]
+        for untouched in (0, b1 + 1, config.dim - 1):
+            assert weight_of(table, untouched) == table.weights[2]
 
     def test_df_counts_documents_not_occurrences(self):
         b = 12345
         table = fit_idf(csr([{b: 100}], DEFAULT_FEATURES.dim))
-        assert table.weights[b] == pytest.approx(math.log(2 / 2) + 1, abs=1e-15)
+        assert table.df.tolist() == [1]
+        assert weight_of(table, b) == pytest.approx(math.log(2 / 2) + 1, abs=1e-15)
 
     def test_empty_document_contributes_nothing(self):
         table = fit_idf(csr([{}], DEFAULT_FEATURES.dim))
-        assert table.doc_count == 1
-        assert np.all(table.weights == math.log(2 / 1) + 1)
+        assert table.doc_count == 1 and table.columns.size == 0
+        assert table.weights.tolist() == [math.log(2 / 1) + 1]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
@@ -397,9 +405,16 @@ def test_vectorize_matches_dense_oracle(dim):
             assert val == pytest.approx(expected[idx], abs=1e-12)
 
 
+def table_of(df, doc_count):
+    """The IdfTable of a dense array of every bucket's document frequency."""
+    df = np.asarray(df, dtype=np.int64)
+    columns = np.flatnonzero(df)
+    return IdfTable(columns=columns, df=df[columns], doc_count=doc_count, dim=df.size)
+
+
 def uniform_idf(config=DEFAULT_FEATURES):
     """An idf table of no documents: every weight is ln(1 / 1) + 1 = 1."""
-    return IdfTable(df=np.zeros(config.dim, dtype=np.int64), doc_count=0)
+    return table_of(np.zeros(config.dim), 0)
 
 
 def test_vectorize_with_uniform_idf_normalizes_raw_counts():
@@ -473,9 +488,13 @@ def assert_same_rows(rows, refs, dim):
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_texts.filter(bool), oracle_texts, oracle_configs(), st.integers(1, 3))
+# Served grams the fit never saw, on buckets it left empty.
+@example(["ab"], ["ab 😀x", "", "zz"], FeatureConfig(), 1)
 def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     """chunk_texts shrinks the chunk bound, so that a fit joins several
-    blocks and a predict streams several."""
+    blocks and a predict streams several.  The served texts are not the
+    fitted ones, so their buckets the fit left empty take the weight of
+    df 0, the table's last."""
     with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts):
         fit_blocks = list(bucket_counts(train, config))
         counts = join_rows(fit_blocks, config.dim)
@@ -486,19 +505,20 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
         for texts in (train, serve)
         for start in range(0, len(texts), chunk_texts)
     ]
-    ref_table = feature_oracle.fit_idf(
-        [feature_oracle.char_ngrams(t, config) for t in train], config
-    )
-    assert table.doc_count == ref_table.doc_count
-    assert table.df.tobytes() == ref_table.df.tobytes()
-    assert table.weights.tobytes() == ref_table.weights.tobytes()
+    ref_df = feature_oracle.fit_idf([feature_oracle.char_ngrams(t, config) for t in train], config)
+    ref_weights = feature_oracle.idf_weights(ref_df, len(train))
+    assert table.doc_count == len(train) and table.dim == config.dim
+    assert table.columns.tolist() == np.flatnonzero(ref_df).tolist()
+    assert table.df.tobytes() == ref_df[table.columns].tobytes()
+    assert table.weights.shape == (table.columns.size + 1,)
+    assert table.weights[table.table].tobytes() == ref_weights.tobytes()
 
     fitted = vectorize(counts, table)
     assert_same_rows(
-        fitted, [feature_oracle.vectorize(t, config, ref_table) for t in train], config.dim
+        fitted, [feature_oracle.vectorize(t, config, ref_weights) for t in train], config.dim
     )
     served = [vectorize(block, table) for block in serve_blocks]
-    refs = iter([feature_oracle.vectorize(t, config, ref_table) for t in serve])
+    refs = iter([feature_oracle.vectorize(t, config, ref_weights) for t in serve])
     for rows in served:
         assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
 
@@ -516,12 +536,14 @@ class TestIdfIo:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         df = rng.integers(0, 124, size=64) * (rng.random(64) < 0.5)
-        table = IdfTable(df=df, doc_count=123)
+        table = table_of(df, 123)
         path = tmp_path / "table.idf"
         save_idf(table, str(path))
         loaded = load_idf(str(path))
-        assert loaded.doc_count == 123
-        assert np.array_equal(loaded.df, df)
+        assert (loaded.doc_count, loaded.dim) == (123, 64)
+        # A whole file loads as the occupied buckets alone.
+        assert loaded.columns.tolist() == np.flatnonzero(df).tolist()
+        assert loaded.df.tobytes() == table.df.tobytes()
         assert loaded.weights.tobytes() == table.weights.tobytes()
         # More than a quarter of the buckets are occupied: written whole.
         assert 4 * np.count_nonzero(df) > 64
@@ -530,11 +552,13 @@ class TestIdfIo:
     def test_sparse_table_lists_its_buckets(self, tmp_path):
         df = np.zeros(64, dtype=np.int64)
         df[[3, 17, 40, 63]] = [5, 1, 123, 2]
-        save_idf(IdfTable(df=df, doc_count=123), str(tmp_path / "table.idf"))
+        save_idf(table_of(df, 123), str(tmp_path / "table.idf"))
         blob = (tmp_path / "table.idf").read_bytes()
         assert blob == idf_bytes(64, 123, [3, 17, 40, 63], [5, 1, 123, 2])
         loaded = load_idf(str(tmp_path / "table.idf"))
-        assert loaded.df.tobytes() == df.tobytes() and loaded.doc_count == 123
+        assert loaded.columns.tolist() == [3, 17, 40, 63] and loaded.columns.dtype == np.int64
+        assert loaded.df.tolist() == [5, 1, 123, 2] and loaded.df.dtype == np.int64
+        assert (loaded.doc_count, loaded.dim) == (123, 64)
 
     def test_fitted_table_round_trips_bit_for_bit(self, tmp_path):
         config = FeatureConfig(dim=1 << 10)
@@ -543,8 +567,12 @@ class TestIdfIo:
         path = tmp_path / "table.idf"
         save_idf(table, str(path))
         loaded = load_idf(str(path))
+        assert loaded.columns.tobytes() == table.columns.tobytes()
         assert loaded.df.tobytes() == table.df.tobytes()
         assert loaded.weights.tobytes() == table.weights.tobytes()
+        # No array of the table is dim-sized until its lookup table is built.
+        assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
+        assert 0 < table.columns.size < config.dim
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idf"
@@ -553,7 +581,7 @@ class TestIdfIo:
             load_idf(str(path))
 
     def test_truncated_payload(self, tmp_path):
-        table = IdfTable(df=np.arange(16) % 3, doc_count=2)
+        table = table_of(np.arange(16) % 3, 2)
         path = tmp_path / "trunc.idf"
         save_idf(table, str(path))
         blob = path.read_bytes()
@@ -563,7 +591,7 @@ class TestIdfIo:
 
     @pytest.mark.parametrize("df", [[1, 0, 3, 2], [0, 0, 0, 2, 0, 0, 0, 0]])  # whole, sparse
     def test_every_cut_is_corrupt(self, tmp_path, df):
-        table = IdfTable(df=np.array(df), doc_count=3)
+        table = table_of(df, 3)
         path = tmp_path / "cut.idf"
         save_idf(table, str(path))
         blob = path.read_bytes()
@@ -605,7 +633,8 @@ class TestIdfIo:
 def idf_files(draw):
     """Bytes that are often almost an idf file: a valid small file with
     one byte overwritten, cut or extended, or the magic and noise.  The
-    table is dense in memory, so the noise's dim stays below 2**16.
+    table's lookup table is dim-sized, so the noise's dim stays below
+    2**16.
     The valid file is sparse or whole, as save_idf picks."""
     if draw(st.booleans()):
         noise = bytearray(draw(st.binary(max_size=64)))
@@ -634,7 +663,8 @@ def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, blob):
     except CorruptArtifact:
         return
     # A load is a table vectorize can use, and it saves to the same bytes.
-    assert table.df.shape == table.weights.shape == (table.dim,)
-    assert np.all((table.df >= 0) & (table.df <= table.doc_count))
+    assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
+    assert np.all((table.df > 0) & (table.df <= table.doc_count))
+    assert np.all(np.diff(table.columns) > 0) and np.all(table.columns < table.dim)
     save_idf(table, str(path))
     assert path.read_bytes() == blob

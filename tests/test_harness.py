@@ -259,10 +259,11 @@ class TestSplits:
         combined = concat_splits(TRAIN, DEV)
         texts = prepare_texts(combined, cfg)
         assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
-        model, idf = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY)
         result = finalize(splits, cfg, VOCAB, str(tmp_path / "s.csv"))
         assert np.array_equal(result.model.weights, model.weights)
-        assert np.array_equal(result.idf.weights, idf.weights)
+        assert np.array_equal(result.model.idf.columns, model.idf.columns)
+        assert np.array_equal(result.model.idf.weights, model.idf.weights)
 
     def test_finalize_rejects_ids_in_train_and_dev(self, tmp_path):
         with pytest.raises(DuplicateId):
@@ -283,14 +284,14 @@ class TestFitPipeline:
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
         assert model.class_labels[model.fallback_class] == "Atlantis"
-        assert idf.doc_count == len(lopsided)
+        assert model.idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         assert model.fallback_class == 0
 
 
@@ -300,18 +301,18 @@ class TestPredictTexts:
         lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
         assert [r.country for r in lopsided].count("Borealia") == 6
         cfg = config("z", epochs=0)
-        model, idf = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
         blank = TweetRecord(id="blank", text="😂😂")
         word_only = TweetRecord(id="w", text="ابت")
         texts = prepare_texts([blank, word_only], cfg)
-        assert predict_texts(texts, cfg, model, idf) == [
+        assert predict_texts(texts, cfg, model) == [
             "Borealia",
             "Atlantis",
         ]
 
     def test_classifies_through_module_attributes(self, monkeypatch):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         calls = []
         real_predict = dialectid.classifier.predict
 
@@ -320,19 +321,20 @@ class TestPredictTexts:
             return real_predict(m, rows)
 
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
-        predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model, idf)
+        predictions = predict_texts(prepare_texts(TEST, cfg), cfg, model)
         # One call per block of texts, and TEST fits in one block.
         assert calls == [len(TEST)]
         assert predictions == [r.country for r in TEST]
 
     def test_builds_the_column_table_once_for_all_blocks(self, monkeypatch):
         cfg = config("m")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         texts = prepare_texts(TEST, cfg)
-        # A copy of the model, so that model itself builds no table here.
-        expected = predict_texts(texts, cfg, replace(model), idf)
+        expected = predict_texts(texts, cfg, model)
+        # A copy of the idf table, which has built no lookup table yet.
+        model = replace(model, idf=replace(model.idf))
         built, tables = [], []
-        real_table = dialectid.classifier.column_table
+        real_table = dialectid.features.column_table
         real_predict = dialectid.classifier.predict
 
         def spy_table(columns, dim):
@@ -341,15 +343,16 @@ class TestPredictTexts:
 
         def spy_predict(m, rows):
             classes = real_predict(m, rows)
-            tables.append(m.table)
+            tables.append(m.idf.table)
             return classes
 
-        monkeypatch.setattr(dialectid.classifier, "column_table", spy_table)
+        monkeypatch.setattr(dialectid.features, "column_table", spy_table)
         monkeypatch.setattr(dialectid.classifier, "predict", spy_predict)
         monkeypatch.setattr(dialectid.features, "_CHUNK_TEXTS", 2)
-        # One model scored by two predict_texts calls builds one table.
-        assert predict_texts(texts, cfg, model, idf) == expected
-        assert predict_texts(texts, cfg, model, idf) == expected
+        # One model scored by two predict_texts calls builds one table,
+        # which vectorize and logits share.
+        assert predict_texts(texts, cfg, model) == expected
+        assert predict_texts(texts, cfg, model) == expected
         assert len(built) == 1
         assert len(tables) == 2 * -(-len(TEST) // 2) > 2
         assert all(table is built[0] for table in tables)
@@ -395,11 +398,11 @@ class TestFeaturizeOnce:
 
     def test_predict_texts(self, monkeypatch):
         cfg = config("once")
-        model, idf = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
         tokens = self.distinct_tokens(TEST, cfg)
         texts = prepare_texts(TEST, cfg)
         seen = self.spy(monkeypatch)
-        predict_texts(texts, cfg, model, idf)
+        predict_texts(texts, cfg, model)
         self.check(seen, tokens, cfg)
 
 
@@ -579,6 +582,17 @@ class TestBenchmarkParsing:
             ),
             ("format=1\n[mystery]\nx=1\n", "unknown section"),
             ("format=1\n[experiment]\nx=1\n", "without a name"),
+            # The word experiment, whitespace, then the name.
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experimental run]\nepochs=1\n",
+                "unknown section \\[experimental run\\]",
+            ),
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment_b]\nepochs=1\n",
+                "unknown section \\[experiment_b\\]",
+            ),
             ("format=1\n[data]\ntrain=a\ndev=b\nlevel=country\nregister=da\n[experiment e]\n", "test"),
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"

@@ -1,11 +1,11 @@
 """Memory guards for the featurizer, the loaders, the predictor and the
-trainer: one bucket_counts pass, loading the served model and idf
-table, and one predict_texts over the benchmark's served test split,
-and classifier.train on the fit-nadi finalize corpus, at the workload's
-batch size and in one full batch, stay within fixed allocation peaks,
-so a table, memo, scratch block or dense array that outlives or
-outgrows its use fails here before it shows in the benchmark's peak
-RSS."""
+trainer: one bucket_counts pass, loading the served idf table and the
+model over it, and one predict_texts over the benchmark's served test
+split, and classifier.train on the fit-nadi finalize corpus, at the
+workload's batch size and in one full batch, stay within fixed
+allocation peaks, so a table, memo, scratch block or dense array that
+outlives or outgrows its use fails here before it shows in the
+benchmark's peak RSS."""
 
 import os
 import sys
@@ -24,12 +24,12 @@ import fixtures  # noqa: E402
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
 # peaked at 3.87e6 and failed.  predict_texts peaks at about 3.47e6:
-# the model's dim-sized bucket -> column table (1.05e6), built on its
-# first predict and kept for every later block, is alive while each
-# chunk is hashed
-# (3.09e6 when each block built its own inside logits); a dense
-# rows x distinct-columns block per chunk, or one classes x nnz gather
-# of the weights, peaks at about 6.6e6 and fails.
+# the idf table's dim-sized bucket -> column table (1.05e6), built on
+# the first vectorize and kept for every later block and the model's
+# logits, is alive while each chunk is hashed (3.09e6 when each block
+# built its own inside logits); a dense rows x distinct-columns block
+# per chunk, or one classes x nnz gather of the weights, peaks at about
+# 6.6e6 and fails.
 PEAK_BYTES = 3.7e6
 
 
@@ -55,9 +55,10 @@ def test_bucket_counts_peak_on_serve_split(tmp_path):
 
 
 # The served model stores 16,644 of 2^18 columns (2.80e6 bytes of
-# weights); loading it and the idf table (dense df and weights, 2.10e6
-# bytes each) peaks at about 9.43e6 bytes.  The dense 21 x 2^18 model
-# and dense idf file loaded at about 46e6.
+# weights); loading the idf table of those columns and the model over
+# it peaks at about 3.68e6 bytes.  With a dense 2^18 df and weight
+# array in the idf table (2.10e6 bytes each) it peaked at 9.43e6, and
+# the dense 21 x 2^18 model and dense idf file loaded at about 46e6.
 LOAD_PEAK_BYTES = 10e6
 
 
@@ -75,23 +76,23 @@ def test_load_peak_on_serve_artifacts(tmp_path, capsys):
     _, _, out = served_artifacts(tmp_path, capsys)
     tracemalloc.start()
     try:
-        model = classifier.load_model(os.path.join(out, "model.bin"))
         idf = features.load_idf(os.path.join(out, "idf.bin"))
+        model = classifier.load_model(os.path.join(out, "model.bin"), idf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert model.weights.shape == (16_644, 21)
-    assert idf.dim == model.dim == 1 << 18
+    assert model.idf.dim == 1 << 18
     assert peak <= LOAD_PEAK_BYTES
 
 
 def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
     config, texts, out = served_artifacts(tmp_path, capsys)
-    model = classifier.load_model(os.path.join(out, "model.bin"))
     idf = features.load_idf(os.path.join(out, "idf.bin"))
+    model = classifier.load_model(os.path.join(out, "model.bin"), idf)
     tracemalloc.start()
     try:
-        labels = harness.predict_texts(texts, config, model, idf)
+        labels = harness.predict_texts(texts, config, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,9 +105,10 @@ def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
 # weights, where the dense 21 x 2^18 model was 44.04e6 and train peaked
 # at 45.95e6.  At the workload's batch size train peaked at 13.47e6
 # while the last block kept the old buffer alive as the larger one was
-# allocated, at 11.02e6 without it, and now, with the batch's weight
-# rows gathered once and the decay one scalar, at 9.90e6; in one full
-# batch, walked in row slices, at 18.24e6 and now 17.54e6.  The trace
+# allocated, at 11.02e6 without it, with the batch's weight rows
+# gathered once and the decay one scalar at 9.90e6, and now, renumbered
+# through the idf table's bucket -> column table, at 9.81e6; in one
+# full batch, walked in row slices, at 18.24e6, 17.54e6 and now 17.45e6.  The trace
 # would also count numpy.random's import (about 7 MB of RSS) if train
 # loaded it again.
 TRAIN_PEAK_BYTES = 14e6
@@ -115,7 +117,7 @@ FULL_BATCH_PEAK_BYTES = 24e6
 
 def fit_nadi_finalize_corpus(directory):
     """The fit-nadi finalize run's tf-idf rows, their classes, its
-    config and its labels."""
+    config, its labels and its idf table."""
     fixture = fixtures.write_fixture("fit-nadi", 101, directory)
     spec = harness.parse_benchmark_file(fixture.config_path)
     config = spec.experiments[0]
@@ -125,18 +127,19 @@ def fit_nadi_finalize_corpus(directory):
     )
     blocks = features.bucket_counts(harness.prepare_texts(records, config), config.features)
     counts = features.join_rows(list(blocks), config.features.dim)
-    rows = features.vectorize(counts, features.fit_idf(counts))
+    idf = features.fit_idf(counts)
+    rows = features.vectorize(counts, idf)
     level = spec.subtask.level
     labels = LabelVocab.countries_only().labels(level)
     y = [labels.index(r.label(level)) for r in records]
-    return rows, y, config, labels
+    return rows, y, config, labels, idf
 
 
-def train_peak(rows, y, hp, labels):
+def train_peak(rows, y, hp, labels, idf):
     """classifier.train's model and its allocation peak."""
     tracemalloc.start()
     try:
-        model = classifier.train(rows, y, hp, class_labels=labels)
+        model = classifier.train(rows, y=y, hp=hp, class_labels=labels, idf=idf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,8 +147,8 @@ def train_peak(rows, y, hp, labels):
 
 
 def test_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
-    rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
-    model, peak = train_peak(rows, y, config.hp, labels)
+    rows, y, config, labels, idf = fit_nadi_finalize_corpus(str(tmp_path))
+    model, peak = train_peak(rows, y, config.hp, labels, idf)
     assert len(rows) == 630
     assert model.weights.shape == (10_804, 21)
     assert peak <= TRAIN_PEAK_BYTES
@@ -155,9 +158,9 @@ def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
     # Walked in row slices under a fixed bound (8 MiB), each slice's
-    # block a prefix of one reused buffer, it peaks at 17.54e6.
-    rows, y, config, labels = fit_nadi_finalize_corpus(str(tmp_path))
+    # block a prefix of one reused buffer, it peaks at 17.45e6.
+    rows, y, config, labels, idf = fit_nadi_finalize_corpus(str(tmp_path))
     hp = replace(config.hp, batch_size=len(rows))
-    model, peak = train_peak(rows, y, hp, labels)
+    model, peak = train_peak(rows, y, hp, labels, idf)
     assert model.weights.shape == (10_804, 21)
     assert peak <= FULL_BATCH_PEAK_BYTES
