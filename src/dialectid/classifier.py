@@ -35,7 +35,9 @@ A model carries the features.IdfTable it was fitted with, its columns
 and dim; training and prediction find a bucket's column in that
 table's one bucket -> column table.  Prediction drops the entries on
 buckets outside the model's columns, which the dense model weighs 0.0,
-and its logits are those of the dense model bit for bit (see logits).
+and scores each row with one contiguous gather of its entries' weight
+rows, summed in the dense model's order, so its logits are those of the
+dense model bit for bit (see logits).
 """
 
 from __future__ import annotations
@@ -127,22 +129,37 @@ def logits(model: LinearModel, rows: SparseRows) -> np.ndarray:
     Each entry's column is looked up in the model's idf.table.  Entries on
     unstored buckets are dropped: each would add 0.0 * value, a signed
     zero for a finite value, to a sum that starts at +0.0 and so is
-    never -0.0, and such a term leaves the sum's bits as they are.  Each class's logits are
-    then one np.bincount of its weights at the kept entries, so no
-    scratch array is larger than nnz or dim.
+    never -0.0, and such a term leaves the sum's bits as they are.
+
+    Each row's kept entries then take their weight rows in one
+    contiguous gather, entries x num_classes, scaled by their values,
+    and the gather is summed over the entries from +0.0, left to right,
+    as the dense model's np.bincount adds them (tests/dense_oracle.py).
+    np.add.reduce sums a C-contiguous array along its slow axis that
+    way, one class per lane; one class has no other axis, and numpy
+    would sum it pairwise, so one class takes the np.bincount itself.
+    No scratch array is larger than nnz, dim or one row's gather.
     """
     if rows.dim != model.idf.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != model dim {model.idf.dim}")
     n = len(rows)
     position = model.idf.table[rows.indices]
     stored = position < model.idf.columns.size
-    position = position[stored]
+    position = position[stored].astype(np.intp)
     values = rows.values[stored]
-    owner = np.repeat(np.arange(n), np.diff(rows.indptr))[stored]
+    kept = np.concatenate(([0], np.cumsum(stored)))[rows.indptr]
     out = np.empty((n, model.num_classes), dtype=np.float64)
-    for c in range(model.num_classes):
-        weighted = model.weights[position, c] * values
-        out[:, c] = np.bincount(owner, weights=weighted, minlength=n) + model.bias[c]
+    if model.num_classes == 1:
+        owner = np.repeat(np.arange(n), np.diff(kept))
+        out[:, 0] = np.bincount(owner, weights=model.weights[position, 0] * values, minlength=n)
+    else:
+        bounds = kept.tolist()
+        for i in range(n):
+            lo, hi = bounds[i], bounds[i + 1]
+            gathered = model.weights.take(position[lo:hi], axis=0)
+            gathered *= values[lo:hi, None]
+            np.add.reduce(gathered, axis=0, out=out[i], initial=0.0)
+    out += model.bias
     return out
 
 

@@ -138,7 +138,11 @@ DEFAULT_LEXICON = SegmentLexicon(
 
 def strip_markup(text: str) -> str:
     """Drop HTML tags (line breaks become a space) and decode the five
-    common character entities. All other text passes through untouched."""
+    common character entities. All other text passes through untouched.
+    Every tag starts with < and every entity with &, so a text with
+    neither is returned as it is."""
+    if "<" not in text and "&" not in text:
+        return text
     text = _BR_TAG_RE.sub(" ", text)
     text = _HTML_TAG_RE.sub("", text)
     return _HTML_ENTITY_RE.sub(lambda m: _ENTITY_CHARS[m.group(1)], text)
@@ -151,7 +155,10 @@ def replace_entities(text: str) -> str:
     emails and emails over mentions, so an @ inside a URL never produces
     a mention placeholder.  No match runs into a placeholder already in
     the text, so a later normalize pass keeps an earlier pass's ones.
+    A text that cannot hold an entity is returned as it is.
     """
+    if not _may_hold_entity(text):
+        return text
     return _map_outside_placeholders(
         text, lambda part: _ENTITY_RE.sub(lambda m: _SURFACE_BY_GROUP[m.lastgroup], part)
     )
@@ -167,7 +174,17 @@ def _cap_runs(text: str, max_repeat: int) -> str:
     return _long_run_re(max_repeat).sub(lambda m: m.group(1) * max_repeat, text)
 
 
+def _may_hold_entity(text: str) -> bool:
+    """False when _ENTITY_RE cannot match: every entity needs an @, a /
+    or www."""
+    return "@" in text or "/" in text or "www." in text
+
+
 def _map_outside_placeholders(text: str, fn) -> str:
+    """fn applied to each span of text between placeholder surfaces.
+    Every surface starts with [, so a text without one is one span."""
+    if "[" not in text:
+        return fn(text)
     parts = _PLACEHOLDER_SPLIT_RE.split(text)
     for i in range(0, len(parts), 2):
         parts[i] = fn(parts[i])
@@ -296,11 +313,10 @@ _MAX_PASSES = 8
 
 def _settled(text: str, config: NormConfig) -> bool:
     """Whether another pass of the chain would leave this pass output
-    as it is (see the module docstring).  Every entity needs an @, a /
-    or www., so a text with none of them cannot match one."""
+    as it is (see the module docstring)."""
     if not config.remove_noise or config.segment:
         return False
-    if not config.replace_entities or not ("@" in text or "/" in text or "www." in text):
+    if not config.replace_entities or not _may_hold_entity(text):
         return True
     parts = _PLACEHOLDER_SPLIT_RE.split(text)
     return not any(_ENTITY_RE.search(part) for part in parts[::2])

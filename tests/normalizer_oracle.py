@@ -8,8 +8,11 @@ it on every string.
 normalize is the fixed-point loop as it ran before normalizer.normalize
 learned to stop after a settled pass: it re-applies the whole stage
 chain, whitespace collapsing included and runs capped by the old
-every-run regex, until the text stops changing.  normalizer.normalize
-must give the same bytes on every string and configuration.
+every-run regex, until the text stops changing.  Its stages run every
+regex on every text, split at placeholders or not, where the
+normalizer's return early on a text none of them can change.
+normalizer.normalize must give the same bytes on every string and
+configuration.
 """
 
 import re
@@ -78,15 +81,32 @@ def remove_noise(text, max_repeat):
     return _WS_RE.sub(" ", _map_outside_placeholders(text, clean)).strip()
 
 
+def strip_markup(text):
+    text = normalizer._BR_TAG_RE.sub(" ", text)
+    text = normalizer._HTML_TAG_RE.sub("", text)
+    return normalizer._HTML_ENTITY_RE.sub(lambda m: normalizer._ENTITY_CHARS[m.group(1)], text)
+
+
+def replace_entities(text):
+    def replace(part):
+        return normalizer._ENTITY_RE.sub(
+            lambda m: normalizer._SURFACE_BY_GROUP[m.lastgroup], part
+        )
+
+    return _map_outside_placeholders(text, replace)
+
+
 def apply_stages(text, config, lexicon, overrides):
     if config.strip_markup:
-        text = normalizer.strip_markup(text)
+        text = strip_markup(text)
     if config.replace_entities:
-        text = normalizer.replace_entities(text)
+        text = replace_entities(text)
     if config.remove_noise:
         text = remove_noise(text, config.max_repeat)
     if config.insert_spacing:
-        text = normalizer.insert_spacing(text)
+        text = _map_outside_placeholders(
+            text, lambda part: normalizer._SPACING_RE.sub(" ", part)
+        )
     text = _WS_RE.sub(" ", text).strip()
     if config.segment:
         text = normalizer.segment(text, lexicon, overrides)

@@ -624,8 +624,24 @@ def sparse_models_and_rows(draw):
     return model, csr(maps, dim)
 
 
+# One class and a row of ten stored entries (and two unstored ones)
+# whose terms cancel: summed left to right the row's logit is 8.5, but
+# numpy's pairwise sum, which np.add.reduce runs along an axis of one
+# class, gives 7.5.
+ONE_CLASS_CANCELLING = (
+    LinearModel(
+        weights=np.array([1.0] * 8 + [0.5, 3.0]).reshape(10, 1),
+        bias=np.array([0.0]),
+        class_labels=["0"],
+        idf=idf_of(range(10), 12),
+    ),
+    csr([{0: 1e16, 1: 1.0, 2: -1e16, **{b: 1.0 for b in range(3, 12)}}], 12),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_models_and_rows())
+@example(ONE_CLASS_CANCELLING)
 def test_predict_matches_dense_oracle(problem):
     model, rows = problem
     want = dense_logits(to_dense(model), model.bias, rows)
@@ -633,6 +649,33 @@ def test_predict_matches_dense_oracle(problem):
     classes = want.argmax(axis=1)
     classes[np.diff(rows.indptr) == 0] = model.fallback_class
     assert predict(model, rows).tolist() == classes.tolist()
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 21, 100])
+def test_logits_of_long_rows_match_dense_oracle(num_classes):
+    # Rows of 200-400 entries, about a third on buckets the model does
+    # not store, and an empty row; weights and values span twelve
+    # orders of magnitude, so a sum in any other order than the
+    # oracle's left to right changes bits.
+    rng = np.random.default_rng(num_classes)
+    dim = 2048
+    columns = np.sort(rng.choice(dim, size=1400, replace=False))
+    magnitudes = 10.0 ** rng.integers(-6, 6, size=(columns.size, num_classes))
+    model = LinearModel(
+        weights=rng.normal(size=(columns.size, num_classes)) * magnitudes,
+        bias=rng.normal(size=num_classes),
+        class_labels=[str(c) for c in range(num_classes)],
+        idf=idf_of(columns, dim),
+    )
+    maps = [
+        dict(zip(rng.choice(dim, size=size, replace=False).tolist(),
+                 (rng.normal(size=size) * 10.0 ** rng.integers(-3, 3, size=size)).tolist()))
+        for size in rng.integers(200, 401, size=12)
+    ]
+    rows = csr(maps[:5] + [{}] + maps[5:], dim)
+    got = logits(model, rows)
+    assert got.tobytes() == dense_logits(to_dense(model), model.bias, rows).tobytes()
+    assert got[5].tobytes() == model.bias.tobytes()
 
 
 def small_model(dim=8, **fields):

@@ -27,9 +27,10 @@ import fixtures  # noqa: E402
 # the idf table's dim-sized bucket -> column table (1.05e6), built on
 # the first vectorize and kept for every later block and the model's
 # logits, is alive while each chunk is hashed (3.09e6 when each block
-# built its own inside logits); a dense rows x distinct-columns block
-# per chunk, or one classes x nnz gather of the weights, peaks at about
-# 6.6e6 and fails.
+# built its own inside logits).  logits gathers one row's entries x
+# classes weights at a time, about 40e3 bytes; one gather of a whole
+# block's entries peaks at about 4.0e6, and a dense rows x
+# distinct-columns block per chunk at about 6.6e6, and both fail.
 PEAK_BYTES = 3.7e6
 
 

@@ -557,6 +557,26 @@ def test_golden_matches_oracle():
             assert_matches_oracle(text, config)
 
 
+# Texts that hold the character a stage's early return looks for, but
+# nothing the stage changes: an & that starts no entity, a < that opens
+# no tag, a / in no URL and a [x] that is no placeholder; and a
+# placeholder followed by a URL.
+TRIGGERS_WITHOUT_MATCH = [
+    "قهوة & شاي", "&amp", "&eacute; نعم", "3 < 4", "<3 عربي", "a<b",
+    "نص 1/2 كيلو", "نعم/لا", "/", "a@", "www", "[x] عربي", "[رابط", "][",
+    "[رابط] http://x.co/a", "[مستخدم]www.x.co",
+]
+
+
+@pytest.mark.parametrize("text", TRIGGERS_WITHOUT_MATCH)
+def test_stage_early_returns_match_oracle(text):
+    assert strip_markup(text) == normalizer_oracle.strip_markup(text)
+    assert replace_entities(text) == normalizer_oracle.replace_entities(text)
+    assert insert_spacing(text) == normalizer_oracle.insert_spacing(text)
+    for toggles in itertools.product([False, True], repeat=5):
+        assert_matches_oracle(text, NormConfig(*toggles))
+
+
 def fixture_texts(workload, seed, directory):
     """The raw texts of every split of a benchmark fixture, and the norm
     configurations of its experiments."""
