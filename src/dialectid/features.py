@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .binio import read_array, read_exact, read_ids, write_array, written_whole
-from .errors import CorruptArtifact, EmptyCorpus
+from .errors import CorruptArtifact, DimensionMismatch, EmptyCorpus
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -279,13 +279,15 @@ def fit_idf(corpus: SparseRows) -> IdfTable:
 
     corpus holds one row of bucket counts per document (see
     bucket_counts and join_rows).  Raises EmptyCorpus on an empty
-    corpus.
+    corpus, and DimensionMismatch on a bucket outside the corpus's dim.
     """
     if not len(corpus):
         raise EmptyCorpus("cannot fit idf on zero documents")
     df = np.bincount(corpus.indices, minlength=corpus.dim)
     if df.shape[0] != corpus.dim:
-        raise ValueError(f"bucket {int(corpus.indices.max())} is outside dim {corpus.dim}")
+        raise DimensionMismatch(
+            f"bucket {int(corpus.indices.max())} is outside dim {corpus.dim}"
+        )
     columns = np.flatnonzero(df)
     return IdfTable(columns=columns, df=df[columns], doc_count=len(corpus), dim=corpus.dim)
 
@@ -294,10 +296,11 @@ def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
     """Rows of bucket counts (see bucket_counts), IDF-weighted, each
     row L2 normalized.
 
-    An empty row stays empty.
+    An empty row stays empty.  Raises DimensionMismatch unless idf has
+    the rows' dim.
     """
     if idf.dim != counts.dim:
-        raise ValueError(f"idf table dim {idf.dim} != rows dim {counts.dim}")
+        raise DimensionMismatch(f"idf table dim {idf.dim} != rows dim {counts.dim}")
     values = counts.values * idf.weights[idf.table[counts.indices]]
     bounds = counts.indptr.tolist()
     # One np.dot per row keeps each norm bit-identical to that of the

@@ -4,11 +4,11 @@ run_grid fits one model per configuration on the train split, scores
 it on dev, and selects the best row; dev never reaches idf fitting or
 the gradient updates.  A fit (fit_pipeline) returns one LinearModel,
 which carries the idf table it was fitted with, so predict_texts
-featurizes and scores with the model alone.  finalize refits the chosen configuration on
-train plus dev and writes the test submission.  Both take a Splits,
-which prepares each split's texts once per text preparation, so the
-grid and finalize share them, and names the subtask they are labeled
-for.
+featurizes and scores with the model alone.  finalize refits the
+chosen configuration on train plus dev and writes the test
+submission.  Both take a Splits, which prepares each split's texts
+once per text preparation, so the grid and finalize share them, and
+names the subtask they are labeled for.
 """
 
 from __future__ import annotations

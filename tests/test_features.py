@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dialectid.features
-from dialectid.errors import CorruptArtifact, EmptyCorpus
+from dialectid.errors import CorruptArtifact, DimensionMismatch, EmptyCorpus
 from dialectid.features import (
     DEFAULT_FEATURES,
     FeatureConfig,
@@ -358,7 +358,7 @@ class TestFitIdf:
             fit_idf(join_rows([], DEFAULT_FEATURES.dim))
 
     def test_bucket_outside_dim_rejected(self):
-        with pytest.raises(ValueError, match="outside dim"):
+        with pytest.raises(DimensionMismatch, match="outside dim"):
             fit_idf(csr([{0: 1}, {16: 1}], 16))
 
 
@@ -435,7 +435,7 @@ def test_vectorize_empty_text():
 
 def test_vectorize_rejects_mismatched_idf():
     table = fit_idf(csr([{5: 1}], 1 << 10))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="idf table dim 1024 != rows dim 2048"):
         vectorize(csr([{5: 1}], 1 << 11), table)
 
 
