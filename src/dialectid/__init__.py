@@ -10,7 +10,6 @@ from .corpus import (
     LabelVocab,
     Level,
     Register,
-    Subtask,
     TweetRecord,
     concat_splits,
     corpus_stats,
@@ -49,7 +48,6 @@ __all__ = [
     "SelectionMetric",
     "SparseRows",
     "Splits",
-    "Subtask",
     "TweetRecord",
     "bucket_counts",
     "concat_splits",

@@ -26,15 +26,18 @@ def _norm_config_from_flags(args: argparse.Namespace) -> normalizer.NormConfig:
     )
 
 
-def _load_lexicon_flags(args: argparse.Namespace):
-    lexicon = normalizer.load_lexicon(args.lexicon) if args.lexicon else None
-    overrides = normalizer.load_presegmented(args.presegmented) if args.presegmented else None
-    return lexicon, overrides
+def _load_lexicon_flags(args: argparse.Namespace) -> normalizer.SegmentLexicon:
+    """The --lexicon file's lexicon, or the default one, with the
+    --presegmented file's overrides."""
+    lexicon = normalizer.load_lexicon(args.lexicon) if args.lexicon else normalizer.DEFAULT_LEXICON
+    if args.presegmented:
+        lexicon = replace(lexicon, overrides=normalizer.load_presegmented(args.presegmented))
+    return lexicon
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     config = _norm_config_from_flags(args)
-    lexicon, overrides = _load_lexicon_flags(args)
+    lexicon = _load_lexicon_flags(args)
     rows = corpus.read_rows(args.infile)
     text_col = 1 if rows and len(rows[0][1]) >= 2 else 0
     has_header = bool(rows) and corpus.has_header(rows[0][1])
@@ -44,7 +47,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
                 f"{args.infile}:{lineno}: expected at least {text_col + 1} columns, "
                 f"got {len(cells)}"
             )
-        cells[text_col] = normalizer.normalize(cells[text_col], config, lexicon, overrides)
+        cells[text_col] = normalizer.normalize(cells[text_col], config, lexicon)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         for _, cells in rows:
             fh.write("\t".join(cells) + "\n")
@@ -94,8 +97,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     vocab = _default_vocab(args.vocab, level)
     config = _experiment_from_args(args)
     records = corpus.load_corpus(args.infile, vocab=vocab)
-    lexicon, overrides = _load_lexicon_flags(args)
-    texts = harness.prepare_texts(records, config, lexicon, overrides)
+    texts = harness.prepare_texts(records, config, _load_lexicon_flags(args))
     model = harness.fit_pipeline(texts, records, config, vocab, level)
     classifier.save_model(model, args.out_model)
     features.save_idf(model.idf, args.out_idf)
@@ -146,9 +148,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"model was trained with fingerprint {model.feature_fingerprint}, but experiment "
             f"{config.name!r} has {fingerprint} (its text preparation or features differ)"
         )
-    lexicon, overrides = _load_lexicon_flags(args)
+    lexicon = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile)
-    texts = harness.prepare_texts(records, config, lexicon, overrides)
+    texts = harness.prepare_texts(records, config, lexicon)
     predictions = harness.predict_texts(texts, config, model)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
@@ -159,21 +161,20 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     spec = harness.parse_benchmark_file(args.config_file)
     if args.seed is not None:
         spec = harness.override_seed(spec, args.seed)
-    vocab = _default_vocab(spec.vocab_path, spec.subtask.level)
+    vocab = _default_vocab(spec.vocab_path, spec.level)
     train = corpus.load_corpus(spec.train_path, vocab=vocab)
     dev = corpus.load_corpus(spec.dev_path, vocab=vocab)
     test = corpus.load_corpus(spec.test_path, vocab=vocab)
-    lexicon, overrides = _load_lexicon_flags(args)
-    splits = harness.Splits(spec.subtask, train, dev, test, lexicon, overrides)
+    splits = harness.Splits(spec.level, vocab, train, dev, test, _load_lexicon_flags(args))
 
-    grid = harness.run_grid(splits, list(spec.experiments), vocab, spec.selection)
+    grid = harness.run_grid(splits, list(spec.experiments), spec.selection)
     sys.stdout.write(harness.render_grid(grid))
 
     os.makedirs(args.out_dir, exist_ok=True)
     harness.write_grid_tsv(grid, os.path.join(args.out_dir, "grid.tsv"))
     selected = next(c for c in spec.experiments if c.name == grid.selected)
     submission_path = os.path.join(args.out_dir, "submission.csv")
-    result = harness.finalize(splits, selected, vocab, submission_path)
+    result = harness.finalize(splits, selected, submission_path)
     classifier.save_model(result.model, os.path.join(args.out_dir, "model.bin"))
     features.save_idf(result.model.idf, os.path.join(args.out_dir, "idf.bin"))
     if result.report is not None:

@@ -33,14 +33,6 @@ class Level(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class Subtask:
-    """One of the four task variants: a label level crossed with a register."""
-
-    level: Level
-    register: Register
-
-
-@dataclass(frozen=True, slots=True)
 class TweetRecord:
     id: str
     text: str

@@ -57,7 +57,6 @@ class FeatureConfig:
     n_min: int = 2
     n_max: int = 5
     dim: int = 1 << 18
-    seed: int = 0
     pad_token: str = "_"
 
     def __post_init__(self) -> None:
@@ -80,14 +79,14 @@ def hash_spans(
     data: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: FeatureConfig
 ) -> np.ndarray:
     """Bucket of each byte span data[lo[i]:hi[i]] of a uint8 array, as
-    int64: FNV-1a of the span, xor-folded with the seed, masked to the
-    table size.  Byte k of every span is folded in at once; uint64
-    products wrap mod 2**64, as the scalar fnv1a64 masks them."""
+    int64: FNV-1a of the span masked to the table size.  Byte k of
+    every span is folded in at once; uint64 products wrap mod 2**64, as
+    the scalar fnv1a64 masks them."""
     widths = hi - lo
     h = np.full(widths.shape, _FNV_OFFSET, dtype=np.uint64)
     for k in range(int(widths.max(initial=0))):
         h = np.where(k < widths, (h ^ data.take(lo + k, mode="clip")) * np.uint64(_FNV_PRIME), h)
-    return ((h ^ np.uint64(config.seed & _U64)) & np.uint64(config.dim - 1)).astype(np.int64)
+    return (h & np.uint64(config.dim - 1)).astype(np.int64)
 
 
 def _gram_count(chars: int, config: FeatureConfig) -> int:

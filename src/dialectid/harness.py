@@ -6,24 +6,26 @@ the gradient updates.  A fit (fit_pipeline) returns one LinearModel,
 which carries the idf table it was fitted with, so predict_texts
 featurizes and scores with the model alone.  finalize refits the
 chosen configuration on train plus dev and writes the test
-submission.  Both take a Splits, which prepares each split's texts
-once per text preparation, so the grid and finalize share them, and
-names the subtask they are labeled for.
+submission.  Both take a Splits, which holds every input of a run
+but the experiments: the label level and vocab, the records, checked
+once to be labeled at that level, and the lexicon their texts are
+normalized with.  It prepares each split's texts once per text
+preparation, so the grid and finalize share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import classifier, corpus, evaluation, features, normalizer
 from .classifier import HyperParams, LinearModel
-from .corpus import LabelVocab, Level, Register, Subtask, TweetRecord
+from .corpus import LabelVocab, Level, Register, TweetRecord
 from .errors import ConfigError, LengthMismatch, SubtaskMismatch, UnknownLabel
 from .evaluation import EvaluationReport
 from .features import FeatureConfig
-from .normalizer import NormConfig, SegmentLexicon
+from .normalizer import DEFAULT_LEXICON, NormConfig, SegmentLexicon
 
 
 class SelectionMetric(Enum):
@@ -74,31 +76,15 @@ class FinalizeResult:
     report: EvaluationReport | None
 
 
-def _require_labels(splits: Splits, vocab: LabelVocab) -> None:
-    """The vocab and every train and dev record must have labels at the
-    level of the splits' subtask."""
-    level = splits.subtask.level
-    if level is Level.PROVINCE and not vocab.provinces:
-        raise SubtaskMismatch("province subtask needs a vocab with provinces")
-    for split in ("train", "dev"):
-        for record in getattr(splits, split):
-            if record.label(level) is None:
-                raise SubtaskMismatch(f"{split} record {record.id!r} has no {level.value} label")
-
-
 def prepare_texts(
     records: Sequence[TweetRecord],
     config: ExperimentConfig,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
+    lexicon: SegmentLexicon = DEFAULT_LEXICON,
 ) -> list[str]:
     """The text each record is featurized from, for training and serving
     alike: normalized, then cut to max_seq_len Unicode scalar values."""
     limit = config.hp.max_seq_len
-    return [
-        normalizer.normalize(r.text, config.norm, lexicon, overrides)[:limit]
-        for r in records
-    ]
+    return [normalizer.normalize(r.text, config.norm, lexicon)[:limit] for r in records]
 
 
 def fingerprint(config: ExperimentConfig) -> str:
@@ -120,6 +106,8 @@ def _class_indices(
     out = []
     for record in records:
         label = record.label(level)
+        if label is None:
+            raise SubtaskMismatch(f"record {record.id!r} has no {level.value} label")
         if label not in index:
             raise UnknownLabel(f"record {record.id!r}: label {label!r} not in vocab")
         out.append(index[label])
@@ -173,18 +161,32 @@ def predict_texts(
 
 @dataclass
 class Splits:
-    """A run's subtask, the train, dev and test records labeled for it,
-    and the lexicon and overrides their texts are normalized with."""
+    """A run's label level and vocab, its train, dev and test records,
+    and the lexicon their texts are normalized with.  Raises
+    SubtaskMismatch on a province level with a vocab without provinces,
+    or on a train or dev record with no label at the level; test
+    records may be unlabeled."""
 
-    subtask: Subtask
+    level: Level
+    vocab: LabelVocab
     train: Sequence[TweetRecord]
     dev: Sequence[TweetRecord]
     test: Sequence[TweetRecord] = ()
-    lexicon: SegmentLexicon | None = None
-    overrides: Mapping[str, str] | None = None
+    lexicon: SegmentLexicon = DEFAULT_LEXICON
     _prepared: dict[tuple[str, NormConfig, int], list[str]] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        level = self.level
+        if level is Level.PROVINCE and not self.vocab.provinces:
+            raise SubtaskMismatch("province subtask needs a vocab with provinces")
+        for split in ("train", "dev"):
+            for record in getattr(self, split):
+                if record.label(level) is None:
+                    raise SubtaskMismatch(
+                        f"{split} record {record.id!r} has no {level.value} label"
+                    )
 
     def texts(self, split: str, config: ExperimentConfig) -> list[str]:
         """prepare_texts of the split named "train", "dev" or "test",
@@ -192,14 +194,13 @@ class Splits:
         key = (split, config.norm, config.hp.max_seq_len)
         if key not in self._prepared:
             records = getattr(self, split)
-            self._prepared[key] = prepare_texts(records, config, self.lexicon, self.overrides)
+            self._prepared[key] = prepare_texts(records, config, self.lexicon)
         return self._prepared[key]
 
 
 def run_grid(
     splits: Splits,
     configs: Sequence[ExperimentConfig],
-    vocab: LabelVocab,
     selection: SelectionMetric = SelectionMetric.WEIGHTED_F1,
 ) -> GridResult:
     """Score every configuration on dev and pick the best row.
@@ -213,8 +214,7 @@ def run_grid(
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate experiment name in grid")
-    _require_labels(splits, vocab)
-    level = splits.subtask.level
+    level, vocab = splits.level, splits.vocab
     labels = vocab.labels(level)
     gold = [r.label(level) for r in splits.dev]
     rows: list[GridRow] = []
@@ -238,16 +238,14 @@ def run_grid(
 def finalize(
     splits: Splits,
     config: ExperimentConfig,
-    vocab: LabelVocab,
     submission_path: str,
 ) -> FinalizeResult:
     """Refit on train plus dev, predict test in order, write submission.
 
-    When every test record is labeled for the subtask the returned
+    When every test record is labeled at the splits' level the returned
     result also carries an evaluation report.
     """
-    _require_labels(splits, vocab)
-    level = splits.subtask.level
+    level, vocab = splits.level, splits.vocab
     combined = corpus.concat_splits(splits.train, splits.dev)
     labels = vocab.labels(level)
     # prepare_texts works record by record, so this is the preparation
@@ -303,7 +301,7 @@ class BenchmarkSpec:
     train_path: str
     dev_path: str
     test_path: str
-    subtask: Subtask
+    level: Level
     experiments: tuple[ExperimentConfig, ...]
     vocab_path: str | None = None
     selection: SelectionMetric = SelectionMetric.WEIGHTED_F1
@@ -340,7 +338,6 @@ _PARSERS = {
 }
 # Config keys are the field names of the three configs, but for these.
 _KEY_NAMES = {
-    (FeatureConfig, "seed"): "hash_seed",
     (HyperParams, "lr"): "learning_rate",
     (HyperParams, "rng_seed"): "seed",
 }
@@ -374,9 +371,9 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
     """Parse the benchmark config format.
 
     The first significant line must be `format=1`.  A `[data]` section
-    names the split files, the label level, and the register; each
-    `[experiment NAME]` section overrides pipeline defaults.  Lines
-    starting with # are comments.
+    names the split files, the label level, and the register, which is
+    checked but not kept; each `[experiment NAME]` section overrides
+    pipeline defaults.  Lines starting with # are comments.
     """
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
@@ -436,7 +433,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
         raise ConfigError(f"{path}: unknown [data] keys {sorted(extra)}")
     try:
         level = Level(data["level"])
-        register = Register(data["register"])
+        Register(data["register"])  # checked, but nothing reads it
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     selection = SelectionMetric.WEIGHTED_F1
@@ -454,7 +451,7 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
         dev_path=data["dev"],
         test_path=data["test"],
         vocab_path=data.get("vocab"),
-        subtask=Subtask(level=level, register=register),
+        level=level,
         experiments=configs,
         selection=selection,
     )

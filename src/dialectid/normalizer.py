@@ -30,8 +30,9 @@ changing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .corpus import read_pairs
@@ -110,11 +111,15 @@ _ARABIC_TOKEN_RE = re.compile("[" + _ARABIC_RANGES + "]+\\Z")
 
 @dataclass(frozen=True)
 class SegmentLexicon:
-    """Clitic lists for the greedy segmenter, longest-first."""
+    """Clitic lists for the greedy segmenter, longest-first, and the
+    overrides: tokens mapped to the segmented form that replaces the
+    lexicon's for them.  The overrides are copied into a read-only
+    mapping, and do not enter the hash."""
 
     prefixes: tuple[str, ...]
     suffixes: tuple[str, ...]
     min_stem_len: int = 2
+    overrides: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         for name, entries in (("prefixes", self.prefixes), ("suffixes", self.suffixes)):
@@ -127,6 +132,9 @@ class SegmentLexicon:
         )
         object.__setattr__(
             self, "suffixes", tuple(sorted(self.suffixes, key=len, reverse=True))
+        )
+        object.__setattr__(
+            self, "overrides", MappingProxyType(dict(self.overrides))
         )
 
 
@@ -245,11 +253,7 @@ def _segment_token(token: str, lexicon: SegmentLexicon) -> str:
     return " ".join(parts)
 
 
-def segment(
-    text: str,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
-) -> str:
+def segment(text: str, lexicon: SegmentLexicon = DEFAULT_LEXICON) -> str:
     """Greedy clitic segmentation over whitespace tokens.
 
     At most one prefix and one suffix are peeled per token, longest
@@ -258,15 +262,14 @@ def segment(
     tokens; deleting the markers and spaces reconstructs the original
     token.  Tokens that are not purely Arabic letters pass through, as
     do tokens that already carry a marker or sit next to one (so the
-    output is stable under re-segmentation).  An entry in `overrides`
-    wins over the lexicon.
+    output is stable under re-segmentation).  An entry in the lexicon's
+    overrides wins over its clitic lists and over those rules.
     """
-    if lexicon is None:
-        lexicon = DEFAULT_LEXICON
+    overrides = lexicon.overrides
     tokens = text.split()
     out: list[str] = []
     for i, token in enumerate(tokens):
-        if overrides is not None and token in overrides:
+        if token in overrides:
             out.append(overrides[token])
             continue
         if "+" in token:
@@ -285,12 +288,7 @@ def segment(
     return " ".join(out)
 
 
-def _apply_stages(
-    text: str,
-    config: NormConfig,
-    lexicon: SegmentLexicon,
-    overrides: Mapping[str, str] | None,
-) -> str:
+def _apply_stages(text: str, config: NormConfig, lexicon: SegmentLexicon) -> str:
     if config.strip_markup:
         text = strip_markup(text)
     if config.replace_entities:
@@ -302,7 +300,7 @@ def _apply_stages(
     if not config.remove_noise:  # remove_noise collapsed it, and insert_spacing keeps it so
         text = collapse_whitespace(text)
     if config.segment:
-        text = segment(text, lexicon, overrides)
+        text = segment(text, lexicon)
     return text
 
 
@@ -325,10 +323,10 @@ def _settled(text: str, config: NormConfig) -> bool:
 def normalize(
     text: str,
     config: NormConfig | None = None,
-    lexicon: SegmentLexicon | None = None,
-    overrides: Mapping[str, str] | None = None,
+    lexicon: SegmentLexicon = DEFAULT_LEXICON,
 ) -> str:
-    """Run the full cleanup chain to a fixed point.
+    """Run the full cleanup chain to a fixed point, segmenting (when
+    config.segment is on) with lexicon and its overrides.
 
     After each pass the text is returned if the pass left it unchanged
     or if its output is settled.  With noise removal on and
@@ -340,11 +338,9 @@ def normalize(
     """
     if config is None:
         config = DEFAULT_CONFIG
-    if lexicon is None:
-        lexicon = DEFAULT_LEXICON
     current = text
     for _ in range(_MAX_PASSES):
-        nxt = _apply_stages(current, config, lexicon, overrides)
+        nxt = _apply_stages(current, config, lexicon)
         if nxt == current or _settled(nxt, config):
             return nxt
         current = nxt
@@ -353,7 +349,8 @@ def normalize(
 
 def load_lexicon(path: str) -> SegmentLexicon:
     """Read a clitic lexicon file with [prefixes] and [suffixes] sections,
-    one entry per line; blank lines and # comments are ignored."""
+    one entry per line; blank lines and # comments are ignored.  The
+    lexicon has no overrides."""
     prefixes: list[str] = []
     suffixes: list[str] = []
     target: list[str] | None = None
@@ -374,5 +371,6 @@ def load_lexicon(path: str) -> SegmentLexicon:
 
 
 def load_presegmented(path: str) -> dict[str, str]:
-    """Read a two-column TSV mapping a raw token to its segmented form."""
+    """Read a two-column TSV mapping a raw token to its segmented form,
+    the overrides of a SegmentLexicon."""
     return {token: segmented for _, token, segmented in read_pairs(path)}

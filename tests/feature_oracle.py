@@ -18,11 +18,8 @@ import numpy as np
 from dialectid.errors import EmptyCorpus
 from dialectid.features import DEFAULT_FEATURES, fnv1a64
 
-_U64 = (1 << 64) - 1
-
-
 def hash_index(gram, config):
-    return (fnv1a64(gram.encode("utf-8")) ^ (config.seed & _U64)) & (config.dim - 1)
+    return fnv1a64(gram.encode("utf-8")) & (config.dim - 1)
 
 
 def char_ngrams(text, config=DEFAULT_FEATURES):

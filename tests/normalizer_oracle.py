@@ -96,7 +96,7 @@ def replace_entities(text):
     return _map_outside_placeholders(text, replace)
 
 
-def apply_stages(text, config, lexicon, overrides):
+def apply_stages(text, config, lexicon):
     if config.strip_markup:
         text = strip_markup(text)
     if config.replace_entities:
@@ -109,14 +109,14 @@ def apply_stages(text, config, lexicon, overrides):
         )
     text = _WS_RE.sub(" ", text).strip()
     if config.segment:
-        text = normalizer.segment(text, lexicon, overrides)
+        text = normalizer.segment(text, lexicon)
     return text
 
 
-def normalize(text, config=DEFAULT_CONFIG, lexicon=DEFAULT_LEXICON, overrides=None):
+def normalize(text, config=DEFAULT_CONFIG, lexicon=DEFAULT_LEXICON):
     current = text
     for _ in range(_MAX_PASSES):
-        nxt = apply_stages(current, config, lexicon, overrides)
+        nxt = apply_stages(current, config, lexicon)
         if nxt == current:
             return nxt
         current = nxt

@@ -358,15 +358,15 @@ def test_fitting_sees_exactly_the_training_split(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
     monkeypatch.setattr(dialectid.classifier, "train", spy_train)
 
-    splits = Splits(spec.subtask, train, dev, test)
-    run_grid(splits, list(spec.experiments), vocab, spec.selection)
+    splits = Splits(spec.level, vocab, train, dev, test)
+    run_grid(splits, list(spec.experiments), spec.selection)
     n_experiments = len(spec.experiments)
     assert idf_sizes == [len(train)] * n_experiments, idf_sizes
     assert train_sizes == [len(train)] * n_experiments, train_sizes
 
     idf_sizes.clear()
     train_sizes.clear()
-    finalize(splits, spec.experiments[0], vocab, str(tmp_path / "s.csv"))
+    finalize(splits, spec.experiments[0], str(tmp_path / "s.csv"))
     assert idf_sizes == [len(train) + len(dev)], idf_sizes
     assert train_sizes == [len(train) + len(dev)], train_sizes
     announce(

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +10,8 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, load_corpus, read_submission
-from dialectid.features import load_idf
+from dialectid.features import fnv1a64, load_idf
+from dialectid.normalizer import NormConfig
 
 import synthcorpus
 from file_io import parse_report
@@ -122,6 +124,19 @@ class TestDataErrors:
         assert captured.out == ""
         assert captured.err == f"error: --seed is read by train and benchmark, not {command}\n"
 
+    def test_train_on_a_record_without_the_level_label(self, tmp_path, capsys):
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text("Cairo\tEgypt\nGiza\tEgypt\n", encoding="utf-8")
+        split = tmp_path / "train.tsv"
+        split.write_text("a1\tازيك يا باشا\tEgypt\tCairo\na2\tعامل ايه\tEgypt\t\n", encoding="utf-8")
+        rc = cli.main([
+            "train", "--in", str(split), "--level", "province", "--vocab", str(vocab),
+            "--out-model", str(tmp_path / "m.bin"), "--out-idf", str(tmp_path / "i.bin"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: record 'a2' has no province label\n"
+        assert not (tmp_path / "m.bin").exists()
+
     def test_bad_label_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_text("id\ttweet\tcountry\tprovince\nr1\tنص\tRuritania\t\n", encoding="utf-8")
@@ -165,6 +180,33 @@ class TestNormalize:
         dst = tmp_path / "out.txt"
         assert cli.main(["normalize", "--in", str(src), "--out", str(dst), "--segment"]) == 0
         assert dst.read_text(encoding="utf-8") == "وال+ كتاب\n"
+
+    def test_presegmented_flag_overrides_the_default_lexicon(self, tmp_path):
+        src = tmp_path / "raw.txt"
+        src.write_text("والكتاب والقلم\n", encoding="utf-8")
+        table = tmp_path / "p.tsv"
+        table.write_text("والكتاب\tو+ ال+ كتاب\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        argv = ["normalize", "--in", str(src), "--out", str(dst), "--segment"]
+        assert cli.main(argv) == 0
+        assert dst.read_text(encoding="utf-8") == "وال+ كتاب وال+ قلم\n"
+        assert cli.main(argv + ["--presegmented", str(table)]) == 0
+        assert dst.read_text(encoding="utf-8") == "و+ ال+ كتاب وال+ قلم\n"
+
+    def test_lexicon_and_presegmented_flags_together(self, tmp_path):
+        src = tmp_path / "raw.txt"
+        src.write_text("فكتابها والقلم\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("[prefixes]\nف\n[suffixes]\nها\n", encoding="utf-8")
+        table = tmp_path / "p.tsv"
+        table.write_text("والقلم\tو+ القلم\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        argv = ["normalize", "--in", str(src), "--out", str(dst), "--segment",
+                "--lexicon", str(lexicon)]
+        assert cli.main(argv) == 0
+        assert dst.read_text(encoding="utf-8") == "ف+ كتاب +ها والقلم\n"
+        assert cli.main(argv + ["--presegmented", str(table)]) == 0
+        assert dst.read_text(encoding="utf-8") == "ف+ كتاب +ها و+ القلم\n"
 
     def test_max_repeat_flag(self, tmp_path):
         src = tmp_path / "raw.txt"
@@ -295,7 +337,7 @@ class TestTrainPredictEvaluate:
         assert "does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keys", [
-        "n_min=3", "hash_seed=7", "pad_token=#", "segment=true", "max_seq_len=40", "max_repeat=1",
+        "n_min=3", "pad_token=#", "segment=true", "max_seq_len=40", "max_repeat=1",
     ])
     def test_predict_with_other_features_fails(
         self, corpus_dir, trained, tmp_path, capsys, keys
@@ -320,6 +362,43 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "'other'" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_predict_refuses_a_model_of_the_former_fingerprint(
+        self, corpus_dir, trained, tmp_path, capsys
+    ):
+        # The fingerprint once also covered the features' bucket seed,
+        # always seed=0 after dim; a model that carries it must be retrained.
+        config = harness.parse_benchmark_file(corpus_dir["config"]).experiments[0]
+        settings = [(f.name, getattr(config.norm, f.name)) for f in fields(NormConfig)]
+        settings.append(("max_seq_len", config.hp.max_seq_len))
+        feats = config.features
+        settings += [("n_min", feats.n_min), ("n_max", feats.n_max), ("dim", feats.dim)]
+
+        def digest(pairs):
+            canon = ";".join(f"{name}={value}" for name, value in pairs)
+            return f"{fnv1a64(canon.encode('utf-8')):016x}"
+
+        assert digest(settings + [("pad_token", feats.pad_token)]) == harness.fingerprint(config)
+        former = digest(settings + [("seed", 0), ("pad_token", feats.pad_token)])
+        model = load_pair(trained["model"], trained["idf"])
+        model.feature_fingerprint = former
+        old = tmp_path / "old.bin"
+        save_model(model, str(old))
+        rc = cli.main(
+            [
+                "--config", corpus_dir["config"],
+                "predict",
+                "--model", str(old),
+                "--idf", trained["idf"],
+                "--in", corpus_dir["paths"]["test"],
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: model was trained with fingerprint {former}")
+        assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
     def test_model_without_fingerprint_is_not_checked(

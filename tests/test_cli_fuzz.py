@@ -54,7 +54,7 @@ EXPERIMENT_VALUES = {
     "dim": (["2", "16", "4096"], ["3", "0", "-8", "x", "4294967296"]),
     "n_min": (["1", "2"], ["0", "9"]),
     "n_max": (["3", "8"], ["9", "1.5"]),
-    "hash_seed": (["0", "18446744073709551615", "-1"], ["1e3"]),
+    "hash_seed": ([], ["0"]),  # the features' bucket seed is no longer a key
     "pad_token": (["_", "ا"], ["ab", ""]),
     "epochs": (["0", "1", "2"], ["-1", "two"]),
     "batch_size": (["1", "3"], ["0"]),

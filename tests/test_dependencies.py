@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency: every absolute import
 in src/dialectid is of the standard library or of numpy, and of numpy
 the commands never load numpy.random (its import costs 14-21 ms and
-about 7 MB of RSS; train's epoch order is the package's own)."""
+about 7 MB of RSS; train's epoch order is the package's own).  And no
+module imports a name it does not use."""
 
 import ast
 import os
@@ -29,6 +30,27 @@ def absolute_imports(path):
             yield node.module.split(".")[0]
 
 
+def unused_imports(path):
+    """The names a source file imports and never reads: a name is read
+    where the module loads it or lists it in __all__."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and [
+            target.id for target in node.targets if isinstance(target, ast.Name)
+        ] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return sorted(set(imported) - used)
+
+
 def test_every_module_is_checked():
     assert "features.py" in MODULES and "cli.py" in MODULES
 
@@ -39,6 +61,12 @@ def test_imports_only_stdlib_and_numpy(module):
     outside = sorted(name for name in imported
                      if name != "numpy" and name not in sys.stdlib_module_names)
     assert outside == [], f"{module} imports {outside}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    unused = unused_imports(os.path.join(PACKAGE_DIR, module))
+    assert unused == [], f"{module} imports {unused} and never uses them"
 
 
 def test_commands_leave_numpy_random_unloaded(tmp_path):

@@ -12,8 +12,6 @@ from dialectid.classifier import HyperParams
 from dialectid.corpus import (
     LabelVocab,
     Level,
-    Register,
-    Subtask,
     TweetRecord,
     concat_splits,
     read_submission,
@@ -40,7 +38,6 @@ from dialectid.normalizer import NormConfig
 
 import feature_oracle
 
-COUNTRY_SUBTASK = Subtask(Level.COUNTRY, Register.DA)
 VOCAB = LabelVocab(countries=("Atlantis", "Borealia"))
 CHARS = {"Atlantis": "ابت", "Borealia": "جحخ"}
 
@@ -103,7 +100,7 @@ def test_fingerprint_covers_text_preparation_and_features():
     variants.append(replace(base, hp=replace(base.hp, max_seq_len=base.hp.max_seq_len + 1)))
     variants += [
         replace(base, features=replace(base.features, **change))
-        for change in ({"n_min": 3}, {"n_max": 6}, {"dim": 1 << 13}, {"seed": 1}, {"pad_token": "#"})
+        for change in ({"n_min": 3}, {"n_max": 6}, {"dim": 1 << 13}, {"pad_token": "#"})
     ]
     assert len({fingerprint(c) for c in [base] + variants}) == len(variants) + 1
 
@@ -111,29 +108,27 @@ def test_fingerprint_covers_text_preparation_and_features():
 class TestRunGridValidation:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
-            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [], VOCAB)
+            run_grid(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [])
 
     def test_duplicate_names(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("a"), config("a")], VOCAB)
+            run_grid(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [config("a"), config("a")])
 
     def test_province_needs_province_vocab(self):
-        cfg = ExperimentConfig(name="p", features=SMALL_FEATURES)
-        with pytest.raises(SubtaskMismatch):
-            run_grid(Splits(Subtask(Level.PROVINCE, Register.DA), TRAIN, DEV), [cfg], VOCAB)
+        with pytest.raises(SubtaskMismatch, match="province"):
+            Splits(Level.PROVINCE, VOCAB, TRAIN, DEV)
 
     def test_unlabeled_train_record_rejected(self):
         broken = TRAIN + [TweetRecord(id="naked", text="ابت")]
-        with pytest.raises(SubtaskMismatch, match="naked"):
-            run_grid(Splits(COUNTRY_SUBTASK, broken, DEV), [config("a")], VOCAB)
+        with pytest.raises(SubtaskMismatch, match="train record 'naked' has no country label"):
+            Splits(Level.COUNTRY, VOCAB, broken, DEV)
 
 
 class TestRunGrid:
     def test_trained_beats_untrained_and_is_selected(self):
         result = run_grid(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV),
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV),
             [config("zero", epochs=0), config("five", epochs=5)],
-            VOCAB,
         )
         by_name = {row.name: row for row in result.rows}
         assert by_name["five"].weighted_f1 > by_name["zero"].weighted_f1
@@ -143,16 +138,15 @@ class TestRunGrid:
 
     def test_tie_goes_to_earliest_row(self):
         result = run_grid(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("first"), config("second")], VOCAB
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [config("first"), config("second")]
         )
         assert result.rows[0].weighted_f1 == result.rows[1].weighted_f1
         assert result.selected == "first"
 
     def test_selection_metric_recorded(self):
         result = run_grid(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV),
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV),
             [config("only")],
-            VOCAB,
             selection=SelectionMetric.ACCURACY,
         )
         assert result.selection_metric is SelectionMetric.ACCURACY
@@ -173,7 +167,7 @@ class TestRunGrid:
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         monkeypatch.setattr(dialectid.classifier, "train", spy_train)
-        run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [config("a"), config("b", epochs=1)], VOCAB)
+        run_grid(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [config("a"), config("b", epochs=1)])
         assert idf_sizes == [len(TRAIN), len(TRAIN)]
         assert train_sizes == [len(TRAIN), len(TRAIN)]
 
@@ -194,7 +188,7 @@ class TestRunGrid:
     )
     def test_texts_prepared_once_per_preparation(self, monkeypatch, configs, preparations):
         separate = [
-            run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), [c], VOCAB).rows[0] for c in configs
+            run_grid(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [c]).rows[0] for c in configs
         ]
         inputs = []
         real_normalize = dialectid.normalizer.normalize
@@ -204,7 +198,7 @@ class TestRunGrid:
             return real_normalize(text, *args, **kwargs)
 
         monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
-        result = run_grid(Splits(COUNTRY_SUBTASK, TRAIN, DEV), configs, VOCAB)
+        result = run_grid(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), configs)
         assert len(inputs) == preparations * (len(TRAIN) + len(DEV))
         assert list(result.rows) == separate
 
@@ -234,8 +228,25 @@ class TestPrepareTexts:
 
 
 class TestSplits:
+    def test_checks_train_and_dev_labels_but_not_test(self):
+        naked = TweetRecord(id="naked", text="ابت")
+        with pytest.raises(SubtaskMismatch, match="dev record 'naked' has no country label"):
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV + [naked])
+        splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST + [naked])
+        assert (splits.level, splits.vocab) == (Level.COUNTRY, VOCAB)
+
+    def test_texts_are_normalized_with_the_lexicon_and_its_overrides(self):
+        cfg = replace(config("s"), norm=NormConfig(segment=True))
+        lexicon = replace(
+            dialectid.normalizer.DEFAULT_LEXICON, overrides={TRAIN[0].text.split()[0]: "x+ y"}
+        )
+        plain = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV).texts("train", cfg)
+        texts = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, lexicon=lexicon).texts("train", cfg)
+        assert texts == prepare_texts(TRAIN, cfg, lexicon)
+        assert texts[0].startswith("x+ y") and not plain[0].startswith("x+ y")
+
     def test_each_split_is_prepared_once_per_preparation(self, monkeypatch, tmp_path):
-        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
+        splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST)
         inputs = []
         real_normalize = dialectid.normalizer.normalize
 
@@ -244,8 +255,8 @@ class TestSplits:
             return real_normalize(text, *args, **kwargs)
 
         monkeypatch.setattr(dialectid.normalizer, "normalize", spy_normalize)
-        run_grid(splits, [config("a"), config("b", epochs=1)], VOCAB)
-        finalize(splits, config("a"), VOCAB, str(tmp_path / "s.csv"))
+        run_grid(splits, [config("a"), config("b", epochs=1)])
+        finalize(splits, config("a"), str(tmp_path / "s.csv"))
         assert len(inputs) == len(TRAIN) + len(DEV) + len(TEST)
         assert splits.texts("train", config("c")) is splits.texts("train", config("d"))
         other = replace(config("e"), norm=NormConfig(max_repeat=1))
@@ -255,12 +266,12 @@ class TestSplits:
 
     def test_finalize_fits_on_the_preparation_of_train_plus_dev(self, tmp_path):
         cfg = config("f")
-        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
+        splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST)
         combined = concat_splits(TRAIN, DEV)
         texts = prepare_texts(combined, cfg)
         assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
         model = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY)
-        result = finalize(splits, cfg, VOCAB, str(tmp_path / "s.csv"))
+        result = finalize(splits, cfg, str(tmp_path / "s.csv"))
         assert np.array_equal(result.model.weights, model.weights)
         assert np.array_equal(result.model.idf.columns, model.idf.columns)
         assert np.array_equal(result.model.idf.weights, model.idf.weights)
@@ -268,9 +279,8 @@ class TestSplits:
     def test_finalize_rejects_ids_in_train_and_dev(self, tmp_path):
         with pytest.raises(DuplicateId):
             finalize(
-                Splits(COUNTRY_SUBTASK, TRAIN, DEV + TRAIN[:1], TEST),
+                Splits(Level.COUNTRY, VOCAB, TRAIN, DEV + TRAIN[:1], TEST),
                 config("f"),
-                VOCAB,
                 str(tmp_path / "s.csv"),
             )
 
@@ -280,6 +290,12 @@ class TestFitPipeline:
         cfg = config("m")
         with pytest.raises(LengthMismatch):
             fit_pipeline(prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB, Level.COUNTRY)
+
+    def test_record_without_the_level_label(self):
+        records = TRAIN + [TweetRecord(id="naked", text="ابت")]
+        cfg = config("m")
+        with pytest.raises(SubtaskMismatch, match="^record 'naked' has no country label$"):
+            fit_pipeline(prepare_texts(records, cfg), records, cfg, VOCAB, Level.COUNTRY)
 
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
@@ -417,14 +433,14 @@ class TestFinalize:
 
         monkeypatch.setattr(dialectid.features, "fit_idf", spy_fit)
         finalize(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(tmp_path / "sub.csv")
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST), config("f"), str(tmp_path / "sub.csv")
         )
         assert idf_sizes == [len(TRAIN) + len(DEV)]
 
     def test_submission_and_report(self, tmp_path):
         path = tmp_path / "sub.csv"
-        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST)
-        result = finalize(splits, config("f", epochs=10), VOCAB, str(path))
+        splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST)
+        result = finalize(splits, config("f", epochs=10), str(path))
         assert len(result.predictions) == len(TEST)
         pairs = read_submission(str(path))
         assert [rid for rid, _ in pairs] == [r.id for r in TEST]
@@ -436,7 +452,7 @@ class TestFinalize:
     def test_unlabeled_test_gets_no_report(self, tmp_path):
         blind = [TweetRecord(id=r.id, text=r.text) for r in TEST]
         result = finalize(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV, blind), config("f"), VOCAB, str(tmp_path / "s.csv")
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, blind), config("f"), str(tmp_path / "s.csv")
         )
         assert result.report is None
         assert len(result.predictions) == len(blind)
@@ -444,9 +460,8 @@ class TestFinalize:
     def test_empty_text_falls_back_to_majority(self, tmp_path):
         blank = TweetRecord(id="blank", text="😂😂")
         result = finalize(
-            Splits(COUNTRY_SUBTASK, TRAIN, DEV, [blank] + TEST),
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, [blank] + TEST),
             config("f"),
-            VOCAB,
             str(tmp_path / "s.csv"),
         )
         # train plus dev is balanced, so the tie resolves to the first
@@ -456,16 +471,16 @@ class TestFinalize:
     def test_two_runs_are_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        first = finalize(Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(a))
-        second = finalize(Splits(COUNTRY_SUBTASK, TRAIN, DEV, TEST), config("f"), VOCAB, str(b))
+        first = finalize(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST), config("f"), str(a))
+        second = finalize(Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST), config("f"), str(b))
         assert first.predictions == second.predictions
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestGridRendering:
     def result(self):
-        splits = Splits(COUNTRY_SUBTASK, TRAIN, DEV)
-        return run_grid(splits, [config("zero", epochs=0), config("one")], VOCAB)
+        splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV)
+        return run_grid(splits, [config("zero", epochs=0), config("one")])
 
     def test_render_grid_marks_selected(self):
         text = render_grid(self.result())
@@ -506,7 +521,6 @@ selection = macro_f1
 epochs = 3
 learning_rate = 0.05
 seed = 9
-hash_seed = 77
 dim = 1024
 n_min = 1
 n_max = 3
@@ -531,14 +545,13 @@ class TestBenchmarkParsing:
         spec = parse_benchmark_file(path)
         assert spec.train_path == "t.tsv"
         assert spec.vocab_path == "v.tsv"
-        assert spec.subtask == Subtask(Level.PROVINCE, Register.MSA)
+        assert spec.level is Level.PROVINCE
         assert spec.selection is SelectionMetric.MACRO_F1
         (exp,) = spec.experiments
         assert exp.name == "base"
         assert exp.hp.epochs == 3
         assert exp.hp.lr == 0.05
         assert exp.hp.rng_seed == 9
-        assert exp.features.seed == 77
         assert exp.features.dim == 1024
         assert exp.features.n_min == 1
         assert exp.features.n_max == 3
@@ -603,6 +616,12 @@ class TestBenchmarkParsing:
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=city\nregister=da\n"
                 "[experiment e]\n",
                 "city",
+            ),
+            # The register is not kept, but it is still checked.
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=pidgin\n"
+                "[experiment e]\n",
+                "pidgin",
             ),
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
@@ -686,10 +705,11 @@ class TestBenchmarkParsing:
                 "[experiment e]\nl2=small\n",
                 "l2: expected a number",
             ),
+            # The features' bucket seed only renamed buckets, and is gone.
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
-                "[experiment e]\nhash_seed=x\n",
-                "hash_seed: expected an integer",
+                "[experiment e]\nhash_seed=7\n",
+                "unknown experiment key 'hash_seed'",
             ),
         ],
     )

@@ -130,7 +130,7 @@ def fit_nadi_finalize_corpus(directory):
     counts = features.join_rows(list(blocks), config.features.dim)
     idf = features.fit_idf(counts)
     rows = features.vectorize(counts, idf)
-    level = spec.subtask.level
+    level = spec.level
     labels = LabelVocab.countries_only().labels(level)
     y = [labels.index(r.label(level)) for r in records]
     return rows, y, config, labels, idf

@@ -3,6 +3,7 @@ import os
 import random
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,9 +321,21 @@ def test_segment_marker_tokens_pass_through():
 
 
 def test_segment_respects_overrides():
-    overrides = {"والكتاب": "والـ+ـكتاب"}
-    assert segment("والكتاب", overrides=overrides) == "والـ+ـكتاب"
+    lexicon = replace(DEFAULT_LEXICON, overrides={"والكتاب": "والـ+ـكتاب"})
+    assert segment("والكتاب", lexicon) == "والـ+ـكتاب"
     assert segment("والكتاب") == "وال+ كتاب"
+
+
+def test_lexicon_overrides_are_a_read_only_copy():
+    table = {"والكتاب": "و+ الكتاب"}
+    lexicon = replace(DEFAULT_LEXICON, overrides=table)
+    table["والقلم"] = "و+ القلم"
+    assert dict(lexicon.overrides) == {"والكتاب": "و+ الكتاب"}
+    with pytest.raises(TypeError):
+        lexicon.overrides["والقلم"] = "و+ القلم"
+    assert DEFAULT_LEXICON.overrides == {}
+    # The overrides take part in equality, but not in the hash.
+    assert lexicon != DEFAULT_LEXICON and hash(lexicon) == hash(DEFAULT_LEXICON)
 
 
 def test_segment_reconstruction_and_stem_guard():
@@ -504,6 +517,11 @@ every_config = st.builds(
 SHORT_LEXICON = SegmentLexicon(prefixes=("ال", "و"), suffixes=("ها",), min_stem_len=1)
 # Overrides that undo a marker, split a word and bring a host back.
 OVERRIDES = {"كتاب": "ك+ تاب", "عربي": "عربيx.co/a", "+ها": "ها+", "[رابط]": "x.co/a"}
+SHORT_WITH_OVERRIDES = replace(SHORT_LEXICON, overrides=OVERRIDES)
+LEXICONS = [
+    DEFAULT_LEXICON, SHORT_LEXICON, replace(DEFAULT_LEXICON, overrides=OVERRIDES),
+    SHORT_WITH_OVERRIDES,
+]
 
 # A deletion splices a URL together, and a space opens a word boundary
 # before a bare host: the two ways a pass makes the next one fire.
@@ -511,28 +529,27 @@ SPLICED_URL = "http😂://x.co"
 GLUED_HOST = "عربيx.co/a"
 
 
-def assert_matches_oracle(text, config, lexicon=DEFAULT_LEXICON, overrides=None):
-    expected = normalizer_oracle.normalize(text, config, lexicon, overrides)
-    assert normalize(text, config, lexicon, overrides) == expected, (text, config)
+def assert_matches_oracle(text, config, lexicon=DEFAULT_LEXICON):
+    expected = normalizer_oracle.normalize(text, config, lexicon)
+    assert normalize(text, config, lexicon) == expected, (text, config)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(
     st.one_of(any_texts, fragment_texts, adversarial_texts),
     every_config,
-    st.sampled_from([DEFAULT_LEXICON, SHORT_LEXICON]),
-    st.sampled_from([None, OVERRIDES]),
+    st.sampled_from(LEXICONS),
 )
-@example(SPLICED_URL, NormConfig(), DEFAULT_LEXICON, None)
-@example(GLUED_HOST, NormConfig(), DEFAULT_LEXICON, None)
-@example("http😂://x.co/a", NormConfig(), DEFAULT_LEXICON, None)
-@example("[راب😂ط]", NormConfig(), DEFAULT_LEXICON, None)
-@example("هه😂هه😂هه", NormConfig(max_repeat=1), DEFAULT_LEXICON, None)
-@example("&amp;lt;b&amp;gt;", NormConfig(remove_noise=False), DEFAULT_LEXICON, None)
-@example("[رابط]x.co/a", NormConfig(), DEFAULT_LEXICON, None)
-@example("وال+ كتاب +ها", NormConfig(segment=True), SHORT_LEXICON, OVERRIDES)
-def test_normalize_matches_fixed_point_oracle(text, config, lexicon, overrides):
-    assert_matches_oracle(text, config, lexicon, overrides)
+@example(SPLICED_URL, NormConfig(), DEFAULT_LEXICON)
+@example(GLUED_HOST, NormConfig(), DEFAULT_LEXICON)
+@example("http😂://x.co/a", NormConfig(), DEFAULT_LEXICON)
+@example("[راب😂ط]", NormConfig(), DEFAULT_LEXICON)
+@example("هه😂هه😂هه", NormConfig(max_repeat=1), DEFAULT_LEXICON)
+@example("&amp;lt;b&amp;gt;", NormConfig(remove_noise=False), DEFAULT_LEXICON)
+@example("[رابط]x.co/a", NormConfig(), DEFAULT_LEXICON)
+@example("وال+ كتاب +ها", NormConfig(segment=True), SHORT_WITH_OVERRIDES)
+def test_normalize_matches_fixed_point_oracle(text, config, lexicon):
+    assert_matches_oracle(text, config, lexicon)
 
 
 ADVERSARIAL = [
@@ -548,7 +565,7 @@ def test_every_toggle_combination_matches_oracle(toggles):
         config = NormConfig(*toggles, max_repeat=max_repeat)
         for text in ADVERSARIAL:
             assert_matches_oracle(text, config)
-            assert_matches_oracle(text, config, SHORT_LEXICON, OVERRIDES)
+            assert_matches_oracle(text, config, SHORT_WITH_OVERRIDES)
 
 
 def test_golden_matches_oracle():

@@ -11,7 +11,7 @@ import pytest
 
 from dialectid import cli, harness
 from dialectid.classifier import HyperParams
-from dialectid.corpus import LabelVocab, Level, Register, Subtask, TweetRecord
+from dialectid.corpus import LabelVocab, TweetRecord
 from dialectid.features import FeatureConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -33,6 +33,14 @@ def command_lines():
         for line in body.replace("\\\n", " ").splitlines():
             if line.startswith("dialectid "):
                 yield line
+
+
+def test_experiment_keys_are_the_parsers():
+    """The "Experiment keys:" paragraph lists the config parser's keys,
+    in its order."""
+    with open(README, encoding="utf-8") as fh:
+        paragraph = fh.read().split("\nExperiment keys: ", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)`", paragraph) == list(harness._EXPERIMENT_KEYS)
 
 
 def test_readme_has_the_examples():
@@ -62,7 +70,6 @@ def test_harness_example_runs(tmp_path, monkeypatch):
         ]
 
     namespace = {
-        "subtask": Subtask(Level.COUNTRY, Register.DA),
         "train": split("t", 4),
         "dev": split("d", 2),
         "test": split("x", 2),

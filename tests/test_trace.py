@@ -60,10 +60,10 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
     trace = tracer.Tracer()
     trace.install(PACKAGE)
 
-    splits = harness.Splits(spec.subtask, train, dev, test)
-    grid = harness.run_grid(splits, experiments, vocab, spec.selection)
+    splits = harness.Splits(spec.level, vocab, train, dev, test)
+    grid = harness.run_grid(splits, experiments, spec.selection)
     selected = next(c for c in experiments if c.name == grid.selected)
-    harness.finalize(splits, selected, vocab, str(tmp_path / "sub.csv"))
+    harness.finalize(splits, selected, str(tmp_path / "sub.csv"))
 
     trace.dump(str(tmp_path / "trace.json"))
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
