@@ -7,16 +7,41 @@ insertion at script boundaries, whitespace collapsing, and (optionally)
 rule-based clitic segmentation.
 
 Placeholder surfaces are protected spans: no downstream stage may alter
-the bytes inside them. `normalize` returns a fixed point of the stage
-chain: a text one more pass would leave as it is.  With noise removal
-on and segmentation off, one pass usually gets there, and `normalize`
-can tell without running a second:
+the bytes inside them.
+
+Every stage between markup stripping and segmentation acts within one
+whitespace token, so a pass cleans each token on its own:
+
+- No entity pattern matches whitespace, and a `\\b` at a token's edge
+  sees whitespace beside it in the text just as it sees the end of
+  the token alone.
+- Noise removal deletes characters and caps runs, and neither joins
+  two non-space characters across whitespace; its whitespace collapse
+  is the final join.
+- `insert_spacing` never inserts next to whitespace or at either end.
+- A placeholder surface holds no whitespace, so it lies inside one
+  token.
+
+`re`'s `\\s` and `str.split()` agree on every code point (both are
+`str.isspace()`), so splitting a text and rejoining its non-empty
+cleaned tokens with one space collapses its whitespace, whether or not
+noise removal runs.  `strip_markup` still runs on the whole text, since a
+tag may span spaces and `<br>` and `&nbsp;` make whitespace, and so does
+`segment`, which reads a token's neighbours.  A pass looks each token
+up in its NormConfig's memo of the token stages, so a token the process
+has cleaned before costs one lookup.  The memos are process-wide and
+bounded: each keeps the _TOKEN_MEMO_SIZE most recently used tokens, and
+only the _MEMO_CONFIGS most recently used NormConfigs keep theirs.
+
+`normalize` returns a fixed point of the stage chain: a text one more
+pass would leave as it is.  With noise removal on and segmentation off,
+one pass usually gets there, and `normalize` can tell without running a
+second:
 
 - Once noise removal has run, no `<`, `>` or `&` is left, so
   `strip_markup` cannot fire.
 - Deleting characters and capping runs give a text that noise removal
-  leaves as it is.  So does `insert_spacing`, which never inserts next
-  to whitespace or at either end.
+  leaves as it is.  So does `insert_spacing`.
 - Two things can make a second pass fire, and both go through
   `replace_entities`.  One is a deletion that splices a URL, as in
   `http😂://x.co`.  The other is a space that opens a `\\b` before a
@@ -31,11 +56,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Mapping
 
 from .corpus import read_pairs
+from .errors import DuplicateId
 
 
 # The placeholder surface that replaces each kind of entity, by its
@@ -49,8 +75,7 @@ class NormConfig:
     """Stage toggles and the repeated-character cap.
 
     Whitespace collapsing has no toggle: the output is always single-space
-    separated.  Noise removal collapses whitespace itself, so the
-    separate collapsing stage runs only when noise removal is off.
+    separated.
     """
 
     strip_markup: bool = True
@@ -227,10 +252,6 @@ def insert_spacing(text: str) -> str:
     return _map_outside_placeholders(text, lambda part: _SPACING_RE.sub(" ", part))
 
 
-def collapse_whitespace(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
-
-
 def _segment_token(token: str, lexicon: SegmentLexicon) -> str:
     stem = token
     prefix = suffix = None
@@ -288,17 +309,37 @@ def segment(text: str, lexicon: SegmentLexicon = DEFAULT_LEXICON) -> str:
     return " ".join(out)
 
 
+def _clean_token(config: NormConfig, token: str) -> str:
+    """The token stages of config applied to one whitespace token: the
+    token itself when they leave it as it is, possibly spaced into
+    several tokens, or empty when noise removal deletes it."""
+    cleaned = token
+    if config.replace_entities:
+        cleaned = replace_entities(cleaned)
+    if config.remove_noise:
+        cleaned = remove_noise(cleaned, config.max_repeat)
+    if config.insert_spacing:
+        cleaned = insert_spacing(cleaned)
+    return token if cleaned == token else cleaned
+
+
+# The most tokens one NormConfig's memo keeps (about 8.4e6 bytes when
+# full), and the most NormConfigs whose memos are kept at once; the
+# least recently used goes first.
+_TOKEN_MEMO_SIZE = 1 << 15
+_MEMO_CONFIGS = 4
+
+
+@lru_cache(maxsize=_MEMO_CONFIGS)
+def _token_memo(config: NormConfig):
+    """_clean_token of config, memoized per token."""
+    return lru_cache(maxsize=_TOKEN_MEMO_SIZE)(partial(_clean_token, config))
+
+
 def _apply_stages(text: str, config: NormConfig, lexicon: SegmentLexicon) -> str:
     if config.strip_markup:
         text = strip_markup(text)
-    if config.replace_entities:
-        text = replace_entities(text)
-    if config.remove_noise:
-        text = remove_noise(text, config.max_repeat)
-    if config.insert_spacing:
-        text = insert_spacing(text)
-    if not config.remove_noise:  # remove_noise collapsed it, and insert_spacing keeps it so
-        text = collapse_whitespace(text)
+    text = " ".join(filter(None, map(_token_memo(config), text.split())))
     if config.segment:
         text = segment(text, lexicon)
     return text
@@ -350,12 +391,13 @@ def normalize(
 def load_lexicon(path: str) -> SegmentLexicon:
     """Read a clitic lexicon file with [prefixes] and [suffixes] sections,
     one entry per line; blank lines and # comments are ignored.  The
-    lexicon has no overrides."""
+    lexicon has no overrides.  Raises ValueError at an entry before any
+    section header and at a bracketed line that is neither header."""
     prefixes: list[str] = []
     suffixes: list[str] = []
     target: list[str] | None = None
     with open(path, encoding="utf-8-sig") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -363,8 +405,10 @@ def load_lexicon(path: str) -> SegmentLexicon:
                 target = prefixes
             elif line == "[suffixes]":
                 target = suffixes
+            elif line.startswith("[") and line.endswith("]"):
+                raise ValueError(f"{path}:{lineno}: unknown section {line!r}")
             elif target is None:
-                raise ValueError(f"{path}: entry {line!r} before any section header")
+                raise ValueError(f"{path}:{lineno}: entry {line!r} before any section header")
             else:
                 target.append(line)
     return SegmentLexicon(prefixes=tuple(prefixes), suffixes=tuple(suffixes))
@@ -372,5 +416,16 @@ def load_lexicon(path: str) -> SegmentLexicon:
 
 def load_presegmented(path: str) -> dict[str, str]:
     """Read a two-column TSV mapping a raw token to its segmented form,
-    the overrides of a SegmentLexicon."""
-    return {token: segmented for _, token, segmented in read_pairs(path)}
+    the overrides of a SegmentLexicon.  Raises DuplicateId when a token
+    has two rows."""
+    table: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, token, segmented in read_pairs(path):
+        if token in table:
+            raise DuplicateId(
+                f"{path}:{lineno}: token {token!r} listed twice (first at line "
+                f"{first_line[token]})"
+            )
+        table[token] = segmented
+        first_line[token] = lineno
+    return table

@@ -208,6 +208,32 @@ class TestNormalize:
         assert cli.main(argv + ["--presegmented", str(table)]) == 0
         assert dst.read_text(encoding="utf-8") == "ف+ كتاب +ها و+ القلم\n"
 
+    def test_presegmented_token_listed_twice_fails(self, tmp_path, capsys):
+        src = tmp_path / "raw.txt"
+        src.write_text("والكتاب\n", encoding="utf-8")
+        table = tmp_path / "dup.tsv"
+        table.write_text("والكتاب\tو+ الكتاب\nوالقلم\tو+ القلم\nوالكتاب\tوال+ كتاب\n",
+                         encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        argv = ["normalize", "--in", str(src), "--out", str(dst), "--segment",
+                "--presegmented", str(table)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{table}:3: token 'والكتاب' listed twice (first at line 1)" in err
+        assert not dst.exists()
+
+    def test_lexicon_with_an_unknown_section_fails(self, tmp_path, capsys):
+        src = tmp_path / "raw.txt"
+        src.write_text("والكتاب\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("[suffixes]\nها\n[other]\nx\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        argv = ["normalize", "--in", str(src), "--out", str(dst), "--segment",
+                "--lexicon", str(lexicon)]
+        assert cli.main(argv) == 1
+        assert f"{lexicon}:3: unknown section '[other]'" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_max_repeat_flag(self, tmp_path):
         src = tmp_path / "raw.txt"
         src.write_text("ههههه\n", encoding="utf-8")

@@ -1,18 +1,19 @@
-"""Memory guards for the featurizer, the loaders, the predictor and the
-trainer: one bucket_counts pass, loading the served idf table and the
-model over it, and one predict_texts over the benchmark's served test
-split, and classifier.train on the fit-nadi finalize corpus, at the
-workload's batch size and in one full batch, stay within fixed
-allocation peaks, so a table, memo, scratch block or dense array that
-outlives or outgrows its use fails here before it shows in the
-benchmark's peak RSS."""
+"""Memory guards for text preparation, the featurizer, the loaders, the
+predictor and the trainer: prepare_texts over the benchmark's served
+test split with the normalizer's token memos empty, one bucket_counts
+pass, loading the served idf table and the model over it, and one
+predict_texts over the same split, and classifier.train on the fit-nadi
+finalize corpus, at the workload's batch size and in one full batch,
+stay within fixed allocation peaks, so a table, memo, scratch block or
+dense array that outlives or outgrows its use fails here before it
+shows in the benchmark's peak RSS."""
 
 import os
 import sys
 import tracemalloc
 from dataclasses import replace
 
-from dialectid import classifier, features, harness
+from dialectid import classifier, features, harness, normalizer
 from dialectid.cli import main
 from dialectid.corpus import LabelVocab, concat_splits, load_corpus
 
@@ -53,6 +54,28 @@ def test_bucket_counts_peak_on_serve_split(tmp_path):
         tracemalloc.stop()
     assert rows == len(texts) == 1470
     assert peak <= PEAK_BYTES
+
+
+# prepare_texts peaks at about 1.75e6 bytes on this split: 0.41e6 of
+# prepared texts and 1.33e6 of token memo, whose 6,084 entries (one per
+# distinct token) hold the tokens and the cleaned forms of those the
+# stages change.  Without the memo it peaked at 0.42e6.
+PREPARE_PEAK_BYTES = 2.0e6
+
+
+def test_prepare_texts_peak_on_serve_split(tmp_path):
+    fixture, config, first = serve_split(str(tmp_path))
+    records = load_corpus(fixture.paths["test"])
+    normalizer._token_memo.cache_clear()
+    tracemalloc.start()
+    try:
+        texts = harness.prepare_texts(records, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert texts == first
+    assert normalizer._token_memo(config.norm).cache_info().currsize == 6084
+    assert peak <= PREPARE_PEAK_BYTES
 
 
 # The served model stores 16,644 of 2^18 columns (2.80e6 bytes of

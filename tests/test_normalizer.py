@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from dialectid import harness, normalizer
 from dialectid.corpus import load_corpus
+from dialectid.errors import DuplicateId
 from dialectid.normalizer import (
     DEFAULT_LEXICON,
     NormConfig,
     PLACEHOLDERS,
     SegmentLexicon,
-    collapse_whitespace,
     insert_spacing,
     normalize,
     remove_noise,
@@ -395,6 +395,30 @@ def test_load_lexicon_drops_a_leading_bom(tmp_path):
     assert (lex.prefixes, lex.suffixes) == (("و",), ("ها",))
 
 
+@pytest.mark.parametrize("header", ["[other]", "[Prefixes]", "[prefix]", "[]"])
+def test_load_lexicon_rejects_an_unknown_section(tmp_path, header):
+    lex_file = tmp_path / "lex.txt"
+    lex_file.write_text(f"[suffixes]\nها\n\n{header}\nx\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{lex_file}:4: unknown section")):
+        normalizer.load_lexicon(str(lex_file))
+
+
+def test_load_lexicon_names_the_line_of_an_entry_before_any_section(tmp_path):
+    lex_file = tmp_path / "lex.txt"
+    lex_file.write_text("# clitics\nوال\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{lex_file}:2: entry 'وال' before")):
+        normalizer.load_lexicon(str(lex_file))
+
+
+def test_load_presegmented_rejects_a_token_listed_twice(tmp_path):
+    pre_file = tmp_path / "dup.tsv"
+    pre_file.write_text(
+        "والكتاب\tو+ الكتاب\nوالقلم\tو+ القلم\nوالكتاب\tوال+ كتاب\n", encoding="utf-8"
+    )
+    with pytest.raises(DuplicateId, match=re.escape(f"{pre_file}:3:") + ".*line 1"):
+        normalizer.load_presegmented(str(pre_file))
+
+
 # full pipeline properties
 
 ALLOWED_OUTPUT = (
@@ -468,10 +492,6 @@ def test_normalize_deterministic():
     text = "@user هههههه http://x.co <br> عمري25"
     assert normalize(text) == normalize(text)
     assert normalize(text, NormConfig()) == normalize(text, NormConfig())
-
-
-def test_collapse_whitespace():
-    assert collapse_whitespace(" a \t b\n") == "a b"
 
 
 # normalize against the fixed-point oracle
@@ -645,3 +665,81 @@ def test_refiring_texts_take_another_pass(monkeypatch):
     # The first pass replaces x.co/a; the http:// left over matches no
     # entity in its part, whatever follows the placeholder.
     assert count_passes(monkeypatch, ["http😂://x.co/a"]) == 1
+
+
+# the token path: a pass cleans each whitespace token on its own
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_re_whitespace_is_str_split_whitespace():
+    # normalize splits with str.split() where the stages match \s.
+    for code in range(0x110000):
+        char = chr(code)
+        assert bool(normalizer._WS_RE.fullmatch(char)) == char.isspace(), hex(code)
+    assert "x".join(WHITESPACE).split() == ["x"] * (len(WHITESPACE) - 1)
+
+
+# Tokens each stage changes, placeholders, and pieces that splice or
+# glue into one when the whitespace around them goes.
+TOKEN_PIECES = [
+    "عمري25", "[رابط]", "x.co/a", "هههه😂", "@us😂er", "a.b@mail.com", "😂",
+    "وال+", "كتابها", "<b>", "&nbsp;", "http😂://x.co", "[", "هه",
+]
+
+
+@pytest.mark.parametrize("toggles", list(itertools.product([False, True], repeat=5)))
+def test_every_whitespace_around_tokens_matches_oracle(toggles):
+    config = NormConfig(*toggles)
+    for space in WHITESPACE:
+        for text in (
+            space + space.join(TOKEN_PIECES) + space,
+            space.join(PLACEHOLDERS) + space * 2 + "x",
+            space + "هه" + space + "ه" + space + "[مستخدم]" + space + "هه",
+        ):
+            assert_matches_oracle(text, config)
+
+
+@pytest.mark.parametrize("toggles", list(itertools.product([False, True], repeat=4)))
+def test_whitespace_collapses_without_noise_removal(toggles):
+    strip, entities, spacing, seg = toggles
+    config = NormConfig(strip, entities, False, spacing, seg)
+    assert normalize(" a \t b\n", config) == "a b"
+    for text in (" a \t b\n", "\u3000a\x1c\x1db\x85", "a  <br>  b", "a&nbsp;b", "\t\n "):
+        assert_matches_oracle(text, config)
+
+
+def test_memo_is_kept_per_config(tmp_path):
+    fixture = fixtures.write_fixture("serve", 101, str(tmp_path))
+    texts = [r.text for r in load_corpus(fixture.paths["test"])]
+    for pair in (
+        (NormConfig(), NormConfig(max_repeat=1)),
+        (NormConfig(), NormConfig(insert_spacing=False)),
+    ):
+        normalizer._token_memo.cache_clear()
+        for text in texts:
+            for config in pair:
+                assert_matches_oracle(text, config)
+
+
+def test_memo_stays_within_its_bounds():
+    bound = normalizer._TOKEN_MEMO_SIZE
+    config = NormConfig(max_repeat=1)
+    normalizer._token_memo.cache_clear()
+    # Distinct tokens that the entity, noise and spacing stages each change.
+    kinds = ("عمري{}", "@u{}", "ههه{}😂", "x{}.co/a", "{}")
+    tokens = [kind.format(i) for i in range(bound // 4) for kind in kinds]
+    assert len(set(tokens)) > bound
+    for start in range(0, len(tokens), 200):
+        assert_matches_oracle(" ".join(tokens[start:start + 200]), config)
+    memo = normalizer._token_memo(config)
+    assert memo.cache_info().maxsize == bound
+    assert memo.cache_info().currsize == bound
+    # A token the stages leave as it is is its own memo entry, even
+    # where a stage built an equal copy.
+    token = PLACEHOLDERS[0]
+    assert memo(token) is token
+    for repeat in range(1, 2 * normalizer._MEMO_CONFIGS + 2):
+        normalize("ههههه", NormConfig(max_repeat=repeat))
+    assert normalizer._token_memo.cache_info().currsize == normalizer._MEMO_CONFIGS

@@ -9,7 +9,7 @@ import shlex
 
 import pytest
 
-from dialectid import cli, harness
+from dialectid import cli, harness, normalizer
 from dialectid.classifier import HyperParams
 from dialectid.corpus import LabelVocab, TweetRecord
 from dialectid.features import FeatureConfig
@@ -41,6 +41,13 @@ def test_experiment_keys_are_the_parsers():
     with open(README, encoding="utf-8") as fh:
         paragraph = fh.read().split("\nExperiment keys: ", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`(\w+)`", paragraph) == list(harness._EXPERIMENT_KEYS)
+
+
+def test_memo_bounds_are_the_normalizers():
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    assert f"memo keeps the {normalizer._TOKEN_MEMO_SIZE:,} most recently used" in text
+    assert f"only the {normalizer._MEMO_CONFIGS} most recently used configurations" in text
 
 
 def test_readme_has_the_examples():
