@@ -38,6 +38,14 @@ buckets outside the model's columns, which the dense model weighs 0.0,
 and scores each row with one contiguous gather of its entries' weight
 rows, summed in the dense model's order, so its logits are those of the
 dense model bit for bit (see logits).
+
+This module alone reads and writes the saved model: save_model writes
+a model file and the file of its idf table, and load_model reads the
+two back as one LinearModel, or raises CorruptArtifact naming the
+file at fault.  Arrays go to disk as little-endian numbers straight
+from their memory when they already have that layout, and come back
+by readinto into preallocated arrays, so neither direction makes a
+second copy of a large array.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_ids, write_array, written_whole
 from .errors import (
     ClassIndexOutOfRange,
     CorruptArtifact,
@@ -62,6 +69,7 @@ from .errors import (
 from .features import IdfTable, SparseRows
 
 MODEL_MAGIC = b"NADIMDL3"
+IDF_MAGIC = b"NADIIDF2"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 / golden ratio
@@ -349,69 +357,183 @@ def _sgd(
     return scaled, bias, losses
 
 
-def save_model(model: LinearModel, path: str) -> None:
-    """Binary layout: magic, u32 num_classes, u32 dim, u32 fallback
-    class, u32 number W of columns written; per label, then for the
-    feature fingerprint, a u32 byte length plus UTF-8 bytes; the W
-    sorted column ids as u32, left out when W is dim; the W x
-    num_classes weights, row-major, and the biases, as little-endian
-    float64.
+def _width(count: int, dim: int) -> int:
+    """The number W of rows in the table of a file over dim buckets,
+    count of them in use: dim, the table written whole, when count is
+    more than a quarter of dim, else count, the table written sparse.
 
-    A model over more than a quarter of the buckets is written whole
-    (W = dim, 0.0 for a bucket outside its columns), else sparse
-    (W = K); see binio.written_whole.  Its idf goes to features.save_idf.
+    A whole file's size depends on dim alone, not on which buckets the
+    data happened to fill, and at that fill a sparse file would save
+    less than three quarters of it.  A table sized generously for its
+    vocabulary (a few percent full at dim 2**18) is written sparse at a
+    small fraction of its whole size.
     """
-    columns, dim, weights = model.idf.columns, model.idf.dim, model.weights
-    whole = written_whole(columns.size, dim)
-    if whole and columns.size < dim:
-        # At most four times the stored weights (written_whole).
-        weights = np.zeros((dim, model.num_classes), dtype=np.float64)
-        weights[columns] = model.weights
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack(
-            "<IIII", model.num_classes, dim, model.fallback_class, weights.shape[0]
-        ))
-        for text in [*model.class_labels, model.feature_fingerprint]:
-            raw = text.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        if not whole:
-            write_array(fh, columns, "<u4")
-        write_array(fh, weights, "<f8")
-        write_array(fh, model.bias, "<f8")
+    return dim if 4 * count > dim else count
+
+
+def _table_bytes(width: int, dim: int, row_bytes: int) -> int:
+    """The size of a table of width rows of row_bytes each over dim
+    buckets, as _write_table writes it."""
+    return (0 if width == dim else 4 * width) + row_bytes * width
+
+
+def _write_array(fh: BinaryIO, array: np.ndarray, dtype: str) -> None:
+    """Write array in C order as dtype (e.g. "<f8", "<u4"); no copy when
+    it already is one."""
+    fh.write(memoryview(np.ascontiguousarray(array, dtype=dtype)))
+
+
+def _write_table(
+    fh: BinaryIO, columns: np.ndarray, dim: int, rows: np.ndarray, dtype: str
+) -> None:
+    """Write the rows of the K sorted buckets columns of dim as dtype:
+    whole, the rows of all dim buckets in order, zeros outside columns,
+    and no ids; or sparse, the K ids as u32 and then the K rows."""
+    if _width(columns.size, dim) < dim:
+        _write_array(fh, columns, "<u4")
+    elif columns.size < dim:
+        # At most four times the rows themselves (_width).
+        full = np.zeros((dim, *rows.shape[1:]), dtype=rows.dtype)
+        full[columns] = rows
+        rows = full
+    _write_array(fh, rows, dtype)
+
+
+def _read_exact(fh: BinaryIO, size: int, path: str, what: str) -> bytes:
+    """Read exactly size bytes, or raise CorruptArtifact naming the field
+    (what) the file ends in."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise CorruptArtifact(f"{path}: file ends inside {what}")
+    return data
+
+
+def _read_array(
+    fh: BinaryIO, dtype: str, shape: tuple[int, ...], path: str, what: str
+) -> np.ndarray:
+    """Read an array of dtype and the given shape into a fresh array, by
+    readinto, so no second copy is made."""
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(memoryview(out)) != out.nbytes:
+        raise CorruptArtifact(f"{path}: file ends inside {what}")
+    return out
+
+
+def _read_table(
+    fh: BinaryIO, width: int, dim: int, dtype: str, row_shape: tuple[int, ...], path: str,
+    what: str,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The ids, as int64 (None when the table is whole: width is dim),
+    and the width rows of dtype of a table _write_table wrote.  Raises
+    CorruptArtifact unless the ids are strictly increasing below dim."""
+    ids = None
+    if width < dim:
+        ids = _read_array(fh, "<u4", (width,), path, "the bucket ids").astype(np.int64)
+        if width and (ids[-1] >= dim or np.any(ids[1:] <= ids[:-1])):
+            raise CorruptArtifact(f"{path}: the bucket ids are not strictly increasing below {dim}")
+    return ids, _read_array(fh, dtype, (width, *row_shape), path, what)
 
 
 def _read_text(fh: BinaryIO, size: int, path: str, what: str) -> str:
     """A u32 byte length and that many UTF-8 bytes, as a string."""
-    (length,) = struct.unpack("<I", read_exact(fh, 4, path, f"the length of {what}"))
+    (length,) = struct.unpack("<I", _read_exact(fh, 4, path, f"the length of {what}"))
     if length > size - fh.tell():
         raise CorruptArtifact(f"{path}: file ends inside {what}")
     try:
-        return read_exact(fh, length, path, what).decode("utf-8")
+        return _read_exact(fh, length, path, what).decode("utf-8")
     except UnicodeDecodeError:
         raise CorruptArtifact(f"{path}: {what} is not UTF-8") from None
 
 
-def load_model(path: str, idf: IdfTable) -> LinearModel:
-    """Read a file written by save_model as the model over idf, the
-    table it was fitted with; a whole file keeps the weights of idf's
-    columns only.  Raises CorruptArtifact on a bad magic (files of the
-    earlier dense formats included: retrain them), a cut header, a
-    fallback class outside the classes, more columns than dim, a sparse
-    file with more than a quarter of dim columns (a model that full is
-    written whole), a label or fingerprint that is not UTF-8, a size
-    that does not match the header, column ids that are not strictly
-    increasing below dim, or a weight or bias that is not finite.
-    Raises DimensionMismatch on a dim other than idf's, and
-    DialectIdError unless the file is the one save_model writes over
-    idf's columns: the same ids, or whole with 0.0 outside them."""
+def save_model(model: LinearModel, model_path: str, idf_path: str) -> None:
+    """Write the model to model_path and its idf table to idf_path.
+
+    Both files are little-endian, and each holds one _write_table table
+    over the idf's columns, of W rows (_width).  The idf file:
+    IDF_MAGIC, u32 dim, u32 doc_count, u32 W, then the table of the
+    document frequencies as u32.  The model file: MODEL_MAGIC, u32
+    num_classes, u32 dim, u32 fallback class, u32 W; per label, then for
+    the feature fingerprint, a u32 byte length plus UTF-8 bytes; the
+    table of the weights, one row of num_classes float64 per bucket;
+    and the biases as float64.
+    """
+    idf = model.idf
+    width = _width(idf.columns.size, idf.dim)
+    with open(idf_path, "wb") as fh:
+        fh.write(IDF_MAGIC)
+        fh.write(struct.pack("<III", idf.dim, idf.doc_count, width))
+        _write_table(fh, idf.columns, idf.dim, idf.df, "<u4")
+    with open(model_path, "wb") as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<IIII", model.num_classes, idf.dim, model.fallback_class, width))
+        for text in [*model.class_labels, model.feature_fingerprint]:
+            raw = text.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+        _write_table(fh, idf.columns, idf.dim, model.weights, "<f8")
+        _write_array(fh, model.bias, "<f8")
+
+
+def _read_idf(path: str) -> IdfTable:
+    """The idf table of a file save_model wrote, as the table of its
+    occupied buckets, whichever its layout."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
+            raise CorruptArtifact(f"{path}: not a {IDF_MAGIC.decode()} idf table (bad magic)")
+        dim, doc_count, width = struct.unpack("<III", _read_exact(fh, 12, path, "the header"))
+        # The table's bucket -> column table is dim-sized: a dim no
+        # FeatureConfig accepts must not allocate one.
+        if dim < 2 or dim & (dim - 1):
+            raise CorruptArtifact(f"{path}: dim {dim} is not a power of two >= 2")
+        if width > dim:
+            raise CorruptArtifact(f"{path}: {width} occupied buckets for dim {dim}")
+        expected = fh.tell() + _table_bytes(width, dim, 4)
+        if size != expected:
+            raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
+        columns, df = _read_table(fh, width, dim, "<u4", (), path, "the document frequencies")
+    if columns is None:
+        columns = np.flatnonzero(df)
+        df = df[columns]
+    elif width and df.min() == 0:
+        raise CorruptArtifact(f"{path}: a listed bucket has document frequency 0")
+    if df.size and df.max() > doc_count:
+        raise CorruptArtifact(f"{path}: a document frequency is above {doc_count}")
+    if width != _width(columns.size, dim):
+        raise CorruptArtifact(
+            f"{path}: {columns.size} of {dim} buckets occupied in a "
+            f"{'whole' if width == dim else 'sparse'} file; save_model writes the other layout"
+        )
+    return IdfTable(columns=columns, df=df.astype(np.int64), doc_count=doc_count, dim=dim)
+
+
+def load_model(model_path: str, idf_path: str) -> LinearModel:
+    """Read the idf file and then the model file save_model wrote, as the
+    model over that idf table; a whole model file keeps the weights of
+    the table's columns only.
+
+    Raises CorruptArtifact, naming the file, on a bad magic (files of
+    earlier formats included: retrain them), a cut header, a size that
+    does not match the header, ids that are not strictly increasing
+    below dim, or a layout other than the one save_model picks.  In
+    the idf file also on a dim that is not a power of two >= 2, more
+    buckets than dim, a listed bucket with document frequency 0 or a
+    document frequency above doc_count; in the model file on a
+    fallback class outside the classes, more columns than dim, a label
+    or fingerprint that is not UTF-8, or a weight or bias that is not
+    finite.  Raises DimensionMismatch when the two dims differ, and
+    DialectIdError unless the files were fitted together: the same
+    number of rows, and the same ids, or a whole model with 0.0
+    outside the idf's columns.
+    """
+    idf = _read_idf(idf_path)
+    path = model_path
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise CorruptArtifact(f"{path}: not a {MODEL_MAGIC.decode()} model file (bad magic)")
         num_classes, dim, fallback, width = struct.unpack(
-            "<IIII", read_exact(fh, 16, path, "the header")
+            "<IIII", _read_exact(fh, 16, path, "the header")
         )
         if fallback >= num_classes:
             raise CorruptArtifact(
@@ -419,32 +541,29 @@ def load_model(path: str, idf: IdfTable) -> LinearModel:
             )
         if width > dim:
             raise CorruptArtifact(f"{path}: {width} columns for dim {dim}")
-        whole = width == dim
-        if not whole and written_whole(width, dim):
+        if _width(width, dim) != width:
             raise CorruptArtifact(
                 f"{path}: {width} of {dim} columns listed; a model that full is written whole"
             )
         labels = [_read_text(fh, size, path, f"label {i}") for i in range(num_classes)]
         fingerprint = _read_text(fh, size, path, "the feature fingerprint")
-        ids_bytes = 0 if whole else 4 * width
-        expected = fh.tell() + ids_bytes + 8 * width * num_classes + 8 * num_classes
+        expected = fh.tell() + _table_bytes(width, dim, 8 * num_classes) + 8 * num_classes
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
         if dim != idf.dim:
             raise DimensionMismatch(f"{path}: model dim {dim} does not match idf dim {idf.dim}")
-        if not whole:
-            columns = read_ids(fh, width, dim, path, "the column ids")
-        weights = read_array(fh, "<f8", (width, num_classes), path, "the weights")
-        bias = read_array(fh, "<f8", (num_classes,), path, "the biases")
+        columns, weights = _read_table(fh, width, dim, "<f8", (num_classes,), path, "the weights")
+        bias = _read_array(fh, "<f8", (num_classes,), path, "the biases")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise CorruptArtifact(f"{path}: a weight or bias is not finite")
-    if whole:
+    together = width == _width(idf.columns.size, dim)
+    if columns is None:
         outside = weights.any(axis=1)
         outside[idf.columns] = False
-        together = written_whole(idf.columns.size, dim) and not outside.any()
+        together = together and not outside.any()
         weights = weights[idf.columns]
     else:
-        together = np.array_equal(columns, idf.columns)
+        together = together and np.array_equal(columns, idf.columns)
     if not together:
         raise DialectIdError(f"{path}: model and idf were not fitted together")
     return LinearModel(

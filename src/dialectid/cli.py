@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from . import classifier, corpus, evaluation, features, harness, normalizer
+from . import classifier, corpus, evaluation, harness, normalizer
 from .corpus import LabelVocab, Level
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
@@ -97,10 +97,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     vocab = _default_vocab(args.vocab, level)
     config = _experiment_from_args(args)
     records = corpus.load_corpus(args.infile, vocab=vocab)
-    texts = harness.prepare_texts(records, config, _load_lexicon_flags(args))
-    model = harness.fit_pipeline(texts, records, config, vocab, level)
-    classifier.save_model(model, args.out_model)
-    features.save_idf(model.idf, args.out_idf)
+    lexicon = _load_lexicon_flags(args)
+    texts = harness.prepare_texts(records, config, lexicon)
+    model = harness.fit_pipeline(texts, records, config, vocab, level, lexicon)
+    classifier.save_model(model, args.out_model, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
     return 0
 
@@ -133,7 +133,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model = classifier.load_model(args.model, features.load_idf(args.idf))
+    model = classifier.load_model(args.model, args.idf)
     config = _experiment_from_args(args)
     if config.features.dim != model.idf.dim:
         if args.config:
@@ -141,14 +141,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 f"config dim {config.features.dim} does not match idf table dim {model.idf.dim}"
             )
         config = replace(config, features=replace(config.features, dim=model.idf.dim))
+    lexicon = _load_lexicon_flags(args)
     # A model trained outside the harness carries no fingerprint.
-    fingerprint = harness.fingerprint(config)
+    fingerprint = harness.fingerprint(config, lexicon)
     if model.feature_fingerprint and model.feature_fingerprint != fingerprint:
         raise DialectIdError(
             f"model was trained with fingerprint {model.feature_fingerprint}, but experiment "
             f"{config.name!r} has {fingerprint} (its text preparation or features differ)"
         )
-    lexicon = _load_lexicon_flags(args)
     records = corpus.load_corpus(args.infile)
     texts = harness.prepare_texts(records, config, lexicon)
     predictions = harness.predict_texts(texts, config, model)
@@ -175,8 +175,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     selected = next(c for c in spec.experiments if c.name == grid.selected)
     submission_path = os.path.join(args.out_dir, "submission.csv")
     result = harness.finalize(splits, selected, submission_path)
-    classifier.save_model(result.model, os.path.join(args.out_dir, "model.bin"))
-    features.save_idf(result.model.idf, os.path.join(args.out_dir, "idf.bin"))
+    classifier.save_model(
+        result.model, os.path.join(args.out_dir, "model.bin"), os.path.join(args.out_dir, "idf.bin")
+    )
     if result.report is not None:
         evaluation.write_report(result.report, os.path.join(args.out_dir, "report.txt"))
         print(

@@ -10,10 +10,9 @@ per bucket, and its width dim, which fit_idf and vectorize read from
 it.  bucket_counts yields the gram counts of the texts as blocks of
 rows; the idf table (fit_idf) holds the K occupied buckets, their
 document frequencies and K + 1 weights, the last that of a bucket no
-document has, and its file stores only the occupied buckets unless
-more than a quarter are (binio.written_whole); vectorize turns a
-block of counts into tf-idf rows, finding each bucket's weight
-through the table's bucket -> column table.  A fit or a predict makes
+document has; vectorize turns a block of counts into tf-idf rows,
+finding each bucket's weight through the table's bucket -> column
+table.  A fit or a predict makes
 one bucket_counts call.  It reads the texts in bounded chunks and cuts
 and hashes each distinct whitespace token once: a chunk's new padded
 tokens are encoded together, each gram is the byte span between two
@@ -24,8 +23,6 @@ bucket) pairs.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -33,14 +30,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_ids, write_array, written_whole
-from .errors import CorruptArtifact, DimensionMismatch, EmptyCorpus
+from .errors import DimensionMismatch, EmptyCorpus
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-IDF_MAGIC = b"NADIIDF2"
 
 
 def fnv1a64(data: bytes) -> int:
@@ -306,69 +300,3 @@ def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
     # row on its own; a segmented sum adds in another order.
     norms = np.sqrt([np.dot(values[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     return replace(counts, values=values / np.repeat(norms, np.diff(counts.indptr)))
-
-
-def save_idf(table: IdfTable, path: str) -> None:
-    """Binary layout: magic, u32 dim, u32 doc_count, u32 number W of
-    buckets written; then, sparse, the W occupied buckets' sorted ids as
-    u32 and their W document frequencies as u32, or, whole (W = dim),
-    the dim document frequencies as u32, 0 for an unoccupied bucket;
-    all little-endian.  A table with more than a quarter of its buckets
-    occupied is written whole; see binio.written_whole."""
-    whole = written_whole(table.columns.size, table.dim)
-    with open(path, "wb") as fh:
-        fh.write(IDF_MAGIC)
-        fh.write(struct.pack(
-            "<III", table.dim, table.doc_count, table.dim if whole else table.columns.size
-        ))
-        if whole:
-            df = np.zeros(table.dim, dtype=np.int64)
-            df[table.columns] = table.df
-            write_array(fh, df, "<u4")
-        else:
-            write_array(fh, table.columns, "<u4")
-            write_array(fh, table.df, "<u4")
-
-
-def load_idf(path: str) -> IdfTable:
-    """Read a file written by save_idf, as the table of its occupied
-    buckets, whichever its layout.  Raises CorruptArtifact on a bad
-    magic (files of the earlier dense format included: retrain them), a
-    cut header, a dim that is not a power of two >= 2, more buckets
-    than dim, a size that does not match the header, bucket ids that
-    are not strictly increasing below dim, a listed bucket with
-    document frequency 0, a document frequency above doc_count, or a
-    layout other than the one save_idf picks for the occupied
-    buckets."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
-            raise CorruptArtifact(f"{path}: not a {IDF_MAGIC.decode()} idf table (bad magic)")
-        dim, doc_count, width = struct.unpack("<III", read_exact(fh, 12, path, "the header"))
-        # The table's bucket -> column table is dim-sized: a dim no
-        # FeatureConfig accepts must not allocate one.
-        if dim < 2 or dim & (dim - 1):
-            raise CorruptArtifact(f"{path}: dim {dim} is not a power of two >= 2")
-        if width > dim:
-            raise CorruptArtifact(f"{path}: {width} occupied buckets for dim {dim}")
-        whole = width == dim
-        expected = fh.tell() + (4 if whole else 8) * width
-        if size != expected:
-            raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
-        if whole:
-            df = read_array(fh, "<u4", (dim,), path, "the document frequencies")
-            columns = np.flatnonzero(df)
-            df = df[columns]
-        else:
-            columns = read_ids(fh, width, dim, path, "the bucket ids")
-            df = read_array(fh, "<u4", (width,), path, "the document frequencies")
-            if width and df.min() == 0:
-                raise CorruptArtifact(f"{path}: a listed bucket has document frequency 0")
-    if df.size and df.max() > doc_count:
-        raise CorruptArtifact(f"{path}: a document frequency is above {doc_count}")
-    if whole != written_whole(columns.size, dim):
-        raise CorruptArtifact(
-            f"{path}: {columns.size} of {dim} buckets occupied in a "
-            f"{'whole' if whole else 'sparse'} file; save_idf writes the other layout"
-        )
-    return IdfTable(columns=columns, df=df.astype(np.int64), doc_count=doc_count, dim=dim)

@@ -87,14 +87,21 @@ def prepare_texts(
     return [normalizer.normalize(r.text, config.norm, lexicon)[:limit] for r in records]
 
 
-def fingerprint(config: ExperimentConfig) -> str:
+def fingerprint(config: ExperimentConfig, lexicon: SegmentLexicon = DEFAULT_LEXICON) -> str:
     """Stable 16-hex-digit digest of what turns a record into features:
-    every NormConfig field, max_seq_len and every FeatureConfig field.
-    A model carries the fingerprint of its experiment, and predict
-    refuses an experiment with another one."""
+    every NormConfig field, max_seq_len and every FeatureConfig field,
+    and, when the experiment segments with a lexicon other than the
+    default one, an FNV-1a digest of that lexicon's prefixes, suffixes,
+    min_stem_len and sorted overrides.  A model carries the fingerprint
+    of its experiment and lexicon, and predict refuses an experiment or
+    lexicon with another one."""
     settings = [(f.name, getattr(config.norm, f.name)) for f in fields(NormConfig)]
     settings.append(("max_seq_len", config.hp.max_seq_len))
     settings += [(f.name, getattr(config.features, f.name)) for f in fields(FeatureConfig)]
+    if config.norm.segment and lexicon != DEFAULT_LEXICON:
+        entries = (lexicon.prefixes, lexicon.suffixes, lexicon.min_stem_len,
+                   sorted(lexicon.overrides.items()))
+        settings.append(("lexicon", f"{features.fnv1a64(repr(entries).encode('utf-8')):016x}"))
     canon = ";".join(f"{name}={value}" for name, value in settings)
     return f"{features.fnv1a64(canon.encode('utf-8')):016x}"
 
@@ -120,10 +127,12 @@ def fit_pipeline(
     config: ExperimentConfig,
     vocab: LabelVocab,
     level: Level,
+    lexicon: SegmentLexicon,
 ) -> LinearModel:
     """Fit the idf table and the model that carries it on one split, to
     the labels of the records at level: texts are the prepared texts of
-    records, in the same order."""
+    records, in the same order, normalized with lexicon, which the
+    model's fingerprint covers."""
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
     labels = vocab.labels(level)
@@ -138,7 +147,7 @@ def fit_pipeline(
         hp=config.hp,
         class_labels=labels,
         idf=idf,
-        feature_fingerprint=fingerprint(config),
+        feature_fingerprint=fingerprint(config, lexicon),
     )
 
 
@@ -220,7 +229,7 @@ def run_grid(
     rows: list[GridRow] = []
     for config in configs:
         texts = splits.texts("train", config)
-        model = fit_pipeline(texts, splits.train, config, vocab, level)
+        model = fit_pipeline(texts, splits.train, config, vocab, level, splits.lexicon)
         pred = predict_texts(splits.texts("dev", config), config, model)
         rep = evaluation.report(gold, pred, labels)
         rows.append(
@@ -251,7 +260,7 @@ def finalize(
     # prepare_texts works record by record, so this is the preparation
     # of combined.
     texts = splits.texts("train", config) + splits.texts("dev", config)
-    model = fit_pipeline(texts, combined, config, vocab, level)
+    model = fit_pipeline(texts, combined, config, vocab, level, splits.lexicon)
     test = splits.test
     predictions = predict_texts(splits.texts("test", config), config, model)
     corpus.write_submission([r.id for r in test], predictions, submission_path)

@@ -138,7 +138,10 @@ _ARABIC_TOKEN_RE = re.compile("[" + _ARABIC_RANGES + "]+\\Z")
 class SegmentLexicon:
     """Clitic lists for the greedy segmenter, longest-first, and the
     overrides: tokens mapped to the segmented form that replaces the
-    lexicon's for them.  The overrides are copied into a read-only
+    lexicon's for them.  Each list is kept without duplicates and, at
+    one length, in code point order; two entries of one length never
+    both match a token, so lexicons equal as sets segment alike and
+    compare equal.  The overrides are copied into a read-only
     mapping, and do not enter the hash."""
 
     prefixes: tuple[str, ...]
@@ -147,17 +150,13 @@ class SegmentLexicon:
     overrides: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
-        for name, entries in (("prefixes", self.prefixes), ("suffixes", self.suffixes)):
-            if any(not e for e in entries):
+        for name in ("prefixes", "suffixes"):
+            entries = set(getattr(self, name))
+            if "" in entries:
                 raise ValueError(f"empty string in lexicon {name}")
+            object.__setattr__(self, name, tuple(sorted(entries, key=lambda e: (-len(e), e))))
         if self.min_stem_len < 1:
             raise ValueError(f"min_stem_len must be >= 1, got {self.min_stem_len}")
-        object.__setattr__(
-            self, "prefixes", tuple(sorted(self.prefixes, key=len, reverse=True))
-        )
-        object.__setattr__(
-            self, "suffixes", tuple(sorted(self.suffixes, key=len, reverse=True))
-        )
         object.__setattr__(
             self, "overrides", MappingProxyType(dict(self.overrides))
         )

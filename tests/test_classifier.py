@@ -28,7 +28,7 @@ from dialectid.errors import (
     EmptyTrainingSet,
     LengthMismatch,
 )
-from dialectid.features import column_table
+from dialectid.features import FeatureConfig, bucket_counts, column_table, fit_idf, join_rows
 
 from conftest import csr, edit_one_place
 from dense_oracle import (
@@ -42,6 +42,7 @@ from dense_oracle import (
     to_dense,
     train_on,
 )
+from test_features import table_of
 from test_memory import fit_nadi_finalize_corpus
 
 
@@ -706,6 +707,46 @@ def model_bytes(num_classes, dim, fallback, columns, labels=None, fingerprint=""
     return blob + bytes(8 * (len(columns) + 1) * num_classes)
 
 
+def idf_bytes(dim, doc_count, ids, df):
+    """A NADIIDF2 file: sparse, or whole when ids is None (df then holds
+    every bucket's document frequency)."""
+    blob = b"NADIIDF2" + struct.pack("<III", dim, doc_count, len(df if ids is None else ids))
+    if ids is not None:
+        blob += np.array(ids, dtype="<u4").tobytes()
+    return blob + np.array(df, dtype="<u4").tobytes()
+
+
+def idf_file(idf):
+    """The idf file of a table, whole when more than a quarter of its
+    buckets are occupied."""
+    if 4 * idf.columns.size <= idf.dim:
+        return idf_bytes(idf.dim, idf.doc_count, idf.columns, idf.df)
+    df = np.zeros(idf.dim, dtype=np.int64)
+    df[idf.columns] = idf.df
+    return idf_bytes(idf.dim, idf.doc_count, None, df)
+
+
+def saved(model, tmp_path):
+    """The (model file, idf file) paths save_model wrote model to."""
+    paths = str(tmp_path / "m.bin"), str(tmp_path / "idf.bin")
+    save_model(model, *paths)
+    return paths
+
+
+def written(tmp_path, blob, idf):
+    """The paths of a model file of blob and the idf file of idf."""
+    (tmp_path / "m.bin").write_bytes(blob)
+    (tmp_path / "idf.bin").write_bytes(idf_file(idf))
+    return str(tmp_path / "m.bin"), str(tmp_path / "idf.bin")
+
+
+def assert_same_idf(loaded, idf):
+    assert (loaded.doc_count, loaded.dim) == (idf.doc_count, idf.dim)
+    assert loaded.columns.tobytes() == idf.columns.astype(np.int64).tobytes()
+    assert loaded.df.tobytes() == idf.df.astype(np.int64).tobytes()
+    assert loaded.weights.tobytes() == idf.weights.tobytes()
+
+
 class TestModelIo:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -717,41 +758,42 @@ class TestModelIo:
             feature_fingerprint="0123456789abcdef",
             fallback_class=2,
         )
-        path = tmp_path / "m.bin"
-        save_model(model, str(path))
-        loaded = load_model(str(path), model.idf)
-        assert loaded.idf is model.idf
+        model_path, idf_path = saved(model, tmp_path)
+        loaded = load_model(model_path, idf_path)
+        assert_same_idf(loaded.idf, model.idf)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
         assert loaded.class_labels == model.class_labels
         assert loaded.fallback_class == 2
         assert loaded.feature_fingerprint == "0123456789abcdef"
-        assert path.read_bytes()[:8] == b"NADIMDL3"
+        with open(model_path, "rb") as fh:
+            assert fh.read(8) == b"NADIMDL3"
+        # 4 of 16 buckets, no more than a quarter: the idf file lists them.
+        with open(idf_path, "rb") as fh:
+            assert fh.read() == idf_bytes(16, 1, [0, 3, 7, 15], [1, 1, 1, 1])
 
     def test_no_columns_round_trip(self, tmp_path):
         model = train_on(csr([{}, {}], 4), [1, 1], HyperParams(epochs=1), labels(2))
         assert model.idf.columns.size == 0 and model.weights.shape == (0, 2)
-        path = tmp_path / "m.bin"
-        save_model(model, str(path))
-        loaded = load_model(str(path), model.idf)
+        loaded = load_model(*saved(model, tmp_path))
         assert loaded.weights.shape == (0, 2)
         # Bucket 3 is not stored, so the second row's logits are the bias.
         assert loaded.bias[1] > loaded.bias[0]
         assert predict(loaded, csr([{}, {3: 1.0}], 4)).tolist() == [1, 1]
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
+        paths = written(tmp_path, b"WRONGMAG" + b"\x00" * 32, idf_of([], 8))
         with pytest.raises(ValueError, match="magic"):
-            load_model(str(path), idf_of([], 8))
+            load_model(*paths)
 
     def test_truncated_file(self, tmp_path):
-        path = tmp_path / "t.bin"
-        model = small_model()
-        save_model(model, str(path))
-        path.write_bytes(path.read_bytes()[:-8])
+        model_path, idf_path = saved(small_model(), tmp_path)
+        with open(model_path, "rb") as fh:
+            blob = fh.read()
+        with open(model_path, "wb") as fh:
+            fh.write(blob[:-8])
         with pytest.raises(ValueError):
-            load_model(str(path), model.idf)
+            load_model(model_path, idf_path)
 
     @pytest.mark.parametrize("layout", ["fortran", "float32", "big-endian"])
     def test_save_writes_the_row_major_float64_layout(self, tmp_path, layout):
@@ -768,8 +810,7 @@ class TestModelIo:
         # 4 of 16 columns, no more than a quarter: the file lists them.
         model = LinearModel(weights, bias, labels, idf_of([2, 3, 5, 9], 16),
                             feature_fingerprint="f00d", fallback_class=1)
-        path = tmp_path / "m.bin"
-        save_model(model, str(path))
+        model_path, idf_path = saved(model, tmp_path)
         header = b"NADIMDL3" + struct.pack("<IIII", 3, 16, 1, 4)
         for text in labels + ["f00d"]:
             raw = text.encode("utf-8")
@@ -780,8 +821,8 @@ class TestModelIo:
             + weights.astype("<f8").tobytes(order="C")
             + bias.astype("<f8").tobytes()
         )
-        assert path.read_bytes() == expected
-        loaded = load_model(str(path), model.idf)
+        assert (tmp_path / "m.bin").read_bytes() == expected
+        loaded = load_model(model_path, idf_path)
         assert loaded.weights.flags.c_contiguous
         assert loaded.weights.tobytes() == weights.astype(np.float64).tobytes(order="C")
         assert loaded.bias.tobytes() == bias.astype(np.float64).tobytes()
@@ -789,69 +830,71 @@ class TestModelIo:
         assert loaded.fallback_class == 1
 
     def test_fuller_model_is_written_whole(self, tmp_path):
-        # 3 of 8 columns, more than a quarter: all 8 are written, no ids.
+        # 3 of 8 columns, more than a quarter: all 8 are written, no ids,
+        # in both files.
         model = small_model(feature_fingerprint="beef", fallback_class=1)
-        path = tmp_path / "m.bin"
-        save_model(model, str(path))
+        paths = saved(model, tmp_path)
         dense = np.zeros((8, 2))
         dense[[1, 4, 6]] = model.weights
         blob = b"NADIMDL3" + struct.pack("<IIII", 2, 8, 1, 8)
         for text in ["ab", "c", "beef"]:
             blob += struct.pack("<I", len(text)) + text.encode("utf-8")
         blob += dense.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
-        assert path.read_bytes() == blob
+        idf_blob = idf_bytes(8, 1, None, [0, 1, 0, 0, 1, 0, 1, 0])
+        assert (tmp_path / "m.bin").read_bytes() == blob
+        assert (tmp_path / "idf.bin").read_bytes() == idf_blob
         # It loads as the model it was saved from, weights of 1, 4, 6.
-        loaded = load_model(str(path), model.idf)
+        loaded = load_model(*paths)
         assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert_same_idf(loaded.idf, model.idf)
         assert (loaded.feature_fingerprint, loaded.fallback_class) == ("beef", 1)
         rows = csr([{1: 0.5, 2: 1.0}, {4: 2.0, 7: 3.0}, {6: 1.0}, {}], 8)
         assert logits(loaded, rows).tobytes() == logits(model, rows).tobytes()
-        save_model(loaded, str(path))
-        assert path.read_bytes() == blob
+        save_model(loaded, *paths)
+        assert (tmp_path / "m.bin").read_bytes() == blob
+        assert (tmp_path / "idf.bin").read_bytes() == idf_blob
 
     def test_dim_other_than_the_idf_tables(self, tmp_path):
-        path = tmp_path / "m.bin"
-        save_model(small_model(16), str(path))
+        model_path, idf_path = saved(small_model(16), tmp_path)
+        (tmp_path / "idf.bin").write_bytes(idf_file(idf_of([1, 4, 6], 32)))
         with pytest.raises(DimensionMismatch, match="model dim 16 does not match idf dim 32"):
-            load_model(str(path), idf_of([1, 4, 6], 32))
+            load_model(model_path, idf_path)
 
     # The file is over columns 1, 4 and 6, sparse at dim 16 and whole at
     # dim 8; each table lists other columns.  Whole, the table of 1, 4,
     # 5 leaves bucket 6's nonzero weights out, and a table of one column
-    # would have the model written sparse.
+    # is written sparse where the model is whole.
     @pytest.mark.parametrize("dim, columns", [
         (16, [1, 4, 7]), (16, [1, 4]), (16, [1, 4, 6, 9]), (8, [1, 4, 5]), (8, [1]),
     ])
     def test_idf_of_another_fit(self, tmp_path, dim, columns):
-        path = tmp_path / "m.bin"
         model = small_model(dim)
         if columns == [1]:
             model.weights[1:] = 0.0  # only bucket 1 weighs anything
-        save_model(model, str(path))
+        model_path, idf_path = saved(model, tmp_path)
+        (tmp_path / "idf.bin").write_bytes(idf_file(idf_of(columns, dim)))
         with pytest.raises(DialectIdError, match="not fitted together"):
-            load_model(str(path), idf_of(columns, dim))
+            load_model(model_path, idf_path)
 
     @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
     def test_every_cut_is_corrupt(self, tmp_path, dim):
+        model_path, idf_path = saved(small_model(dim, feature_fingerprint="beef"), tmp_path)
         path = tmp_path / "m.bin"
-        model = small_model(dim, feature_fingerprint="beef")
-        save_model(model, str(path))
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(CorruptArtifact):
-                load_model(str(path), model.idf)
+                load_model(model_path, idf_path)
         path.write_bytes(blob + b"\x00")
         with pytest.raises(CorruptArtifact, match="expected"):
-            load_model(str(path), model.idf)
+            load_model(model_path, idf_path)
 
     def test_label_longer_than_the_file(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(
+        blob = (
             b"NADIMDL3" + struct.pack("<IIII", 1, 2, 0, 0) + struct.pack("<I", 0xFFFFFFFF) + b"x"
         )
         with pytest.raises(CorruptArtifact, match="label 0"):
-            load_model(str(path), idf_of([], 2))
+            load_model(*written(tmp_path, blob, idf_of([], 2)))
 
     # The one-byte label "x" sits at byte 28, the fingerprint "x" at 33.
     @pytest.mark.parametrize("what, at", [("label 0", 28), ("the feature fingerprint", 33)])
@@ -859,20 +902,18 @@ class TestModelIo:
         blob = bytearray(model_bytes(1, 4, 0, [], ["x"], "x"))
         assert blob[at:at + 1] == b"x"
         blob[at] = 0xFF
-        path = tmp_path / "m.bin"
-        path.write_bytes(bytes(blob))
         with pytest.raises(CorruptArtifact, match=f"{what} is not UTF-8"):
-            load_model(str(path), idf_of([], 4))
+            load_model(*written(tmp_path, bytes(blob), idf_of([], 4)))
 
     @pytest.mark.parametrize("fallback", [2, 3, 0xFFFFFFFF])
     def test_fallback_outside_the_classes(self, tmp_path, fallback):
+        paths = saved(small_model(), tmp_path)
         path = tmp_path / "m.bin"
-        save_model(small_model(), str(path))
         blob = bytearray(path.read_bytes())
         blob[16:20] = struct.pack("<I", fallback)
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptArtifact, match="fallback class"):
-            load_model(str(path), small_model().idf)
+            load_model(*paths)
 
     @pytest.mark.parametrize("dim, columns, match", [
         (8, [1, 1], "strictly increasing"),
@@ -884,10 +925,8 @@ class TestModelIo:
         (16, [0, 1, 2, 3, 15], "5 of 16 columns listed"),
     ])
     def test_bad_columns(self, tmp_path, dim, columns, match):
-        path = tmp_path / "m.bin"
-        path.write_bytes(model_bytes(2, dim, 0, columns))
         with pytest.raises(CorruptArtifact, match=match):
-            load_model(str(path), idf_of([], dim))
+            load_model(*written(tmp_path, model_bytes(2, dim, 0, columns), idf_of([], dim)))
 
     @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
     @pytest.mark.parametrize("field", ["weights", "bias"])
@@ -895,28 +934,131 @@ class TestModelIo:
     def test_non_finite_parameters(self, tmp_path, dim, field, value):
         model = small_model(dim)
         getattr(model, field).flat[1] = value
-        path = tmp_path / "m.bin"
-        save_model(model, str(path))
         with pytest.raises(CorruptArtifact, match="not finite"):
-            load_model(str(path), model.idf)
+            load_model(*saved(model, tmp_path))
 
     @pytest.mark.parametrize("magic", [b"NADIMDL1", b"NADIMDL2"])
     def test_previous_formats_are_rejected(self, tmp_path, magic):
+        paths = saved(small_model(), tmp_path)
         path = tmp_path / "m.bin"
-        model = small_model()
-        save_model(model, str(path))
         path.write_bytes(magic + path.read_bytes()[8:])
         with pytest.raises(CorruptArtifact, match="magic"):
-            load_model(str(path), model.idf)
+            load_model(*paths)
+
+
+def zero_model(idf, num_classes=2):
+    """A model of zero weights and biases over the columns of idf."""
+    return LinearModel(
+        weights=np.zeros((idf.columns.size, num_classes)),
+        bias=np.zeros(num_classes),
+        class_labels=labels(num_classes),
+        idf=idf,
+    )
+
+
+def load_idf_file(tmp_path, blob):
+    """The idf table load_model reads from an idf file of blob."""
+    (tmp_path / "idf.bin").write_bytes(blob)
+    return classifier._read_idf(str(tmp_path / "idf.bin"))
+
+
+class TestIdfIo:
+    def test_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        df = rng.integers(0, 124, size=64) * (rng.random(64) < 0.5)
+        table = table_of(df, 123)
+        loaded = load_model(*saved(zero_model(table), tmp_path)).idf
+        assert (loaded.doc_count, loaded.dim) == (123, 64)
+        # A whole file loads as the occupied buckets alone.
+        assert loaded.columns.tolist() == np.flatnonzero(df).tolist()
+        assert loaded.df.tobytes() == table.df.tobytes()
+        assert loaded.weights.tobytes() == table.weights.tobytes()
+        # More than a quarter of the buckets are occupied: written whole.
+        assert 4 * np.count_nonzero(df) > 64
+        assert (tmp_path / "idf.bin").read_bytes() == idf_bytes(64, 123, None, df)
+
+    def test_sparse_table_lists_its_buckets(self, tmp_path):
+        df = np.zeros(64, dtype=np.int64)
+        df[[3, 17, 40, 63]] = [5, 1, 123, 2]
+        paths = saved(zero_model(table_of(df, 123)), tmp_path)
+        blob = (tmp_path / "idf.bin").read_bytes()
+        assert blob == idf_bytes(64, 123, [3, 17, 40, 63], [5, 1, 123, 2])
+        loaded = load_model(*paths).idf
+        assert loaded.columns.tolist() == [3, 17, 40, 63] and loaded.columns.dtype == np.int64
+        assert loaded.df.tolist() == [5, 1, 123, 2] and loaded.df.dtype == np.int64
+        assert (loaded.doc_count, loaded.dim) == (123, 64)
+
+    def test_fitted_table_round_trips_bit_for_bit(self, tmp_path):
+        config = FeatureConfig(dim=1 << 10)
+        texts = ["ab cd ef", "ab ab", "", "xyz cd"]
+        table = fit_idf(join_rows(list(bucket_counts(texts, config)), config.dim))
+        loaded = load_model(*saved(zero_model(table), tmp_path)).idf
+        assert_same_idf(loaded, table)
+        # No array of the table is dim-sized until its lookup table is built.
+        assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
+        assert 0 < table.columns.size < config.dim
+
+    def test_bad_magic(self, tmp_path):
+        with pytest.raises(ValueError, match="magic"):
+            load_idf_file(tmp_path, b"NOTMAGIC" + b"\x00" * 16)
+
+    def test_truncated_payload(self, tmp_path):
+        blob = idf_file(table_of(np.arange(16) % 3, 2))
+        with pytest.raises(ValueError):
+            load_idf_file(tmp_path, blob[:-4])
+
+    @pytest.mark.parametrize("df", [[1, 0, 3, 2], [0, 0, 0, 2, 0, 0, 0, 0]])  # whole, sparse
+    def test_every_cut_is_corrupt(self, tmp_path, df):
+        paths = saved(zero_model(table_of(df, 3)), tmp_path)
+        path = tmp_path / "idf.bin"
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptArtifact):
+                load_model(*paths)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CorruptArtifact, match="expected"):
+            load_model(*paths)
+
+    @pytest.mark.parametrize("dim, doc_count, ids, df, match", [
+        (8, 3, [2, 2], [1, 1], "strictly increasing"),
+        (8, 3, [5, 1], [1, 1], "strictly increasing"),
+        (8, 3, [1, 8], [1, 1], "below 8"),
+        (2, 3, [0, 1, 1], [1, 1, 1], "3 occupied buckets for dim 2"),
+        (8, 3, [1, 4], [1, 0], "document frequency"),
+        (8, 3, [1, 4], [4, 1], "document frequency"),
+        (0, 0, [], [], "power of two"),
+        (12, 3, [], [], "power of two"),
+        (8, 3, [1, 2, 3], [1, 1, 1], "3 of 8 buckets occupied in a sparse file"),
+        (8, 3, None, [0, 0, 1, 0, 3, 0, 0, 0], "2 of 8 buckets occupied in a whole file"),
+        (4, 3, None, [0, 4, 1, 2], "document frequency"),
+    ])
+    def test_bad_contents(self, tmp_path, dim, doc_count, ids, df, match):
+        with pytest.raises(CorruptArtifact, match=match):
+            load_idf_file(tmp_path, idf_bytes(dim, doc_count, ids, df))
+
+    def test_previous_format_is_rejected(self, tmp_path):
+        blob = b"NADIIDF1" + struct.pack("<IQ", 4, 3) + np.ones(4).tobytes()
+        with pytest.raises(CorruptArtifact, match="magic"):
+            load_idf_file(tmp_path, blob)
+
+
+def idf_dim(dim):
+    """The smallest dim an idf file can hold, a power of two >= 2, that
+    is at least dim."""
+    return max(2, 1 << (dim - 1).bit_length())
 
 
 @st.composite
 def model_files(draw):
     """Bytes that are often almost a model file, and the idf table of
     its columns: a valid small file, whole or sparse, with one byte
-    overwritten, cut or extended, or the magic and noise."""
+    overwritten, cut or extended, or the magic and noise.  The idf
+    table is over idf_dim(dim), so a model dim that is not a power of
+    two ends in DimensionMismatch after the model file's own checks."""
     if draw(st.booleans()):
-        return b"NADIMDL3" + draw(st.binary(max_size=96)), idf_of([], draw(st.integers(1, 12)))
+        noise = b"NADIMDL3" + draw(st.binary(max_size=96))
+        return noise, idf_of([], idf_dim(draw(st.integers(1, 12))))
     num_classes = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 12))
     if draw(st.booleans()):
@@ -925,17 +1067,16 @@ def model_files(draw):
         columns = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim // 4)))
     blob = model_bytes(num_classes, dim, draw(st.integers(0, num_classes - 1)), columns,
                        fingerprint=draw(st.sampled_from(["", "0123456789abcdef"])))
-    return edit_one_place(draw, blob), idf_of(columns, dim)
+    return edit_one_place(draw, blob), idf_of(columns, idf_dim(dim))
 
 
 @settings(max_examples=300, deadline=None)
 @given(model_files())
 def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, problem):
     blob, idf = problem
-    path = tmp_path_factory.mktemp("fuzz") / "m.bin"
-    path.write_bytes(blob)
+    paths = written(tmp_path_factory.mktemp("fuzz"), blob, idf)
     try:
-        model = load_model(str(path), idf)
+        model = load_model(*paths)
     except (CorruptArtifact, DimensionMismatch):
         return
     except DialectIdError as exc:
@@ -944,5 +1085,40 @@ def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, problem):
     # A load is a model predict can use, and it saves to the same bytes.
     assert model.fallback_class < model.num_classes == len(model.class_labels)
     assert model.weights.shape == (idf.columns.size, model.num_classes)
-    save_model(model, str(path))
-    assert path.read_bytes() == blob
+    save_model(model, *paths)
+    with open(paths[0], "rb") as fh:
+        assert fh.read() == blob
+
+
+@st.composite
+def idf_files(draw):
+    """Bytes that are often almost an idf file: a valid small file with
+    one byte overwritten, cut or extended, or the magic and noise.  The
+    table's lookup table is dim-sized, so the noise's dim stays below
+    2**16.  The valid file is sparse or whole, as save_model picks."""
+    if draw(st.booleans()):
+        noise = bytearray(draw(st.binary(max_size=64)))
+        noise[2:4] = bytes(len(noise[2:4]))
+        return b"NADIIDF2" + bytes(noise)
+    dim = 1 << draw(st.integers(1, 4))
+    doc_count = draw(st.integers(0, 5))
+    ids = sorted(draw(st.sets(st.integers(0, dim - 1)))) if doc_count else []
+    df = np.zeros(dim, dtype=np.int64)
+    df[ids] = [draw(st.integers(1, doc_count)) for _ in ids]
+    return edit_one_place(draw, idf_file(table_of(df, doc_count)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(idf_files())
+def test_any_idf_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, blob):
+    directory = tmp_path_factory.mktemp("fuzz")
+    try:
+        table = load_idf_file(directory, blob)
+    except CorruptArtifact:
+        return
+    # A load is a table vectorize can use, and it saves to the same bytes.
+    assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
+    assert np.all((table.df > 0) & (table.df <= table.doc_count))
+    assert np.all(np.diff(table.columns) > 0) and np.all(table.columns < table.dim)
+    save_model(zero_model(table), str(directory / "m.bin"), str(directory / "idf.bin"))
+    assert (directory / "idf.bin").read_bytes() == blob

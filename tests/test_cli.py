@@ -10,7 +10,7 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, load_corpus, read_submission
-from dialectid.features import fnv1a64, load_idf
+from dialectid.features import fnv1a64
 from dialectid.normalizer import NormConfig
 
 import synthcorpus
@@ -20,11 +20,6 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 
 import fixtures  # noqa: E402
-
-
-def load_pair(model_path, idf_path):
-    """The model of a model file and the idf file it was fitted with."""
-    return load_model(model_path, load_idf(idf_path))
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +284,7 @@ class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, corpus_dir, trained, capsys):
         assert open(trained["model"], "rb").read(8) == b"NADIMDL3"
         assert open(trained["idf"], "rb").read(8) == b"NADIIDF2"
-        model = load_pair(trained["model"], trained["idf"])
+        model = load_model(trained["model"], trained["idf"])
         spec = harness.parse_benchmark_file(corpus_dir["config"])
         assert model.feature_fingerprint == harness.fingerprint(spec.experiments[0])
 
@@ -407,16 +402,16 @@ class TestTrainPredictEvaluate:
 
         assert digest(settings + [("pad_token", feats.pad_token)]) == harness.fingerprint(config)
         former = digest(settings + [("seed", 0), ("pad_token", feats.pad_token)])
-        model = load_pair(trained["model"], trained["idf"])
+        model = load_model(trained["model"], trained["idf"])
         model.feature_fingerprint = former
         old = tmp_path / "old.bin"
-        save_model(model, str(old))
+        save_model(model, str(old), str(tmp_path / "old.idf"))
         rc = cli.main(
             [
                 "--config", corpus_dir["config"],
                 "predict",
                 "--model", str(old),
-                "--idf", trained["idf"],
+                "--idf", str(tmp_path / "old.idf"),
                 "--in", corpus_dir["paths"]["test"],
                 "--out", str(tmp_path / "s.csv"),
             ]
@@ -430,10 +425,10 @@ class TestTrainPredictEvaluate:
     def test_model_without_fingerprint_is_not_checked(
         self, corpus_dir, trained, tmp_path, capsys
     ):
-        model = load_pair(trained["model"], trained["idf"])
+        model = load_model(trained["model"], trained["idf"])
         model.feature_fingerprint = ""
         bare = tmp_path / "bare.bin"
-        save_model(model, str(bare))
+        save_model(model, str(bare), str(tmp_path / "bare.idf"))
         other_cfg = tmp_path / "other.cfg"
         other_cfg.write_text(
             "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
@@ -445,7 +440,7 @@ class TestTrainPredictEvaluate:
                 "--config", str(other_cfg),
                 "predict",
                 "--model", str(bare),
-                "--idf", trained["idf"],
+                "--idf", str(tmp_path / "bare.idf"),
                 "--in", corpus_dir["paths"]["test"],
                 "--out", str(tmp_path / "s.csv"),
             ]
@@ -476,8 +471,8 @@ class TestTrainPredictEvaluate:
                 ]
             ) == 0
         capsys.readouterr()
-        model = load_pair(str(tmp_path / "train.bin"), str(tmp_path / "train.idf"))
-        dev = load_pair(str(tmp_path / "dev.bin"), str(tmp_path / "dev.idf"))
+        model = load_model(str(tmp_path / "train.bin"), str(tmp_path / "train.idf"))
+        dev = load_model(str(tmp_path / "dev.bin"), str(tmp_path / "dev.idf"))
         assert 4 * model.idf.columns.size <= model.idf.dim
         assert model.feature_fingerprint == dev.feature_fingerprint
         out = tmp_path / "s.csv"
@@ -596,7 +591,7 @@ class TestCorruptArtifacts:
     def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
         blob = open(trained[which], "rb").read()
         if which == "model":
-            model = load_pair(trained["model"], trained["idf"])
+            model = load_model(trained["model"], trained["idf"])
             header = 24 + sum(
                 4 + len(text.encode("utf-8"))
                 for text in model.class_labels + [model.feature_fingerprint]
@@ -644,16 +639,16 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
 
     def test_predict_on_non_finite_weights(self, corpus_dir, trained, tmp_path, capsys):
-        model = load_pair(trained["model"], trained["idf"])
+        model = load_model(trained["model"], trained["idf"])
         model.weights[:] = float("nan")
         bad = tmp_path / "nan.model"
-        save_model(model, str(bad))
+        save_model(model, str(bad), str(tmp_path / "nan.idf"))
         out = tmp_path / "s.csv"
         rc = cli.main(
             [
                 "predict",
                 "--model", str(bad),
-                "--idf", trained["idf"],
+                "--idf", str(tmp_path / "nan.idf"),
                 "--in", corpus_dir["paths"]["test"],
                 "--out", str(out),
             ]
@@ -807,6 +802,43 @@ class TestBenchmark:
         assert cli.main(["--config", str(config)] + predict) == 0
         capsys.readouterr()
         assert (tmp_path / "sub.csv").read_bytes() == (out / "submission.csv").read_bytes()
+
+    def test_predict_refuses_another_lexicon(self, corpus_dir, tmp_path, capsys):
+        # With segmentation on, the fingerprint covers the lexicon: a
+        # model trained with --lexicon serves only with the same one.
+        paths = corpus_dir["paths"]
+        config = tmp_path / "seg.cfg"
+        config.write_text(
+            "format=1\n[data]\n"
+            + "".join(f"{split}={paths[split]}\n" for split in ("train", "dev", "test", "vocab"))
+            + "level=country\nregister=da\n[experiment seg]\ndim=4096\nepochs=2\nsegment=true\n",
+            encoding="utf-8",
+        )
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("[prefixes]\nف\nو\n[suffixes]\nها\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["benchmark", str(config), "--out-dir", str(out),
+                         "--lexicon", str(lexicon)]) == 0
+        trained = [str(tmp_path / "model.bin"), str(tmp_path / "idf.bin")]
+        assert cli.main(["--config", str(config), "train", "--in", paths["train"],
+                         "--level", "country", "--vocab", paths["vocab"],
+                         "--out-model", trained[0], "--out-idf", trained[1],
+                         "--lexicon", str(lexicon)]) == 0
+        capsys.readouterr()
+        sub = tmp_path / "sub.csv"
+        for model, idf in [trained, (str(out / "model.bin"), str(out / "idf.bin"))]:
+            sub.unlink(missing_ok=True)
+            predict = ["--config", str(config), "predict", "--model", model, "--idf", idf,
+                       "--in", paths["test"], "--out", str(sub)]
+            assert cli.main(predict) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: model was trained with fingerprint"), err
+            assert not sub.exists()
+            assert cli.main(predict + ["--lexicon", str(lexicon)]) == 0
+            capsys.readouterr()
+        # The last predict read the benchmark's files: its submission,
+        # byte for byte.
+        assert sub.read_bytes() == (out / "submission.csv").read_bytes()
 
     def test_seed_override_changes_model(self, corpus_dir, tmp_path, capsys):
         a = tmp_path / "a"

@@ -1,18 +1,20 @@
-"""Drawn configs and TSV files through cli.main: benchmark, stats and
-normalize either succeed (exit 0) or fail as a data error (exit 1 with
-an "error:" line), and no exception escapes main."""
+"""Drawn configs, TSV files and artifacts through cli.main: benchmark,
+stats, normalize and predict either succeed (exit 0) or fail as a data
+error (exit 1 with an "error:" line), and no exception escapes main."""
 
 import contextlib
 import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dialectid import cli
 
 import synthcorpus
+from conftest import edit_one_place
 
 COUNTRIES = list(synthcorpus.INVENTORIES)
 HEADER = "id\ttweet\tcountry\tprovince"
@@ -180,3 +182,52 @@ def test_normalize_on_drawn_files(split, flags):
         out = os.path.join(directory, "out.tsv")
         assert_clean_exit(*run(["normalize", "--in", write(directory, "in.tsv", split),
                                 "--out", out, *flags]))
+
+
+# The fits predict reads: (corpus seed, dim).  At dim 16 both files are
+# written whole, at 4096 sparse; the two sparse fits list other buckets.
+FITS = {"whole": (3, 16), "sparse": (3, 4096), "other": (5, 4096)}
+
+
+@pytest.fixture(scope="module")
+def fits(tmp_path_factory):
+    """Each fit's model.bin and idf.bin bytes, and a split to label."""
+    out = {}
+    for name, (seed, dim) in FITS.items():
+        directory = str(tmp_path_factory.mktemp(name))
+        paths = synthcorpus.write_dialect_corpus(directory, seed=seed, n_train=3, n_dev=1,
+                                                 n_test=1)
+        config = synthcorpus.write_benchmark_config(directory, paths, dim=dim)
+        files = [os.path.join(directory, "model.bin"), os.path.join(directory, "idf.bin")]
+        code, err = run(["--config", config, "train", "--in", paths["train"], "--level",
+                         "country", "--vocab", paths["vocab"], "--out-model", files[0],
+                         "--out-idf", files[1]])
+        assert code == 0, err
+        out[name] = []
+        for path in files:
+            with open(path, "rb") as fh:
+                out[name].append(fh.read())
+    out["test"] = paths["test"]
+    return out
+
+
+@FUZZ
+@given(st.data())
+def test_predict_on_drawn_artifacts(fits, data):
+    """A fit's files with one byte of either overwritten, cut or
+    extended, or the model file of one fit and the idf file of another."""
+    first = data.draw(st.sampled_from(sorted(FITS)), label="model fit")
+    if data.draw(st.booleans(), label="edit"):
+        model, idf = fits[first]
+        if data.draw(st.booleans(), label="edit the model file"):
+            model = edit_one_place(data.draw, model)
+        else:
+            idf = edit_one_place(data.draw, idf)
+    else:
+        second = data.draw(st.sampled_from(sorted(set(FITS) - {first})), label="idf fit")
+        model, idf = fits[first][0], fits[second][1]
+    with tempfile.TemporaryDirectory() as directory:
+        argv = ["predict", "--model", write(directory, "model.bin", model),
+                "--idf", write(directory, "idf.bin", idf), "--in", fits["test"],
+                "--out", os.path.join(directory, "sub.csv")]
+        assert_clean_exit(*run(argv))

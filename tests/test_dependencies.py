@@ -1,8 +1,9 @@
 """numpy is the package's only runtime dependency: every absolute import
 in src/dialectid is of the standard library or of numpy, and of numpy
 the commands never load numpy.random (its import costs 14-21 ms and
-about 7 MB of RSS; train's epoch order is the package's own).  And no
-module imports a name it does not use."""
+about 7 MB of RSS; train's epoch order is the package's own).  No
+module imports a name it does not use, and only classifier.py, which
+owns the artifact bytes, imports struct."""
 
 import ast
 import os
@@ -67,6 +68,14 @@ def test_imports_only_stdlib_and_numpy(module):
 def test_every_imported_name_is_used(module):
     unused = unused_imports(os.path.join(PACKAGE_DIR, module))
     assert unused == [], f"{module} imports {unused} and never uses them"
+
+
+def test_struct_is_imported_by_classifier_only():
+    """classifier.py alone reads and writes the bytes of the model and
+    idf files."""
+    importers = [module for module in MODULES
+                 if "struct" in absolute_imports(os.path.join(PACKAGE_DIR, module))]
+    assert importers == ["classifier.py"]
 
 
 def test_commands_leave_numpy_random_unloaded(tmp_path):

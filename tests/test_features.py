@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-import struct
 from collections import Counter
 from unittest import mock
 
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dialectid.features
-from dialectid.errors import CorruptArtifact, DimensionMismatch, EmptyCorpus
+from dialectid.errors import DimensionMismatch, EmptyCorpus
 from dialectid.features import (
     DEFAULT_FEATURES,
     FeatureConfig,
@@ -21,15 +20,13 @@ from dialectid.features import (
     fnv1a64,
     hash_spans,
     join_rows,
-    load_idf,
-    save_idf,
     token_buckets,
     vectorize,
 )
 
 import feature_oracle
 from feature_oracle import char_ngrams
-from conftest import csr, data_path, edit_one_place, row_maps
+from conftest import csr, data_path, row_maps
 
 
 # Published FNV-1a 64 reference vectors.
@@ -509,150 +506,3 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     refs = iter([feature_oracle.vectorize(t, config, ref_weights) for t in serve])
     for rows in served:
         assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
-
-
-def idf_bytes(dim, doc_count, ids, df):
-    """A NADIIDF2 file: sparse, or whole when ids is None (df then holds
-    every bucket's document frequency)."""
-    blob = b"NADIIDF2" + struct.pack("<III", dim, doc_count, len(df if ids is None else ids))
-    if ids is not None:
-        blob += np.array(ids, dtype="<u4").tobytes()
-    return blob + np.array(df, dtype="<u4").tobytes()
-
-
-class TestIdfIo:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        df = rng.integers(0, 124, size=64) * (rng.random(64) < 0.5)
-        table = table_of(df, 123)
-        path = tmp_path / "table.idf"
-        save_idf(table, str(path))
-        loaded = load_idf(str(path))
-        assert (loaded.doc_count, loaded.dim) == (123, 64)
-        # A whole file loads as the occupied buckets alone.
-        assert loaded.columns.tolist() == np.flatnonzero(df).tolist()
-        assert loaded.df.tobytes() == table.df.tobytes()
-        assert loaded.weights.tobytes() == table.weights.tobytes()
-        # More than a quarter of the buckets are occupied: written whole.
-        assert 4 * np.count_nonzero(df) > 64
-        assert path.read_bytes() == idf_bytes(64, 123, None, df)
-
-    def test_sparse_table_lists_its_buckets(self, tmp_path):
-        df = np.zeros(64, dtype=np.int64)
-        df[[3, 17, 40, 63]] = [5, 1, 123, 2]
-        save_idf(table_of(df, 123), str(tmp_path / "table.idf"))
-        blob = (tmp_path / "table.idf").read_bytes()
-        assert blob == idf_bytes(64, 123, [3, 17, 40, 63], [5, 1, 123, 2])
-        loaded = load_idf(str(tmp_path / "table.idf"))
-        assert loaded.columns.tolist() == [3, 17, 40, 63] and loaded.columns.dtype == np.int64
-        assert loaded.df.tolist() == [5, 1, 123, 2] and loaded.df.dtype == np.int64
-        assert (loaded.doc_count, loaded.dim) == (123, 64)
-
-    def test_fitted_table_round_trips_bit_for_bit(self, tmp_path):
-        config = FeatureConfig(dim=1 << 10)
-        texts = ["ab cd ef", "ab ab", "", "xyz cd"]
-        table = fit_idf(join_rows(list(bucket_counts(texts, config)), config.dim))
-        path = tmp_path / "table.idf"
-        save_idf(table, str(path))
-        loaded = load_idf(str(path))
-        assert loaded.columns.tobytes() == table.columns.tobytes()
-        assert loaded.df.tobytes() == table.df.tobytes()
-        assert loaded.weights.tobytes() == table.weights.tobytes()
-        # No array of the table is dim-sized until its lookup table is built.
-        assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
-        assert 0 < table.columns.size < config.dim
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.idf"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_idf(str(path))
-
-    def test_truncated_payload(self, tmp_path):
-        table = table_of(np.arange(16) % 3, 2)
-        path = tmp_path / "trunc.idf"
-        save_idf(table, str(path))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-4])
-        with pytest.raises(ValueError):
-            load_idf(str(path))
-
-    @pytest.mark.parametrize("df", [[1, 0, 3, 2], [0, 0, 0, 2, 0, 0, 0, 0]])  # whole, sparse
-    def test_every_cut_is_corrupt(self, tmp_path, df):
-        table = table_of(df, 3)
-        path = tmp_path / "cut.idf"
-        save_idf(table, str(path))
-        blob = path.read_bytes()
-        for cut in range(len(blob)):
-            path.write_bytes(blob[:cut])
-            with pytest.raises(CorruptArtifact):
-                load_idf(str(path))
-        path.write_bytes(blob + b"\x00")
-        with pytest.raises(CorruptArtifact, match="expected"):
-            load_idf(str(path))
-
-    @pytest.mark.parametrize("dim, doc_count, ids, df, match", [
-        (8, 3, [2, 2], [1, 1], "strictly increasing"),
-        (8, 3, [5, 1], [1, 1], "strictly increasing"),
-        (8, 3, [1, 8], [1, 1], "below 8"),
-        (2, 3, [0, 1, 1], [1, 1, 1], "3 occupied buckets for dim 2"),
-        (8, 3, [1, 4], [1, 0], "document frequency"),
-        (8, 3, [1, 4], [4, 1], "document frequency"),
-        (0, 0, [], [], "power of two"),
-        (12, 3, [], [], "power of two"),
-        (8, 3, [1, 2, 3], [1, 1, 1], "3 of 8 buckets occupied in a sparse file"),
-        (8, 3, None, [0, 0, 1, 0, 3, 0, 0, 0], "2 of 8 buckets occupied in a whole file"),
-        (4, 3, None, [0, 4, 1, 2], "document frequency"),
-    ])
-    def test_bad_contents(self, tmp_path, dim, doc_count, ids, df, match):
-        path = tmp_path / "bad.idf"
-        path.write_bytes(idf_bytes(dim, doc_count, ids, df))
-        with pytest.raises(CorruptArtifact, match=match):
-            load_idf(str(path))
-
-    def test_previous_format_is_rejected(self, tmp_path):
-        path = tmp_path / "old.idf"
-        path.write_bytes(b"NADIIDF1" + struct.pack("<IQ", 4, 3) + np.ones(4).tobytes())
-        with pytest.raises(CorruptArtifact, match="magic"):
-            load_idf(str(path))
-
-
-@st.composite
-def idf_files(draw):
-    """Bytes that are often almost an idf file: a valid small file with
-    one byte overwritten, cut or extended, or the magic and noise.  The
-    table's lookup table is dim-sized, so the noise's dim stays below
-    2**16.
-    The valid file is sparse or whole, as save_idf picks."""
-    if draw(st.booleans()):
-        noise = bytearray(draw(st.binary(max_size=64)))
-        noise[2:4] = bytes(len(noise[2:4]))
-        return b"NADIIDF2" + bytes(noise)
-    dim = 1 << draw(st.integers(1, 4))
-    doc_count = draw(st.integers(0, 5))
-    ids = sorted(draw(st.sets(st.integers(0, dim - 1)))) if doc_count else []
-    df = [draw(st.integers(1, doc_count)) for _ in ids]
-    if 4 * len(ids) > dim:
-        whole = np.zeros(dim, dtype=np.int64)
-        whole[ids] = df
-        blob = idf_bytes(dim, doc_count, None, whole)
-    else:
-        blob = idf_bytes(dim, doc_count, ids, df)
-    return edit_one_place(draw, blob)
-
-
-@settings(max_examples=300, deadline=None)
-@given(idf_files())
-def test_any_bytes_load_or_raise_corrupt_artifact(tmp_path_factory, blob):
-    path = tmp_path_factory.mktemp("fuzz") / "t.idf"
-    path.write_bytes(blob)
-    try:
-        table = load_idf(str(path))
-    except CorruptArtifact:
-        return
-    # A load is a table vectorize can use, and it saves to the same bytes.
-    assert table.df.shape == table.columns.shape == (table.weights.size - 1,)
-    assert np.all((table.df > 0) & (table.df <= table.doc_count))
-    assert np.all(np.diff(table.columns) > 0) and np.all(table.columns < table.dim)
-    save_idf(table, str(path))
-    assert path.read_bytes() == blob

@@ -34,7 +34,7 @@ from dialectid.harness import (
     run_grid,
     write_grid_tsv,
 )
-from dialectid.normalizer import NormConfig
+from dialectid.normalizer import DEFAULT_LEXICON, NormConfig, SegmentLexicon
 
 import feature_oracle
 
@@ -103,6 +103,39 @@ def test_fingerprint_covers_text_preparation_and_features():
         for change in ({"n_min": 3}, {"n_max": 6}, {"dim": 1 << 13}, {"pad_token": "#"})
     ]
     assert len({fingerprint(c) for c in [base] + variants}) == len(variants) + 1
+
+
+def test_fingerprint_covers_the_lexicon_of_a_segmenting_experiment():
+    base = config("a")
+    segmenting = replace(base, norm=replace(base.norm, segment=True))
+    default = dialectid.normalizer.DEFAULT_LEXICON
+    other = replace(default, prefixes=default.prefixes[1:])
+    # Without segmentation no lexicon is read, and the default lexicon
+    # leaves every fingerprint as it was before the lexicon was covered.
+    assert fingerprint(base, other) == fingerprint(base)
+    assert fingerprint(segmenting, default) == fingerprint(segmenting)
+    lexicons = [
+        other,
+        replace(default, suffixes=default.suffixes + ("هن",)),
+        replace(default, min_stem_len=3),
+        replace(default, overrides={"فقالها": "ف+قال+ها"}),
+        replace(default, overrides={"فقالها": "ف+قالها"}),
+    ]
+    digests = {fingerprint(segmenting)} | {fingerprint(segmenting, lex) for lex in lexicons}
+    assert len(digests) == len(lexicons) + 1
+    # Lexicons that segment every token alike share a fingerprint: the
+    # entries in another order, or one listed twice.
+    reordered = SegmentLexicon(prefixes=default.prefixes[::-1],
+                               suffixes=default.suffixes + default.suffixes[:1])
+    assert fingerprint(segmenting, reordered) == fingerprint(segmenting)
+    assert fingerprint(segmenting, replace(other, prefixes=other.prefixes[::-1])) == fingerprint(
+        segmenting, other
+    )
+    # The overrides are covered as a sorted table, not in insertion order.
+    pairs = [("وكتب", "و+كتب"), ("بالبيت", "ب+ال+بيت")]
+    assert fingerprint(segmenting, replace(default, overrides=dict(pairs))) == fingerprint(
+        segmenting, replace(default, overrides=dict(pairs[::-1]))
+    )
 
 
 class TestRunGridValidation:
@@ -270,7 +303,7 @@ class TestSplits:
         combined = concat_splits(TRAIN, DEV)
         texts = prepare_texts(combined, cfg)
         assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
-        model = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON)
         result = finalize(splits, cfg, str(tmp_path / "s.csv"))
         assert np.array_equal(result.model.weights, model.weights)
         assert np.array_equal(result.model.idf.columns, model.idf.columns)
@@ -289,25 +322,33 @@ class TestFitPipeline:
     def test_texts_and_records_must_pair_up(self):
         cfg = config("m")
         with pytest.raises(LengthMismatch):
-            fit_pipeline(prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB, Level.COUNTRY)
+            fit_pipeline(
+                prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+            )
 
     def test_record_without_the_level_label(self):
         records = TRAIN + [TweetRecord(id="naked", text="ابت")]
         cfg = config("m")
         with pytest.raises(SubtaskMismatch, match="^record 'naked' has no country label$"):
-            fit_pipeline(prepare_texts(records, cfg), records, cfg, VOCAB, Level.COUNTRY)
+            fit_pipeline(
+                prepare_texts(records, cfg), records, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+            )
 
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
         cfg = config("m")
-        model = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         assert model.class_labels[model.fallback_class] == "Atlantis"
         assert model.idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
         cfg = config("m")
-        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         assert model.fallback_class == 0
 
 
@@ -317,7 +358,9 @@ class TestPredictTexts:
         lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
         assert [r.country for r in lopsided].count("Borealia") == 6
         cfg = config("z", epochs=0)
-        model = fit_pipeline(prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         blank = TweetRecord(id="blank", text="😂😂")
         word_only = TweetRecord(id="w", text="ابت")
         texts = prepare_texts([blank, word_only], cfg)
@@ -328,7 +371,9 @@ class TestPredictTexts:
 
     def test_classifies_through_module_attributes(self, monkeypatch):
         cfg = config("m")
-        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         calls = []
         real_predict = dialectid.classifier.predict
 
@@ -344,7 +389,9 @@ class TestPredictTexts:
 
     def test_builds_the_column_table_once_for_all_blocks(self, monkeypatch):
         cfg = config("m")
-        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         texts = prepare_texts(TEST, cfg)
         expected = predict_texts(texts, cfg, model)
         # A copy of the idf table, which has built no lookup table yet.
@@ -409,12 +456,14 @@ class TestFeaturizeOnce:
         tokens = self.distinct_tokens(TRAIN, cfg)
         texts = prepare_texts(TRAIN, cfg)
         seen = self.spy(monkeypatch)
-        fit_pipeline(texts, TRAIN, cfg, VOCAB, Level.COUNTRY)
+        fit_pipeline(texts, TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON)
         self.check(seen, tokens, cfg)
 
     def test_predict_texts(self, monkeypatch):
         cfg = config("once")
-        model = fit_pipeline(prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY)
+        model = fit_pipeline(
+            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
+        )
         tokens = self.distinct_tokens(TEST, cfg)
         texts = prepare_texts(TEST, cfg)
         seen = self.spy(monkeypatch)

@@ -100,8 +100,7 @@ def test_load_peak_on_serve_artifacts(tmp_path, capsys):
     _, _, out = served_artifacts(tmp_path, capsys)
     tracemalloc.start()
     try:
-        idf = features.load_idf(os.path.join(out, "idf.bin"))
-        model = classifier.load_model(os.path.join(out, "model.bin"), idf)
+        model = classifier.load_model(os.path.join(out, "model.bin"), os.path.join(out, "idf.bin"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -112,8 +111,7 @@ def test_load_peak_on_serve_artifacts(tmp_path, capsys):
 
 def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
     config, texts, out = served_artifacts(tmp_path, capsys)
-    idf = features.load_idf(os.path.join(out, "idf.bin"))
-    model = classifier.load_model(os.path.join(out, "model.bin"), idf)
+    model = classifier.load_model(os.path.join(out, "model.bin"), os.path.join(out, "idf.bin"))
     tracemalloc.start()
     try:
         labels = harness.predict_texts(texts, config, model)

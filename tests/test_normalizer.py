@@ -362,6 +362,8 @@ def test_lexicon_sorted_longest_first_and_validated():
     lex = SegmentLexicon(prefixes=("و", "وال"), suffixes=("ه", "ها"))
     assert lex.prefixes == ("وال", "و")
     assert lex.suffixes == ("ها", "ه")
+    # At one length in code point order, each entry once.
+    assert SegmentLexicon(prefixes=("و", "ل", "و"), suffixes=()).prefixes == ("ل", "و")
     with pytest.raises(ValueError):
         SegmentLexicon(prefixes=("",), suffixes=())
     with pytest.raises(ValueError):
