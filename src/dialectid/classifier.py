@@ -357,45 +357,16 @@ def _sgd(
     return scaled, bias, losses
 
 
-def _width(count: int, dim: int) -> int:
-    """The number W of rows in the table of a file over dim buckets,
-    count of them in use: dim, the table written whole, when count is
-    more than a quarter of dim, else count, the table written sparse.
-
-    A whole file's size depends on dim alone, not on which buckets the
-    data happened to fill, and at that fill a sparse file would save
-    less than three quarters of it.  A table sized generously for its
-    vocabulary (a few percent full at dim 2**18) is written sparse at a
-    small fraction of its whole size.
-    """
-    return dim if 4 * count > dim else count
-
-
-def _table_bytes(width: int, dim: int, row_bytes: int) -> int:
-    """The size of a table of width rows of row_bytes each over dim
-    buckets, as _write_table writes it."""
-    return (0 if width == dim else 4 * width) + row_bytes * width
-
-
 def _write_array(fh: BinaryIO, array: np.ndarray, dtype: str) -> None:
     """Write array in C order as dtype (e.g. "<f8", "<u4"); no copy when
     it already is one."""
     fh.write(memoryview(np.ascontiguousarray(array, dtype=dtype)))
 
 
-def _write_table(
-    fh: BinaryIO, columns: np.ndarray, dim: int, rows: np.ndarray, dtype: str
-) -> None:
-    """Write the rows of the K sorted buckets columns of dim as dtype:
-    whole, the rows of all dim buckets in order, zeros outside columns,
-    and no ids; or sparse, the K ids as u32 and then the K rows."""
-    if _width(columns.size, dim) < dim:
-        _write_array(fh, columns, "<u4")
-    elif columns.size < dim:
-        # At most four times the rows themselves (_width).
-        full = np.zeros((dim, *rows.shape[1:]), dtype=rows.dtype)
-        full[columns] = rows
-        rows = full
+def _write_table(fh: BinaryIO, columns: np.ndarray, rows: np.ndarray, dtype: str) -> None:
+    """Write the table of the K sorted buckets columns: their ids as u32
+    and then their K rows as dtype."""
+    _write_array(fh, columns, "<u4")
     _write_array(fh, rows, dtype)
 
 
@@ -422,15 +393,13 @@ def _read_array(
 def _read_table(
     fh: BinaryIO, width: int, dim: int, dtype: str, row_shape: tuple[int, ...], path: str,
     what: str,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The ids, as int64 (None when the table is whole: width is dim),
-    and the width rows of dtype of a table _write_table wrote.  Raises
-    CorruptArtifact unless the ids are strictly increasing below dim."""
-    ids = None
-    if width < dim:
-        ids = _read_array(fh, "<u4", (width,), path, "the bucket ids").astype(np.int64)
-        if width and (ids[-1] >= dim or np.any(ids[1:] <= ids[:-1])):
-            raise CorruptArtifact(f"{path}: the bucket ids are not strictly increasing below {dim}")
+) -> tuple[np.ndarray, np.ndarray]:
+    """The width ids, as int64, and the width rows of dtype of a table
+    _write_table wrote.  Raises CorruptArtifact unless the ids are
+    strictly increasing below dim."""
+    ids = _read_array(fh, "<u4", (width,), path, "the bucket ids").astype(np.int64)
+    if width and (ids[-1] >= dim or np.any(ids[1:] <= ids[:-1])):
+        raise CorruptArtifact(f"{path}: the bucket ids are not strictly increasing below {dim}")
     return ids, _read_array(fh, dtype, (width, *row_shape), path, what)
 
 
@@ -449,20 +418,20 @@ def save_model(model: LinearModel, model_path: str, idf_path: str) -> None:
     """Write the model to model_path and its idf table to idf_path.
 
     Both files are little-endian, and each holds one _write_table table
-    over the idf's columns, of W rows (_width).  The idf file:
-    IDF_MAGIC, u32 dim, u32 doc_count, u32 W, then the table of the
-    document frequencies as u32.  The model file: MODEL_MAGIC, u32
-    num_classes, u32 dim, u32 fallback class, u32 W; per label, then for
-    the feature fingerprint, a u32 byte length plus UTF-8 bytes; the
-    table of the weights, one row of num_classes float64 per bucket;
-    and the biases as float64.
+    over the idf's K columns: the K bucket ids as u32, then K rows.  The
+    idf file: IDF_MAGIC, u32 dim, u32 doc_count, u32 K, then the table
+    of the document frequencies as u32.  The model file: MODEL_MAGIC,
+    u32 num_classes, u32 dim, u32 fallback class, u32 K; per label, then
+    for the feature fingerprint, a u32 byte length plus UTF-8 bytes; the
+    table of the weights, one row of num_classes float64 per column; and
+    the biases as float64.
     """
     idf = model.idf
-    width = _width(idf.columns.size, idf.dim)
+    width = idf.columns.size
     with open(idf_path, "wb") as fh:
         fh.write(IDF_MAGIC)
         fh.write(struct.pack("<III", idf.dim, idf.doc_count, width))
-        _write_table(fh, idf.columns, idf.dim, idf.df, "<u4")
+        _write_table(fh, idf.columns, idf.df, "<u4")
     with open(model_path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<IIII", model.num_classes, idf.dim, model.fallback_class, width))
@@ -470,13 +439,12 @@ def save_model(model: LinearModel, model_path: str, idf_path: str) -> None:
             raw = text.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        _write_table(fh, idf.columns, idf.dim, model.weights, "<f8")
+        _write_table(fh, idf.columns, model.weights, "<f8")
         _write_array(fh, model.bias, "<f8")
 
 
 def _read_idf(path: str) -> IdfTable:
-    """The idf table of a file save_model wrote, as the table of its
-    occupied buckets, whichever its layout."""
+    """The idf table of a file save_model wrote."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(IDF_MAGIC)) != IDF_MAGIC:
@@ -488,43 +456,33 @@ def _read_idf(path: str) -> IdfTable:
             raise CorruptArtifact(f"{path}: dim {dim} is not a power of two >= 2")
         if width > dim:
             raise CorruptArtifact(f"{path}: {width} occupied buckets for dim {dim}")
-        expected = fh.tell() + _table_bytes(width, dim, 4)
+        expected = fh.tell() + (4 + 4) * width
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
         columns, df = _read_table(fh, width, dim, "<u4", (), path, "the document frequencies")
-    if columns is None:
-        columns = np.flatnonzero(df)
-        df = df[columns]
-    elif width and df.min() == 0:
+    if width and df.min() == 0:
         raise CorruptArtifact(f"{path}: a listed bucket has document frequency 0")
-    if df.size and df.max() > doc_count:
+    if width and df.max() > doc_count:
         raise CorruptArtifact(f"{path}: a document frequency is above {doc_count}")
-    if width != _width(columns.size, dim):
-        raise CorruptArtifact(
-            f"{path}: {columns.size} of {dim} buckets occupied in a "
-            f"{'whole' if width == dim else 'sparse'} file; save_model writes the other layout"
-        )
     return IdfTable(columns=columns, df=df.astype(np.int64), doc_count=doc_count, dim=dim)
 
 
 def load_model(model_path: str, idf_path: str) -> LinearModel:
     """Read the idf file and then the model file save_model wrote, as the
-    model over that idf table; a whole model file keeps the weights of
-    the table's columns only.
+    model over that idf table.
 
     Raises CorruptArtifact, naming the file, on a bad magic (files of
     earlier formats included: retrain them), a cut header, a size that
-    does not match the header, ids that are not strictly increasing
-    below dim, or a layout other than the one save_model picks.  In
-    the idf file also on a dim that is not a power of two >= 2, more
-    buckets than dim, a listed bucket with document frequency 0 or a
-    document frequency above doc_count; in the model file on a
-    fallback class outside the classes, more columns than dim, a label
-    or fingerprint that is not UTF-8, or a weight or bias that is not
-    finite.  Raises DimensionMismatch when the two dims differ, and
-    DialectIdError unless the files were fitted together: the same
-    number of rows, and the same ids, or a whole model with 0.0
-    outside the idf's columns.
+    does not match the header (a table an earlier version wrote whole,
+    without ids, included: retrain it), or ids that are not strictly
+    increasing below dim.  In the idf file also on a dim that is not a
+    power of two >= 2, more buckets than dim, a listed bucket with
+    document frequency 0 or a document frequency above doc_count; in
+    the model file on a fallback class outside the classes, more
+    columns than dim, a label or fingerprint that is not UTF-8, or a
+    weight or bias that is not finite.  Raises DimensionMismatch when
+    the two dims differ, and DialectIdError unless the files were
+    fitted together: the same ids.
     """
     idf = _read_idf(idf_path)
     path = model_path
@@ -541,13 +499,9 @@ def load_model(model_path: str, idf_path: str) -> LinearModel:
             )
         if width > dim:
             raise CorruptArtifact(f"{path}: {width} columns for dim {dim}")
-        if _width(width, dim) != width:
-            raise CorruptArtifact(
-                f"{path}: {width} of {dim} columns listed; a model that full is written whole"
-            )
         labels = [_read_text(fh, size, path, f"label {i}") for i in range(num_classes)]
         fingerprint = _read_text(fh, size, path, "the feature fingerprint")
-        expected = fh.tell() + _table_bytes(width, dim, 8 * num_classes) + 8 * num_classes
+        expected = fh.tell() + (4 + 8 * num_classes) * width + 8 * num_classes
         if size != expected:
             raise CorruptArtifact(f"{path}: expected {expected} bytes, found {size}")
         if dim != idf.dim:
@@ -556,15 +510,7 @@ def load_model(model_path: str, idf_path: str) -> LinearModel:
         bias = _read_array(fh, "<f8", (num_classes,), path, "the biases")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise CorruptArtifact(f"{path}: a weight or bias is not finite")
-    together = width == _width(idf.columns.size, dim)
-    if columns is None:
-        outside = weights.any(axis=1)
-        outside[idf.columns] = False
-        together = together and not outside.any()
-        weights = weights[idf.columns]
-    else:
-        together = together and np.array_equal(columns, idf.columns)
-    if not together:
+    if not np.array_equal(columns, idf.columns):
         raise DialectIdError(f"{path}: model and idf were not fitted together")
     return LinearModel(
         weights=weights,

@@ -139,11 +139,13 @@ def batched_sgd(rows, targets, hp, num_classes, block_elements):
                 epoch_loss += float((logsumexp - logits[picked]).sum())
                 probs = np.exp(logits - logsumexp[:, None])
                 probs[picked] -= 1.0
+                # probs.T @ block, as train computes it: block.T @ probs
+                # has other bits at some BLAS thread counts.
                 if lo == 0:
-                    grad_w = block.T @ probs
+                    grad_w = (probs.T @ block).T
                     grad_b = probs.sum(axis=0)
                 else:
-                    grad_w += block.T @ probs
+                    grad_w += (probs.T @ block).T
                     grad_b += probs.sum(axis=0)
             scale *= decay
             if scale < FOLD_BELOW:

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -532,6 +535,33 @@ def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements
     assert model.epoch_losses == losses
 
 
+def test_train_equals_batched_oracle_on_one_blas_thread(tmp_path):
+    # OpenBLAS reads its thread count once, when numpy loads it, so a
+    # fresh interpreter trains under OPENBLAS_NUM_THREADS=1.  There a
+    # gradient product summed in another order than train's (block.T @
+    # probs for probs.T @ block) changed bits at the workload's bound.
+    script = (
+        "import numpy as np\n"
+        "from dialectid import classifier\n"
+        "from dense_oracle import batched_sgd\n"
+        "from test_memory import fit_nadi_finalize_corpus\n"
+        f"rows, y, config, labels, idf = fit_nadi_finalize_corpus({str(tmp_path)!r})\n"
+        "model = classifier.train(rows, y=y, hp=config.hp, class_labels=labels, idf=idf)\n"
+        "weights, bias, losses, _ = batched_sgd(\n"
+        "    rows, np.asarray(y), config.hp, len(labels), classifier._BLOCK_ELEMENTS\n"
+        ")\n"
+        "print(model.weights.tobytes() == weights.tobytes(),\n"
+        "      model.bias.tobytes() == bias.tobytes(), model.epoch_losses == losses)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(classifier.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
 def overlapping_examples(per_class=6, dim=16, num_classes=3):
     """(rows, y): rows of two or three columns each, shared across the
     classes, so that batches touch overlapping column sets."""
@@ -694,22 +724,22 @@ def small_model(dim=8, **fields):
 
 
 def model_bytes(num_classes, dim, fallback, columns, labels=None, fingerprint=""):
-    """A NADIMDL3 file with zero weights and biases, whole (no column
-    ids) when columns has dim entries; labels default to "0", "1", ..."""
+    """A NADIMDL3 file with zero weights and biases over the sorted
+    buckets columns; labels default to "0", "1", ..."""
     if labels is None:
         labels = [str(c) for c in range(num_classes)]
     blob = b"NADIMDL3" + struct.pack("<IIII", num_classes, dim, fallback, len(columns))
     for text in [*labels, fingerprint]:
         raw = text.encode("utf-8")
         blob += struct.pack("<I", len(raw)) + raw
-    if len(columns) != dim:
-        blob += np.array(columns, dtype="<u4").tobytes()
+    blob += np.array(columns, dtype="<u4").tobytes()
     return blob + bytes(8 * (len(columns) + 1) * num_classes)
 
 
 def idf_bytes(dim, doc_count, ids, df):
-    """A NADIIDF2 file: sparse, or whole when ids is None (df then holds
-    every bucket's document frequency)."""
+    """A NADIIDF2 file listing the bucket ids; or, when ids is None, a
+    table written whole, no ids and df the document frequency of every
+    bucket, as earlier versions wrote one more than a quarter full."""
     blob = b"NADIIDF2" + struct.pack("<III", dim, doc_count, len(df if ids is None else ids))
     if ids is not None:
         blob += np.array(ids, dtype="<u4").tobytes()
@@ -717,13 +747,8 @@ def idf_bytes(dim, doc_count, ids, df):
 
 
 def idf_file(idf):
-    """The idf file of a table, whole when more than a quarter of its
-    buckets are occupied."""
-    if 4 * idf.columns.size <= idf.dim:
-        return idf_bytes(idf.dim, idf.doc_count, idf.columns, idf.df)
-    df = np.zeros(idf.dim, dtype=np.int64)
-    df[idf.columns] = idf.df
-    return idf_bytes(idf.dim, idf.doc_count, None, df)
+    """The idf file of a table."""
+    return idf_bytes(idf.dim, idf.doc_count, idf.columns, idf.df)
 
 
 def saved(model, tmp_path):
@@ -829,18 +854,17 @@ class TestModelIo:
         assert loaded.class_labels == labels
         assert loaded.fallback_class == 1
 
-    def test_fuller_model_is_written_whole(self, tmp_path):
-        # 3 of 8 columns, more than a quarter: all 8 are written, no ids,
-        # in both files.
+    def test_fuller_model_lists_its_columns(self, tmp_path):
+        # 3 of 8 columns, more than a quarter: both files list the 3 ids
+        # and hold 3 rows.
         model = small_model(feature_fingerprint="beef", fallback_class=1)
         paths = saved(model, tmp_path)
-        dense = np.zeros((8, 2))
-        dense[[1, 4, 6]] = model.weights
-        blob = b"NADIMDL3" + struct.pack("<IIII", 2, 8, 1, 8)
+        blob = b"NADIMDL3" + struct.pack("<IIII", 2, 8, 1, 3)
         for text in ["ab", "c", "beef"]:
             blob += struct.pack("<I", len(text)) + text.encode("utf-8")
-        blob += dense.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
-        idf_blob = idf_bytes(8, 1, None, [0, 1, 0, 0, 1, 0, 1, 0])
+        blob += struct.pack("<III", 1, 4, 6)
+        blob += model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+        idf_blob = idf_bytes(8, 1, [1, 4, 6], [1, 1, 1])
         assert (tmp_path / "m.bin").read_bytes() == blob
         assert (tmp_path / "idf.bin").read_bytes() == idf_blob
         # It loads as the model it was saved from, weights of 1, 4, 6.
@@ -854,29 +878,46 @@ class TestModelIo:
         assert (tmp_path / "m.bin").read_bytes() == blob
         assert (tmp_path / "idf.bin").read_bytes() == idf_blob
 
+    def test_whole_files_of_earlier_versions_are_rejected(self, tmp_path):
+        # Earlier versions wrote a table more than a quarter full whole:
+        # a row for every bucket and no ids.  Neither file has the size
+        # its header gives, and the one at fault is named.
+        model = small_model(feature_fingerprint="beef", fallback_class=1)
+        model_path, idf_path = saved(model, tmp_path)
+        sparse_idf = (tmp_path / "idf.bin").read_bytes()
+        (tmp_path / "idf.bin").write_bytes(idf_bytes(8, 1, None, [0, 1, 0, 0, 1, 0, 1, 0]))
+        with pytest.raises(CorruptArtifact, match=f"{idf_path}: expected 84 bytes, found 52"):
+            load_model(model_path, idf_path)
+        dense = np.zeros((8, 2))
+        dense[[1, 4, 6]] = model.weights
+        blob = b"NADIMDL3" + struct.pack("<IIII", 2, 8, 1, 8)
+        for text in ["ab", "c", "beef"]:
+            blob += struct.pack("<I", len(text)) + text.encode("utf-8")
+        blob += dense.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+        (tmp_path / "m.bin").write_bytes(blob)
+        (tmp_path / "idf.bin").write_bytes(sparse_idf)
+        with pytest.raises(CorruptArtifact, match=f"{model_path}: expected 219 bytes, found 187"):
+            load_model(model_path, idf_path)
+
     def test_dim_other_than_the_idf_tables(self, tmp_path):
         model_path, idf_path = saved(small_model(16), tmp_path)
         (tmp_path / "idf.bin").write_bytes(idf_file(idf_of([1, 4, 6], 32)))
         with pytest.raises(DimensionMismatch, match="model dim 16 does not match idf dim 32"):
             load_model(model_path, idf_path)
 
-    # The file is over columns 1, 4 and 6, sparse at dim 16 and whole at
-    # dim 8; each table lists other columns.  Whole, the table of 1, 4,
-    # 5 leaves bucket 6's nonzero weights out, and a table of one column
-    # is written sparse where the model is whole.
+    # The file is over columns 1, 4 and 6, no more than a quarter of dim
+    # 16 and more than a quarter of dim 8; each table lists other columns.
     @pytest.mark.parametrize("dim, columns", [
         (16, [1, 4, 7]), (16, [1, 4]), (16, [1, 4, 6, 9]), (8, [1, 4, 5]), (8, [1]),
     ])
     def test_idf_of_another_fit(self, tmp_path, dim, columns):
         model = small_model(dim)
-        if columns == [1]:
-            model.weights[1:] = 0.0  # only bucket 1 weighs anything
         model_path, idf_path = saved(model, tmp_path)
         (tmp_path / "idf.bin").write_bytes(idf_file(idf_of(columns, dim)))
         with pytest.raises(DialectIdError, match="not fitted together"):
             load_model(model_path, idf_path)
 
-    @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
+    @pytest.mark.parametrize("dim", [8, 16])  # 3 columns of 8, of 16
     def test_every_cut_is_corrupt(self, tmp_path, dim):
         model_path, idf_path = saved(small_model(dim, feature_fingerprint="beef"), tmp_path)
         path = tmp_path / "m.bin"
@@ -921,14 +962,12 @@ class TestModelIo:
         (8, [3, 8], "below 8"),
         (8, [0xFFFFFFFF], "below 8"),
         (2, [0, 1, 2], "3 columns for dim 2"),
-        (8, [1, 2, 3], "3 of 8 columns listed"),
-        (16, [0, 1, 2, 3, 15], "5 of 16 columns listed"),
     ])
     def test_bad_columns(self, tmp_path, dim, columns, match):
         with pytest.raises(CorruptArtifact, match=match):
             load_model(*written(tmp_path, model_bytes(2, dim, 0, columns), idf_of([], dim)))
 
-    @pytest.mark.parametrize("dim", [8, 16])  # written whole, sparse
+    @pytest.mark.parametrize("dim", [8, 16])  # 3 columns of 8, of 16
     @pytest.mark.parametrize("field", ["weights", "bias"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters(self, tmp_path, dim, field, value):
@@ -969,13 +1008,14 @@ class TestIdfIo:
         table = table_of(df, 123)
         loaded = load_model(*saved(zero_model(table), tmp_path)).idf
         assert (loaded.doc_count, loaded.dim) == (123, 64)
-        # A whole file loads as the occupied buckets alone.
         assert loaded.columns.tolist() == np.flatnonzero(df).tolist()
         assert loaded.df.tobytes() == table.df.tobytes()
         assert loaded.weights.tobytes() == table.weights.tobytes()
-        # More than a quarter of the buckets are occupied: written whole.
-        assert 4 * np.count_nonzero(df) > 64
-        assert (tmp_path / "idf.bin").read_bytes() == idf_bytes(64, 123, None, df)
+        # More than a quarter of the buckets are occupied; the file lists them.
+        columns = np.flatnonzero(df)
+        assert 4 * columns.size > 64
+        blob = idf_bytes(64, 123, columns, df[columns])
+        assert (tmp_path / "idf.bin").read_bytes() == blob
 
     def test_sparse_table_lists_its_buckets(self, tmp_path):
         df = np.zeros(64, dtype=np.int64)
@@ -1007,7 +1047,8 @@ class TestIdfIo:
         with pytest.raises(ValueError):
             load_idf_file(tmp_path, blob[:-4])
 
-    @pytest.mark.parametrize("df", [[1, 0, 3, 2], [0, 0, 0, 2, 0, 0, 0, 0]])  # whole, sparse
+    # 3 of 4 buckets occupied, 1 of 8.
+    @pytest.mark.parametrize("df", [[1, 0, 3, 2], [0, 0, 0, 2, 0, 0, 0, 0]])
     def test_every_cut_is_corrupt(self, tmp_path, df):
         paths = saved(zero_model(table_of(df, 3)), tmp_path)
         path = tmp_path / "idf.bin"
@@ -1029,9 +1070,8 @@ class TestIdfIo:
         (8, 3, [1, 4], [4, 1], "document frequency"),
         (0, 0, [], [], "power of two"),
         (12, 3, [], [], "power of two"),
-        (8, 3, [1, 2, 3], [1, 1, 1], "3 of 8 buckets occupied in a sparse file"),
-        (8, 3, None, [0, 0, 1, 0, 3, 0, 0, 0], "2 of 8 buckets occupied in a whole file"),
-        (4, 3, None, [0, 4, 1, 2], "document frequency"),
+        (8, 3, None, [0, 0, 1, 0, 3, 0, 0, 0], "expected 84 bytes, found 52"),
+        (4, 3, [1, 2, 3], [4, 1, 2], "document frequency"),
     ])
     def test_bad_contents(self, tmp_path, dim, doc_count, ids, df, match):
         with pytest.raises(CorruptArtifact, match=match):
@@ -1052,19 +1092,16 @@ def idf_dim(dim):
 @st.composite
 def model_files(draw):
     """Bytes that are often almost a model file, and the idf table of
-    its columns: a valid small file, whole or sparse, with one byte
-    overwritten, cut or extended, or the magic and noise.  The idf
-    table is over idf_dim(dim), so a model dim that is not a power of
-    two ends in DimensionMismatch after the model file's own checks."""
+    its columns: a valid small file with one byte overwritten, cut or
+    extended, or the magic and noise.  The idf table is over
+    idf_dim(dim), so a model dim that is not a power of two ends in
+    DimensionMismatch after the model file's own checks."""
     if draw(st.booleans()):
         noise = b"NADIMDL3" + draw(st.binary(max_size=96))
         return noise, idf_of([], idf_dim(draw(st.integers(1, 12))))
     num_classes = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        columns = list(range(dim))
-    else:
-        columns = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim // 4)))
+    columns = sorted(draw(st.sets(st.integers(0, dim - 1))))
     blob = model_bytes(num_classes, dim, draw(st.integers(0, num_classes - 1)), columns,
                        fingerprint=draw(st.sampled_from(["", "0123456789abcdef"])))
     return edit_one_place(draw, blob), idf_of(columns, idf_dim(dim))
@@ -1095,7 +1132,7 @@ def idf_files(draw):
     """Bytes that are often almost an idf file: a valid small file with
     one byte overwritten, cut or extended, or the magic and noise.  The
     table's lookup table is dim-sized, so the noise's dim stays below
-    2**16.  The valid file is sparse or whole, as save_model picks."""
+    2**16."""
     if draw(st.booleans()):
         noise = bytearray(draw(st.binary(max_size=64)))
         noise[2:4] = bytes(len(noise[2:4]))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import dialectid
@@ -499,17 +500,16 @@ class TestTrainPredictEvaluate:
         assert len(read_submission(str(out))) == 32
         capsys.readouterr()
 
-    def test_whole_files_of_other_fits(self, tmp_path, capsys):
-        # grid-wide's files at dim 2^13 are written whole and list no
-        # ids; seed 101's model weighs buckets seed 7's idf calls
-        # unoccupied.
+    def test_fuller_files_of_other_fits(self, tmp_path, capsys):
+        # grid-wide's files at dim 2^13 list more than a quarter of the
+        # buckets; seed 101's model lists buckets seed 7's idf does not.
         runs = {}
         for seed in (101, 7):
             fixture = fixtures.write_fixture("grid-wide", seed, str(tmp_path / f"data{seed}"))
             out = tmp_path / f"out{seed}"
             assert cli.main(["benchmark", fixture.config_path, "--out-dir", str(out)]) == 0
             _, dim, _, width = struct.unpack("<IIII", (out / "model.bin").read_bytes()[8:24])
-            assert dim == width == 1 << 13
+            assert dim == 1 << 13 and 4 * width > dim
             runs[seed] = fixture, out
         capsys.readouterr()
         fixture, out = runs[101]
@@ -517,26 +517,39 @@ class TestTrainPredictEvaluate:
         selected = next(line.split("\t")[0] for line in grid if line.endswith("\t1"))
         sub = tmp_path / "s.csv"
 
-        def predict(idf_dir):
+        def predict(idf_path):
             return cli.main(
                 [
                     "--config", fixture.config_path,
                     "predict",
                     "--experiment", selected,
                     "--model", str(out / "model.bin"),
-                    "--idf", str(idf_dir / "idf.bin"),
+                    "--idf", str(idf_path),
                     "--in", fixture.paths["test"],
                     "--out", str(sub),
                 ]
             )
 
-        rc = predict(runs[7][1])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "not fitted together" in err, err
-        assert "Traceback" not in err
-        assert not sub.exists()
-        assert predict(out) == 0
+        def refused(idf_path, message):
+            rc = predict(idf_path)
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error:") and message in err, err
+            assert "Traceback" not in err
+            assert not sub.exists()
+
+        refused(runs[7][1] / "idf.bin", "not fitted together")
+        # The idf table written whole, as earlier versions wrote it: a
+        # document frequency for every bucket and no ids.
+        idf = load_model(str(out / "model.bin"), str(out / "idf.bin")).idf
+        df = np.zeros(idf.dim, dtype="<u4")
+        df[idf.columns] = idf.df
+        whole = tmp_path / "whole.idf"
+        whole.write_bytes(
+            b"NADIIDF2" + struct.pack("<III", idf.dim, idf.doc_count, idf.dim) + df.tobytes()
+        )
+        refused(whole, f"{whole}: expected")
+        assert predict(out / "idf.bin") == 0
         assert sub.read_bytes() == (out / "submission.csv").read_bytes()
         capsys.readouterr()
 

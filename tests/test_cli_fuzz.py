@@ -184,9 +184,10 @@ def test_normalize_on_drawn_files(split, flags):
                                 "--out", out, *flags]))
 
 
-# The fits predict reads: (corpus seed, dim).  At dim 16 both files are
-# written whole, at 4096 sparse; the two sparse fits list other buckets.
-FITS = {"whole": (3, 16), "sparse": (3, 4096), "other": (5, 4096)}
+# The fits predict reads: (corpus seed, dim).  At dim 16 both files list
+# more than a quarter of the buckets, at 4096 less; the two fits at 4096
+# list other buckets.
+FITS = {"full": (3, 16), "sparse": (3, 4096), "other": (5, 4096)}
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
-"""Memory guards for text preparation, the featurizer, the loaders, the
-predictor and the trainer: prepare_texts over the benchmark's served
+"""Memory guards for text preparation, the featurizer, the model files,
+the predictor and the trainer: prepare_texts over the benchmark's served
 test split with the normalizer's token memos empty, one bucket_counts
-pass, loading the served idf table and the model over it, and one
+pass, loading the served idf table and the model over it, saving and
+loading a model over more than a quarter of its buckets, and one
 predict_texts over the same split, and classifier.train on the fit-nadi
 finalize corpus, at the workload's batch size and in one full batch,
 stay within fixed allocation peaks, so a table, memo, scratch block or
@@ -12,6 +13,8 @@ import os
 import sys
 import tracemalloc
 from dataclasses import replace
+
+import numpy as np
 
 from dialectid import classifier, features, harness, normalizer
 from dialectid.cli import main
@@ -107,6 +110,58 @@ def test_load_peak_on_serve_artifacts(tmp_path, capsys):
     assert model.weights.shape == (16_644, 21)
     assert model.idf.dim == 1 << 18
     assert peak <= LOAD_PEAK_BYTES
+
+
+# A model of the shape of grid-wide's seed-101 files: 5,593 of 2^13
+# columns, more than a quarter, and 21 classes, 939,624 bytes of
+# weights.  Saving it allocates about 28e3 bytes, the ids as u32, and
+# loading it peaks at about 1.24e6.  When such a table was written
+# whole, save_model built the dim x classes table (1.38e6 bytes), and
+# load_model read it and then took the columns' rows (2.46e6).
+FULLER_SAVE_PEAK_BYTES = 0.1e6
+FULLER_LOAD_PEAK_BYTES = 1.5e6
+
+
+def fuller_model():
+    """A model of random weights over 5,593 of 2^13 buckets, 21 classes."""
+    rng = np.random.default_rng(101)
+    dim, width, num_classes = 1 << 13, 5_593, 21
+    columns = np.sort(rng.choice(dim, size=width, replace=False))
+    idf = features.IdfTable(columns=columns, df=np.ones(width, dtype=np.int64), doc_count=1,
+                            dim=dim)
+    return classifier.LinearModel(
+        weights=rng.normal(size=(width, num_classes)),
+        bias=rng.normal(size=num_classes),
+        class_labels=[str(c) for c in range(num_classes)],
+        idf=idf,
+    )
+
+
+def test_save_peak_of_a_fuller_model(tmp_path):
+    model = fuller_model()
+    paths = str(tmp_path / "model.bin"), str(tmp_path / "idf.bin")
+    tracemalloc.start()
+    try:
+        classifier.save_model(model, *paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.weights.nbytes == 939_624
+    assert peak <= FULLER_SAVE_PEAK_BYTES
+
+
+def test_load_peak_of_a_fuller_model(tmp_path):
+    model = fuller_model()
+    paths = str(tmp_path / "model.bin"), str(tmp_path / "idf.bin")
+    classifier.save_model(model, *paths)
+    tracemalloc.start()
+    try:
+        loaded = classifier.load_model(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert peak <= FULLER_LOAD_PEAK_BYTES
 
 
 def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
