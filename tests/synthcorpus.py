@@ -10,37 +10,13 @@ from __future__ import annotations
 import os
 import random
 
+from fixtures import NADI_TRAIN_COUNTS
+
 INVENTORIES = {
     "atlantis": "ابتث",
     "borealia": "جحخد",
     "cascadia": "رزسش",
     "dorsalia": "صضطظ",
-}
-
-# Dialectal-register training counts per country, mirrored by the stats
-# fixture below.  The totals sum to 21000.
-COUNTRY_TRAIN_COUNTS = {
-    "Algeria": 1809,
-    "Bahrain": 215,
-    "Djibouti": 215,
-    "Egypt": 4283,
-    "Iraq": 2729,
-    "Jordan": 429,
-    "Kuwait": 429,
-    "Lebanon": 644,
-    "Libya": 1286,
-    "Mauritania": 215,
-    "Morocco": 858,
-    "Oman": 1501,
-    "Palestine": 428,
-    "Qatar": 215,
-    "Saudi_Arabia": 2140,
-    "Somalia": 172,
-    "Sudan": 215,
-    "Syria": 1287,
-    "Tunisia": 859,
-    "UAE": 642,
-    "Yemen": 429,
 }
 
 
@@ -104,9 +80,10 @@ def write_benchmark_config(
 
 
 def write_country_split(path: str, counts: dict[str, int] | None = None) -> int:
-    """Write a labeled split with the given per-country row counts."""
+    """Write a labeled split with the given per-country row counts,
+    by default the NADI training counts."""
     if counts is None:
-        counts = COUNTRY_TRAIN_COUNTS
+        counts = NADI_TRAIN_COUNTS
     total = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id\ttweet\tcountry\tprovince\n")

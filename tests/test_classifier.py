@@ -555,7 +555,8 @@ def test_train_equals_batched_oracle_on_one_blas_thread(tmp_path):
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(classifier.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
+    bench = os.path.join(os.path.dirname(tests), "bench")
+    path = os.pathsep.join(p for p in (src, tests, bench, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr

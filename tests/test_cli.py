@@ -14,13 +14,10 @@ from dialectid.corpus import LabelVocab, load_corpus, read_submission
 from dialectid.features import fnv1a64
 from dialectid.normalizer import NormConfig
 
+import fixtures
 import synthcorpus
 from file_io import parse_report
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-sys.path.insert(0, BENCH)
-
-import fixtures  # noqa: E402
 
 
 @pytest.fixture(scope="module")

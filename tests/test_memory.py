@@ -10,7 +10,6 @@ dense array that outlives or outgrows its use fails here before it
 shows in the benchmark's peak RSS."""
 
 import os
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -20,10 +19,7 @@ from dialectid import classifier, features, harness, normalizer
 from dialectid.cli import main
 from dialectid.corpus import LabelVocab, concat_splits, load_corpus
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-sys.path.insert(0, BENCH)
-
-import fixtures  # noqa: E402
+import fixtures
 
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call

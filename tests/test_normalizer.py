@@ -1,8 +1,6 @@
 import itertools
-import os
 import random
 import re
-import sys
 from dataclasses import replace
 
 import pytest
@@ -25,13 +23,10 @@ from dialectid.normalizer import (
     strip_markup,
 )
 
+import fixtures
 import normalizer_oracle
 from conftest import data_path
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-sys.path.insert(0, BENCH)
-
-import fixtures  # noqa: E402
 
 CONFIGS = {
     "default": NormConfig(),

@@ -11,18 +11,13 @@ features.char_ngrams_s and features.distinct_grams read zero; there
 is no per-gram hash function to count either."""
 
 import json
-import os
-import sys
 
 from dialectid import classifier, corpus, evaluation, features, harness, normalizer
 from dialectid.corpus import LabelVocab, load_corpus
 
 import synthcorpus
+import tracer
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-sys.path.insert(0, BENCH)
-
-import tracer  # noqa: E402
 
 PACKAGE = {
     "corpus": corpus, "normalizer": normalizer, "features": features,
