@@ -198,57 +198,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="benchmark config holding the experiment of train and predict")
     sub = parser.add_subparsers(dest="command", required=True)
+    lexicon_flags = argparse.ArgumentParser(add_help=False)
+    lexicon_flags.add_argument("--lexicon", default=None, help="clitic lexicon file")
+    lexicon_flags.add_argument("--presegmented", default=None,
+                               help="token TSV overriding the lexicon")
+    label_flags = argparse.ArgumentParser(add_help=False)
+    label_flags.add_argument("--level", choices=[l.value for l in Level], required=True)
+    label_flags.add_argument("--vocab", default=None, help="province<TAB>country TSV")
 
-    p = sub.add_parser("normalize", help="clean the text column of a TSV file")
+    p = sub.add_parser("normalize", parents=[lexicon_flags],
+                       help="clean the text column of a TSV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--segment", action="store_true", help="enable clitic segmentation")
     p.add_argument("--no-spacing", action="store_true", help="disable boundary spacing")
     p.add_argument("--max-repeat", type=int, default=2)
-    p.add_argument("--lexicon", default=None, help="clitic lexicon file")
-    p.add_argument("--presegmented", default=None, help="token TSV overriding the lexicon")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("stats", help="per-label record counts of a split")
+    p = sub.add_parser("stats", parents=[label_flags], help="per-label record counts of a split")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", choices=[l.value for l in Level], required=True)
-    p.add_argument("--vocab", default=None)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("train", help="fit a model and write model and idf files")
+    p = sub.add_parser("train", parents=[label_flags, lexicon_flags],
+                       help="fit a model and write model and idf files")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", choices=[l.value for l in Level], required=True)
-    p.add_argument("--vocab", default=None)
     p.add_argument("--experiment", default=None,
                    help="experiment name inside --config (default: first)")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-idf", required=True)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--presegmented", default=None)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a submission against gold labels")
+    p = sub.add_parser("evaluate", parents=[label_flags],
+                       help="score a submission against gold labels")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--level", choices=[l.value for l in Level], required=True)
-    p.add_argument("--vocab", default=None)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("predict", help="label a test split with a trained model")
+    p = sub.add_parser("predict", parents=[lexicon_flags],
+                       help="label a test split with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--idf", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--experiment", default=None)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--presegmented", default=None)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("benchmark", help="run the grid and finalize the best row")
+    p = sub.add_parser("benchmark", parents=[lexicon_flags],
+                       help="run the grid and finalize the best row")
     p.add_argument("config_file", help="benchmark config file")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--presegmented", default=None)
     p.set_defaults(func=_cmd_benchmark)
     return parser
 

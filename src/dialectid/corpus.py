@@ -1,9 +1,12 @@
 """Corpus ingestion and label bookkeeping.
 
 Data files are UTF-8 TSV, one record per line, with an optional header
-row; every TSV file is read by read_rows.  Labels live in a two-level
-vocabulary: every province belongs to exactly one country, and records
-may be labeled at either level.
+row.  This module owns how an input text file becomes lines: TSV files
+are read by read_rows (read_mapping for two-column ones), `id,label`
+submissions by read_submission, and configs and lexicons by
+read_sections, all on _read_lines's one rule.  Labels live in a
+two-level vocabulary: every province belongs to exactly one country,
+and records may be labeled at either level.
 """
 
 from __future__ import annotations
@@ -100,19 +103,10 @@ class LabelVocab:
     def from_file(cls, path: str) -> "LabelVocab":
         """Read `province<TAB>country` lines; label order follows first
         appearance in the file."""
-        provinces: list[str] = []
-        countries: list[str] = []
-        mapping: dict[str, str] = {}
-        for lineno, province, country in read_pairs(path):
-            if province in mapping:
-                raise DuplicateId(f"{path}:{lineno}: province {province!r} listed twice")
-            mapping[province] = country
-            provinces.append(province)
-            if country not in countries:
-                countries.append(country)
+        mapping = read_mapping(path, "province")
         return cls(
-            countries=tuple(countries),
-            provinces=tuple(provinces),
+            countries=tuple(dict.fromkeys(mapping.values())),
+            provinces=tuple(mapping),
             province_to_country=mapping,
         )
 
@@ -142,16 +136,48 @@ def read_rows(path: str) -> list[tuple[int, list[str]]]:
     return [(lineno, line.split("\t")) for lineno, line in _read_lines(path)]
 
 
-def read_pairs(path: str) -> list[tuple[int, str, str]]:
-    """The (line number, first cell, second cell) of every row of a
+def read_mapping(path: str, what: str) -> dict[str, str]:
+    """The first cell -> second cell mapping, in file order, of a
     two-column TSV file read by read_rows.  Raises MalformedRow on a row
-    of another width."""
-    pairs = []
-    for lineno, cells in read_rows(path):
+    of another width and DuplicateId on a first cell (a `what`) listed
+    twice."""
+    rows = read_rows(path)
+    table: dict[str, str] = {}
+    for lineno, cells in rows:
         if len(cells) != 2:
             raise MalformedRow(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
-        pairs.append((lineno, cells[0], cells[1]))
-    return pairs
+        key, value = cells
+        if key in table:
+            first = next(n for n, other in rows if other[0] == key)
+            raise DuplicateId(
+                f"{path}:{lineno}: {what} {key!r} listed twice (first at line {first})"
+            )
+        table[key] = value
+    return table
+
+
+_Lines = list[tuple[int, str]]
+
+
+def read_sections(path: str) -> tuple[_Lines, list[tuple[int, str, _Lines]]]:
+    """The (line number, line) of every line of a file before its first
+    `[name]` line, then the (line number, name, lines) of each `[name]`
+    line and the lines up to the next one.  Lines are split as
+    _read_lines splits them and stripped, blank ones and those that
+    start with # are dropped, and a name is stripped too."""
+    preamble: _Lines = []
+    sections: list[tuple[int, str, _Lines]] = []
+    current = preamble
+    for lineno, line in _read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = []
+            sections.append((lineno, line[1:-1].strip(), current))
+        else:
+            current.append((lineno, line))
+    return preamble, sections
 
 
 def has_header(cells: Sequence[str]) -> bool:

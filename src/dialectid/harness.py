@@ -384,40 +384,26 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
     checked but not kept; each `[experiment NAME]` section overrides
     pipeline defaults.  Lines starting with # are comments.
     """
-    sections: list[tuple[str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
-    saw_version = False
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not saw_version:
-                if line != "format=1":
-                    raise ConfigError(f"{path}:{lineno}: first line must be format=1")
-                saw_version = True
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                header = line[1:-1].strip()
-                current = {}
-                sections.append((header, current))
-                continue
-            if current is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any section")
+    preamble, sections = corpus.read_sections(path)
+    if not preamble and not sections:
+        raise ConfigError(f"{path}: empty config, missing format=1")
+    if not preamble or preamble[0][1] != "format=1":
+        lineno = preamble[0][0] if preamble else sections[0][0]
+        raise ConfigError(f"{path}:{lineno}: first line must be format=1")
+    if len(preamble) > 1:
+        raise ConfigError(f"{path}:{preamble[1][0]}: key outside any section")
+    data: dict[str, str] | None = None
+    experiments: list[tuple[str, dict[str, str]]] = []
+    for _, header, lines in sections:
+        items: dict[str, str] = {}
+        for lineno, line in lines:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip()
-            value = value.strip()
-            if key in current:
+            if key in items:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            current[key] = value
-    if not saw_version:
-        raise ConfigError(f"{path}: empty config, missing format=1")
-
-    data: dict[str, str] | None = None
-    experiments: list[tuple[str, dict[str, str]]] = []
-    for header, items in sections:
+            items[key] = value.strip()
         if header == "data":
             if data is not None:
                 raise ConfigError(f"{path}: more than one [data] section")

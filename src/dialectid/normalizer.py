@@ -60,8 +60,7 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import read_pairs
-from .errors import DuplicateId
+from .corpus import read_mapping, read_sections
 
 
 # The placeholder surface that replaces each kind of entity, by its
@@ -389,42 +388,23 @@ def normalize(
 
 def load_lexicon(path: str) -> SegmentLexicon:
     """Read a clitic lexicon file with [prefixes] and [suffixes] sections,
-    one entry per line; blank lines and # comments are ignored.  The
-    lexicon has no overrides.  Raises ValueError at an entry before any
-    section header and at a bracketed line that is neither header."""
-    prefixes: list[str] = []
-    suffixes: list[str] = []
-    target: list[str] | None = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[prefixes]":
-                target = prefixes
-            elif line == "[suffixes]":
-                target = suffixes
-            elif line.startswith("[") and line.endswith("]"):
-                raise ValueError(f"{path}:{lineno}: unknown section {line!r}")
-            elif target is None:
-                raise ValueError(f"{path}:{lineno}: entry {line!r} before any section header")
-            else:
-                target.append(line)
-    return SegmentLexicon(prefixes=tuple(prefixes), suffixes=tuple(suffixes))
+    one entry per line, as read_sections reads it.  The lexicon has no
+    overrides.  Raises ValueError at an entry before any section header
+    and at a section that is neither."""
+    preamble, sections = read_sections(path)
+    if preamble:
+        lineno, line = preamble[0]
+        raise ValueError(f"{path}:{lineno}: entry {line!r} before any section header")
+    entries: dict[str, list[str]] = {"prefixes": [], "suffixes": []}
+    for lineno, name, lines in sections:
+        if name not in entries:
+            raise ValueError(f"{path}:{lineno}: unknown section {f'[{name}]'!r}")
+        entries[name] += [line for _, line in lines]
+    return SegmentLexicon(tuple(entries["prefixes"]), tuple(entries["suffixes"]))
 
 
 def load_presegmented(path: str) -> dict[str, str]:
     """Read a two-column TSV mapping a raw token to its segmented form,
     the overrides of a SegmentLexicon.  Raises DuplicateId when a token
     has two rows."""
-    table: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, token, segmented in read_pairs(path):
-        if token in table:
-            raise DuplicateId(
-                f"{path}:{lineno}: token {token!r} listed twice (first at line "
-                f"{first_line[token]})"
-            )
-        table[token] = segmented
-        first_line[token] = lineno
-    return table
+    return read_mapping(path, "token")

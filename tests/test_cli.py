@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -885,3 +886,25 @@ def test_help_exits_zero():
     assert proc.returncode == 0
     assert "normalize" in proc.stdout
     assert "benchmark" in proc.stdout
+
+
+# The flags of each subcommand.  --lexicon and --presegmented, and
+# --level and --vocab, are declared once each and shared.
+SUBCOMMAND_FLAGS = {
+    "normalize": {"-h", "--in", "--out", "--segment", "--no-spacing", "--max-repeat",
+                  "--lexicon", "--presegmented"},
+    "stats": {"-h", "--in", "--level", "--vocab"},
+    "train": {"-h", "--in", "--level", "--vocab", "--experiment", "--out-model", "--out-idf",
+              "--lexicon", "--presegmented"},
+    "evaluate": {"-h", "--gold", "--pred", "--level", "--vocab"},
+    "predict": {"-h", "--model", "--idf", "--in", "--out", "--experiment", "--lexicon",
+                "--presegmented"},
+    "benchmark": {"-h", "--out-dir", "--lexicon", "--presegmented"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_subcommand_help_lists_its_flags(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--?[a-z][a-z-]*", usage)) == SUBCOMMAND_FLAGS[command]

@@ -1,6 +1,7 @@
 import pytest
 
 from dialectid import cli, normalizer
+from dialectid.classifier import HyperParams
 from dialectid.corpus import (
     DEFAULT_COUNTRIES,
     LabelVocab,
@@ -14,6 +15,7 @@ from dialectid.corpus import (
     write_submission,
 )
 from dialectid.errors import (
+    ConfigError,
     DuplicateId,
     HierarchyViolation,
     LengthMismatch,
@@ -21,6 +23,8 @@ from dialectid.errors import (
     UnknownLabel,
     UnlabeledRecord,
 )
+from dialectid.harness import BenchmarkSpec, ExperimentConfig, parse_benchmark_file
+from dialectid.normalizer import SegmentLexicon
 
 from file_io import write_corpus
 
@@ -60,7 +64,7 @@ class TestLabelVocab:
     def test_from_file_rejects_duplicate_province(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("Cairo\tEgypt\nCairo\tEgypt\n", encoding="utf-8")
-        with pytest.raises(DuplicateId, match="2"):
+        with pytest.raises(DuplicateId, match=r":2: .*\(first at line 1\)"):
             LabelVocab.from_file(str(path))
 
     def test_from_file_rejects_wrong_column_count(self, tmp_path):
@@ -214,14 +218,17 @@ def test_read_rows_ends_lines_at_newlines_only(tmp_path):
 
 
 def normalized(path):
-    """The bytes dialectid normalize writes for the file at path."""
-    assert cli.main(["normalize", "--in", path, "--out", path + ".out"]) == 0
+    """The bytes dialectid normalize writes for the file at path.  A
+    data error is raised, not turned into an exit code."""
+    args = cli.build_parser().parse_args(["normalize", "--in", path, "--out", path + ".out"])
+    args.func(args)
     with open(path + ".out", "rb") as fh:
         return fh.read()
 
 
-# Each TSV reader: the lines of a file, the reader, and what it reads.
-TSV_READERS = {
+# Each input file reader: the lines of a file, the reader, and what it
+# reads.
+READERS = {
     "load_corpus": (
         ["id\ttweet\tcountry", "a\tنص\tEgypt", "b\tكلام\t"],
         load_corpus,
@@ -242,22 +249,72 @@ TSV_READERS = {
         normalized,
         "id\ttweet\na\t[مستخدم] هه\n".encode("utf-8"),
     ),
+    "read_submission": (
+        ["a,Egypt", "b,Iraq"],
+        read_submission,
+        [("a", "Egypt"), ("b", "Iraq")],
+    ),
+    "load_lexicon": (
+        ["[prefixes]", "وال", "[suffixes]", "ها"],
+        normalizer.load_lexicon,
+        SegmentLexicon(prefixes=("وال",), suffixes=("ها",)),
+    ),
+    "parse_benchmark_file": (
+        ["format=1", "[data]", "train = t.tsv", "dev = d.tsv", "test = x.tsv",
+         "level = country", "register = da", "[experiment e]", "epochs = 1"],
+        parse_benchmark_file,
+        BenchmarkSpec("t.tsv", "d.tsv", "x.tsv", Level.COUNTRY,
+                      (ExperimentConfig("e", hp=HyperParams(epochs=1)),)),
+    ),
 }
 LINE_FORMS = {
     "LF": lambda lines: "\n".join(lines) + "\n",
     "CRLF": lambda lines: "\r\n".join(lines) + "\r\n",
     "BOM": lambda lines: "\ufeff" + "\n".join(lines) + "\n",
     "trailing blank line": lambda lines: "\n".join(lines) + "\n\n",
+    "blank lines": lambda lines: "\n\n".join(lines) + "\n",
+    "CR-only": lambda lines: "\r".join(lines) + "\r",
+    "# comment": lambda lines: "\n".join(lines) + "\n# note\n",
+    "spaced [ header ]": lambda lines: "\n".join(
+        f"[ {line[1:-1]} ]" if line.startswith("[") else line for line in lines
+    ) + "\n",
+}
+# What a reader reads of a form where that is not what it reads of LF.
+# A lone carriage return ends no line, so a CR-only file is one line.
+# A # line is a comment in a file of [sections] and a row in the others.
+OTHER_READS = {
+    "CR-only": {
+        "load_corpus": [],  # a header and no record
+        "LabelVocab.from_file": MalformedRow,
+        "load_presegmented": MalformedRow,
+        # One row of three cells, whose second is the text.
+        "dialectid normalize": "id\ttweet a\t@user هههه\n".encode("utf-8"),
+        "read_submission": [("a", "Egypt\rb,Iraq")],
+        "load_lexicon": ValueError,
+        "parse_benchmark_file": ConfigError,
+    },
+    "# comment": {
+        "load_corpus": MalformedRow,
+        "LabelVocab.from_file": MalformedRow,
+        "load_presegmented": MalformedRow,
+        "dialectid normalize": MalformedRow,
+        "read_submission": MalformedRow,
+    },
 }
 
 
 @pytest.mark.parametrize("form", LINE_FORMS)
-@pytest.mark.parametrize("reader", TSV_READERS)
-def test_every_tsv_reader_reads_every_line_form_alike(tmp_path, reader, form):
-    lines, read, expected = TSV_READERS[reader]
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_reads_every_line_form(tmp_path, reader, form):
+    lines, read, expected = READERS[reader]
+    expected = OTHER_READS.get(form, {}).get(reader, expected)
     path = tmp_path / "file.tsv"
     path.write_bytes(LINE_FORMS[form](lines).encode("utf-8"))
-    assert read(str(path)) == expected
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            read(str(path))
+    else:
+        assert read(str(path)) == expected
 
 
 def test_write_corpus_rejects_tabs_and_newlines(tmp_path):
