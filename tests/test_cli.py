@@ -20,7 +20,6 @@ import synthcorpus
 from file_io import parse_report
 
 
-
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("clicorpus")
