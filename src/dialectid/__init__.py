@@ -23,8 +23,8 @@ from .features import (
     IdfTable,
     SparseRows,
     bucket_counts,
+    corpus_counts,
     fit_idf,
-    join_rows,
     vectorize,
 )
 from .harness import ExperimentConfig, SelectionMetric, Splits, finalize, run_grid
@@ -52,10 +52,10 @@ __all__ = [
     "bucket_counts",
     "concat_splits",
     "confusion",
+    "corpus_counts",
     "corpus_stats",
     "finalize",
     "fit_idf",
-    "join_rows",
     "load_corpus",
     "normalize",
     "predict",

@@ -268,15 +268,23 @@ def _sgd(
     writes them back once, as whole rows.  It fills a dense block with
     its rows over those columns, in slices of rows that keep it within
     _BLOCK_ELEMENTS.  Every slice's block is a prefix of one buffer,
-    grown when a slice needs more and zeroed again at the slice's own
-    entries after use.  The logits are (block @ vu) * scale + bias; the
-    gradient, class-major (num_classes x u), is the sum over the slices
-    of the transposed probabilities times the block, and is scaled by
-    lr / (m * scale) in place and subtracted from vu transposed.
+    allocated once per call at the size of the largest slice of any
+    batch of any epoch (_largest_block), never regrown, and zeroed again
+    at the slice's own entries after use.  The logits are (block @ vu)
+    * scale + bias; the gradient, class-major (num_classes x u), is the
+    sum over the slices of the transposed probabilities times the block,
+    and is scaled by lr / (m * scale) in place and subtracted from vu
+    transposed.
     """
     n = len(rows)
     indptr, values = rows.indptr, rows.values
     nnz = np.diff(indptr)
+    # All zeros between slices.  Sized first, so that the sizing pass's
+    # scratch is freed before the run's arrays are allocated; a buffer
+    # regrown mid-run left glibc a freed block it could not reuse under
+    # a live per-batch array, and fit-nadi's peak RSS then hung on heap
+    # layout.
+    buffer = np.zeros(_largest_block(indptr, indices, width, hp), dtype=np.float64)
     scaled = np.zeros((width, num_classes), dtype=np.float64)
     # One item per row of scaled, so that a batch's rows are set whole.
     row_items = scaled.view(np.dtype((np.void, scaled.itemsize * num_classes))).ravel()
@@ -284,8 +292,6 @@ def _sgd(
     bias = np.zeros(num_classes, dtype=np.float64)
     # slot[c] is the block column of touched column c in the current batch.
     slot = np.zeros(width, dtype=np.int64)
-    # All zeros between slices.
-    buffer = np.zeros(0, dtype=np.float64)
     decay = 1.0 - hp.lr * hp.l2
     losses: list[float] = []
     for epoch in range(hp.epochs):
@@ -308,14 +314,7 @@ def _sgd(
             for lo in range(0, m, step):
                 hi = min(lo + step, m)
                 part = slice(starts[lo], ends[hi - 1])
-                size = (hi - lo) * u.size
-                if buffer.size < size:
-                    # The last block is a view of the buffer: drop both,
-                    # so the old buffer is freed before the larger one
-                    # is allocated.
-                    block = buffer = None
-                    buffer = np.zeros(size, dtype=np.float64)
-                block = buffer[:size].reshape(hi - lo, u.size)
+                block = buffer[: (hi - lo) * u.size].reshape(hi - lo, u.size)
                 spots = np.repeat(np.arange(hi - lo) * u.size, lengths[lo:hi])
                 spots += slot[batch_cols[part]]
                 buffer[spots] = values[entries[part]]
@@ -345,16 +344,51 @@ def _sgd(
             vu -= grad_w.T
             row_items[u] = vu.view(row_items.dtype).ravel()
             bias -= hp.lr * (grad_b * (1.0 / m))
-            # Freed before the next batch: a gradient still alive when
-            # a larger buffer is allocated pins the heap under the freed
-            # one, which added up to 9.6 MB (glibc malloc) to fit-nadi's
-            # peak RSS.
+            # Freed before the next batch: a gradient kept alive one
+            # batch longer added up to 9.6 MB (glibc malloc) to
+            # fit-nadi's peak RSS.
             del grad_w
         if not (np.isfinite(scaled).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
     scaled *= scale
     return scaled, bias, losses
+
+
+def _largest_block(
+    indptr: np.ndarray, indices: np.ndarray, width: int, hp: HyperParams
+) -> int:
+    """The float64s of the largest block _sgd fills: a batch of m rows
+    over u distinct columns is walked in slices of max(1,
+    _BLOCK_ELEMENTS // u) rows, so its largest is min(m, that) * u; this
+    is the largest over every batch of every epoch, 0 for no epochs.
+
+    An epoch's batches are counted a group at a time: one bool mask of
+    at most max(_BLOCK_ELEMENTS, width) entries marks each (batch of
+    the group, column) pair, so the pass makes a few numpy calls per
+    group rather than per batch.
+    """
+    n = indptr.size - 1
+    nnz = np.diff(indptr)
+    group = max(1, _BLOCK_ELEMENTS // max(1, width)) * hp.batch_size  # rows: whole batches
+    largest = 0
+    for epoch in range(hp.epochs):
+        order = epoch_order(hp.rng_seed, epoch, n)
+        for first in range(0, n, group):
+            picks = order[first : first + group]
+            lengths = nnz[picks]
+            ends = np.cumsum(lengths)
+            entries = np.repeat(indptr[picks] - ends + lengths, lengths)
+            entries += np.arange(ends[-1])
+            batch = np.arange(picks.size) // hp.batch_size
+            marks = np.zeros((int(batch[-1]) + 1, width), dtype=bool)
+            spots = np.repeat(batch * width, lengths)
+            spots += indices[entries]
+            marks.reshape(-1)[spots] = True
+            u = np.count_nonzero(marks, axis=1)
+            step = np.maximum(1, _BLOCK_ELEMENTS // np.maximum(1, u))
+            largest = max(largest, int((np.minimum(np.bincount(batch), step) * u).max()))
+    return largest
 
 
 def _write_array(fh: BinaryIO, array: np.ndarray, dtype: str) -> None:

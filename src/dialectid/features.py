@@ -7,13 +7,17 @@ accepted: colliding grams simply share a bucket and their counts add.
 
 A corpus is one CSR matrix, SparseRows: one row per text, one column
 per bucket, and its width dim, which fit_idf and vectorize read from
-it.  bucket_counts yields the gram counts of the texts as blocks of
-rows; the idf table (fit_idf) holds the K occupied buckets, their
-document frequencies and K + 1 weights, the last that of a bucket no
-document has; vectorize turns a block of counts into tf-idf rows,
-finding each bucket's weight through the table's bucket -> column
-table.  A fit or a predict makes
-one bucket_counts call.  It reads the texts in bounded chunks and cuts
+it; its indptr is int64, its bucket ids int32 (dim is at most 2**31)
+and its values float64.  bucket_counts yields the gram counts of the
+texts as blocks of rows, and corpus_counts appends those blocks, each
+as it comes, to one growing CSR, so a fit holds its counts once.  The
+idf table (fit_idf) holds the K occupied buckets, their document
+frequencies and K + 1 weights, the last that of a bucket no document
+has; vectorize turns counts into tf-idf rows in place, a bounded run
+of rows at a time, finding each bucket's weight through the table's
+bucket -> column table, so the rows a fit trains on are its counts'
+own arrays.  A fit or a predict makes one bucket_counts call.  It
+reads the texts in bounded chunks and cuts
 and hashes each distinct whitespace token once: a chunk's new padded
 tokens are encoded together, each gram is the byte span between two
 UTF-8 character starts, and one FNV-1a pass hashes all the spans
@@ -23,7 +27,7 @@ bucket) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -114,7 +118,8 @@ def token_buckets(tokens: Sequence[str], config: FeatureConfig) -> np.ndarray:
 class SparseRows:
     """Sparse rows in CSR form: row i holds the bucket positions
     indices[indptr[i]:indptr[i + 1]], strictly increasing and below
-    dim, and the matching nonzero weights in values."""
+    dim, and the matching nonzero weights in values.  Every producer
+    here gives int64 indptr, int32 indices and float64 values."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -129,18 +134,6 @@ class SparseRows:
         return int(self.indices.shape[0])
 
 
-def join_rows(blocks: Sequence[SparseRows], dim: int) -> SparseRows:
-    """The rows of the blocks, in order, as one SparseRows of width dim."""
-    return SparseRows(
-        indptr=np.concatenate([[0]] + [np.diff(block.indptr) for block in blocks]).cumsum(),
-        indices=np.concatenate([_NO_INDICES] + [block.indices for block in blocks]),
-        values=np.concatenate([np.zeros(0)] + [block.values for block in blocks]),
-        dim=dim,
-    )
-
-
-_NO_INDICES = np.zeros(0, dtype=np.int64)
-
 # A chunk of texts ends after this many texts, or once the grams of the
 # tokens it saw first reach this many; those grams are hashed in one
 # token_buckets call.  The bounds cap the memory of one call's arrays
@@ -150,25 +143,33 @@ _CHUNK_GRAMS = 1 << 14
 
 
 class _Appendable:
-    """An int64 array appended to in place; its buffer is reallocated at
-    twice the needed size when full, so n appends copy O(n) entries."""
+    """A 1-D array appended to in place.  When full, its buffer is
+    resized (a realloc: glibc moves a large block by remapping its
+    pages, and tracemalloc never counts the old and new blocks at once)
+    to an eighth more than the needed size, so n appends copy O(n)
+    entries at most; array() shrinks it to its entries the same way."""
 
-    def __init__(self, first: Sequence[int] = ()) -> None:
-        self.buffer = np.array(first, dtype=np.int64)
+    def __init__(self, dtype: type, first: Sequence[int] = ()) -> None:
+        self.buffer = np.array(first, dtype=dtype)
         self.size = len(first)
 
     def extend(self, values: np.ndarray) -> None:
         end = self.size + len(values)
         if end > self.buffer.size:
-            grown = np.empty(2 * end, dtype=np.int64)
-            grown[: self.size] = self.buffer[: self.size]
-            self.buffer = grown
+            # No view of the buffer outlives a call, so it may move.
+            self.buffer.resize(end + end // 8, refcheck=False)
         self.buffer[self.size : end] = values
         self.size = end
 
     @property
     def last(self) -> int:
         return int(self.buffer[self.size - 1])
+
+    def array(self) -> np.ndarray:
+        """The entries as an array of their own size; nothing may be
+        appended after."""
+        self.buffer.resize(self.size, refcheck=False)
+        return self.buffer
 
 
 def bucket_counts(
@@ -187,8 +188,8 @@ def bucket_counts(
     np.unique.
     """
     ids: dict[str, int] = {}  # token -> its number, in order of first sight
-    buckets = _Appendable()  # token i's grams hash to buckets[bounds[i]:bounds[i + 1]]
-    bounds = _Appendable([0])
+    buckets = _Appendable(np.int32)  # token i's grams hash to buckets[bounds[i]:bounds[i + 1]]
+    bounds = _Appendable(np.int64, [0])
     new: dict[str, int] = {}  # this chunk's new tokens -> their numbers of grams
     pending = 0
     chunk: list[list[str]] = []
@@ -228,10 +229,26 @@ def _count_block(
     keys, counts = np.unique(rows * config.dim + buckets.buffer[at], return_counts=True)
     return SparseRows(
         indptr=np.searchsorted(keys, np.arange(len(chunk) + 1) * config.dim),
-        indices=keys % config.dim,
+        indices=(keys % config.dim).astype(np.int32),
         values=counts.astype(np.float64),
         dim=config.dim,
     )
+
+
+def corpus_counts(
+    texts: Iterable[str], config: FeatureConfig = DEFAULT_FEATURES
+) -> SparseRows:
+    """The bucket counts of the texts as one SparseRows, one row per
+    text: bucket_counts' blocks appended in order to one growing CSR,
+    each dropped once appended, so the corpus is held once."""
+    indptr = _Appendable(np.int64, [0])
+    indices = _Appendable(np.int32)
+    values = _Appendable(np.float64)
+    for block in bucket_counts(texts, config):
+        indptr.extend(block.indptr[1:] + indices.size)
+        indices.extend(block.indices)
+        values.extend(block.values)
+    return SparseRows(indptr.array(), indices.array(), values.array(), config.dim)
 
 
 @dataclass(frozen=True)
@@ -271,32 +288,53 @@ def fit_idf(corpus: SparseRows) -> IdfTable:
     counts the documents whose row has the bucket.
 
     corpus holds one row of bucket counts per document (see
-    bucket_counts and join_rows).  Raises EmptyCorpus on an empty
-    corpus, and DimensionMismatch on a bucket outside the corpus's dim.
+    corpus_counts).  Raises EmptyCorpus on an empty corpus, and
+    DimensionMismatch on a bucket outside the corpus's dim.
     """
     if not len(corpus):
         raise EmptyCorpus("cannot fit idf on zero documents")
-    df = np.bincount(corpus.indices, minlength=corpus.dim)
-    if df.shape[0] != corpus.dim:
-        raise DimensionMismatch(
-            f"bucket {int(corpus.indices.max())} is outside dim {corpus.dim}"
-        )
+    indices = corpus.indices
+    if corpus.nnz:
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= corpus.dim:
+            bad = low if low < 0 else high
+            raise DimensionMismatch(f"bucket {bad} is outside dim {corpus.dim}")
+    # np.add.at takes the int32 ids as they are; np.bincount would copy
+    # them all as intp first.
+    df = np.zeros(corpus.dim, dtype=np.int64)
+    np.add.at(df, indices, 1)
     columns = np.flatnonzero(df)
     return IdfTable(columns=columns, df=df[columns], doc_count=len(corpus), dim=corpus.dim)
 
 
+# vectorize weighs and normalizes runs of rows of about this many
+# entries, so its scratch arrays stay bounded on any corpus.
+_SLICE_ENTRIES = 1 << 16
+
+
 def vectorize(counts: SparseRows, idf: IdfTable) -> SparseRows:
-    """Rows of bucket counts (see bucket_counts), IDF-weighted, each
-    row L2 normalized.
+    """Rows of bucket counts (see bucket_counts and corpus_counts),
+    IDF-weighted, each row L2 normalized, in place: the weights
+    overwrite counts' values, and counts is returned.
 
     An empty row stays empty.  Raises DimensionMismatch unless idf has
     the rows' dim.
     """
     if idf.dim != counts.dim:
         raise DimensionMismatch(f"idf table dim {idf.dim} != rows dim {counts.dim}")
-    values = counts.values * idf.weights[idf.table[counts.indices]]
-    bounds = counts.indptr.tolist()
-    # One np.dot per row keeps each norm bit-identical to that of the
-    # row on its own; a segmented sum adds in another order.
-    norms = np.sqrt([np.dot(values[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-    return replace(counts, values=values / np.repeat(norms, np.diff(counts.indptr)))
+    indptr, indices, values = counts.indptr, counts.indices, counts.values
+    bounds = indptr.tolist()
+    # Each run of rows starts at the row that holds a multiple of
+    # _SLICE_ENTRIES, so it holds at most that many entries plus a row.
+    multiples = np.arange(_SLICE_ENTRIES, counts.nnz, _SLICE_ENTRIES)
+    cuts = [0, *(np.searchsorted(indptr, multiples, "right") - 1).tolist(), len(counts)]
+    for first, last in zip(cuts, cuts[1:]):
+        lo, hi = bounds[first], bounds[last]
+        run = values[lo:hi]
+        run *= idf.weights[idf.table[indices[lo:hi]]]
+        # One np.dot per row keeps each norm bit-identical to that of
+        # the row on its own; a segmented sum adds in another order.
+        rows = zip(bounds[first:last], bounds[first + 1 : last + 1])
+        norms = np.sqrt([np.dot(values[a:b], values[a:b]) for a, b in rows])
+        run /= np.repeat(norms, np.diff(indptr[first : last + 1]))
+    return counts

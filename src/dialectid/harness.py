@@ -136,13 +136,11 @@ def fit_pipeline(
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
     labels = vocab.labels(level)
-    counts = features.join_rows(
-        list(features.bucket_counts(texts, config.features)), config.features.dim
-    )
+    counts = features.corpus_counts(texts, config.features)
     idf = features.fit_idf(counts)
-    rows = features.vectorize(counts, idf)
+    # vectorize weighs the counts in place: train gets their arrays.
     return classifier.train(
-        rows,
+        features.vectorize(counts, idf),
         y=_class_indices(records, level, labels),
         hp=config.hp,
         class_labels=labels,

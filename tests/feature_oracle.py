@@ -9,6 +9,12 @@ every bucket of that array, and vectorize recounts and rehashes the
 grams of its text into one (indices, values) pair weighted from the
 dense weights.  features.hash_spans, token_buckets, bucket_counts,
 fit_idf and vectorize must match it byte for byte, row by row.
+
+join_rows and vectorize_rows are the fit path as it ran before it held
+its corpus once: the blocks of bucket_counts concatenated into a new
+matrix, and tf-idf values computed out of place while the counts stay
+alive.  corpus_counts and the in-place vectorize must give their
+indptr, indices and values bit for bit.
 """
 
 from collections import Counter
@@ -16,7 +22,8 @@ from collections import Counter
 import numpy as np
 
 from dialectid.errors import EmptyCorpus
-from dialectid.features import DEFAULT_FEATURES, fnv1a64
+from dialectid.features import DEFAULT_FEATURES, SparseRows, fnv1a64
+
 
 def hash_index(gram, config):
     return fnv1a64(gram.encode("utf-8")) & (config.dim - 1)
@@ -72,3 +79,28 @@ def vectorize(text, config, weights):
     norm = float(np.sqrt(np.dot(values, values)))
     values = values / norm
     return indices, values
+
+
+def join_rows(blocks, dim):
+    """The rows of the blocks, in order, as one new SparseRows of width
+    dim, its ids int64."""
+    return SparseRows(
+        indptr=np.concatenate([[0]] + [np.diff(block.indptr) for block in blocks]).cumsum(),
+        indices=np.concatenate([np.zeros(0, np.int64)] + [block.indices for block in blocks]),
+        values=np.concatenate([np.zeros(0)] + [block.values for block in blocks]),
+        dim=dim,
+    )
+
+
+def vectorize_rows(counts, idf):
+    """The tf-idf rows of counts under an IdfTable, as new values; the
+    counts are left as they are."""
+    values = counts.values * idf.weights[idf.table[counts.indices]]
+    bounds = counts.indptr.tolist()
+    norms = np.sqrt([np.dot(values[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    return SparseRows(
+        indptr=counts.indptr,
+        indices=counts.indices,
+        values=values / np.repeat(norms, np.diff(counts.indptr)),
+        dim=counts.dim,
+    )

@@ -31,7 +31,7 @@ from dialectid.errors import (
     EmptyTrainingSet,
     LengthMismatch,
 )
-from dialectid.features import FeatureConfig, bucket_counts, column_table, fit_idf, join_rows
+from dialectid.features import FeatureConfig, column_table, corpus_counts, fit_idf
 
 from conftest import csr, edit_one_place
 from dense_oracle import (
@@ -1032,7 +1032,7 @@ class TestIdfIo:
     def test_fitted_table_round_trips_bit_for_bit(self, tmp_path):
         config = FeatureConfig(dim=1 << 10)
         texts = ["ab cd ef", "ab ab", "", "xyz cd"]
-        table = fit_idf(join_rows(list(bucket_counts(texts, config)), config.dim))
+        table = fit_idf(corpus_counts(texts, config))
         loaded = load_model(*saved(zero_model(table), tmp_path)).idf
         assert_same_idf(loaded, table)
         # No array of the table is dim-sized until its lookup table is built.

@@ -16,10 +16,10 @@ from dialectid.features import (
     FeatureConfig,
     IdfTable,
     bucket_counts,
+    corpus_counts,
     fit_idf,
     fnv1a64,
     hash_spans,
-    join_rows,
     token_buckets,
     vectorize,
 )
@@ -237,7 +237,7 @@ class TestBucketCounts:
         block = next(bucket_counts(["ب ا", "", "ا"], config))
         assert len(block) == 3 and block.dim == config.dim
         assert block.indptr.tolist() == [0, 3, 3, 5]
-        assert block.indices.dtype == np.int64 and block.values.dtype == np.float64
+        assert block.indices.dtype == np.int32 and block.values.dtype == np.float64
         bounds = block.indptr.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             assert np.all(np.diff(block.indices[lo:hi]) > 0)
@@ -344,7 +344,7 @@ class TestFitIdf:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            fit_idf(join_rows([], DEFAULT_FEATURES.dim))
+            fit_idf(corpus_counts([]))
 
     def test_bucket_outside_dim_rejected(self):
         with pytest.raises(DimensionMismatch, match="outside dim"):
@@ -384,7 +384,7 @@ def test_vectorize_matches_dense_oracle(dim):
     config = FeatureConfig(dim=dim)
     rng = random.Random(97)
     docs = [random_text(rng) for _ in range(25)]
-    table = fit_idf(join_rows(list(bucket_counts(docs, config)), dim))
+    table = fit_idf(corpus_counts(docs, config))
     texts = [random_text(rng) for _ in range(30)]
     vectors = maps_of(vectorize(block, table) for block in bucket_counts(texts, config))
     for text, vec in zip(texts, vectors, strict=True):
@@ -464,10 +464,10 @@ def assert_same_rows(rows, refs, dim):
     """rows holds the oracle's (indices, values) pairs refs, byte for byte."""
     assert rows.dim == dim
     assert rows.indptr.tolist() == np.cumsum([0] + [len(i) for i, _ in refs]).tolist()
-    assert rows.indices.dtype == np.int64 and rows.values.dtype == np.float64
+    assert rows.indices.dtype == np.int32 and rows.values.dtype == np.float64
     bounds = rows.indptr.tolist()
     for lo, hi, (indices, values) in zip(bounds, bounds[1:], refs):
-        assert rows.indices[lo:hi].tobytes() == indices.tobytes()
+        assert rows.indices[lo:hi].astype(np.int64).tobytes() == indices.tobytes()
         assert rows.values[lo:hi].tobytes() == values.tobytes()
 
 
@@ -476,13 +476,13 @@ def assert_same_rows(rows, refs, dim):
 # Served grams the fit never saw, on buckets it left empty.
 @example(["ab"], ["ab 😀x", "", "zz"], FeatureConfig(), 1)
 def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
-    """chunk_texts shrinks the chunk bound, so that a fit joins several
+    """chunk_texts shrinks the chunk bound, so that a fit appends several
     blocks and a predict streams several.  The served texts are not the
     fitted ones, so their buckets the fit left empty take the weight of
     df 0, the table's last."""
     with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts):
         fit_blocks = list(bucket_counts(train, config))
-        counts = join_rows(fit_blocks, config.dim)
+        counts = corpus_counts(train, config)
         table = fit_idf(counts)
         serve_blocks = list(bucket_counts(serve, config))
     assert [len(block) for block in fit_blocks + serve_blocks] == [
@@ -506,3 +506,84 @@ def test_featurizer_matches_per_text_oracle(train, serve, config, chunk_texts):
     refs = iter([feature_oracle.vectorize(t, config, ref_weights) for t in serve])
     for rows in served:
         assert_same_rows(rows, [next(refs) for _ in range(len(rows))], config.dim)
+
+
+def test_every_producer_gives_the_csr_dtypes():
+    """bucket_counts' blocks, corpus_counts and vectorize, which hands
+    back its counts, give int64 indptr, int32 ids and float64 values,
+    on empty corpora and rows too."""
+    texts = ["اب جد", "", "😀 🇪🇬", "اب"]
+    counts = corpus_counts(texts)
+    produced = [*bucket_counts(texts), counts, corpus_counts([]), corpus_counts([""])]
+    produced.append(vectorize(counts, fit_idf(counts)))
+    for rows in produced:
+        assert rows.indptr.dtype == np.int64
+        assert rows.indices.dtype == np.int32
+        assert rows.values.dtype == np.float64
+
+
+def fit_both_ways(texts, config, chunk_texts, slice_entries):
+    """Fit texts' tf-idf rows with corpus_counts, fit_idf and the
+    in-place vectorize, and with the oracle's join_rows and out-of-place
+    vectorize_rows over the same blocks; assert the two give the same
+    idf table and the same indptr, ids and values, bit for bit.  Returns
+    the number of times the corpus's values buffer grew."""
+    growths = []
+    extend = dialectid.features._Appendable.extend
+
+    def counted(self, values):
+        before = self.buffer.size
+        extend(self, values)
+        if self.buffer.dtype == np.float64 and self.buffer.size != before:
+            growths.append(self.buffer.size)
+
+    with mock.patch.object(dialectid.features, "_CHUNK_TEXTS", chunk_texts), \
+            mock.patch.object(dialectid.features, "_SLICE_ENTRIES", slice_entries), \
+            mock.patch.object(dialectid.features._Appendable, "extend", counted):
+        counts = corpus_counts(texts, config)
+        table = fit_idf(counts)
+        rows = vectorize(counts, table)
+        joined = feature_oracle.join_rows(list(bucket_counts(texts, config)), config.dim)
+    # The rows are the counts' own arrays: no count matrix outlives
+    # vectorize, and no grown buffer keeps its slack.
+    assert rows is counts
+    assert all(a.base is None for a in (rows.indptr, rows.indices, rows.values))
+    df = np.bincount(joined.indices, minlength=config.dim)
+    assert table.columns.tolist() == np.flatnonzero(df).tolist()
+    assert table.df.tobytes() == df[table.columns].tobytes()
+    expected = feature_oracle.vectorize_rows(joined, table)
+    assert len(rows) == len(texts) and rows.dim == config.dim
+    assert rows.indptr.tobytes() == expected.indptr.tobytes()
+    assert rows.indices.astype(np.int64).tobytes() == expected.indices.tobytes()
+    assert rows.values.tobytes() == expected.values.tobytes()
+    return len(growths)
+
+
+# Empty and whitespace-only texts, emoji-only texts and mixed ones.
+fit_texts = st.lists(
+    st.one_of(
+        st.text(alphabet=ORACLE_ALPHABET, max_size=30),
+        st.text(alphabet="😀🇪🇬👍🏽‍ ", max_size=12),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_texts, oracle_configs(), st.integers(1, 3), st.integers(1, 40))
+@example(["", "😀 🇪🇬", "  ", "ab 😀x", ""], FeatureConfig(), 1, 1)
+@example(["😀😀", "👍🏽"], FeatureConfig(n_min=1, n_max=1, dim=16), 1, 3)
+def test_fit_path_matches_out_of_place_oracle(texts, config, chunk_texts, slice_entries):
+    """chunk_texts shrinks the chunk bound, so that corpus_counts
+    appends several blocks, and slice_entries the run of rows vectorize
+    weighs at once."""
+    fit_both_ways(texts, config, chunk_texts, slice_entries)
+
+
+def test_fit_path_matches_oracle_across_growth_steps():
+    rng = random.Random(53)
+    texts = [random_text(rng) for _ in range(300)] + ["", "😀 👍🏽"] * 5
+    rng.shuffle(texts)
+    growths = fit_both_ways(texts, FeatureConfig(dim=1 << 12), 7, 500)
+    assert growths >= 5

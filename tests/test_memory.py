@@ -7,19 +7,30 @@ predict_texts over the same split, and classifier.train on the fit-nadi
 finalize corpus, at the workload's batch size and in one full batch,
 stay within fixed allocation peaks, so a table, memo, scratch block or
 dense array that outlives or outgrows its use fails here before it
-shows in the benchmark's peak RSS."""
+shows in the benchmark's peak RSS.
+
+A fit's featurization holds its corpus once: corpus_counts appends the
+blocks to one CSR whose buffers are resized in place, and vectorize
+weighs those counts in place, so fit_pipeline's peak up to train stays
+within a fixed multiple of the rows train gets.  train allocates its
+dense block buffer once, at the size of its largest slice, and never
+regrows it: each regrowth left glibc a freed block to reuse or not,
+which made the benchmark's peak RSS a heap-layout lottery."""
 
 import os
+import random
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from dialectid import classifier, features, harness, normalizer
 from dialectid.cli import main
-from dialectid.corpus import LabelVocab, concat_splits, load_corpus
+from dialectid.corpus import LabelVocab, Level, TweetRecord, concat_splits, load_corpus
 
 import fixtures
+from dense_oracle import batched_sgd
 
 # The per-token table, hashed in bounded chunks, peaks at about 2.3e6
 # bytes on this split; a gram -> bucket memo kept for the whole call
@@ -198,8 +209,7 @@ def fit_nadi_finalize_corpus(directory):
         load_corpus(fixture.paths["train"]),
         load_corpus(fixture.paths["dev"]),
     )
-    blocks = features.bucket_counts(harness.prepare_texts(records, config), config.features)
-    counts = features.join_rows(list(blocks), config.features.dim)
+    counts = features.corpus_counts(harness.prepare_texts(records, config), config.features)
     idf = features.fit_idf(counts)
     rows = features.vectorize(counts, idf)
     level = spec.level
@@ -237,3 +247,95 @@ def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     model, peak = train_peak(rows, y, hp, labels, idf)
     assert model.weights.shape == (10_804, 21)
     assert peak <= FULL_BATCH_PEAK_BYTES
+
+
+class AllocationLog:
+    """numpy as classifier sees it, logging the shape of every float64
+    array that zeros or empty allocates."""
+
+    def __init__(self):
+        self.float_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _logged(self, out):
+        if out.dtype == np.float64:
+            self.float_shapes.append(out.shape)
+        return out
+
+    def zeros(self, *args, **kwargs):
+        return self._logged(np.zeros(*args, **kwargs))
+
+    def empty(self, *args, **kwargs):
+        return self._logged(np.empty(*args, **kwargs))
+
+
+@pytest.mark.parametrize("full_batch", [False, True])
+def test_train_allocates_its_block_buffer_once(tmp_path, monkeypatch, full_batch):
+    """train's float64 allocations are its weights, its biases and one
+    block buffer, sized to the largest slice block that the batched
+    oracle fills; a buffer grown batch by batch allocates more."""
+    rows, y, config, labels, idf = fit_nadi_finalize_corpus(str(tmp_path))
+    hp = replace(config.hp, batch_size=len(rows)) if full_batch else config.hp
+    *_, sizes = batched_sgd(rows, np.asarray(y), hp, len(labels), classifier._BLOCK_ELEMENTS)
+    log = AllocationLog()
+    monkeypatch.setattr(classifier, "np", log)
+    model = classifier.train(rows, y=y, hp=hp, class_labels=labels, idf=idf)
+    assert model.weights.shape == (10_804, 21)
+    assert sorted(log.float_shapes) == sorted([(max(sizes),), (10_804, 21), (21,)])
+
+
+# fit_pipeline's featurization of 5,000 noisy benchmark tweets: at its
+# peak before train it held 2.61x the bytes of the rows train got (48.9e6
+# for 18.7e6 of int64-id rows) when the fit kept bucket_counts' blocks,
+# their join_rows copy and vectorize's new values at once; it now peaks
+# at about 1.24x (17.4e6 for 14.0e6 of int32-id rows), most of the
+# margin the token table and the growing buffers' last eighth.
+FIT_FEATURES_PEAK_RATIO = 1.5
+
+
+class _Stop(Exception):
+    pass
+
+
+def noisy_records(count, seed):
+    """count noisy benchmark tweets in NADI proportions, 2% of them
+    emoji-only and labeled with the majority country."""
+    rng = random.Random(f"noisy:{seed}")
+    lexicon = fixtures.Lexicon(rng)
+    n_emoji = round(count * fixtures.NOISY.emoji_only_rate)
+    labels = [(c, False) for c, n in fixtures.class_counts(count - n_emoji).items()
+              for _ in range(n)]
+    labels += [(fixtures.MAJORITY, True)] * n_emoji
+    rng.shuffle(labels)
+    return [
+        TweetRecord(id=str(i), text=fixtures.tweet(rng, lexicon, c, fixtures.NOISY, emoji),
+                    country=c)
+        for i, (c, emoji) in enumerate(labels)
+    ]
+
+
+def test_fit_featurization_peak_on_noisy_tweets(monkeypatch):
+    records = noisy_records(5_000, 101)
+    config = harness.ExperimentConfig(name="noisy")
+    texts = harness.prepare_texts(records, config)
+    seen = {}
+
+    def stop(rows, **kwargs):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["rows"] = rows
+        raise _Stop
+
+    monkeypatch.setattr(classifier, "train", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            harness.fit_pipeline(texts, records, config, LabelVocab.countries_only(),
+                                 Level.COUNTRY, normalizer.DEFAULT_LEXICON)
+    finally:
+        tracemalloc.stop()
+    rows = seen["rows"]
+    nbytes = rows.indptr.nbytes + rows.indices.nbytes + rows.values.nbytes
+    assert len(rows) == 5_000 and nbytes > 10e6
+    assert seen["peak"] <= FIT_FEATURES_PEAK_RATIO * nbytes
