@@ -32,8 +32,9 @@ documents is the same; they equal those of the batched loop in
 tests/dense_oracle.py bit for bit.
 
 A model carries the features.IdfTable it was fitted with, its columns
-and dim; training and prediction find a bucket's column in that
-table's one bucket -> column table.  Prediction drops the entries on
+and dim; training, a batch at a time, and prediction find a bucket's
+column in that table's one bucket -> column table, so training holds
+nothing corpus-sized beside the rows.  Prediction drops the entries on
 buckets outside the model's columns, which the dense model weighs 0.0,
 and scores each row with one contiguous gather of its entries' weight
 rows, summed in the dense model's order, so its logits are those of the
@@ -65,6 +66,7 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     LengthMismatch,
+    TrainingDiverged,
 )
 from .features import IdfTable, SparseRows
 
@@ -238,13 +240,15 @@ def train(
         raise ClassIndexOutOfRange(f"a class index is outside [0, {num_classes})")
     if rows.dim != idf.dim:
         raise DimensionMismatch(f"rows dim {rows.dim} != idf dim {idf.dim}")
-    width = idf.columns.size
-    indices = idf.table[rows.indices]
-    if indices.size and indices.max() == width:
+    used = np.zeros(idf.dim, dtype=bool)  # not a corpus-sized copy of the ids
+    used[rows.indices] = True
+    used[idf.columns] = False
+    if used.any():
         raise DimensionMismatch("a row uses a bucket outside the idf table's columns")
+    del used
 
     counts = np.bincount(targets, minlength=num_classes)
-    weights, bias, losses = _sgd(rows, indices, width, targets, hp, num_classes)
+    weights, bias, losses = _sgd(rows, idf.table, idf.columns.size, targets, hp, num_classes)
     return LinearModel(
         weights=weights,
         bias=bias,
@@ -257,34 +261,37 @@ def train(
 
 
 def _sgd(
-    rows: SparseRows, indices: np.ndarray, width: int, targets: np.ndarray, hp: HyperParams,
+    rows: SparseRows, table: np.ndarray, width: int, targets: np.ndarray, hp: HyperParams,
     num_classes: int,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """(weights, bias, epoch_losses) of train's SGD loop over width
-    columns, indices[e] the column of the rows' entry e.
+    columns, table[b] the column of bucket b (features.column_table).
 
     The weights are scale * scaled, scaled width x num_classes (see the
-    module docstring).  Each batch takes its u distinct rows of scaled once, as vu, and
-    writes them back once, as whole rows.  It fills a dense block with
-    its rows over those columns, in slices of rows that keep it within
-    _BLOCK_ELEMENTS.  Every slice's block is a prefix of one buffer,
-    allocated once per call at the size of the largest slice of any
-    batch of any epoch (_largest_block), never regrown, and zeroed again
-    at the slice's own entries after use.  The logits are (block @ vu)
-    * scale + bias; the gradient, class-major (num_classes x u), is the
-    sum over the slices of the transposed probabilities times the block,
-    and is scaled by lr / (m * scale) in place and subtracted from vu
-    transposed.
+    module docstring).  Each batch maps its buckets through table, takes
+    its u distinct rows of scaled once, as vu, and writes them back once,
+    as whole rows.  It fills a dense block with its rows over those
+    columns, in slices of rows within _BLOCK_ELEMENTS, each a prefix of
+    one buffer allocated once, at a bound from the row lengths, and
+    zeroed again at the slice's own entries after use.  The logits are
+    (block @ vu) * scale + bias; the gradient, class-major (num_classes
+    x u), is the sum over the slices of the transposed probabilities
+    times the block, scaled by lr / (m * scale) in place and subtracted
+    from vu transposed.
     """
     n = len(rows)
     indptr, values = rows.indptr, rows.values
     nnz = np.diff(indptr)
-    # All zeros between slices.  Sized first, so that the sizing pass's
-    # scratch is freed before the run's arrays are allocated; a buffer
-    # regrown mid-run left glibc a freed block it could not reuse under
-    # a live per-batch array, and fit-nadi's peak RSS then hung on heap
-    # layout.
-    buffer = np.zeros(_largest_block(indptr, indices, width, hp), dtype=np.float64)
+    # Every slice fits the buffer, all zeros between slices.  A batch has
+    # m <= min(n, batch_size) rows over u <= U = min(width, the entries of
+    # the batch_size longest rows) columns, in slices of s = min(m, max(1,
+    # _BLOCK_ELEMENTS // u)) rows: s * u <= m * u <= min(n, batch_size) * U,
+    # and s * u <= _BLOCK_ELEMENTS if u <= _BLOCK_ELEMENTS, else s = 1 and
+    # s * u = u <= U.  It is never regrown: a regrown buffer made fit-nadi's
+    # peak RSS hang on glibc's heap layout.
+    widest = min(width, int(np.sort(nnz)[-hp.batch_size :].sum()))
+    bound = min(min(n, hp.batch_size) * widest, max(_BLOCK_ELEMENTS, widest))
+    buffer = np.zeros(bound if hp.epochs else 0, dtype=np.float64)
     scaled = np.zeros((width, num_classes), dtype=np.float64)
     # One item per row of scaled, so that a batch's rows are set whole.
     row_items = scaled.view(np.dtype((np.void, scaled.itemsize * num_classes))).ravel()
@@ -304,7 +311,7 @@ def _sgd(
             ends = np.cumsum(lengths)
             starts = ends - lengths
             entries = np.arange(ends[-1]) + np.repeat(indptr[batch] - starts, lengths)
-            batch_cols = indices[entries]
+            batch_cols = table[rows.indices[entries]]
             touched = np.zeros(width, dtype=bool)
             touched[batch_cols] = True
             u = np.flatnonzero(touched)
@@ -344,51 +351,14 @@ def _sgd(
             vu -= grad_w.T
             row_items[u] = vu.view(row_items.dtype).ravel()
             bias -= hp.lr * (grad_b * (1.0 / m))
-            # Freed before the next batch: a gradient kept alive one
-            # batch longer added up to 9.6 MB (glibc malloc) to
-            # fit-nadi's peak RSS.
+            # Freed before the next batch: kept one batch longer, it added
+            # up to 9.6 MB (glibc malloc) to fit-nadi's peak RSS.
             del grad_w
         if not (np.isfinite(scaled).all() and np.isfinite(bias).all()):
-            raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+            raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         losses.append(epoch_loss / n)
     scaled *= scale
     return scaled, bias, losses
-
-
-def _largest_block(
-    indptr: np.ndarray, indices: np.ndarray, width: int, hp: HyperParams
-) -> int:
-    """The float64s of the largest block _sgd fills: a batch of m rows
-    over u distinct columns is walked in slices of max(1,
-    _BLOCK_ELEMENTS // u) rows, so its largest is min(m, that) * u; this
-    is the largest over every batch of every epoch, 0 for no epochs.
-
-    An epoch's batches are counted a group at a time: one bool mask of
-    at most max(_BLOCK_ELEMENTS, width) entries marks each (batch of
-    the group, column) pair, so the pass makes a few numpy calls per
-    group rather than per batch.
-    """
-    n = indptr.size - 1
-    nnz = np.diff(indptr)
-    group = max(1, _BLOCK_ELEMENTS // max(1, width)) * hp.batch_size  # rows: whole batches
-    largest = 0
-    for epoch in range(hp.epochs):
-        order = epoch_order(hp.rng_seed, epoch, n)
-        for first in range(0, n, group):
-            picks = order[first : first + group]
-            lengths = nnz[picks]
-            ends = np.cumsum(lengths)
-            entries = np.repeat(indptr[picks] - ends + lengths, lengths)
-            entries += np.arange(ends[-1])
-            batch = np.arange(picks.size) // hp.batch_size
-            marks = np.zeros((int(batch[-1]) + 1, width), dtype=bool)
-            spots = np.repeat(batch * width, lengths)
-            spots += indices[entries]
-            marks.reshape(-1)[spots] = True
-            u = np.count_nonzero(marks, axis=1)
-            step = np.maximum(1, _BLOCK_ELEMENTS // np.maximum(1, u))
-            largest = max(largest, int((np.minimum(np.bincount(batch), step) * u).max()))
-    return largest
 
 
 def _write_array(fh: BinaryIO, array: np.ndarray, dtype: str) -> None:

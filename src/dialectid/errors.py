@@ -51,6 +51,10 @@ class DimensionMismatch(DialectIdError):
     """A feature vector and a model disagree on dimensionality."""
 
 
+class TrainingDiverged(DialectIdError, FloatingPointError):
+    """Training drove a weight or bias to infinity or NaN."""
+
+
 class EmptyMatrix(DialectIdError):
     """A metric that divides by the instance count saw zero instances."""
 

@@ -85,8 +85,13 @@ class NormConfig:
     max_repeat: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_repeat < 1:
-            raise ValueError(f"max_repeat must be >= 1, got {self.max_repeat}")
+        _check_max_repeat(self.max_repeat)
+
+
+def _check_max_repeat(max_repeat: int) -> None:
+    # re refuses a repetition count of 2**32 - 1 or more.
+    if not 1 <= max_repeat < 2**32 - 1:
+        raise ValueError(f"max_repeat must be >= 1 and below 2**32 - 1, got {max_repeat}")
 
 
 DEFAULT_CONFIG = NormConfig()
@@ -232,8 +237,7 @@ def remove_noise(text: str, max_repeat: int = 2) -> str:
     of the same character are truncated to max_repeat.  Placeholder
     surfaces are left untouched and interrupt runs on either side.
     """
-    if max_repeat < 1:
-        raise ValueError(f"max_repeat must be >= 1, got {max_repeat}")
+    _check_max_repeat(max_repeat)
     cleaned = _map_outside_placeholders(
         text, lambda part: _cap_runs(_DISALLOWED_RE.sub("", part), max_repeat)
     )

@@ -30,6 +30,7 @@ from dialectid.errors import (
     DialectIdError,
     EmptyTrainingSet,
     LengthMismatch,
+    TrainingDiverged,
 )
 from dialectid.features import FeatureConfig, column_table, corpus_counts, fit_idf
 
@@ -375,9 +376,21 @@ class TestTrain:
         with pytest.raises(TypeError):
             train(rows, y, HyperParams(), labels(3), idf_of([0, 1, 2], 8))
 
-    def test_rows_outside_the_idf_table(self):
+    def test_divergence_is_a_data_error(self):
+        # At learning rate 1e308 the weights overflow in the second epoch.
+        rows = csr([{0: 1.0, 1: 0.5}, {0: 0.5, 1: 1.0}, {1: 1.0, 2: 1.0}], 8)
+        hp = HyperParams(lr=1e308, l2=0.0, epochs=6, batch_size=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as caught:
+            train_on(rows, [0, 1, 2], hp, labels(3))
+        assert str(caught.value) == "non-finite parameters after epoch 1"
+        assert isinstance(caught.value, DialectIdError)
+        assert isinstance(caught.value, FloatingPointError)
+
+    @pytest.mark.parametrize("epochs", [1, 0])
+    def test_rows_outside_the_idf_table(self, epochs):
+        # Checked before any batch: with no epochs there is none.
         rows, y = separable_examples(per_class=2)
-        hp = HyperParams(epochs=1)
+        hp = HyperParams(epochs=epochs)
         with pytest.raises(DimensionMismatch, match="dim 8 != idf dim 16"):
             train(rows, y=y, hp=hp, class_labels=labels(3), idf=idf_of([0, 1, 2], 16))
         # Bucket 2 is not a column of the table.

@@ -236,6 +236,19 @@ class TestNormalize:
         ) == 0
         assert dst.read_text(encoding="utf-8") == "ه\n"
 
+    def test_max_repeat_beyond_re_is_an_error(self, tmp_path):
+        # re refuses a repetition count of 2**32 - 1 or more.
+        src = tmp_path / "raw.txt"
+        src.write_text("ههههه\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        proc = run_module(
+            "normalize", "--in", str(src), "--out", str(dst), "--max-repeat", "100000000000"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: max_repeat must be >= 1 and below 2**32 - 1")
+        assert "Traceback" not in proc.stderr
+        assert not dst.exists()
+
     @pytest.mark.parametrize("content,lineno", [
         ("a\tنص\nc\n", 2),
         ("id\ttweet\na\tنص\nb\n", 3),
@@ -872,6 +885,31 @@ def run_module(*args):
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_diverging_training_is_an_error(tmp_path, command):
+    # At learning rate 1e308 the weights overflow in the third epoch.
+    split = "id\ttweet\tcountry\n1\tشلونك اليوم\tIraq\n2\tازيك يا باشا\tEgypt\n3\tكيفك خيي\tSyria\n"
+    for name in ("train", "dev", "test"):
+        (tmp_path / f"{name}.tsv").write_text(split, encoding="utf-8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"format=1\n[data]\ntrain={tmp_path / 'train.tsv'}\ndev={tmp_path / 'dev.tsv'}\n"
+        f"test={tmp_path / 'test.tsv'}\nlevel=country\nregister=da\n"
+        "[experiment e]\nlearning_rate=1e308\nl2=0\nepochs=6\nbatch_size=1\n",
+        encoding="utf-8",
+    )
+    if command == "train":
+        args = ["--config", str(cfg), "train", "--in", str(tmp_path / "train.tsv"),
+                "--level", "country", "--out-model", str(tmp_path / "m.bin"),
+                "--out-idf", str(tmp_path / "i.bin")]
+    else:
+        args = ["benchmark", str(cfg), "--out-dir", str(tmp_path / "out")]
+    proc = run_module(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "error: non-finite parameters after epoch 2"
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_runs(corpus_dir):

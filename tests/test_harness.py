@@ -754,6 +754,12 @@ class TestBenchmarkParsing:
                 "[experiment e]\nl2=small\n",
                 "l2: expected a number",
             ),
+            # re refuses a repetition count of 2**32 - 1 or more.
+            (
+                "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"
+                "[experiment e]\nmax_repeat=100000000000\n",
+                "max_repeat must be >= 1 and below 2\\*\\*32 - 1",
+            ),
             # The features' bucket seed only renamed buckets, and is gone.
             (
                 "format=1\n[data]\ntrain=a\ndev=b\ntest=c\nlevel=country\nregister=da\n"

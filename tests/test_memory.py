@@ -12,10 +12,12 @@ shows in the benchmark's peak RSS.
 A fit's featurization holds its corpus once: corpus_counts appends the
 blocks to one CSR whose buffers are resized in place, and vectorize
 weighs those counts in place, so fit_pipeline's peak up to train stays
-within a fixed multiple of the rows train gets.  train allocates its
-dense block buffer once, at the size of its largest slice, and never
-regrows it: each regrowth left glibc a freed block to reuse or not,
-which made the benchmark's peak RSS a heap-layout lottery."""
+within a fixed multiple of the rows train gets.  train maps each
+batch's buckets to columns as it walks the batches, so it holds no
+corpus-sized array beside the rows, and allocates its dense block buffer
+once, at a bound on every slice worked out from the row lengths, and
+never regrows it: each regrowth left glibc a freed block to reuse or
+not, which made the benchmark's peak RSS a heap-layout lottery."""
 
 import os
 import random
@@ -190,11 +192,13 @@ def test_predict_texts_peak_on_serve_split(tmp_path, capsys):
 # at 45.95e6.  At the workload's batch size train peaked at 13.47e6
 # while the last block kept the old buffer alive as the larger one was
 # allocated, at 11.02e6 without it, with the batch's weight rows
-# gathered once and the decay one scalar at 9.90e6, and now, renumbered
-# through the idf table's bucket -> column table, at 9.81e6; in one
-# full batch, walked in row slices, at 18.24e6, 17.54e6 and now 17.45e6.  The trace
-# would also count numpy.random's import (about 7 MB of RSS) if train
-# loaded it again.
+# gathered once and the decay one scalar at 9.90e6, renumbered through
+# the idf table's bucket -> column table at 9.81e6, and now at 12.59e6:
+# its block buffer takes the bound on any slice, 8.39e6 bytes, where the
+# largest slice takes 5.25e6; in one full batch, walked in row slices,
+# at 18.24e6, 17.54e6, 17.45e6 and now 17.09e6.  The trace would also
+# count numpy.random's import (about 7 MB of RSS) if train loaded it
+# again.
 TRAIN_PEAK_BYTES = 14e6
 FULL_BATCH_PEAK_BYTES = 24e6
 
@@ -241,7 +245,7 @@ def test_full_batch_train_peak_on_fit_nadi_finalize_corpus(tmp_path):
     # One block over all 630 examples and their 10,804 columns is
     # 54.4e6 bytes, and train peaked at 114.8e6 when it built it whole.
     # Walked in row slices under a fixed bound (8 MiB), each slice's
-    # block a prefix of one reused buffer, it peaks at 17.45e6.
+    # block a prefix of one reused buffer, it peaks at 17.09e6.
     rows, y, config, labels, idf = fit_nadi_finalize_corpus(str(tmp_path))
     hp = replace(config.hp, batch_size=len(rows))
     model, peak = train_peak(rows, y, hp, labels, idf)
@@ -271,19 +275,63 @@ class AllocationLog:
         return self._logged(np.empty(*args, **kwargs))
 
 
-@pytest.mark.parametrize("full_batch", [False, True])
-def test_train_allocates_its_block_buffer_once(tmp_path, monkeypatch, full_batch):
+@pytest.mark.parametrize("case", ["batches", "full batch", "tiny blocks", "no epochs"])
+def test_train_allocates_its_block_buffer_once(tmp_path, monkeypatch, case):
     """train's float64 allocations are its weights, its biases and one
-    block buffer, sized to the largest slice block that the batched
-    oracle fills; a buffer grown batch by batch allocates more."""
+    block buffer of min(min(n, batch_size) * U, max(_BLOCK_ELEMENTS, U))
+    float64s (none with no epochs), which holds the largest slice block
+    that the batched oracle fills; a buffer grown batch by batch
+    allocates more."""
     rows, y, config, labels, idf = fit_nadi_finalize_corpus(str(tmp_path))
-    hp = replace(config.hp, batch_size=len(rows)) if full_batch else config.hp
-    *_, sizes = batched_sgd(rows, np.asarray(y), hp, len(labels), classifier._BLOCK_ELEMENTS)
+    hp = config.hp
+    if case == "full batch":
+        hp = replace(hp, batch_size=len(rows))
+    elif case == "tiny blocks":
+        monkeypatch.setattr(classifier, "_BLOCK_ELEMENTS", 16)
+    elif case == "no epochs":
+        hp = replace(hp, epochs=0)
+    block = classifier._BLOCK_ELEMENTS
+    *_, sizes = batched_sgd(rows, np.asarray(y), hp, len(labels), block)
+    # U: no batch has more distinct columns.
+    longest = sorted(np.diff(rows.indptr).tolist(), reverse=True)[: hp.batch_size]
+    u = min(idf.columns.size, sum(longest))
+    bound = min(min(len(rows), hp.batch_size) * u, max(block, u)) if hp.epochs else 0
+    assert bound >= max(sizes, default=0)
+    if case == "tiny blocks":
+        # Every slice is one row, and the bound is U.
+        assert bound == u == idf.columns.size > max(sizes)
     log = AllocationLog()
     monkeypatch.setattr(classifier, "np", log)
     model = classifier.train(rows, y=y, hp=hp, class_labels=labels, idf=idf)
     assert model.weights.shape == (10_804, 21)
-    assert sorted(log.float_shapes) == sorted([(max(sizes),), (10_804, 21), (21,)])
+    assert sorted(log.float_shapes) == sorted([(bound,), (10_804, 21), (21,)])
+
+
+def test_train_holds_no_corpus_sized_array():
+    """train on rows whose int32 ids outweigh its weights and its block
+    buffer's bound several times over peaks well under the ids' bytes,
+    so it holds no copy of them (such as their columns, mapped through
+    the idf table all at once)."""
+    n, length, width, dim = 2_000, 1_000, 4_096, 1 << 16
+    # Row i has the columns (37 i + 3 j) mod width, j < length: distinct,
+    # as 3 and width are coprime.
+    cols = np.sort((37 * np.arange(n)[:, None] + 3 * np.arange(length)) % width, axis=1)
+    rows = features.SparseRows(
+        indptr=np.arange(0, n * length + 1, length, dtype=np.int64),
+        indices=(cols.ravel() * (dim // width)).astype(np.int32),
+        values=np.full(n * length, length**-0.5),
+        dim=dim,
+    )
+    idf = features.fit_idf(rows)
+    hp = classifier.HyperParams(batch_size=8, epochs=1)
+    bound = min(hp.batch_size * width, max(classifier._BLOCK_ELEMENTS, width))
+    assert rows.indices.nbytes > 4 * (width * 2 + bound) * 8
+    assert idf.table.size == dim  # built before the trace: the model keeps it
+    # train peaks at about 0.86e6 bytes here; a copy of the ids alone is
+    # 8e6, and with one and the sizing pass train peaked at 49.2e6.
+    model, peak = train_peak(rows, np.arange(n) % 2, hp, ["a", "b"], idf)
+    assert model.weights.shape == (width, 2)
+    assert peak <= rows.indices.nbytes / 4
 
 
 # fit_pipeline's featurization of 5,000 noisy benchmark tweets: at its

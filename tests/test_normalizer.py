@@ -483,6 +483,13 @@ def test_normalize_run_length_bound(text, config):
 def test_normalize_config_validation():
     with pytest.raises(ValueError):
         NormConfig(max_repeat=0)
+    # re refuses a repetition count of 2**32 - 1 or more.
+    assert normalize("هههه", NormConfig(max_repeat=2**32 - 2)) == "هههه"
+    for bad in (2**32 - 1, 10**11):
+        with pytest.raises(ValueError, match="below 2\\*\\*32 - 1"):
+            NormConfig(max_repeat=bad)
+        with pytest.raises(ValueError, match="below 2\\*\\*32 - 1"):
+            remove_noise("هههه", bad)
 
 
 def test_normalize_deterministic():
