@@ -260,6 +260,8 @@ def train(
     )
 
 
+# A diverging run warns of nothing: the epoch check raises TrainingDiverged.
+@np.errstate(over="ignore", invalid="ignore")
 def _sgd(
     rows: SparseRows, table: np.ndarray, width: int, targets: np.ndarray, hp: HyperParams,
     num_classes: int,

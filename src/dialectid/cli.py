@@ -113,21 +113,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     by_id = dict(pairs)
     if len(by_id) != len(pairs):
         raise DialectIdError(f"{args.pred}: duplicate prediction id")
-    gold = []
+    labels = vocab.labels(level)
+    gold = [labels[c] for c in vocab.classes(gold_records, level)]
     pred = []
     for record in gold_records:
-        label = record.label(level)
-        if label is None:
-            raise DialectIdError(f"gold record {record.id!r} has no {level.value} label")
         if record.id not in by_id:
             raise LengthMismatch(f"no prediction for id {record.id!r}")
-        gold.append(label)
         pred.append(by_id[record.id])
     if len(pairs) != len(gold_records):
         raise LengthMismatch(
             f"{len(pairs)} predictions for {len(gold_records)} gold records"
         )
-    rep = evaluation.report(gold, pred, vocab.labels(level))
+    rep = evaluation.report(gold, pred, labels)
     sys.stdout.write(evaluation.render_report(rep))
     return 0
 

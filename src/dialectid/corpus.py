@@ -20,8 +20,8 @@ from .errors import (
     HierarchyViolation,
     LengthMismatch,
     MalformedRow,
+    SubtaskMismatch,
     UnknownLabel,
-    UnlabeledRecord,
 )
 
 
@@ -98,6 +98,24 @@ class LabelVocab:
 
     def labels(self, level: Level) -> tuple[str, ...]:
         return self.countries if level is Level.COUNTRY else self.provinces
+
+    def classes(self, records: Sequence[TweetRecord], level: Level) -> list[int]:
+        """The index in labels(level) of each record's label at level, in
+        record order.  Raises SubtaskMismatch at the province level of a
+        vocab without provinces or on a record with no label at level,
+        and UnknownLabel on a label outside the vocab."""
+        if level is Level.PROVINCE and not self.provinces:
+            raise SubtaskMismatch("province subtask needs a vocab with provinces")
+        index = {label: i for i, label in enumerate(self.labels(level))}
+        out = []
+        for record in records:
+            label = record.label(level)
+            if label is None:
+                raise SubtaskMismatch(f"record {record.id!r} has no {level.value} label")
+            if label not in index:
+                raise UnknownLabel(f"record {record.id!r}: label {label!r} not in vocab")
+            out.append(index[label])
+        return out
 
     @classmethod
     def from_file(cls, path: str) -> "LabelVocab":
@@ -189,8 +207,8 @@ def has_header(cells: Sequence[str]) -> bool:
 def load_corpus(path: str, vocab: LabelVocab | None = None) -> list[TweetRecord]:
     """Load a TSV split into records, preserving file order.
 
-    Column count must be consistent across rows (2, 3, or 4 columns
-    without a header).  An id may not hold a comma, which the id,label
+    Column count must be consistent across rows.  A split without a
+    header has 2, 3 or 4 columns, named by as many names of HEADER.  An id may not hold a comma, which the id,label
     lines of a submission cannot hold.  Empty label cells become None.
     When a vocab is given, labels are validated against it, including
     the constraint that a record's country is the country its province
@@ -204,21 +222,19 @@ def load_corpus(path: str, vocab: LabelVocab | None = None) -> list[TweetRecord]
 
     first_lineno, first_cells = rows[0]
     expected_cols = len(first_cells)
-    # The column of each field of HEADER, or None for a missing label.
     if has_header(first_cells):
-        positions = {name: i for i, name in enumerate(first_cells)}
-        if len(positions) != len(first_cells):
-            raise MalformedRow(f"{path}:{first_lineno}: duplicate column name in header")
-        columns = [positions.get(name) for name in HEADER]
-        data_rows = rows[1:]
+        names, data_rows = first_cells, rows[1:]
+    elif expected_cols in (2, 3, 4):
+        names, data_rows = HEADER[:expected_cols], rows
     else:
-        if expected_cols not in (2, 3, 4):
-            raise MalformedRow(
-                f"{path}:{first_lineno}: expected 2 to 4 columns, got {expected_cols}"
-            )
-        columns = [i if i < expected_cols else None for i in range(len(HEADER))]
-        data_rows = rows
-    id_col, text_col, country_col, province_col = columns
+        raise MalformedRow(
+            f"{path}:{first_lineno}: expected 2 to 4 columns, got {expected_cols}"
+        )
+    positions = {name: i for i, name in enumerate(names)}
+    if len(positions) != expected_cols:
+        raise MalformedRow(f"{path}:{first_lineno}: duplicate column name in header")
+    # The column of each field of HEADER, or None for a missing label.
+    id_col, text_col, country_col, province_col = (positions.get(name) for name in HEADER)
 
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
@@ -236,15 +252,8 @@ def load_corpus(path: str, vocab: LabelVocab | None = None) -> list[TweetRecord]
             raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r}")
         seen_ids.add(rid)
         text = cells[text_col]
-
-        def cell(idx: int | None) -> str | None:
-            if idx is None:
-                return None
-            value = cells[idx]
-            return value if value else None
-
-        country = cell(country_col)
-        province = cell(province_col)
+        country = (cells[country_col] or None) if country_col is not None else None
+        province = (cells[province_col] or None) if province_col is not None else None
         if vocab is not None:
             if country is not None and country not in vocab.countries:
                 raise UnknownLabel(f"{path}:{lineno}: unknown country {country!r}")
@@ -282,22 +291,22 @@ def corpus_stats(
     """Count records per label.
 
     With a vocab the count table covers every vocab label in vocab
-    order, zeros included; otherwise labels appear in order of first
-    occurrence.  A record with no label at `level` raises
-    UnlabeledRecord.
+    order, zeros included, and the records are checked by
+    vocab.classes; otherwise labels appear in order of first occurrence
+    and a record with no label at `level` raises SubtaskMismatch.
     """
     counts: dict[str, int] = {}
-    if vocab is not None:
-        counts = {label: 0 for label in vocab.labels(level)}
-    for record in records:
-        label = record.label(level)
-        if label is None:
-            raise UnlabeledRecord(f"record {record.id!r} has no {level.value} label")
-        if label not in counts:
-            if vocab is not None:
-                raise UnknownLabel(f"record {record.id!r}: unknown {level.value} {label!r}")
-            counts[label] = 0
-        counts[label] += 1
+    if vocab is None:
+        for record in records:
+            label = record.label(level)
+            if label is None:
+                raise SubtaskMismatch(f"record {record.id!r} has no {level.value} label")
+            counts[label] = counts.get(label, 0) + 1
+    else:
+        labels = vocab.labels(level)
+        counts = dict.fromkeys(labels, 0)
+        for c in vocab.classes(records, level):
+            counts[labels[c]] += 1
     return CorpusStats(level=level, counts=counts, total=len(records))
 
 

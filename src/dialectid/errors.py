@@ -27,10 +27,6 @@ class DuplicateId(DialectIdError):
     """The same record id appears twice."""
 
 
-class UnlabeledRecord(DialectIdError):
-    """A record lacks the label required for the requested level."""
-
-
 class LengthMismatch(DialectIdError):
     """Two parallel sequences differ in length."""
 

@@ -7,10 +7,11 @@ which carries the idf table it was fitted with, so predict_texts
 featurizes and scores with the model alone.  finalize refits the
 chosen configuration on train plus dev and writes the test
 submission.  Both take a Splits, which holds every input of a run
-but the experiments: the label level and vocab, the records, checked
-once to be labeled at that level, and the lexicon their texts are
-normalized with.  It prepares each split's texts once per text
-preparation, so the grid and finalize share them.
+but the experiments: the label level and vocab, the records, whose
+train and dev labels LabelVocab.classes checks once and whose train
+and dev ids must differ, and the lexicon their texts are normalized
+with.  It prepares each split's texts once per text preparation, so
+the grid and finalize share them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 from . import classifier, corpus, evaluation, features, normalizer
 from .classifier import HyperParams, LinearModel
 from .corpus import LabelVocab, Level, Register, TweetRecord
-from .errors import ConfigError, LengthMismatch, SubtaskMismatch, UnknownLabel
+from .errors import ConfigError, LengthMismatch
 from .evaluation import EvaluationReport
 from .features import FeatureConfig
 from .normalizer import DEFAULT_LEXICON, NormConfig, SegmentLexicon
@@ -106,21 +107,6 @@ def fingerprint(config: ExperimentConfig, lexicon: SegmentLexicon = DEFAULT_LEXI
     return f"{features.fnv1a64(canon.encode('utf-8')):016x}"
 
 
-def _class_indices(
-    records: Sequence[TweetRecord], level: Level, labels: Sequence[str]
-) -> list[int]:
-    index = {label: i for i, label in enumerate(labels)}
-    out = []
-    for record in records:
-        label = record.label(level)
-        if label is None:
-            raise SubtaskMismatch(f"record {record.id!r} has no {level.value} label")
-        if label not in index:
-            raise UnknownLabel(f"record {record.id!r}: label {label!r} not in vocab")
-        out.append(index[label])
-    return out
-
-
 def fit_pipeline(
     texts: Sequence[str],
     records: Sequence[TweetRecord],
@@ -135,15 +121,15 @@ def fit_pipeline(
     model's fingerprint covers."""
     if len(texts) != len(records):
         raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
-    labels = vocab.labels(level)
+    y = vocab.classes(records, level)
     counts = features.corpus_counts(texts, config.features)
     idf = features.fit_idf(counts)
     # vectorize weighs the counts in place: train gets their arrays.
     return classifier.train(
         features.vectorize(counts, idf),
-        y=_class_indices(records, level, labels),
+        y=y,
         hp=config.hp,
-        class_labels=labels,
+        class_labels=vocab.labels(level),
         idf=idf,
         feature_fingerprint=fingerprint(config, lexicon),
     )
@@ -169,10 +155,9 @@ def predict_texts(
 @dataclass
 class Splits:
     """A run's label level and vocab, its train, dev and test records,
-    and the lexicon their texts are normalized with.  Raises
-    SubtaskMismatch on a province level with a vocab without provinces,
-    or on a train or dev record with no label at the level; test
-    records may be unlabeled."""
+    and the lexicon their texts are normalized with.  Train and dev
+    must share no id (DuplicateId) and are checked by vocab.classes at
+    the level; test records may be unlabeled."""
 
     level: Level
     vocab: LabelVocab
@@ -185,15 +170,7 @@ class Splits:
     )
 
     def __post_init__(self) -> None:
-        level = self.level
-        if level is Level.PROVINCE and not self.vocab.provinces:
-            raise SubtaskMismatch("province subtask needs a vocab with provinces")
-        for split in ("train", "dev"):
-            for record in getattr(self, split):
-                if record.label(level) is None:
-                    raise SubtaskMismatch(
-                        f"{split} record {record.id!r} has no {level.value} label"
-                    )
+        self.vocab.classes(corpus.concat_splits(self.train, self.dev), self.level)
 
     def texts(self, split: str, config: ExperimentConfig) -> list[str]:
         """prepare_texts of the split named "train", "dev" or "test",
@@ -253,7 +230,7 @@ def finalize(
     result also carries an evaluation report.
     """
     level, vocab = splits.level, splits.vocab
-    combined = corpus.concat_splits(splits.train, splits.dev)
+    combined = [*splits.train, *splits.dev]
     labels = vocab.labels(level)
     # prepare_texts works record by record, so this is the preparation
     # of combined.

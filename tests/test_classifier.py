@@ -380,7 +380,7 @@ class TestTrain:
         # At learning rate 1e308 the weights overflow in the second epoch.
         rows = csr([{0: 1.0, 1: 0.5}, {0: 0.5, 1: 1.0}, {1: 1.0, 2: 1.0}], 8)
         hp = HyperParams(lr=1e308, l2=0.0, epochs=6, batch_size=1)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as caught:
+        with pytest.raises(TrainingDiverged) as caught:
             train_on(rows, [0, 1, 2], hp, labels(3))
         assert str(caught.value) == "non-finite parameters after epoch 1"
         assert isinstance(caught.value, DialectIdError)

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,18 +118,35 @@ class TestDataErrors:
         assert captured.out == ""
         assert captured.err == f"error: --seed is read by train and benchmark, not {command}\n"
 
-    def test_train_on_a_record_without_the_level_label(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "benchmark", "evaluate", "stats"])
+    def test_record_without_the_level_label(self, tmp_path, capsys, command):
         vocab = tmp_path / "v.tsv"
         vocab.write_text("Cairo\tEgypt\nGiza\tEgypt\n", encoding="utf-8")
         split = tmp_path / "train.tsv"
         split.write_text("a1\tازيك يا باشا\tEgypt\tCairo\na2\tعامل ايه\tEgypt\t\n", encoding="utf-8")
-        rc = cli.main([
-            "train", "--in", str(split), "--level", "province", "--vocab", str(vocab),
-            "--out-model", str(tmp_path / "m.bin"), "--out-idf", str(tmp_path / "i.bin"),
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: record 'a2' has no province label\n"
-        assert not (tmp_path / "m.bin").exists()
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("d1\tازيك\tEgypt\tGiza\n", encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"format=1\n[data]\ntrain={split}\ndev={dev}\ntest={dev}\nvocab={vocab}\n"
+            "level=province\nregister=da\n[experiment e]\n",
+            encoding="utf-8",
+        )
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a1,Cairo\na2,Giza\n", encoding="utf-8")
+        out = tmp_path / "out"
+        labels = ["--level", "province", "--vocab", str(vocab)]
+        argv = {
+            "train": ["train", "--in", str(split), *labels,
+                      "--out-model", str(out / "m.bin"), "--out-idf", str(out / "i.bin")],
+            "benchmark": ["benchmark", str(cfg), "--out-dir", str(out)],
+            "evaluate": ["evaluate", "--gold", str(split), "--pred", str(pred), *labels],
+            "stats": ["stats", "--in", str(split), *labels],
+        }[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: record 'a2' has no province label\n")
+        assert not out.exists()
 
     def test_bad_label_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
@@ -293,8 +311,8 @@ class TestStats:
 
 class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, corpus_dir, trained, capsys):
-        assert open(trained["model"], "rb").read(8) == b"NADIMDL3"
-        assert open(trained["idf"], "rb").read(8) == b"NADIIDF2"
+        assert Path(trained["model"]).read_bytes()[:8] == b"NADIMDL3"
+        assert Path(trained["idf"]).read_bytes()[:8] == b"NADIIDF2"
         model = load_model(trained["model"], trained["idf"])
         spec = harness.parse_benchmark_file(corpus_dir["config"])
         assert model.feature_fingerprint == harness.fingerprint(spec.experiments[0])
@@ -612,7 +630,7 @@ class TestCorruptArtifacts:
 
     @pytest.mark.parametrize("which", ["model", "idf"])
     def test_predict_on_cut_file(self, corpus_dir, trained, tmp_path, capsys, which):
-        blob = open(trained[which], "rb").read()
+        blob = Path(trained[which]).read_bytes()
         if which == "model":
             model = load_model(trained["model"], trained["idf"])
             header = 24 + sum(
@@ -642,7 +660,7 @@ class TestCorruptArtifacts:
     def test_predict_on_fallback_outside_the_classes(
         self, corpus_dir, trained, tmp_path, capsys
     ):
-        blob = bytearray(open(trained["model"], "rb").read())
+        blob = bytearray(Path(trained["model"]).read_bytes())
         num_classes = struct.unpack("<I", blob[8:12])[0]
         blob[16:20] = struct.pack("<I", num_classes)
         bad = tmp_path / "bad.model"
@@ -772,6 +790,23 @@ class TestBenchmark:
         assert rc == 0
         assert len(calls) == records
 
+    def test_ids_in_train_and_dev_fail_before_the_grid(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("t1\tشلونك\tIraq\nt2\tازيك\tEgypt\n", encoding="utf-8")
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("d1\tكيفك\tIraq\nt1\tعامل ايه\tEgypt\n", encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"format=1\n[data]\ntrain={train}\ndev={dev}\ntest={dev}\n"
+            "level=country\nregister=da\n[experiment e]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", str(cfg), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: id 't1' appears in both splits\n")
+        assert not out.exists()
+
     def test_config_file_is_required(self, corpus_dir, tmp_path, capsys):
         rc = cli.main(
             ["--config", corpus_dir["config"], "benchmark", "--out-dir", str(tmp_path / "out")]
@@ -890,9 +925,11 @@ def run_module(*args):
 @pytest.mark.parametrize("command", ["train", "benchmark"])
 def test_diverging_training_is_an_error(tmp_path, command):
     # At learning rate 1e308 the weights overflow in the third epoch.
-    split = "id\ttweet\tcountry\n1\tشلونك اليوم\tIraq\n2\tازيك يا باشا\tEgypt\n3\tكيفك خيي\tSyria\n"
+    # The three splits share their rows but not their ids.
+    split = ("id\ttweet\tcountry\n{0}1\tشلونك اليوم\tIraq\n{0}2\tازيك يا باشا\tEgypt\n"
+             "{0}3\tكيفك خيي\tSyria\n")
     for name in ("train", "dev", "test"):
-        (tmp_path / f"{name}.tsv").write_text(split, encoding="utf-8")
+        (tmp_path / f"{name}.tsv").write_text(split.format(name), encoding="utf-8")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         f"format=1\n[data]\ntrain={tmp_path / 'train.tsv'}\ndev={tmp_path / 'dev.tsv'}\n"
@@ -908,8 +945,7 @@ def test_diverging_training_is_an_error(tmp_path, command):
         args = ["benchmark", str(cfg), "--out-dir", str(tmp_path / "out")]
     proc = run_module(*args)
     assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1] == "error: non-finite parameters after epoch 2"
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: non-finite parameters after epoch 2\n"
 
 
 def test_module_entry_point_runs(corpus_dir):

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid import cli, normalizer
 from dialectid.classifier import HyperParams
 from dialectid.corpus import (
     DEFAULT_COUNTRIES,
+    HEADER,
     LabelVocab,
     Level,
     TweetRecord,
@@ -20,8 +23,8 @@ from dialectid.errors import (
     HierarchyViolation,
     LengthMismatch,
     MalformedRow,
+    SubtaskMismatch,
     UnknownLabel,
-    UnlabeledRecord,
 )
 from dialectid.harness import BenchmarkSpec, ExperimentConfig, parse_benchmark_file
 from dialectid.normalizer import SegmentLexicon
@@ -93,6 +96,57 @@ VOCAB = LabelVocab(
 )
 
 
+class TestClasses:
+    RECORDS = [
+        TweetRecord(id="1", text="x", country="Iraq", province="Baghdad"),
+        TweetRecord(id="2", text="y", country="Egypt", province="Cairo"),
+        TweetRecord(id="3", text="z", country="Iraq", province="Baghdad"),
+    ]
+
+    def test_indices_follow_label_order_in_record_order(self):
+        assert VOCAB.classes(self.RECORDS, Level.COUNTRY) == [1, 0, 1]
+        assert VOCAB.classes(self.RECORDS, Level.PROVINCE) == [1, 0, 1]
+        assert VOCAB.classes(self.RECORDS[::-1], Level.COUNTRY) == [1, 0, 1][::-1]
+        other = LabelVocab(countries=("Iraq", "Egypt"))
+        assert other.classes(self.RECORDS, Level.COUNTRY) == [0, 1, 0]
+
+    def test_no_records(self):
+        assert VOCAB.classes([], Level.PROVINCE) == []
+
+    def test_province_level_needs_provinces(self):
+        countries = LabelVocab(countries=("Egypt", "Iraq"))
+        with pytest.raises(SubtaskMismatch, match="^province subtask needs a vocab with provinces$"):
+            countries.classes([], Level.PROVINCE)
+        assert countries.classes(self.RECORDS, Level.COUNTRY) == [1, 0, 1]
+
+    def test_record_without_the_level_label(self):
+        records = self.RECORDS + [TweetRecord(id="4", text="w", country="Egypt")]
+        assert VOCAB.classes(records, Level.COUNTRY) == [1, 0, 1, 0]
+        with pytest.raises(SubtaskMismatch, match="^record '4' has no province label$"):
+            VOCAB.classes(records, Level.PROVINCE)
+
+    def test_label_outside_the_vocab(self):
+        records = self.RECORDS + [TweetRecord(id="4", text="w", country="Atlantis")]
+        with pytest.raises(UnknownLabel, match="^record '4': label 'Atlantis' not in vocab$"):
+            VOCAB.classes(records, Level.COUNTRY)
+
+
+@st.composite
+def split_rows(draw, n):
+    """Rows of a headerless split of n columns: unique ids that spell
+    no header, any text, and a province only beside a country."""
+    ids = draw(st.lists(st.text("ab1", min_size=1, max_size=4), min_size=1, max_size=6,
+                        unique=True))
+    texts = st.text(st.characters(exclude_characters="\t\n\r", exclude_categories=["Cs"]),
+                    max_size=8)
+    rows = []
+    for rid in ids:
+        country = draw(st.sampled_from(["", "Egypt", "Iraq"]))
+        province = draw(st.sampled_from(["", "Cairo", "Baghdad"])) if country else ""
+        rows.append([rid, draw(texts), country, province][:n])
+    return rows
+
+
 class TestLoadCorpus:
     def test_round_trip_with_header(self, tmp_path):
         records = [
@@ -133,6 +187,25 @@ class TestLoadCorpus:
         loaded = load_corpus(str(path))
         assert loaded[0].country == "Egypt"
         assert loaded[0].province == "Cairo"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), split_rows(n))))
+    def test_headerless_split_reads_as_under_its_header(self, tmp_path_factory, drawn):
+        n, rows = drawn
+        directory = tmp_path_factory.mktemp("split")
+
+        def load(header, body):
+            path = directory / "split.tsv"
+            lines = ([header] if header else []) + body
+            path.write_text("".join("\t".join(cells) + "\n" for cells in lines), encoding="utf-8")
+            return load_corpus(str(path))
+
+        records = load(None, rows)
+        assert load(HEADER[:n], rows) == records
+        assert [(r.id, r.text) for r in records] == [tuple(cells[:2]) for cells in rows]
+        if n == 4:
+            swapped = [cells[:2] + cells[:1:-1] for cells in rows]
+            assert load(("id", "tweet", "province", "country"), swapped) == records
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -349,7 +422,7 @@ class TestStats:
 
     def test_unlabeled_record_raises(self):
         records = [TweetRecord(id="1", text="x")]
-        with pytest.raises(UnlabeledRecord):
+        with pytest.raises(SubtaskMismatch, match="^record '1' has no country label$"):
             corpus_stats(records, Level.COUNTRY)
 
     def test_label_outside_vocab_raises(self):

@@ -16,7 +16,13 @@ from dialectid.corpus import (
     concat_splits,
     read_submission,
 )
-from dialectid.errors import ConfigError, DuplicateId, LengthMismatch, SubtaskMismatch
+from dialectid.errors import (
+    ConfigError,
+    DuplicateId,
+    LengthMismatch,
+    SubtaskMismatch,
+    UnknownLabel,
+)
 from dialectid.features import FeatureConfig
 from dialectid.harness import (
     ExperimentConfig,
@@ -153,7 +159,7 @@ class TestRunGridValidation:
 
     def test_unlabeled_train_record_rejected(self):
         broken = TRAIN + [TweetRecord(id="naked", text="ابت")]
-        with pytest.raises(SubtaskMismatch, match="train record 'naked' has no country label"):
+        with pytest.raises(SubtaskMismatch, match="^record 'naked' has no country label$"):
             Splits(Level.COUNTRY, VOCAB, broken, DEV)
 
 
@@ -263,10 +269,21 @@ class TestPrepareTexts:
 class TestSplits:
     def test_checks_train_and_dev_labels_but_not_test(self):
         naked = TweetRecord(id="naked", text="ابت")
-        with pytest.raises(SubtaskMismatch, match="dev record 'naked' has no country label"):
+        with pytest.raises(SubtaskMismatch, match="^record 'naked' has no country label$"):
             Splits(Level.COUNTRY, VOCAB, TRAIN, DEV + [naked])
         splits = Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST + [naked])
         assert (splits.level, splits.vocab) == (Level.COUNTRY, VOCAB)
+
+    def test_rejects_labels_outside_the_vocab_before_any_fit(self):
+        stray = TweetRecord(id="stray", text="ابت", country="Ruritania")
+        for train, dev in [(TRAIN + [stray], DEV), (TRAIN, DEV + [stray])]:
+            with pytest.raises(UnknownLabel, match="^record 'stray': label 'Ruritania' not in vocab$"):
+                Splits(Level.COUNTRY, VOCAB, train, dev)
+        Splits(Level.COUNTRY, VOCAB, TRAIN, DEV, TEST + [stray])
+
+    def test_rejects_ids_in_train_and_dev(self):
+        with pytest.raises(DuplicateId, match=f"^id {TRAIN[0].id!r} appears in both splits$"):
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV + TRAIN[:1])
 
     def test_texts_are_normalized_with_the_lexicon_and_its_overrides(self):
         cfg = replace(config("s"), norm=NormConfig(segment=True))
