@@ -76,20 +76,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.experiment and not args.config:
         raise DialectIdError(f"--experiment {args.experiment!r} needs --config")
-    if not args.config:
-        config = ExperimentConfig(name="default")
-        if args.seed is not None:
-            config = replace(config, hp=replace(config.hp, rng_seed=args.seed))
-        return config
-    spec = harness.parse_benchmark_file(args.config)
-    if args.seed is not None:
-        spec = harness.override_seed(spec, args.seed)
-    exp = spec.experiments[0]
-    if args.experiment:
-        exp = next((e for e in spec.experiments if e.name == args.experiment), None)
-        if exp is None:
-            raise DialectIdError(f"no experiment named {args.experiment!r} in {args.config}")
-    return exp
+    exp = ExperimentConfig(name="default")
+    if args.config:
+        experiments = harness.parse_benchmark_file(args.config).experiments
+        exp = experiments[0]
+        if args.experiment:
+            exp = next((e for e in experiments if e.name == args.experiment), None)
+            if exp is None:
+                raise DialectIdError(f"no experiment named {args.experiment!r} in {args.config}")
+    return exp if args.seed is None else harness.with_seed(exp, args.seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -98,8 +93,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _experiment_from_args(args)
     records = corpus.load_corpus(args.infile, vocab=vocab)
     lexicon = _load_lexicon_flags(args)
+    y = vocab.classes(records, level)
     texts = harness.prepare_texts(records, config, lexicon)
-    model = harness.fit_pipeline(texts, records, config, vocab, level, lexicon)
+    model = harness.fit_pipeline(texts, y, vocab.labels(level), config, lexicon)
     classifier.save_model(model, args.out_model, args.out_idf)
     print(f"trained {model.num_classes} classes on {len(records)} records")
     return 0
@@ -111,8 +107,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     gold_records = corpus.load_corpus(args.gold, vocab=vocab)
     pairs = corpus.read_submission(args.pred)
     by_id = dict(pairs)
-    if len(by_id) != len(pairs):
-        raise DialectIdError(f"{args.pred}: duplicate prediction id")
     labels = vocab.labels(level)
     gold = [labels[c] for c in vocab.classes(gold_records, level)]
     pred = []
@@ -169,9 +163,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     harness.write_grid_tsv(grid, os.path.join(args.out_dir, "grid.tsv"))
-    selected = next(c for c in spec.experiments if c.name == grid.selected)
     submission_path = os.path.join(args.out_dir, "submission.csv")
-    result = harness.finalize(splits, selected, submission_path)
+    result = harness.finalize(splits, grid.selected, submission_path)
     classifier.save_model(
         result.model, os.path.join(args.out_dir, "model.bin"), os.path.join(args.out_dir, "idf.bin")
     )

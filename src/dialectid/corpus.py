@@ -336,11 +336,16 @@ def write_submission(ids: Sequence[str], labels: Sequence[str], path: str) -> No
 
 def read_submission(path: str) -> list[tuple[str, str]]:
     """Read an `id,label` file back into (id, label) pairs, its lines
-    split as read_rows splits them."""
+    split as read_rows splits them.  Raises MalformedRow on a line
+    without both cells and DuplicateId on an id listed twice."""
     pairs: list[tuple[str, str]] = []
+    first_lines: dict[str, int] = {}
     for lineno, line in _read_lines(path):
         rid, sep, label = line.partition(",")
         if not sep or not rid:
             raise MalformedRow(f"{path}:{lineno}: expected id,label")
+        first = first_lines.setdefault(rid, lineno)
+        if first != lineno:
+            raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r} (first at line {first})")
         pairs.append((rid, label))
     return pairs

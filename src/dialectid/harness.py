@@ -1,17 +1,18 @@
 """Experiment orchestration.
 
 run_grid fits one model per configuration on the train split, scores
-it on dev, and selects the best row; dev never reaches idf fitting or
-the gradient updates.  A fit (fit_pipeline) returns one LinearModel,
-which carries the idf table it was fitted with, so predict_texts
-featurizes and scores with the model alone.  finalize refits the
-chosen configuration on train plus dev and writes the test
-submission.  Both take a Splits, which holds every input of a run
-but the experiments: the label level and vocab, the records, whose
-train and dev labels LabelVocab.classes checks once and whose train
-and dev ids must differ, and the lexicon their texts are normalized
-with.  It prepares each split's texts once per text preparation, so
-the grid and finalize share them.
+it on dev, and returns every row's report and the chosen experiment;
+dev never reaches idf fitting or the gradient updates.  A fit
+(fit_pipeline) takes prepared texts and their class ids, as
+classifier.train does, and returns one LinearModel, which carries the
+idf table it was fitted with, so predict_texts featurizes and scores
+with the model alone.  finalize refits the chosen configuration on
+train plus dev and writes the test submission.  Both take a Splits,
+which holds every input of a run but the experiments: the label level
+and vocab, the records, and the lexicon their texts are normalized
+with.  It checks the train and dev labels once and keeps their class
+ids, and it prepares each split's texts once per text preparation, so
+the grid and finalize share both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 from . import classifier, corpus, evaluation, features, normalizer
 from .classifier import HyperParams, LinearModel
 from .corpus import LabelVocab, Level, Register, TweetRecord
-from .errors import ConfigError, LengthMismatch
+from .errors import ConfigError
 from .evaluation import EvaluationReport
 from .features import FeatureConfig
 from .normalizer import DEFAULT_LEXICON, NormConfig, SegmentLexicon
@@ -49,23 +50,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class GridRow:
-    name: str
-    weighted_f1: float
-    accuracy: float
-    macro_f1: float
-
-    def metric(self, which: SelectionMetric) -> float:
-        if which is SelectionMetric.WEIGHTED_F1:
-            return self.weighted_f1
-        if which is SelectionMetric.MACRO_F1:
-            return self.macro_f1
-        return self.accuracy
+    config: ExperimentConfig
+    report: EvaluationReport
 
 
 @dataclass(frozen=True)
 class GridResult:
     rows: tuple[GridRow, ...]
-    selected: str
+    selected: ExperimentConfig
     selection_metric: SelectionMetric
 
 
@@ -73,7 +65,6 @@ class GridResult:
 class FinalizeResult:
     model: LinearModel
     predictions: tuple[str, ...]
-    submission_path: str
     report: EvaluationReport | None
 
 
@@ -109,19 +100,15 @@ def fingerprint(config: ExperimentConfig, lexicon: SegmentLexicon = DEFAULT_LEXI
 
 def fit_pipeline(
     texts: Sequence[str],
-    records: Sequence[TweetRecord],
+    y: Sequence[int],
+    class_labels: Sequence[str],
     config: ExperimentConfig,
-    vocab: LabelVocab,
-    level: Level,
     lexicon: SegmentLexicon,
 ) -> LinearModel:
-    """Fit the idf table and the model that carries it on one split, to
-    the labels of the records at level: texts are the prepared texts of
-    records, in the same order, normalized with lexicon, which the
-    model's fingerprint covers."""
-    if len(texts) != len(records):
-        raise LengthMismatch(f"{len(texts)} texts for {len(records)} records")
-    y = vocab.classes(records, level)
+    """Fit the idf table and the model that carries it on prepared texts
+    and their classes y, indices into class_labels, as train takes them.
+    lexicon, the one the texts were normalized with, enters the model's
+    fingerprint."""
     counts = features.corpus_counts(texts, config.features)
     idf = features.fit_idf(counts)
     # vectorize weighs the counts in place: train gets their arrays.
@@ -129,7 +116,7 @@ def fit_pipeline(
         features.vectorize(counts, idf),
         y=y,
         hp=config.hp,
-        class_labels=vocab.labels(level),
+        class_labels=class_labels,
         idf=idf,
         feature_fingerprint=fingerprint(config, lexicon),
     )
@@ -156,8 +143,9 @@ def predict_texts(
 class Splits:
     """A run's label level and vocab, its train, dev and test records,
     and the lexicon their texts are normalized with.  Train and dev
-    must share no id (DuplicateId) and are checked by vocab.classes at
-    the level; test records may be unlabeled."""
+    must share no id (DuplicateId); classes holds the class ids that
+    vocab.classes gives their records at the level, train then dev.
+    Test records may be unlabeled."""
 
     level: Level
     vocab: LabelVocab
@@ -165,12 +153,13 @@ class Splits:
     dev: Sequence[TweetRecord]
     test: Sequence[TweetRecord] = ()
     lexicon: SegmentLexicon = DEFAULT_LEXICON
+    classes: list[int] = field(init=False, repr=False)
     _prepared: dict[tuple[str, NormConfig, int], list[str]] = field(
         default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        self.vocab.classes(corpus.concat_splits(self.train, self.dev), self.level)
+        self.classes = self.vocab.classes(corpus.concat_splits(self.train, self.dev), self.level)
 
     def texts(self, split: str, config: ExperimentConfig) -> list[str]:
         """prepare_texts of the split named "train", "dev" or "test",
@@ -187,36 +176,29 @@ def run_grid(
     configs: Sequence[ExperimentConfig],
     selection: SelectionMetric = SelectionMetric.WEIGHTED_F1,
 ) -> GridResult:
-    """Score every configuration on dev and pick the best row.
+    """Fit every configuration on train, score it on dev, and select the
+    configuration of the row best by the selection metric.
 
     All configurations must carry unique names.  Ties on the selection
     metric go to the earliest row.  The idf table and the model of each
-    row are fitted on train only.
+    row are fitted on train only, to the train slice of splits.classes.
     """
     if not configs:
         raise ConfigError("grid needs at least one experiment")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate experiment name in grid")
-    level, vocab = splits.level, splits.vocab
-    labels = vocab.labels(level)
-    gold = [r.label(level) for r in splits.dev]
+    labels = splits.vocab.labels(splits.level)
+    y = splits.classes[: len(splits.train)]
+    gold = [labels[c] for c in splits.classes[len(splits.train) :]]
     rows: list[GridRow] = []
     for config in configs:
-        texts = splits.texts("train", config)
-        model = fit_pipeline(texts, splits.train, config, vocab, level, splits.lexicon)
+        model = fit_pipeline(splits.texts("train", config), y, labels, config, splits.lexicon)
         pred = predict_texts(splits.texts("dev", config), config, model)
-        rep = evaluation.report(gold, pred, labels)
-        rows.append(
-            GridRow(
-                name=config.name,
-                weighted_f1=rep.weighted_f1,
-                accuracy=rep.accuracy,
-                macro_f1=rep.macro_f1,
-            )
-        )
-    best = max(range(len(rows)), key=lambda i: (rows[i].metric(selection), -i))
-    return GridResult(rows=tuple(rows), selected=rows[best].name, selection_metric=selection)
+        rows.append(GridRow(config, evaluation.report(gold, pred, labels)))
+    # max keeps the first of equal rows.
+    best = max(rows, key=lambda row: getattr(row.report, selection.value))
+    return GridResult(rows=tuple(rows), selected=best.config, selection_metric=selection)
 
 
 def finalize(
@@ -224,18 +206,18 @@ def finalize(
     config: ExperimentConfig,
     submission_path: str,
 ) -> FinalizeResult:
-    """Refit on train plus dev, predict test in order, write submission.
+    """Refit on train plus dev, to all of splits.classes, predict test in
+    order, and write the submission.
 
     When every test record is labeled at the splits' level the returned
     result also carries an evaluation report.
     """
-    level, vocab = splits.level, splits.vocab
-    combined = [*splits.train, *splits.dev]
-    labels = vocab.labels(level)
+    level = splits.level
+    labels = splits.vocab.labels(level)
     # prepare_texts works record by record, so this is the preparation
-    # of combined.
+    # of train followed by dev, the order of splits.classes.
     texts = splits.texts("train", config) + splits.texts("dev", config)
-    model = fit_pipeline(texts, combined, config, vocab, level, splits.lexicon)
+    model = fit_pipeline(texts, splits.classes, labels, config, splits.lexicon)
     test = splits.test
     predictions = predict_texts(splits.texts("test", config), config, model)
     corpus.write_submission([r.id for r in test], predictions, submission_path)
@@ -243,27 +225,27 @@ def finalize(
     if test and all(r.label(level) is not None for r in test):
         gold = [r.label(level) for r in test]
         rep = evaluation.report(gold, predictions, labels)
-    return FinalizeResult(
-        model=model,
-        predictions=tuple(predictions),
-        submission_path=submission_path,
-        report=rep,
-    )
+    return FinalizeResult(model=model, predictions=tuple(predictions), report=rep)
+
+
+def _grid_cells(row: GridRow) -> tuple[str, str, str, str]:
+    rep = row.report
+    return (row.config.name, f"{rep.weighted_f1:.6f}", f"{rep.accuracy:.6f}",
+            f"{rep.macro_f1:.6f}")
 
 
 def render_grid(result: GridResult) -> str:
     """Aligned text table of a grid, selected row marked with *."""
     headers = ["name", "weighted_f1", "accuracy", "macro_f1", ""]
     body = [
-        [row.name, f"{row.weighted_f1:.6f}", f"{row.accuracy:.6f}", f"{row.macro_f1:.6f}",
-         "*" if row.name == result.selected else ""]
+        [*_grid_cells(row), "*" if row.config == result.selected else ""]
         for row in result.rows
     ]
     widths = [max(len(r[i]) for r in [headers] + body) for i in range(len(headers))]
     lines = []
     for cells in [headers] + body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
-    lines.append(f"selected: {result.selected} (by {result.selection_metric.value})")
+    lines.append(f"selected: {result.selected.name} (by {result.selection_metric.value})")
     return "\n".join(lines) + "\n"
 
 
@@ -271,11 +253,8 @@ def write_grid_tsv(result: GridResult, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("name\tweighted_f1\taccuracy\tmacro_f1\tselected\n")
         for row in result.rows:
-            mark = "1" if row.name == result.selected else "0"
-            fh.write(
-                f"{row.name}\t{row.weighted_f1:.6f}\t{row.accuracy:.6f}"
-                f"\t{row.macro_f1:.6f}\t{mark}\n"
-            )
+            mark = "1" if row.config == result.selected else "0"
+            fh.write("\t".join([*_grid_cells(row), mark]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -427,9 +406,11 @@ def parse_benchmark_file(path: str) -> BenchmarkSpec:
     )
 
 
+def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """Rebuild an experiment with its RNG seed replaced."""
+    return replace(config, hp=replace(config.hp, rng_seed=seed))
+
+
 def override_seed(spec: BenchmarkSpec, seed: int) -> BenchmarkSpec:
     """Rebuild a spec with every experiment's RNG seed replaced."""
-    experiments = tuple(
-        replace(c, hp=replace(c.hp, rng_seed=seed)) for c in spec.experiments
-    )
-    return replace(spec, experiments=experiments)
+    return replace(spec, experiments=tuple(with_seed(c, seed) for c in spec.experiments))

@@ -733,6 +733,17 @@ class TestEvaluateAlignment:
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_duplicate_prediction_id_names_both_lines(self, tmp_path, capsys):
+        gold = self.write_gold(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a,Egypt\nb,Iraq\na,Iraq\n", encoding="utf-8")
+        rc = cli.main(["evaluate", "--gold", gold, "--pred", str(pred), "--level", "country"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {pred}:3: duplicate id 'a' (first at line 1)\n"
+        )
+
     def test_extra_prediction(self, tmp_path, capsys):
         gold = self.write_gold(tmp_path)
         pred = tmp_path / "pred.csv"
@@ -789,6 +800,25 @@ class TestBenchmark:
         capsys.readouterr()
         assert rc == 0
         assert len(calls) == records
+
+    def test_maps_labels_to_classes_once(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # Splits maps train and dev to class ids once, and every fit, the
+        # grid's and finalize's, takes its slice of those ids.
+        paths = corpus_dir["paths"]
+        vocab = LabelVocab.from_file(paths["vocab"])
+        labeled = sum(len(load_corpus(paths[split], vocab=vocab)) for split in ("train", "dev"))
+        calls = []
+        real_classes = LabelVocab.classes
+
+        def spy_classes(self, records, level):
+            calls.append(len(records))
+            return real_classes(self, records, level)
+
+        monkeypatch.setattr(LabelVocab, "classes", spy_classes)
+        rc = cli.main(["benchmark", corpus_dir["config"], "--out-dir", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert rc == 0
+        assert calls == [labeled]
 
     def test_ids_in_train_and_dev_fail_before_the_grid(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"

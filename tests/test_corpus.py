@@ -470,3 +470,9 @@ class TestSubmission:
         path.write_text("justonefield\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             read_submission(str(path))
+
+    def test_read_rejects_a_repeated_id(self, tmp_path):
+        path = tmp_path / "sub.csv"
+        path.write_text("a,Egypt\n\na,Iraq\n", encoding="utf-8")
+        with pytest.raises(DuplicateId, match=r":3: duplicate id 'a' \(first at line 1\)$"):
+            read_submission(str(path))

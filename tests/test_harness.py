@@ -16,7 +16,9 @@ from dialectid.corpus import (
     concat_splits,
     read_submission,
 )
+from dialectid import evaluation
 from dialectid.errors import (
+    ClassIndexOutOfRange,
     ConfigError,
     DuplicateId,
     LengthMismatch,
@@ -71,6 +73,17 @@ TEST = make_split("te", 6, 3)
 SMALL_FEATURES = FeatureConfig(dim=1 << 12)
 
 
+def classes(records):
+    return VOCAB.classes(records, Level.COUNTRY)
+
+
+def fit(records, cfg):
+    """fit_pipeline on the records' prepared texts and country classes."""
+    return fit_pipeline(
+        prepare_texts(records, cfg), classes(records), VOCAB.countries, cfg, DEFAULT_LEXICON
+    )
+
+
 def config(name, epochs=3, **hp_kwargs):
     return ExperimentConfig(
         name=name,
@@ -85,10 +98,15 @@ def test_experiment_config_requires_name():
 
 
 def test_grid_row_metric_mapping():
-    row = GridRow(name="x", weighted_f1=0.1, accuracy=0.2, macro_f1=0.3)
-    assert row.metric(SelectionMetric.WEIGHTED_F1) == 0.1
-    assert row.metric(SelectionMetric.ACCURACY) == 0.2
-    assert row.metric(SelectionMetric.MACRO_F1) == 0.3
+    # Three different figures: 0.766667, 0.733333 and 0.75.
+    report = evaluation.report(["a", "a", "a", "b"], ["a", "a", "b", "b"], ["a", "b"])
+    row = GridRow(config=config("x"), report=report)
+    assert {m: getattr(row.report, m.value) for m in SelectionMetric} == {
+        SelectionMetric.WEIGHTED_F1: report.weighted_f1,
+        SelectionMetric.MACRO_F1: report.macro_f1,
+        SelectionMetric.ACCURACY: report.accuracy,
+    }
+    assert len({report.weighted_f1, report.macro_f1, report.accuracy}) == 3
 
 
 def test_fingerprint_covers_text_preparation_and_features():
@@ -169,18 +187,19 @@ class TestRunGrid:
             Splits(Level.COUNTRY, VOCAB, TRAIN, DEV),
             [config("zero", epochs=0), config("five", epochs=5)],
         )
-        by_name = {row.name: row for row in result.rows}
-        assert by_name["five"].weighted_f1 > by_name["zero"].weighted_f1
-        assert result.selected == "five"
+        by_name = {row.config.name: row for row in result.rows}
+        assert by_name["five"].report.weighted_f1 > by_name["zero"].report.weighted_f1
+        assert result.selected.name == "five"
         assert result.selection_metric is SelectionMetric.WEIGHTED_F1
-        assert [row.name for row in result.rows] == ["zero", "five"]
+        assert [row.config.name for row in result.rows] == ["zero", "five"]
 
-    def test_tie_goes_to_earliest_row(self):
+    @pytest.mark.parametrize("selection", list(SelectionMetric))
+    def test_tie_goes_to_earliest_row(self, selection):
         result = run_grid(
-            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [config("first"), config("second")]
+            Splits(Level.COUNTRY, VOCAB, TRAIN, DEV), [config("first"), config("second")], selection
         )
-        assert result.rows[0].weighted_f1 == result.rows[1].weighted_f1
-        assert result.selected == "first"
+        assert result.rows[0].report == result.rows[1].report
+        assert result.selected.name == "first"
 
     def test_selection_metric_recorded(self):
         result = run_grid(
@@ -320,7 +339,7 @@ class TestSplits:
         combined = concat_splits(TRAIN, DEV)
         texts = prepare_texts(combined, cfg)
         assert splits.texts("train", cfg) + splits.texts("dev", cfg) == texts
-        model = fit_pipeline(texts, combined, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON)
+        model = fit_pipeline(texts, classes(combined), VOCAB.countries, cfg, DEFAULT_LEXICON)
         result = finalize(splits, cfg, str(tmp_path / "s.csv"))
         assert np.array_equal(result.model.weights, model.weights)
         assert np.array_equal(result.model.idf.columns, model.idf.columns)
@@ -338,34 +357,32 @@ class TestSplits:
 class TestFitPipeline:
     def test_texts_and_records_must_pair_up(self):
         cfg = config("m")
-        with pytest.raises(LengthMismatch):
-            fit_pipeline(
-                prepare_texts(TRAIN, cfg)[1:], TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-            )
+        texts = prepare_texts(TRAIN, cfg)[1:]
+        with pytest.raises(LengthMismatch, match=f"^{len(TRAIN)} classes for {len(texts)} rows$"):
+            fit_pipeline(texts, classes(TRAIN), VOCAB.countries, cfg, DEFAULT_LEXICON)
 
     def test_record_without_the_level_label(self):
+        # A caller takes its classes from vocab.classes, which refuses
+        # the record, and a class outside the labels stops the fit.
         records = TRAIN + [TweetRecord(id="naked", text="ابت")]
         cfg = config("m")
         with pytest.raises(SubtaskMismatch, match="^record 'naked' has no country label$"):
-            fit_pipeline(
-                prepare_texts(records, cfg), records, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-            )
+            classes(records)
+        with pytest.raises(ClassIndexOutOfRange):
+            fit_pipeline(prepare_texts(records, cfg), classes(TRAIN) + [len(VOCAB.countries)],
+                         VOCAB.countries, cfg, DEFAULT_LEXICON)
 
     def test_returns_majority_of_fitted_split(self):
         lopsided = TRAIN + make_split("extra", 3, 9)[:3]
         cfg = config("m")
-        model = fit_pipeline(
-            prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(lopsided, cfg)
         assert model.class_labels[model.fallback_class] == "Atlantis"
         assert model.idf.doc_count == len(lopsided)
         assert model.class_labels == list(VOCAB.countries)
 
     def test_majority_tie_takes_earliest_vocab_label(self):
         cfg = config("m")
-        model = fit_pipeline(
-            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(TRAIN, cfg)
         assert model.fallback_class == 0
 
 
@@ -375,9 +392,7 @@ class TestPredictTexts:
         lopsided = make_split("b", 4, 5)[4:] + make_split("extra", 2, 9)[2:]
         assert [r.country for r in lopsided].count("Borealia") == 6
         cfg = config("z", epochs=0)
-        model = fit_pipeline(
-            prepare_texts(lopsided, cfg), lopsided, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(lopsided, cfg)
         blank = TweetRecord(id="blank", text="😂😂")
         word_only = TweetRecord(id="w", text="ابت")
         texts = prepare_texts([blank, word_only], cfg)
@@ -388,9 +403,7 @@ class TestPredictTexts:
 
     def test_classifies_through_module_attributes(self, monkeypatch):
         cfg = config("m")
-        model = fit_pipeline(
-            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(TRAIN, cfg)
         calls = []
         real_predict = dialectid.classifier.predict
 
@@ -406,9 +419,7 @@ class TestPredictTexts:
 
     def test_builds_the_column_table_once_for_all_blocks(self, monkeypatch):
         cfg = config("m")
-        model = fit_pipeline(
-            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(TRAIN, cfg)
         texts = prepare_texts(TEST, cfg)
         expected = predict_texts(texts, cfg, model)
         # A copy of the idf table, which has built no lookup table yet.
@@ -473,14 +484,12 @@ class TestFeaturizeOnce:
         tokens = self.distinct_tokens(TRAIN, cfg)
         texts = prepare_texts(TRAIN, cfg)
         seen = self.spy(monkeypatch)
-        fit_pipeline(texts, TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON)
+        fit_pipeline(texts, classes(TRAIN), VOCAB.countries, cfg, DEFAULT_LEXICON)
         self.check(seen, tokens, cfg)
 
     def test_predict_texts(self, monkeypatch):
         cfg = config("once")
-        model = fit_pipeline(
-            prepare_texts(TRAIN, cfg), TRAIN, cfg, VOCAB, Level.COUNTRY, DEFAULT_LEXICON
-        )
+        model = fit(TRAIN, cfg)
         tokens = self.distinct_tokens(TEST, cfg)
         texts = prepare_texts(TEST, cfg)
         seen = self.spy(monkeypatch)

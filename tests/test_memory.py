@@ -368,6 +368,8 @@ def test_fit_featurization_peak_on_noisy_tweets(monkeypatch):
     records = noisy_records(5_000, 101)
     config = harness.ExperimentConfig(name="noisy")
     texts = harness.prepare_texts(records, config)
+    vocab = LabelVocab.countries_only()
+    y = vocab.classes(records, Level.COUNTRY)
     seen = {}
 
     def stop(rows, **kwargs):
@@ -379,8 +381,8 @@ def test_fit_featurization_peak_on_noisy_tweets(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            harness.fit_pipeline(texts, records, config, LabelVocab.countries_only(),
-                                 Level.COUNTRY, normalizer.DEFAULT_LEXICON)
+            harness.fit_pipeline(texts, y, vocab.labels(Level.COUNTRY), config,
+                                 normalizer.DEFAULT_LEXICON)
     finally:
         tracemalloc.stop()
     rows = seen["rows"]

@@ -57,14 +57,14 @@ def test_tracer_sees_the_featurizer(tmp_path, monkeypatch):
 
     splits = harness.Splits(spec.level, vocab, train, dev, test)
     grid = harness.run_grid(splits, experiments, spec.selection)
-    selected = next(c for c in experiments if c.name == grid.selected)
+    selected = grid.selected
     harness.finalize(splits, selected, str(tmp_path / "sub.csv"))
 
     trace.dump(str(tmp_path / "trace.json"))
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
         doc = json.load(fh)
     _, _, calls = tracer.self_times(doc["spans"])
-    fit_and_predict = grid_calls + [final_calls[grid.selected]]
+    fit_and_predict = grid_calls + [final_calls[selected.name]]
     # A fit vectorizes its joined blocks once; a predict vectorizes and
     # classifies block by block.
     predict_blocks = sum(blocks for _, blocks in fit_and_predict)
