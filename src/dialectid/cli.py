@@ -7,6 +7,7 @@ config contents), 2 on usage errors (argparse handles those).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -242,6 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # What the process holds before its first command, mostly the
+    # modules of numpy and this package, lives until exit.  Frozen, it is
+    # left out of every later collection, the ones at exit included.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

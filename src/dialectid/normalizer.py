@@ -33,6 +33,20 @@ has cleaned before costs one lookup.  The memos are process-wide and
 bounded: each keeps the _TOKEN_MEMO_SIZE most recently used tokens, and
 only the _MEMO_CONFIGS most recently used NormConfigs keep theirs.
 
+A first-seen token costs one pass of the token stages: an entity scan,
+one deletion and one run cap, and a spacing scan.  The pass skips what
+cannot change the token, and each skip is exact:
+
+- The entity scan runs only on a token holding an `@`, a `/` or
+  `www.`, which every entity pattern needs.
+- The spacing scan runs only on a token holding an ASCII letter or
+  digit, an Arabic-Indic digit or a bracket: every place `_SPACING_RE`
+  matches has one of them on one side.
+- A token splits at placeholder surfaces only when it holds a `[`,
+  which every surface starts with.
+- Noise removal collapses and strips no whitespace, since a token holds
+  none.
+
 `normalize` returns a fixed point of the stage chain: a text one more
 pass would leave as it is.  With noise removal on and segmentation off,
 one pass usually gets there, and `normalize` can tell without running a
@@ -134,6 +148,8 @@ _SPACING_RE = re.compile(
     f"|(?<=[{_LETTER_OR_DIGIT}])(?=[{_ARABIC_RANGES}])"
     r"|(?<=\S)(?=[\[\]])|(?<=[\[\]])(?=\S)"
 )
+# A character one side of every place _SPACING_RE matches.
+_SPACING_SITE_RE = re.compile(f"[{_LETTER_OR_DIGIT}\\[\\]]")
 
 _ARABIC_TOKEN_RE = re.compile("[" + _ARABIC_RANGES + "]+\\Z")
 
@@ -195,9 +211,15 @@ def replace_entities(text: str) -> str:
     """
     if not _may_hold_entity(text):
         return text
-    return _map_outside_placeholders(
-        text, lambda part: _ENTITY_RE.sub(lambda m: _SURFACE_BY_GROUP[m.lastgroup], part)
-    )
+    return _map_spans(text, _sub_entities)
+
+
+def _surface(match: re.Match[str]) -> str:
+    return _SURFACE_BY_GROUP[match.lastgroup]
+
+
+def _sub_entities(span: str) -> str:
+    return _ENTITY_RE.sub(_surface, span)
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +238,20 @@ def _may_hold_entity(text: str) -> bool:
     return "@" in text or "/" in text or "www." in text
 
 
-def _map_outside_placeholders(text: str, fn) -> str:
-    """fn applied to each span of text between placeholder surfaces.
-    Every surface starts with [, so a text without one is one span."""
+def _map_spans(text: str, fn, *args) -> str:
+    """fn(span, *args) applied to each span of text between placeholder
+    surfaces.  Every surface starts with [, so a text without one is one
+    span."""
     if "[" not in text:
-        return fn(text)
+        return fn(text, *args)
     parts = _PLACEHOLDER_SPLIT_RE.split(text)
     for i in range(0, len(parts), 2):
-        parts[i] = fn(parts[i])
+        parts[i] = fn(parts[i], *args)
     return "".join(parts)
+
+
+def _drop_noise(span: str, max_repeat: int) -> str:
+    return _cap_runs(_DISALLOWED_RE.sub("", span), max_repeat)
 
 
 def remove_noise(text: str, max_repeat: int = 2) -> str:
@@ -238,10 +265,11 @@ def remove_noise(text: str, max_repeat: int = 2) -> str:
     surfaces are left untouched and interrupt runs on either side.
     """
     _check_max_repeat(max_repeat)
-    cleaned = _map_outside_placeholders(
-        text, lambda part: _cap_runs(_DISALLOWED_RE.sub("", part), max_repeat)
-    )
-    return _WS_RE.sub(" ", cleaned).strip()
+    return _WS_RE.sub(" ", _map_spans(text, _drop_noise, max_repeat)).strip()
+
+
+def _space(span: str) -> str:
+    return _SPACING_RE.sub(" ", span)
 
 
 def insert_spacing(text: str) -> str:
@@ -249,9 +277,14 @@ def insert_spacing(text: str) -> str:
     boundaries (both orders) and around stray square brackets.
 
     Placeholders are opaque: nothing is inserted inside them or at
-    their seams, and existing spaces are never doubled.
+    their seams, and existing spaces are never doubled.  Every place a
+    space goes is next to an ASCII letter or digit, an Arabic-Indic
+    digit or a bracket, so a text with none of them is returned as it
+    is.
     """
-    return _map_outside_placeholders(text, lambda part: _SPACING_RE.sub(" ", part))
+    if _SPACING_SITE_RE.search(text) is None:
+        return text
+    return _map_spans(text, _space)
 
 
 def _segment_token(token: str, lexicon: SegmentLexicon) -> str:
@@ -314,12 +347,17 @@ def segment(text: str, lexicon: SegmentLexicon = DEFAULT_LEXICON) -> str:
 def _clean_token(config: NormConfig, token: str) -> str:
     """The token stages of config applied to one whitespace token: the
     token itself when they leave it as it is, possibly spaced into
-    several tokens, or empty when noise removal deletes it."""
+    several tokens, or empty when noise removal deletes it.
+
+    The one pass of the module docstring; NormConfig checked max_repeat
+    when it was built.  Each stage splits its own input at placeholders,
+    since entity replacement makes surfaces and a deletion can make
+    one, as `[ر😂ابط]` becomes `[رابط]`."""
     cleaned = token
     if config.replace_entities:
         cleaned = replace_entities(cleaned)
     if config.remove_noise:
-        cleaned = remove_noise(cleaned, config.max_repeat)
+        cleaned = _map_spans(cleaned, _drop_noise, config.max_repeat)
     if config.insert_spacing:
         cleaned = insert_spacing(cleaned)
     return token if cleaned == token else cleaned

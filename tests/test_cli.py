@@ -991,6 +991,32 @@ def test_help_exits_zero():
     assert "benchmark" in proc.stdout
 
 
+def test_main_freezes_the_heap_once_per_process(corpus_dir):
+    # A fresh interpreter: the test process may have frozen its heap.
+    script = (
+        "import gc, sys\n"
+        "import dialectid\n"
+        "from dialectid import cli\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "args = ['stats', '--in', sys.argv[1], '--level', 'country']\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(args) == 0\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(*counts)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dialectid.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, corpus_dir["paths"]["train"]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, first, second = map(int, proc.stdout.splitlines()[-1].split())
+    assert imported == 0
+    assert first > 0
+    assert second == first
+
+
 # The flags of each subcommand.  --lexicon and --presegmented, and
 # --level and --vocab, are declared once each and shared.
 SUBCOMMAND_FLAGS = {

@@ -592,6 +592,25 @@ def test_every_toggle_combination_matches_oracle(toggles):
             assert_matches_oracle(text, config, SHORT_WITH_OVERRIDES)
 
 
+# Tokens at the seams of the token pass: a deletion that makes a
+# placeholder surface before or after a letter, a host spliced by a
+# deletion, brackets and a run of digits; and, last, a token for each
+# kind of character insert_spacing's early return looks for, holding no
+# other kind.
+TOKEN_PASS_EDGES = [
+    "[ر😂ابط]x", "x[ر😂ابط]", "عربي٣x", "]x[", "abc😂123", "www.x.co/😂a",
+    "عربي٣", "عربيx", "3عربي", "عربي[", "]عربي",
+]
+
+
+@pytest.mark.parametrize("toggles", list(itertools.product([False, True], repeat=5)))
+def test_token_pass_edges_match_oracle(toggles):
+    for max_repeat in (1, 2):
+        config = NormConfig(*toggles, max_repeat=max_repeat)
+        for text in TOKEN_PASS_EDGES:
+            assert_matches_oracle(text, config)
+
+
 def test_golden_matches_oracle():
     for _, text, _ in GOLDEN:
         for config in CONFIGS.values():
