@@ -2,18 +2,31 @@
 
 Exit codes: 0 on success, 1 on data errors (bad files, bad labels, bad
 config contents), 2 on usage errors (argparse handles those).
+
+predict labels its records in contiguous shards, one per CPU the
+process may run on (os.sched_getaffinity), but never more shards than
+the records make featurizer blocks (one per features._CHUNK_TEXTS
+records, rounded up), and one shard where the platform has no
+sched_getaffinity or no fork.  The parent forks a worker for every
+shard but the first, labels the first itself and joins the labels in
+shard order.  A record's label depends on that record alone, so the
+submission has the same bytes for any shard count.  A worker's failure
+is an error of the command, and no worker outlives it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
+import pickle
+import signal
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
-from . import classifier, corpus, evaluation, harness, normalizer
+from . import classifier, corpus, evaluation, features, harness, normalizer
 from .corpus import LabelVocab, Level
 from .errors import DialectIdError, LengthMismatch, MalformedRow
 from .harness import ExperimentConfig
@@ -142,11 +155,93 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"{config.name!r} has {fingerprint} (its text preparation or features differ)"
         )
     records = corpus.load_corpus(args.infile)
-    texts = harness.prepare_texts(records, config, lexicon)
-    predictions = harness.predict_texts(texts, config, model)
+
+    def label(shard: Sequence[corpus.TweetRecord]) -> list[str]:
+        return harness.predict_texts(harness.prepare_texts(shard, config, lexicon), config, model)
+
+    predictions = _label_in_shards(records, label)
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
     return 0
+
+
+Labeler = Callable[[Sequence[corpus.TweetRecord]], list[str]]
+
+
+def _shard_bounds(count: int) -> list[int]:
+    """The cut points of count records into contiguous shards (see the
+    module docstring)."""
+    shards = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        blocks = -(-count // features._CHUNK_TEXTS)
+        shards = max(1, min(len(os.sched_getaffinity(0)), blocks))
+    return [count * i // shards for i in range(shards + 1)]
+
+
+def _label_in_shards(records: Sequence[corpus.TweetRecord], label: Labeler) -> list[str]:
+    """label(records), computed shard by shard: the first shard here,
+    each other one in a forked worker.  Every worker is killed and
+    reaped before this returns or raises."""
+    bounds = _shard_bounds(len(records))
+    workers: list[tuple[int, BinaryIO, str]] = []  # pid, read end of its pipe, its records
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid, pipe = _fork_worker(label, records[lo:hi])
+            workers.append((pid, pipe, f"{lo + 1}-{hi}"))
+        labels = label(records[: bounds[1]])
+        for _, pipe, span in workers:
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                result = "the worker ended without sending its labels"
+            if isinstance(result, str):
+                raise DialectIdError(f"labelling records {span}: {result}")
+            labels += result
+        return labels
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            # An exited worker stays a zombie until reaped, so the kill
+            # finds it, unless SIGCHLD is ignored and the kernel reaped it.
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_worker(label: Labeler, shard: Sequence[corpus.TweetRecord]) -> tuple[int, BinaryIO]:
+    """Fork a process that pickles label(shard), or the message of its
+    failure, into a pipe and leaves through os._exit, so no exit handler
+    runs and no stdio buffer is written twice.  Returns its pid and the
+    pipe's read end.
+
+    The fork copies one thread.  The only other thread the package
+    runs under is the pool of numpy's OpenBLAS, which its own
+    pthread_atfork handler stops before every fork and starts again on
+    the next threaded BLAS call; predict forks before it labels
+    anything, so the pool is stopped at each fork and no lock can be
+    held by a thread the worker lacks."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result: list[str] | str = label(shard)
+            except DialectIdError as exc:
+                result = str(exc)
+            except Exception as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:

@@ -208,8 +208,9 @@ def load_corpus(path: str, vocab: LabelVocab | None = None) -> list[TweetRecord]
     """Load a TSV split into records, preserving file order.
 
     Column count must be consistent across rows.  A split without a
-    header has 2, 3 or 4 columns, named by as many names of HEADER.  An id may not hold a comma, which the id,label
-    lines of a submission cannot hold.  Empty label cells become None.
+    header has 2, 3 or 4 columns, named by as many names of HEADER.  An
+    id may not hold a comma, which the id,label lines of a submission
+    cannot hold.  Empty label cells become None.
     When a vocab is given, labels are validated against it, including
     the constraint that a record's country is the country its province
     belongs to.

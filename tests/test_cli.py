@@ -1,8 +1,10 @@
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, load_corpus, read_submission
+from dialectid.errors import DialectIdError
 from dialectid.features import fnv1a64
 from dialectid.normalizer import NormConfig
 
@@ -1015,6 +1018,189 @@ def test_main_freezes_the_heap_once_per_process(corpus_dir):
     assert imported == 0
     assert first > 0
     assert second == first
+
+
+@pytest.fixture(scope="module")
+def sharded(corpus_dir, trained, tmp_path_factory):
+    """A test split of 288 records, five featurizer blocks: the 4-dialect
+    synthetic rows, with emoji-only rows, which take the fallback class,
+    and rows longer than max_seq_len among them; and the argv of a
+    predict on it with the trained model."""
+    directory = tmp_path_factory.mktemp("sharded")
+    paths = synthcorpus.write_dialect_corpus(str(directory), seed=23, n_train=1, n_dev=1,
+                                             n_test=64)
+    header, *rows = Path(paths["test"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = [header]
+    for i, row in enumerate(rows):
+        lines.append(row)
+        if i % 16 == 0:
+            words = row.split("\t")[1]
+            lines.append(f"long-{i:03d}\t{' '.join([words] * 20)}\t\t\n")
+            lines.append(f"emoji-{i:03d}\t😂😂 🎉\t\t\n")
+    test = directory / "test.tsv"
+    test.write_text("".join(lines), encoding="utf-8")
+    records = load_corpus(str(test))
+    assert len(records) == 288 > 4 * dialectid.features._CHUNK_TEXTS
+    config = harness.parse_benchmark_file(corpus_dir["config"]).experiments[0]
+    assert sum(len(r.text) > config.hp.max_seq_len for r in records) == 16
+    model = load_model(trained["model"], trained["idf"])
+    texts = harness.prepare_texts(records, config)
+    expected = harness.predict_texts(texts, config, model)
+    fallback = model.class_labels[model.fallback_class]
+    assert [expected[i] for i, t in enumerate(texts) if not t] == [fallback] * 16
+    out = directory / "sub.csv"
+    argv = ["--config", corpus_dir["config"], "predict", "--model", trained["model"],
+            "--idf", trained["idf"], "--in", str(test), "--out", str(out)]
+    ids = [r.id for r in records]
+    reference = "".join(f"{i},{label}\n" for i, label in zip(ids, expected)).encode("utf-8")
+    return {"argv": argv, "out": out, "reference": reference}
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def spy_forks(monkeypatch):
+    """A list that gets one entry per os.fork call of this process."""
+    forks = []
+    real_fork = os.fork
+
+    def spy_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedPredict:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_same_bytes_for_any_shard_count(self, sharded, monkeypatch, capsys, cpus):
+        set_cpus(monkeypatch, cpus)
+        forks = spy_forks(monkeypatch)
+        sharded["out"].unlink(missing_ok=True)
+        assert cli.main(sharded["argv"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(forks) == cpus - 1
+        assert sharded["out"].read_bytes() == sharded["reference"]
+        assert_no_child_left()
+
+    def test_no_more_shards_than_featurizer_blocks(self, monkeypatch):
+        set_cpus(monkeypatch, 8)
+        chunk = dialectid.features._CHUNK_TEXTS
+        assert cli._shard_bounds(0) == [0, 0]
+        assert cli._shard_bounds(chunk) == [0, chunk]
+        assert cli._shard_bounds(chunk + 1) == [0, (chunk + 1) // 2, chunk + 1]
+        assert cli._shard_bounds(100 * chunk) == [100 * chunk * i // 8 for i in range(9)]
+
+    def test_one_shard_without_fork(self, sharded, monkeypatch, capsys):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.delattr(os, "fork")
+        sharded["out"].unlink(missing_ok=True)
+        assert cli.main(sharded["argv"]) == 0
+        assert sharded["out"].read_bytes() == sharded["reference"]
+
+    def test_one_cpu_process_forks_nothing(self, sharded, tmp_path):
+        # `python -m dialectid`, with an audit hook that reports forks.
+        script = (
+            "import runpy, sys\n"
+            "def hook(event, args):\n"
+            "    if event == 'os.fork':\n"
+            "        sys.stderr.write('os.fork\\n')\n"
+            "sys.addaudithook(hook)\n"
+            "runpy.run_module('dialectid', run_name='__main__', alter_sys=True)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dialectid.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        cpus = sorted(os.sched_getaffinity(0))
+        argv = [a.replace(str(sharded["out"]), str(tmp_path / "sub.csv")) for a in sharded["argv"]]
+
+        def run(cpu_set):
+            (tmp_path / "sub.csv").unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path),
+                preexec_fn=lambda: os.sched_setaffinity(0, cpu_set),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / "sub.csv").read_bytes() == sharded["reference"]
+            return proc.stderr.count("os.fork\n")
+
+        assert run({cpus[0]}) == 0
+        if len(cpus) > 1:
+            assert run(set(cpus[:2])) == 1
+
+    def test_workers_reaped_by_the_kernel(self, sharded, monkeypatch, capsys):
+        # With SIGCHLD ignored, an exited worker is reaped at once and
+        # neither kill nor waitpid finds it.
+        set_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            sharded["out"].unlink(missing_ok=True)
+            assert cli.main(sharded["argv"]) == 0
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert sharded["out"].read_bytes() == sharded["reference"]
+        assert_no_child_left()
+
+    def failing_worker(self, monkeypatch, worker, parent=None):
+        """predict_texts runs worker() in a forked worker, parent() in
+        this process."""
+        real = harness.predict_texts
+        here = os.getpid()
+
+        def predict_texts(*args):
+            if os.getpid() != here:
+                worker()
+            elif parent is not None:
+                parent()
+            return real(*args)
+
+        monkeypatch.setattr(harness, "predict_texts", predict_texts)
+
+    def test_failing_worker_is_an_error(self, sharded, monkeypatch, capsys):
+        set_cpus(monkeypatch, 2)
+
+        def worker():
+            raise RuntimeError("boom")
+
+        self.failing_worker(monkeypatch, worker)
+        sharded["out"].unlink(missing_ok=True)
+        assert cli.main(sharded["argv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: labelling records 145-288: RuntimeError: boom\n"
+        assert not sharded["out"].exists()
+        assert_no_child_left()
+
+    def test_killed_worker_is_an_error(self, sharded, monkeypatch, capsys):
+        set_cpus(monkeypatch, 3)
+        self.failing_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        sharded["out"].unlink(missing_ok=True)
+        assert cli.main(sharded["argv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: labelling records 97-192: the worker ended without sending its labels\n"
+        )
+        assert not sharded["out"].exists()
+        assert_no_child_left()
+
+    def test_failing_parent_shard_kills_the_workers(self, sharded, monkeypatch, capsys):
+        set_cpus(monkeypatch, 2)
+
+        def parent():
+            raise DialectIdError("parent shard")
+
+        self.failing_worker(monkeypatch, lambda: time.sleep(60), parent)
+        began = time.monotonic()
+        assert cli.main(sharded["argv"]) == 1
+        assert time.monotonic() - began < 30
+        assert capsys.readouterr().err == "error: parent shard\n"
+        assert_no_child_left()
 
 
 # The flags of each subcommand.  --lexicon and --presegmented, and
