@@ -47,15 +47,29 @@ file at fault.  Arrays go to disk as little-endian numbers straight
 from their memory when they already have that layout, and come back
 by readinto into preallocated arrays, so neither direction makes a
 second copy of a large array.
+
+Training runs on one thread of numpy's bundled OpenBLAS: for the span
+of the SGD loop, train reads the library's thread count through
+ctypes, sets it to 1 and restores it afterwards (one_blas_thread).
+The loop's two matrix products per batch then sum in one order, so a
+fit writes the same weights at any OPENBLAS_NUM_THREADS (on one CPU
+model: OpenBLAS picks its kernels per CPU), and fits in processes that
+share cores do not contend for them.  A numpy without that library
+or its thread functions (one built on another BLAS) is used as it is,
+unpinned.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +91,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 / golden ratio
 _BLOCK_ELEMENTS = 1 << 20  # float64s in one dense batch block: 8 MiB
 _FOLD_BELOW = 1e-6  # the weight scale s is folded into V below this
+# numpy's bundled OpenBLAS, in numpy.libs beside the numpy package.
+_OPENBLAS_LIBS = os.path.join(
+    os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_*.so"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +266,8 @@ def train(
     del used
 
     counts = np.bincount(targets, minlength=num_classes)
-    weights, bias, losses = _sgd(rows, idf.table, idf.columns.size, targets, hp, num_classes)
+    with one_blas_thread():
+        weights, bias, losses = _sgd(rows, idf.table, idf.columns.size, targets, hp, num_classes)
     return LinearModel(
         weights=weights,
         bias=bias,
@@ -258,6 +277,44 @@ def train(
         epoch_losses=losses,
         fallback_class=int(counts.argmax()),
     )
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The functions that read and set the thread count of numpy's
+    bundled OpenBLAS, or None when there is no such library or it lacks
+    them.  numpy has loaded the library, so this only looks it up."""
+    for path in glob.glob(_OPENBLAS_LIBS):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block on one OpenBLAS thread: set the thread count to 1
+    and restore it after the block, unless it is 1 already or there is
+    no library to pin (see _openblas_threads).
+
+    The count is the process's own and a forked process inherits it, so
+    a fit in a process forked under this pin sets nothing.  That
+    matters: OpenBLAS stops its thread pool at every fork, and setting
+    the count afterwards starts the pool again, whose new threads spin
+    for a while before they sleep; two such processes on two cores
+    each fitted up to twice as slowly."""
+    get_threads, set_threads = _openblas_threads() or (None, None)
+    threads = get_threads() if get_threads else 1
+    if threads == 1:
+        yield
+        return
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 # A diverging run warns of nothing: the epoch check raises TrainingDiverged.

@@ -3,28 +3,45 @@
 Exit codes: 0 on success, 1 on data errors (bad files, bad labels, bad
 config contents), 2 on usage errors (argparse handles those).
 
-predict labels its records in contiguous shards, one per CPU the
-process may run on (os.sched_getaffinity), but never more shards than
-the records make featurizer blocks (one per features._CHUNK_TEXTS
-records, rounded up), and one shard where the platform has no
-sched_getaffinity or no fork.  The parent forks a worker for every
-shard but the first, labels the first itself and joins the labels in
-shard order.  A record's label depends on that record alone, so the
-submission has the same bytes for any shard count.  A worker's failure
-is an error of the command, and no worker outlives it.
+predict and benchmark run their independent tasks side by side, in
+contiguous groups of tasks: one group per CPU the process may run on
+(os.sched_getaffinity), but at most one per task, and one group where
+the platform has no sched_getaffinity or no fork.  The parent forks a
+worker for each group but its own, runs its own group and joins the
+values in task order.
+
+- predict's tasks label contiguous shards of its records, one per CPU,
+  but never more shards than the records make featurizer blocks (one
+  per features._CHUNK_TEXTS records, rounded up); the parent labels the
+  first.  A record's label depends on that record alone, so the
+  submission has the same bytes for any shard count.
+- benchmark's tasks are the grid rows, one per experiment, each fitted
+  on one BLAS thread (see classifier), so every fit has the same bytes
+  in any process.  The parent prepares every train and dev text first,
+  so the workers share them.  With one experiment there is nothing to
+  select: the parent runs finalize while a worker runs the grid row;
+  with several, the parent runs the first group of rows and then
+  finalize.
+
+A failure is the error the serial order would raise first: the tasks'
+errors in task order, and finalize's last.  A worker's error that main
+reports is raised as it is; any other failure of a worker, its death
+included, is a data error that names the task.  No worker outlives
+the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import pickle
 import signal
 import sys
 from dataclasses import replace
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 from . import classifier, corpus, evaluation, features, harness, normalizer
 from .corpus import LabelVocab, Level
@@ -159,47 +176,73 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     def label(shard: Sequence[corpus.TweetRecord]) -> list[str]:
         return harness.predict_texts(harness.prepare_texts(shard, config, lexicon), config, model)
 
-    predictions = _label_in_shards(records, label)
+    bounds = _shard_bounds(len(records))
+    shards = [(f"labelling records {lo + 1}-{hi}", functools.partial(label, records[lo:hi]))
+              for lo, hi in zip(bounds, bounds[1:])]
+    predictions = [p for labels in _run_tasks(shards) for p in labels]
     corpus.write_submission([r.id for r in records], predictions, args.outfile)
     print(f"wrote {len(predictions)} predictions to {args.outfile}")
     return 0
 
 
-Labeler = Callable[[Sequence[corpus.TweetRecord]], list[str]]
+T = TypeVar("T")
+Task = tuple[str, Callable[[], T]]  # the task's name in errors, and the task
+Outcome = tuple[object, object]  # (value, None), or (None, the error)
+
+
+def _cpus() -> int:
+    """The CPUs the process may run on, or 1 where the platform has no
+    sched_getaffinity or no fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _cut(count: int, groups: int) -> list[int]:
+    """The cut points of count items into groups contiguous groups."""
+    return [count * i // groups for i in range(groups + 1)]
 
 
 def _shard_bounds(count: int) -> list[int]:
-    """The cut points of count records into contiguous shards (see the
+    """The cut points of predict's count records into shards (see the
     module docstring)."""
-    shards = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        blocks = -(-count // features._CHUNK_TEXTS)
-        shards = max(1, min(len(os.sched_getaffinity(0)), blocks))
-    return [count * i // shards for i in range(shards + 1)]
+    return _cut(count, max(1, min(_cpus(), -(-count // features._CHUNK_TEXTS))))
 
 
-def _label_in_shards(records: Sequence[corpus.TweetRecord], label: Labeler) -> list[str]:
-    """label(records), computed shard by shard: the first shard here,
-    each other one in a forked worker.  Every worker is killed and
-    reaped before this returns or raises."""
-    bounds = _shard_bounds(len(records))
-    workers: list[tuple[int, BinaryIO, str]] = []  # pid, read end of its pipe, its records
+def _run_tasks(tasks: Sequence[Task[T]], parent_last: bool = False) -> list[T]:
+    """The values of the tasks, in task order.
+
+    The tasks are cut into contiguous groups, one per CPU (_cpus) but at
+    most one per task.  This process runs the first group, or the last
+    when parent_last, and a forked worker runs each other one.  The
+    first task in task order that fails raises its error once every
+    task before it has succeeded; a worker's error that main would not
+    report, or a worker's death, becomes a DialectIdError naming the
+    task.  Every worker is killed and reaped before this returns or
+    raises."""
+    bounds = _cut(len(tasks), max(1, min(_cpus(), len(tasks))))
+    groups = list(zip(bounds, bounds[1:]))
+    here = groups[-1 if parent_last else 0]
+    workers: list[tuple[int, BinaryIO]] = []  # pid, read end of its pipe
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid, pipe = _fork_worker(label, records[lo:hi])
-            workers.append((pid, pipe, f"{lo + 1}-{hi}"))
-        labels = label(records[: bounds[1]])
-        for _, pipe, span in workers:
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                result = "the worker ended without sending its labels"
-            if isinstance(result, str):
-                raise DialectIdError(f"labelling records {span}: {result}")
-            labels += result
-        return labels
+        outcomes: dict[int, Iterator[Outcome]] = {}  # by the group's first task
+        for lo, hi in groups:
+            if (lo, hi) != here:
+                workers.append(_fork_worker(tasks[lo:hi]))
+                outcomes[lo] = _received(workers[-1][1])
+        # Run to its end before any worker is read, beside the workers.
+        outcomes[here[0]] = iter(list(_outcomes(tasks[here[0] : here[1]])))
+        values: list[T] = []
+        for lo, hi in groups:
+            for (name, _), (value, error) in zip(tasks[lo:hi], outcomes[lo]):
+                if isinstance(error, str):
+                    raise DialectIdError(f"{name}: {error}")
+                if error is not None:
+                    raise error
+                values.append(value)
+        return values
     finally:
-        for pid, pipe, _ in workers:
+        for pid, pipe in workers:
             pipe.close()
             # An exited worker stays a zombie until reaped, so the kill
             # finds it, unless SIGCHLD is ignored and the kernel reaped it.
@@ -208,17 +251,39 @@ def _label_in_shards(records: Sequence[corpus.TweetRecord], label: Labeler) -> l
                 os.waitpid(pid, 0)
 
 
-def _fork_worker(label: Labeler, shard: Sequence[corpus.TweetRecord]) -> tuple[int, BinaryIO]:
-    """Fork a process that pickles label(shard), or the message of its
-    failure, into a pipe and leaves through os._exit, so no exit handler
-    runs and no stdio buffer is written twice.  Returns its pid and the
-    pipe's read end.
+def _outcomes(tasks: Sequence[Task[T]]) -> Iterator[Outcome]:
+    """The outcome of each task in turn, up to the first that fails."""
+    for _, task in tasks:
+        try:
+            value = task()
+        except Exception as exc:
+            yield None, exc
+            return
+        yield value, None
+
+
+def _received(pipe: BinaryIO) -> Iterator[Outcome]:
+    """The outcomes a worker sends, then a failure if it ends early."""
+    while True:
+        try:
+            yield pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            yield None, "the worker ended without sending its result"
+            return
+
+
+def _fork_worker(tasks: Sequence[Task[T]]) -> tuple[int, BinaryIO]:
+    """Fork a process that runs the tasks in order and pickles each
+    outcome into a pipe as it comes, the error as the exception itself
+    where main reports its type and as its message otherwise, and that
+    leaves through os._exit, so no exit handler runs and no stdio buffer
+    is written twice.  Returns its pid and the pipe's read end.
 
     The fork copies one thread.  The only other thread the package
     runs under is the pool of numpy's OpenBLAS, which its own
     pthread_atfork handler stops before every fork and starts again on
-    the next threaded BLAS call; predict forks before it labels
-    anything, so the pool is stopped at each fork and no lock can be
+    the next threaded BLAS call; both commands fork before their first
+    BLAS call, so the pool is stopped at each fork and no lock can be
     held by a thread the worker lacks."""
     read_fd, write_fd = os.pipe()
     try:
@@ -230,14 +295,13 @@ def _fork_worker(label: Labeler, shard: Sequence[corpus.TweetRecord]) -> tuple[i
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                result: list[str] | str = label(shard)
-            except DialectIdError as exc:
-                result = str(exc)
-            except Exception as exc:
-                result = f"{type(exc).__name__}: {exc}"
+            reported = (DialectIdError, OSError, ValueError)  # the types main reports
             with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
+                for value, error in _outcomes(tasks):
+                    if error is not None and not isinstance(error, reported):
+                        error = f"{type(error).__name__}: {error}"
+                    pipe.write(pickle.dumps((value, error)))
+                    pipe.flush()
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -253,14 +317,33 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     dev = corpus.load_corpus(spec.dev_path, vocab=vocab)
     test = corpus.load_corpus(spec.test_path, vocab=vocab)
     splits = harness.Splits(spec.level, vocab, train, dev, test, _load_lexicon_flags(args))
-
-    grid = harness.run_grid(splits, list(spec.experiments), spec.selection)
-    sys.stdout.write(harness.render_grid(grid))
+    experiments = spec.experiments
+    # Prepared here, before any fork, each text is prepared once and
+    # every fit, in this process or a worker, reads it from splits.
+    for config in experiments:
+        splits.texts("train", config)
+        splits.texts("dev", config)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    harness.write_grid_tsv(grid, os.path.join(args.out_dir, "grid.tsv"))
     submission_path = os.path.join(args.out_dir, "submission.csv")
-    result = harness.finalize(splits, grid.selected, submission_path)
+    tasks: list[Task[object]] = [
+        (f"experiment {c.name!r}", functools.partial(harness.grid_row, splits, c))
+        for c in experiments
+    ]
+    # Forked under the pin, no worker sets the BLAS thread count, which
+    # would restart the thread pool the fork stopped.
+    with classifier.one_blas_thread():
+        if len(experiments) == 1:
+            # Nothing to select: finalize runs here beside the grid row.
+            tasks.append((f"finalizing experiment {experiments[0].name!r}", functools.partial(
+                harness.finalize, splits, experiments[0], submission_path)))
+            *rows, result = _run_tasks(tasks, parent_last=True)
+            grid = harness.select_row(rows, spec.selection)
+        else:
+            grid = harness.select_row(_run_tasks(tasks), spec.selection)
+            result = harness.finalize(splits, grid.selected, submission_path)
+    sys.stdout.write(harness.render_grid(grid))
+    harness.write_grid_tsv(grid, os.path.join(args.out_dir, "grid.tsv"))
     classifier.save_model(
         result.model, os.path.join(args.out_dir, "model.bin"), os.path.join(args.out_dir, "idf.bin")
     )

@@ -1,18 +1,20 @@
 """Experiment orchestration.
 
-run_grid fits one model per configuration on the train split, scores
-it on dev, and returns every row's report and the chosen experiment;
-dev never reaches idf fitting or the gradient updates.  A fit
-(fit_pipeline) takes prepared texts and their class ids, as
-classifier.train does, and returns one LinearModel, which carries the
-idf table it was fitted with, so predict_texts featurizes and scores
-with the model alone.  finalize refits the chosen configuration on
-train plus dev and writes the test submission.  Both take a Splits,
-which holds every input of a run but the experiments: the label level
-and vocab, the records, and the lexicon their texts are normalized
-with.  It checks the train and dev labels once and keeps their class
-ids, and it prepares each split's texts once per text preparation, so
-the grid and finalize share both.
+grid_row fits one configuration on the train split and scores it on
+dev; dev never reaches idf fitting or the gradient updates.  No row
+depends on another, so rows may be computed in any order or apart, and
+select_row then chooses the experiment from the rows in configuration
+order.  run_grid does both, row by row, and returns every row's report
+and the chosen experiment.  A fit (fit_pipeline) takes prepared texts
+and their class ids, as classifier.train does, and returns one
+LinearModel, which carries the idf table it was fitted with, so
+predict_texts featurizes and scores with the model alone.  finalize
+refits the chosen configuration on train plus dev and writes the test
+submission.  Both take a Splits, which holds every input of a run but
+the experiments: the label level and vocab, the records, and the
+lexicon their texts are normalized with.  It checks the train and dev
+labels once and keeps their class ids, and it prepares each split's
+texts once per text preparation, so the grid and finalize share both.
 """
 
 from __future__ import annotations
@@ -171,34 +173,38 @@ class Splits:
         return self._prepared[key]
 
 
+def grid_row(splits: Splits, config: ExperimentConfig) -> GridRow:
+    """Fit config on train, to the train slice of splits.classes, and
+    score it on dev; the idf table and the model see train only."""
+    labels = splits.vocab.labels(splits.level)
+    y = splits.classes[: len(splits.train)]
+    gold = [labels[c] for c in splits.classes[len(splits.train) :]]
+    model = fit_pipeline(splits.texts("train", config), y, labels, config, splits.lexicon)
+    pred = predict_texts(splits.texts("dev", config), config, model)
+    return GridRow(config, evaluation.report(gold, pred, labels))
+
+
+def select_row(rows: Sequence[GridRow], selection: SelectionMetric) -> GridResult:
+    """The grid of rows, in order, with the configuration of the row
+    best by the selection metric; ties go to the earliest row."""
+    # max keeps the first of equal rows.
+    best = max(rows, key=lambda row: getattr(row.report, selection.value))
+    return GridResult(rows=tuple(rows), selected=best.config, selection_metric=selection)
+
+
 def run_grid(
     splits: Splits,
     configs: Sequence[ExperimentConfig],
     selection: SelectionMetric = SelectionMetric.WEIGHTED_F1,
 ) -> GridResult:
-    """Fit every configuration on train, score it on dev, and select the
-    configuration of the row best by the selection metric.
-
-    All configurations must carry unique names.  Ties on the selection
-    metric go to the earliest row.  The idf table and the model of each
-    row are fitted on train only, to the train slice of splits.classes.
-    """
+    """The grid_row of every configuration, in order, and the one
+    select_row chooses.  All configurations must carry unique names."""
     if not configs:
         raise ConfigError("grid needs at least one experiment")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate experiment name in grid")
-    labels = splits.vocab.labels(splits.level)
-    y = splits.classes[: len(splits.train)]
-    gold = [labels[c] for c in splits.classes[len(splits.train) :]]
-    rows: list[GridRow] = []
-    for config in configs:
-        model = fit_pipeline(splits.texts("train", config), y, labels, config, splits.lexicon)
-        pred = predict_texts(splits.texts("dev", config), config, model)
-        rows.append(GridRow(config, evaluation.report(gold, pred, labels)))
-    # max keeps the first of equal rows.
-    best = max(rows, key=lambda row: getattr(row.report, selection.value))
-    return GridResult(rows=tuple(rows), selected=best.config, selection_metric=selection)
+    return select_row([grid_row(splits, config) for config in configs], selection)
 
 
 def finalize(

@@ -4,6 +4,7 @@ import random
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -534,9 +535,11 @@ def test_train_equals_batched_oracle_bit_for_bit(fit_nadi_corpus, block_elements
     assert hp.batch_size == 126
     with mock.patch.object(classifier, "_BLOCK_ELEMENTS", block_elements):
         model = train(rows, y=y, hp=hp, class_labels=labels, idf=idf)
-    weights, bias, losses, sizes = batched_sgd(
-        rows, np.asarray(y), hp, len(labels), block_elements
-    )
+    # train runs on one BLAS thread, so the oracle does too.
+    with classifier.one_blas_thread():
+        weights, bias, losses, sizes = batched_sgd(
+            rows, np.asarray(y), hp, len(labels), block_elements
+        )
     batches = hp.epochs * -(-len(rows) // hp.batch_size)
     if block_elements == classifier._BLOCK_ELEMENTS:
         assert len(sizes) == batches
@@ -574,6 +577,96 @@ def test_train_equals_batched_oracle_on_one_blas_thread(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True", "True"]
+
+
+def test_same_model_bytes_at_every_blas_thread_count(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so
+    # each count takes a fresh interpreter.  Unpinned, the fit's
+    # products summed in another order at two threads than at one.
+    script = (
+        "import hashlib, sys\n"
+        "from dialectid import classifier\n"
+        "from test_memory import fit_nadi_finalize_corpus\n"
+        "rows, y, config, labels, idf = fit_nadi_finalize_corpus(sys.argv[1])\n"
+        "model = classifier.train(rows, y=y, hp=config.hp, class_labels=labels, idf=idf)\n"
+        "classifier.save_model(model, sys.argv[1] + '/model.bin', sys.argv[1] + '/idf.bin')\n"
+        "with open(sys.argv[1] + '/model.bin', 'rb') as fh:\n"
+        "    print(hashlib.sha256(fh.read()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(classifier.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    bench = os.path.join(os.path.dirname(tests), "bench")
+    path = os.pathsep.join(p for p in (src, tests, bench, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    digests = []
+    for threads in ("1", "2", None):
+        directory = tmp_path / f"threads-{threads}"
+        directory.mkdir()
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script, str(directory)],
+                              capture_output=True, text=True, env=run_env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split()[-1])
+    assert digests[1] == digests[0] and digests[2] == digests[0], digests
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count set to 2 for the test, and the
+    function that reads it; the count is put back afterwards."""
+    blas = classifier._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS to pin")
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def threads_during_sgd(monkeypatch, get_threads):
+    """A list that gets the BLAS thread count of each _sgd call."""
+    seen = []
+    real_sgd = classifier._sgd
+
+    def spy_sgd(*args):
+        seen.append(get_threads())
+        return real_sgd(*args)
+
+    monkeypatch.setattr(classifier, "_sgd", spy_sgd)
+    return seen
+
+
+def test_training_pins_one_blas_thread(blas_threads, monkeypatch):
+    rows, y = overlapping_examples()
+    seen = threads_during_sgd(monkeypatch, blas_threads)
+    train_on(rows, y, HyperParams(epochs=2, batch_size=4), labels(3))
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_training_without_openblas_pins_nothing(blas_threads, monkeypatch, tmp_path):
+    # A numpy built on another BLAS has no such library to look up.
+    monkeypatch.setattr(classifier, "_OPENBLAS_LIBS", str(tmp_path / "missing" / "*.so"))
+    classifier._openblas_threads.cache_clear()
+    try:
+        assert classifier._openblas_threads() is None
+        rows, y = overlapping_examples()
+        seen = threads_during_sgd(monkeypatch, blas_threads)
+        hp = HyperParams(epochs=2, batch_size=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train_on(rows, y, hp, labels(3))
+        assert caught == []
+        assert seen == [2]
+        weights, bias, losses, _ = batched_sgd(
+            rows, np.asarray(y), hp, 3, classifier._BLOCK_ELEMENTS
+        )
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.epoch_losses == losses
+    finally:
+        classifier._openblas_threads.cache_clear()
 
 
 def overlapping_examples(per_class=6, dim=16, num_classes=3):

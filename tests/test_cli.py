@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import dialectid
 from dialectid import cli, harness, normalizer
 from dialectid.classifier import load_model, save_model
 from dialectid.corpus import LabelVocab, load_corpus, read_submission
-from dialectid.errors import DialectIdError
+from dialectid.errors import DialectIdError, TrainingDiverged
 from dialectid.features import fnv1a64
 from dialectid.normalizer import NormConfig
 
@@ -1184,7 +1185,7 @@ class TestShardedPredict:
         sharded["out"].unlink(missing_ok=True)
         assert cli.main(sharded["argv"]) == 1
         assert capsys.readouterr().err == (
-            "error: labelling records 97-192: the worker ended without sending its labels\n"
+            "error: labelling records 97-192: the worker ended without sending its result\n"
         )
         assert not sharded["out"].exists()
         assert_no_child_left()
@@ -1200,6 +1201,149 @@ class TestShardedPredict:
         assert cli.main(sharded["argv"]) == 1
         assert time.monotonic() - began < 30
         assert capsys.readouterr().err == "error: parent shard\n"
+        assert_no_child_left()
+
+
+OUTPUTS = ("model.bin", "idf.bin", "submission.csv", "grid.tsv", "report.txt")
+
+
+@pytest.fixture(scope="module")
+def grids(corpus_dir, tmp_path_factory):
+    """Two benchmark configs on the CLI corpus, one of one experiment
+    and one of four, whose experiments differ in text preparation,
+    n-grams and training; and the bytes each one's outputs have in a
+    serial run (one CPU)."""
+    directory = tmp_path_factory.mktemp("grids")
+    paths = corpus_dir["paths"]
+    data = ("format=1\n[data]\n"
+            + "".join(f"{split}={paths[split]}\n" for split in ("train", "dev", "test", "vocab"))
+            + "level=country\nregister=da\n")
+    one = directory / "one.cfg"
+    one.write_text(data + "[experiment only]\ndim=4096\nepochs=4\n", encoding="utf-8")
+    four = synthcorpus.write_benchmark_config(
+        str(directory), paths, dim=1 << 12,
+        extra_experiments=("\n[experiment wide]\ndim=4096\nn_min=1\nn_max=3\nepochs=3\n"
+                           "learning_rate=0.5\n"
+                           "\n[experiment seg]\ndim=4096\nsegment=true\nepochs=4\n"),
+    )
+    configs = {"one": str(one), "four": four}
+    reference = {}
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+        for name, config in configs.items():
+            out = directory / f"serial-{name}"
+            assert cli.main(["benchmark", config, "--out-dir", str(out)]) == 0
+            reference[name] = {f: (out / f).read_bytes() for f in OUTPUTS}
+    return {"configs": configs, "reference": reference, "experiments": {"one": 1, "four": 4}}
+
+
+class TestParallelBenchmark:
+    @pytest.mark.parametrize("grid", ["one", "four"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_same_bytes_for_any_cpu_count(self, grids, tmp_path, monkeypatch, capsys, grid,
+                                          cpus):
+        set_cpus(monkeypatch, cpus)
+        forks = spy_forks(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", grids["configs"][grid], "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        # One task per experiment, and finalize beside a lone one.
+        tasks = grids["experiments"][grid] if grid == "four" else 2
+        assert len(forks) == min(cpus, tasks) - 1
+        for name in OUTPUTS:
+            assert (out / name).read_bytes() == grids["reference"][grid][name], name
+        assert_no_child_left()
+
+    def test_one_cpu_process_forks_nothing(self, grids, tmp_path):
+        # `python -m dialectid`, with an audit hook that reports forks.
+        script = (
+            "import runpy, sys\n"
+            "def hook(event, args):\n"
+            "    if event == 'os.fork':\n"
+            "        sys.stderr.write('os.fork\\n')\n"
+            "sys.addaudithook(hook)\n"
+            "runpy.run_module('dialectid', run_name='__main__', alter_sys=True)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dialectid.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def run(cpu_set):
+            out = tmp_path / "out"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "benchmark", grids["configs"]["four"],
+                 "--out-dir", str(out)],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                preexec_fn=lambda: os.sched_setaffinity(0, cpu_set),
+            )
+            assert proc.returncode == 0, proc.stderr
+            for name in OUTPUTS:
+                assert (out / name).read_bytes() == grids["reference"]["four"][name], name
+            return proc.stderr.count("os.fork\n")
+
+        assert run({cpus[0]}) == 0
+        if len(cpus) > 1:
+            assert run(set(cpus[:2])) == 1
+
+    def failing_worker(self, monkeypatch, worker, experiment):
+        """grid_row runs worker() in a forked worker before it fits
+        experiment."""
+        real = harness.grid_row
+        here = os.getpid()
+
+        def grid_row(splits, config):
+            if os.getpid() != here and config.name == experiment:
+                worker()
+            return real(splits, config)
+
+        monkeypatch.setattr(harness, "grid_row", grid_row)
+
+    @pytest.mark.parametrize("grid, experiment", [("one", "only"), ("four", "seg")])
+    def test_failing_worker_is_an_error(self, grids, tmp_path, monkeypatch, capsys, grid,
+                                        experiment):
+        set_cpus(monkeypatch, 2)
+
+        def worker():
+            raise RuntimeError("boom")
+
+        self.failing_worker(monkeypatch, worker, experiment)
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", grids["configs"][grid], "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: experiment {experiment!r}: RuntimeError: boom\n"
+        assert not (out / "grid.tsv").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("grid, experiment", [("one", "only"), ("four", "seg")])
+    def test_killed_worker_is_an_error(self, grids, tmp_path, monkeypatch, capsys, grid,
+                                       experiment):
+        # On two CPUs, four experiments make two groups: the worker fits
+        # wide and then seg, and is killed after sending wide's row.
+        set_cpus(monkeypatch, 2)
+        self.failing_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL),
+                            experiment)
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", grids["configs"][grid], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: experiment {experiment!r}: the worker ended without sending its result\n"
+        )
+        assert not (out / "grid.tsv").exists()
+        assert_no_child_left()
+
+    def test_worker_data_error_is_the_serial_error(self, grids, tmp_path, monkeypatch,
+                                                   capsys):
+        # A data error in a worker is raised as it is, and before an
+        # error of finalize, which the serial order raises later.
+        set_cpus(monkeypatch, 2)
+
+        def worker():
+            raise TrainingDiverged("non-finite parameters after epoch 2")
+
+        self.failing_worker(monkeypatch, worker, "only")
+        monkeypatch.setattr(harness, "finalize", lambda *args: 1 / 0)
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", grids["configs"]["one"], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite parameters after epoch 2\n"
         assert_no_child_left()
 
 
