@@ -1233,7 +1233,7 @@ def grids(corpus_dir, tmp_path_factory):
             out = directory / f"serial-{name}"
             assert cli.main(["benchmark", config, "--out-dir", str(out)]) == 0
             reference[name] = {f: (out / f).read_bytes() for f in OUTPUTS}
-    return {"configs": configs, "reference": reference, "experiments": {"one": 1, "four": 4}}
+    return {"configs": configs, "reference": reference}
 
 
 class TestParallelBenchmark:
@@ -1247,7 +1247,7 @@ class TestParallelBenchmark:
         assert cli.main(["benchmark", grids["configs"][grid], "--out-dir", str(out)]) == 0
         assert capsys.readouterr().err == ""
         # One task per experiment, and finalize beside a lone one.
-        tasks = grids["experiments"][grid] if grid == "four" else 2
+        tasks = {"one": 2, "four": 4}[grid]
         assert len(forks) == min(cpus, tasks) - 1
         for name in OUTPUTS:
             assert (out / name).read_bytes() == grids["reference"][grid][name], name
